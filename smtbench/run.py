@@ -61,6 +61,9 @@ WORKLOADS: dict[str, Callable[[random.Random], list[Case]]] = {
     "hard_search": lambda rng: workloads.hard_search(rng, 20, holes=5, chain=80, sat_vars=100),
     "incremental": lambda rng: workloads.incremental(rng, sessions=100, depth=10),
     "certify": lambda rng: workloads.certify(rng, rounds=30, scale=3),
+    "fuzz_combo": lambda rng: workloads.fuzz_mix(
+        rng, per_family=100, holes=16, families=tuple(workloads.HOLE_FAMILIES)
+    ),
 }
 #: Tiny instances of the same workloads, for ``smoke.py``.
 SMOKE_WORKLOADS: dict[str, Callable[[random.Random], list[Case]]] = {
@@ -68,6 +71,9 @@ SMOKE_WORKLOADS: dict[str, Callable[[random.Random], list[Case]]] = {
     "hard_search": lambda rng: workloads.hard_search(rng, 20, holes=3, chain=8, sat_vars=12),
     "incremental": lambda rng: workloads.incremental(rng, sessions=100, depth=2),
     "certify": lambda rng: workloads.certify(rng, rounds=20, scale=1),
+    "fuzz_combo": lambda rng: workloads.fuzz_mix(
+        rng, per_family=100, holes=4, families=tuple(workloads.HOLE_FAMILIES)
+    ),
 }
 
 #: Counters that must repeat exactly for every execution of a script.
@@ -233,6 +239,19 @@ def _check_model(repro, case: Case, index: int, check, defines: list, assertions
             raise WrongVerdict(f"{case.family} check {index}: sat model falsifies an assertion")
 
 
+def check_proofs(repro, case: Case, result) -> list[dict]:
+    """Replay the proof of every ``unsat`` answer of a script that turns
+    proofs on.  Returns the checker's stats per proof; an ``unsat``
+    without a proof is a wrong verdict."""
+    if not case.proofs:
+        return []
+    return [
+        _check_proof(repro, case, index, check)
+        for index, check in enumerate(result.check_results)
+        if check.answer == "unsat"
+    ]
+
+
 def _check_proof(repro, case: Case, index: int, check) -> dict:
     if check.proof is None:
         raise WrongVerdict(f"{case.family} check {index}: unsat without a proof")
@@ -253,11 +272,7 @@ def run_plain(repro, case: Case):
     Returns ``(wall_s, result, proof_stats)``."""
     start = time.perf_counter()
     result = repro.run_script(case.text, timeout=SCRIPT_TIMEOUT_S)
-    proof_stats = [
-        _check_proof(repro, case, index, check)
-        for index, check in enumerate(result.check_results)
-        if check.answer == "unsat" and check.proof is not None
-    ]
+    proof_stats = check_proofs(repro, case, result)
     return time.perf_counter() - start, result, proof_stats
 
 
@@ -275,11 +290,7 @@ def run_traced(repro, case: Case):
     engine = repro.Engine(obs=Observability.tracing(), timeout=SCRIPT_TIMEOUT_S)
     result = engine.run(script)
     t3 = time.perf_counter()
-    proof_stats = [
-        _check_proof(repro, case, index, check)
-        for index, check in enumerate(result.check_results)
-        if check.answer == "unsat" and check.proof is not None
-    ]
+    proof_stats = check_proofs(repro, case, result)
     t4 = time.perf_counter()
 
     layers = dict.fromkeys(LAYERS, 0.0)
@@ -337,12 +348,15 @@ LAYERS = SELF_TIMES + ("unattributed", "bnb", "tokens", "chars")
 class Loop:
     """Runs the script set round-robin, checks every script's first
     answers, and compares each later execution's counters against the
-    first."""
+    first.  Answers are tallied on a script's first execution only, so
+    ``attempted``, ``failed`` and ``unknown`` are per pass over the set,
+    like the program counters."""
 
     def __init__(self, repro, cases: list[Case]) -> None:
         self.repro = repro
         self.cases = cases
         self.first_counters: list[Optional[dict]] = [None] * len(cases)
+        self.counted = [False] * len(cases)
         self.attempted = 0
         self.failed = 0
         #: Time spent in the oracle, which the run's clock leaves out.
@@ -362,10 +376,10 @@ class Loop:
         except Exception:  # a crashing script is a failed query, not a crashed run
             print(f"# {case.family} script {index}:", file=sys.stderr)
             traceback.print_exc()
-            self._count(case, ["error"] * len(case.expected), ["error"] * len(case.expected))
+            self._count(index, ["error"] * len(case.expected), ["error"] * len(case.expected))
             return time.perf_counter() - start, None
         answers = [check.answer for check in result.check_results]
-        self._count(case, answers, [check.reason for check in result.check_results])
+        self._count(index, answers, [check.reason for check in result.check_results])
         counters = check_counters(result, proof_stats)
         first = self.first_counters[index]
         if first is None:
@@ -382,7 +396,11 @@ class Loop:
                     )
         return wall, (extra[0] if extra else None)
 
-    def _count(self, case: Case, answers: list[str], reasons: list) -> None:
+    def _count(self, index: int, answers: list[str], reasons: list) -> None:
+        if self.counted[index]:
+            return
+        self.counted[index] = True
+        case = self.cases[index]
         self.attempted += len(case.expected)
         for answer, reason in zip(answers, reasons):
             if answer not in ("sat", "unsat"):
@@ -457,7 +475,9 @@ def measure(repro, cases: list[Case], seconds: float, traced: bool, setup_starts
         setup_times.append(setup_start())
     out = {
         "loop": loop,
-        "setup_s": statistics.median(setup_times) if setup_times else 0.0,
+        # The fastest start, for the reason latencies are fastest
+        # executions: other tenants' load only ever adds time.
+        "setup_s": min(setup_times) if setup_times else 0.0,
         "passes": passes + index / len(cases),
         # Each script's latency is its fastest execution: load from
         # other tenants of a shared machine only ever adds time, in
@@ -466,11 +486,14 @@ def measure(repro, cases: list[Case], seconds: float, traced: bool, setup_starts
         "latencies": [min(runs) for runs in plain],
     }
     if traced:
-        layers = dict.fromkeys(LAYERS, 0.0)
-        for sums, runs in zip(layer_sums, traced_s):
-            for key, value in sums.items():
-                layers[key] += value / len(runs)
-        out["layers"] = layers
+        # Per script, each layer's mean over its traced executions.
+        out["script_layers"] = [
+            {key: value / len(runs) for key, value in sums.items()}
+            for sums, runs in zip(layer_sums, traced_s)
+        ]
+        out["layers"] = {
+            key: sum(script[key] for script in out["script_layers"]) for key in LAYERS
+        }
         out["traced_latencies"] = [min(runs) for runs in traced_s]
     return out
 
@@ -572,13 +595,37 @@ def _traced_pass(layers: dict) -> float:
     return sum(layers[name] for name in SELF_TIMES + ("unattributed",))
 
 
-def layer_table(run: dict) -> list[str]:
-    layers = run["layers"]
-    wall = _traced_pass(layers)
-    lines = [f"{'layer (self time per pass)':<30} {'s':>10} {'share':>8}"]
-    for name in SELF_TIMES + ("unattributed",):
-        lines.append(f"{name:<30} {layers[name]:>10.4f} {layers[name] / wall:>8.1%}")
-    lines.append(f"{'script wall (traced)':<30} {wall:>10.4f} {1:>8.1%}")
+def family_shares(run: dict, cases: list[Case]) -> dict[str, float]:
+    """Each family's share of the untraced pass time."""
+    shares: dict[str, float] = {}
+    for case, latency in zip(cases, run["latencies"]):
+        shares[case.family] = shares.get(case.family, 0.0) + latency
+    total = sum(run["latencies"])
+    return {family: seconds / total for family, seconds in shares.items()}
+
+
+def layer_table(run: dict, cases: list[Case]) -> list[str]:
+    """Each layer's self time per pass, then its share of the traced
+    script wall time in several groups of scripts: all of them, those
+    whose untraced latency ranks between the 40th and 60th percentiles
+    (the median band) or at the 90th and beyond (the tail), and each
+    family.  The ``share of pass`` row gives each group's own share of
+    the traced pass time; every column adds up to 100%."""
+    order = sorted(range(len(cases)), key=lambda i: run["latencies"][i])
+    n = len(order)
+    groups = {"all": order, "p40-60": order[2 * n // 5 : 3 * n // 5], "p90+": order[9 * n // 10 :]}
+    for family in dict.fromkeys(case.family for case in cases):
+        groups[family] = [i for i, case in enumerate(cases) if case.family == family]
+    rows = SELF_TIMES + ("unattributed",)
+    scripts = run["script_layers"]
+    sums = {g: {r: sum(scripts[i][r] for i in members) for r in rows} for g, members in groups.items()}
+    walls = {g: sum(by_row.values()) for g, by_row in sums.items()}
+    lines = [f"{'layer':<16} {'s/pass':>8} " + " ".join(f"{g:>10}" for g in groups)]
+    lines.append(f"{'share of pass':<16} {walls['all']:>8.4f} "
+                 + " ".join(f"{walls[g] / walls['all']:>10.1%}" for g in groups))
+    for r in rows:
+        lines.append(f"{r:<16} {sums['all'][r]:>8.4f} "
+                     + " ".join(f"{sums[g][r] / walls[g]:>10.1%}" for g in groups))
     return lines
 
 
@@ -618,8 +665,10 @@ def main(argv: Optional[list[str]] = None) -> int:
           f"failed_frac={loop.failed / loop.attempted:.4f} "
           f"latency_samples={len(run['latencies'])}")
     print(f"# counters per pass: {json.dumps({k: loop.totals()[k] for k in DETERMINISTIC})}")
+    print("# family share of untraced pass time: " + ", ".join(
+        f"{family} {share:.1%}" for family, share in family_shares(run, cases).items()))
     if args.trace:
-        for line in layer_table(run):
+        for line in layer_table(run, cases):
             print(f"# {line}")
     for name, (value, unit) in metrics.items():
         print(f"# {name} = {value:.6g} {unit}")

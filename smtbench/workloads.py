@@ -21,12 +21,15 @@ class Case:
     one script per family before its clock starts.  ``expected`` holds
     one entry per ``(check-sat)``: ``"sat"`` or ``"unsat"`` when the
     status is known by construction, ``None`` when only the model check
-    or the proof replay can vouch for the answer.
+    or the proof replay can vouch for the answer.  ``proofs`` marks a
+    script that turns proofs on: every ``unsat`` answer it gives must
+    come with a proof that ``check_proof`` accepts.
     """
 
     family: str
     text: str
     expected: tuple[Optional[str], ...]
+    proofs: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +312,18 @@ class _UfLia(_Family):
         return f"(Q {self.term(1)})"
 
 
+class _UfLiaCombined(_UfLia):
+    """UF+LIA where arithmetic also ranges over UF applications: the
+    theory-combination fragment the engine answers ``unknown`` on today
+    (``abstracted-atoms``, ``model-validation-failed``)."""
+
+    def atom(self) -> str:
+        rng = self.rng
+        if rng.random() < 0.5:
+            return _arith_atom(rng, self.vars + [self.term(0) for _ in range(2)], _int_lit)
+        return super().atom()
+
+
 FUZZ_FAMILIES: dict[str, tuple[str, type[_Family]]] = {
     "core": ("QF_UF", _Core),
     "lia": ("QF_LIA", _Lia),
@@ -318,13 +333,17 @@ FUZZ_FAMILIES: dict[str, tuple[str, type[_Family]]] = {
     "arrays": ("QF_AX", _Arrays),
     "uflia": ("QF_UFLIA", _UfLia),
 }
+#: Families outside the engine's decided fragments, for ``fuzz_combo``.
+HOLE_FAMILIES: dict[str, tuple[str, type[_Family]]] = {
+    "uflia+": ("QF_UFLIA", _UfLiaCombined),
+}
 
 
 def fuzz_script(rng: random.Random, family: str, holes: int) -> Case:
     """One skeleton-filled script: declarations, ``define-fun`` helpers,
     two to four assertions with about ``holes`` theory terms between
     them, one ``check-sat``."""
-    logic, make = FUZZ_FAMILIES[family]
+    logic, make = {**FUZZ_FAMILIES, **HOLE_FAMILIES}[family]
     theory = make(rng)
     skeleton = _Skeleton(rng, theory.hole, holes)
     lines = [f"(set-logic {logic})", *theory.decls, *theory.defs]
@@ -335,12 +354,14 @@ def fuzz_script(rng: random.Random, family: str, holes: int) -> Case:
     return Case(family, "\n".join(lines) + "\n", (None,))
 
 
-def fuzz_mix(rng: random.Random, per_family: int, holes: int) -> list[Case]:
+def fuzz_mix(
+    rng: random.Random, per_family: int, holes: int, families=tuple(FUZZ_FAMILIES)
+) -> list[Case]:
     """``per_family`` scripts of every family, interleaved."""
     return [
         fuzz_script(rng, family, holes)
         for _ in range(per_family)
-        for family in FUZZ_FAMILIES
+        for family in families
     ]
 
 
@@ -546,7 +567,7 @@ _PROOFS = "(set-option :produce-proofs true)"
 
 
 def _certified(case: Case) -> Case:
-    return Case(case.family, f"{_PROOFS}\n{case.text}", case.expected)
+    return Case(case.family, f"{_PROOFS}\n{case.text}", case.expected, proofs=True)
 
 
 def bv_miter(rng: random.Random, width: int) -> Case:
@@ -562,7 +583,7 @@ def bv_miter(rng: random.Random, width: int) -> Case:
     lines = [_PROOFS, "(set-logic QF_BV)"]
     lines += [f"(declare-const {v} {sort})" for v in (a, b, c)]
     lines.append(f"(assert (not (= {left} {right})))")
-    return Case("bvmiter", "\n".join(lines) + "\n(check-sat)\n", ("unsat",))
+    return Case("bvmiter", "\n".join(lines) + "\n(check-sat)\n", ("unsat",), proofs=True)
 
 
 def bv_cycle(rng: random.Random, length: int, width: int) -> Case:
@@ -574,7 +595,7 @@ def bv_cycle(rng: random.Random, length: int, width: int) -> Case:
     lines += [f"(declare-const {v} (_ BitVec {width}))" for v in sorted(names)]
     for i in range(length):
         lines.append(f"(assert (bvult {names[i]} {names[(i + 1) % length]}))")
-    return Case("bvcycle", "\n".join(lines) + "\n(check-sat)\n", ("unsat",))
+    return Case("bvcycle", "\n".join(lines) + "\n(check-sat)\n", ("unsat",), proofs=True)
 
 
 def euf_diamond(rng: random.Random, length: int) -> Case:
@@ -591,7 +612,7 @@ def euf_diamond(rng: random.Random, length: int) -> Case:
             f"(and (= a{i} {via[1]}{i}) (= {via[1]}{i} a{i + 1}))))"
         )
     lines.append(f"(assert (not (= (f a0) (f a{length}))))")
-    return Case("eufdiamond", "\n".join(lines) + "\n(check-sat)\n", ("unsat",))
+    return Case("eufdiamond", "\n".join(lines) + "\n(check-sat)\n", ("unsat",), proofs=True)
 
 
 def lia_diamond(rng: random.Random, length: int) -> Case:
@@ -606,7 +627,7 @@ def lia_diamond(rng: random.Random, length: int) -> Case:
             f"(assert (or (>= x{i + 1} (+ x{i} {steps[0]})) (>= x{i + 1} (+ x{i} {steps[1]}))))"
         )
     lines.append(f"(assert (< (- x{length} x0) {length}))")
-    return Case("liadiamond", "\n".join(lines) + "\n(check-sat)\n", ("unsat",))
+    return Case("liadiamond", "\n".join(lines) + "\n(check-sat)\n", ("unsat",), proofs=True)
 
 
 def certify(rng: random.Random, rounds: int, scale: int) -> list[Case]:
