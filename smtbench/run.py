@@ -24,6 +24,7 @@ status 1.  See ``smtbench/README.md`` for the workloads and metrics.
 from __future__ import annotations
 
 import argparse
+import bisect
 import gc
 import json
 import math
@@ -46,7 +47,15 @@ SRC = os.path.join(ROOT, "src")
 #: Per-script wall-clock budget; an expired script answers ``unknown``.
 SCRIPT_TIMEOUT_S = 10.0
 #: Fresh interpreter starts per run for ``setup_s``.
-SETUP_STARTS = 9
+SETUP_STARTS = 15
+#: The host-speed probe runs between scripts at most this often...
+PROBE_EVERY_S = 0.1
+#: ...and an execution is scaled by the median of the probes taken
+#: within this many seconds of it.
+PROBE_REACH_S = 0.25
+#: The probe's time on a 2.1 GHz Xeon vCPU in a quiet stretch; the
+#: end-to-end times are scaled to a host on which the probe takes this.
+PROBE_REF_S = 0.002
 SETUP_CODE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import repro; "
     "repro.run_script('(declare-const p Bool) (assert p) (check-sat)')"
@@ -54,10 +63,10 @@ SETUP_CODE = (
 
 #: Workload name -> seeded script-set builder.  Every set holds at least
 #: 100 scripts, so ``latency_p90_ms`` has ten beyond it, and one pass
-#: takes at most about a sixth of a 40-second run, so every script
+#: takes at most about a third of a 35-second run, so every script
 #: runs several times.
 WORKLOADS: dict[str, Callable[[random.Random], list[Case]]] = {
-    "fuzz_mix": lambda rng: workloads.fuzz_mix(rng, per_family=70, holes=16),
+    "fuzz_mix": lambda rng: workloads.fuzz_mix(rng, per_family=120, holes=16),
     "hard_search": lambda rng: workloads.hard_search(rng, 20, holes=5, chain=80, sat_vars=100),
     "incremental": lambda rng: workloads.incremental(rng, sessions=100, depth=10),
     "certify": lambda rng: workloads.certify(rng, rounds=30, scale=3),
@@ -341,6 +350,70 @@ LAYERS = SELF_TIMES + ("unattributed", "bnb", "tokens", "chars")
 
 
 # ---------------------------------------------------------------------------
+# Host speed.
+# ---------------------------------------------------------------------------
+
+
+class _Node:
+    """A small object for :func:`host_probe` to build."""
+
+    __slots__ = ("key", "name")
+
+    def __init__(self, key: int, name: str) -> None:
+        self.key = key
+        self.name = name
+
+
+def host_probe() -> float:
+    """Wall time of a fixed piece of pure-Python work that shares no code
+    with the solver: half integer arithmetic, half object, string and
+    dict work.
+
+    The shared machines the benchmark runs on switch between a quiet and
+    a slow state for seconds to minutes at a time; in the slow state the
+    solver's scripts take up to 1.8 times as long.  Integer loops alone
+    slowed down less than the solver and object-heavy loops more; this
+    mix of the two tracked the slowdown of the solver's scripts on
+    fuzz_mix, hard_search and certify to within a few percent."""
+    start = time.perf_counter()
+    acc = 0
+    for i in range(15_000):
+        acc = (acc * 31 + i) & 0xFFFF
+    table = {}
+    for i in range(2_000):
+        node = _Node(i, str(i))
+        table[node.name] = node
+    return time.perf_counter() - start
+
+
+class HostSpeed:
+    """Probe times taken through a run, and the factor by which the host
+    was slower than the reference around any interval of it."""
+
+    def __init__(self) -> None:
+        self.times: list[float] = []
+        self.seconds: list[float] = []
+
+    def probe(self) -> float:
+        """Runs the probe; returns the wall time it took, probe included."""
+        start = time.perf_counter()
+        seconds = host_probe()
+        self.times.append(start)
+        self.seconds.append(seconds)
+        return time.perf_counter() - start
+
+    def factor(self, start: float, end: float) -> float:
+        """Host slowness over ``[start, end]``: the median of the probes
+        taken within ``PROBE_REACH_S`` of it over the reference time."""
+        lo = bisect.bisect_left(self.times, start - PROBE_REACH_S)
+        hi = bisect.bisect_right(self.times, end + PROBE_REACH_S)
+        if lo == hi:  # none in reach: the next one, or the last
+            hi = min(lo + 1, len(self.times))
+            lo = hi - 1
+        return statistics.median(self.seconds[lo:hi]) / PROBE_REF_S
+
+
+# ---------------------------------------------------------------------------
 # The closed loop.
 # ---------------------------------------------------------------------------
 
@@ -437,13 +510,16 @@ def measure(repro, cases: list[Case], seconds: float, traced: bool, setup_starts
     gc.collect()
     gc.freeze()
 
-    plain: list[list[float]] = [[] for _ in cases]
+    # (start, wall) of every untraced execution of every script.
+    plain: list[list[tuple[float, float]]] = [[] for _ in cases]
     traced_s: list[list[float]] = [[] for _ in cases]
     layer_sums: list[dict] = [dict.fromkeys(LAYERS, 0.0) for _ in cases]
     # Set-up starts are spread over the run, between scripts and off the
-    # clock, so a burst of load on the machine skews few of them.
-    setup_times: list[float] = []
-    start = time.perf_counter()
+    # clock, each with a probe just before and after it.
+    setups: list[tuple[float, float]] = []
+    host = HostSpeed()
+    off_clock = host.probe()
+    start = last_probe = time.perf_counter()
     index = 0
     passes = 0
     while True:
@@ -453,37 +529,54 @@ def measure(repro, cases: list[Case], seconds: float, traced: bool, setup_starts
             (run_plain, run_traced) if passes % 2 == 0 else (run_traced, run_plain)
         )
         for path in paths:
+            began = time.perf_counter()
             wall, layers = loop.execute(index, path)
             if path is run_plain:
-                plain[index].append(wall)
+                plain[index].append((began, wall))
             else:
                 traced_s[index].append(wall)
                 for key, value in (layers or {}).items():
                     layer_sums[index][key] += value
+        if time.perf_counter() - last_probe >= PROBE_EVERY_S:
+            off_clock += host.probe()
+            last_probe = time.perf_counter()
         gc.collect()
         index += 1
         if index == len(cases):
             index = 0
             passes += 1
-        clock = time.perf_counter() - start - loop.oracle_s - sum(setup_times)
-        if len(setup_times) < setup_starts and clock >= len(setup_times) * seconds / setup_starts:
-            setup_times.append(setup_start())
+        clock = time.perf_counter() - start - loop.oracle_s - off_clock
+        if len(setups) < setup_starts and clock >= len(setups) * seconds / setup_starts:
+            off_clock += _timed_setup(host, setups)
         # Always finish the first pass, so every script is measured.
         if passes >= 1 and clock >= seconds:
             break
-    while len(setup_times) < setup_starts:
-        setup_times.append(setup_start())
+        if passes == 1 and index == 0:
+            # The oracle ran in the first pass; memory is measured over
+            # the passes that only run the solver.
+            reset_peak_rss()
+    while len(setups) < setup_starts:
+        _timed_setup(host, setups)
+
+    def scaled(began: float, wall: float) -> float:
+        return wall / host.factor(began, began + wall)
+
+    # Only complete passes count, so every script weighs the same.
+    complete = min(len(runs) for runs in plain)
+    samples = [[scaled(*e) for e in runs[:complete]] for runs in plain]
     out = {
         "loop": loop,
-        # The fastest start, for the reason latencies are fastest
-        # executions: other tenants' load only ever adds time.
-        "setup_s": min(setup_times) if setup_times else 0.0,
+        "host": host,
+        "peak_rss_mb": peak_rss_mb(),
+        "setup_s": statistics.median(scaled(*s) for s in setups) if setups else 0.0,
         "passes": passes + index / len(cases),
-        # Each script's latency is its fastest execution: load from
-        # other tenants of a shared machine only ever adds time, in
-        # bursts of a few seconds, so the fastest of a script's
-        # executions, spread over the run, is closest to its own cost.
-        "latencies": [min(runs) for runs in plain],
+        # Every execution of the complete passes, each scaled by the
+        # host's speed around it: the latency samples.
+        "samples": [s for per_script in samples for s in per_script],
+        # Each script's mean scaled latency; they add up to a pass.
+        "latencies": [statistics.fmean(per_script) for per_script in samples],
+        # Unscaled, the fastest execution: what tracing overhead compares.
+        "fastest": [min(wall for _, wall in runs) for runs in plain],
     }
     if traced:
         # Per script, each layer's mean over its traced executions.
@@ -511,6 +604,39 @@ def setup_start() -> float:
     return time.perf_counter() - start
 
 
+def _timed_setup(host: HostSpeed, setups: list[tuple[float, float]]) -> float:
+    """One set-up start between two probes, recorded as ``(start, wall)``
+    in ``setups``; returns the time all three took."""
+    began = time.perf_counter()
+    host.probe()
+    at = time.perf_counter()
+    setups.append((at, setup_start()))
+    host.probe()
+    return time.perf_counter() - began
+
+
+def reset_peak_rss() -> None:
+    """Lower the process's peak resident memory to its current one
+    (Linux ``clear_refs``); elsewhere the peak stays the lifetime one."""
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        pass
+
+
+def peak_rss_mb() -> float:
+    """Peak resident memory since the last :func:`reset_peak_rss`."""
+    try:
+        with open("/proc/self/status") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def percentile(values: list[float], fraction: float) -> float:
     """The ``fraction`` quantile, only where at least ten samples lie
     beyond it."""
@@ -522,12 +648,12 @@ def percentile(values: list[float], fraction: float) -> float:
 
 
 def end_to_end(run: dict) -> dict[str, tuple[float, str]]:
-    latencies = run["latencies"]
+    latencies, samples = run["latencies"], run["samples"]
     return {
         "scripts_per_s": (len(latencies) / sum(latencies), "1/s"),
-        "latency_p50_ms": (percentile(latencies, 0.5) * 1e3, "ms"),
-        "latency_p90_ms": (percentile(latencies, 0.9) * 1e3, "ms"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
+        "latency_p50_ms": (percentile(samples, 0.5) * 1e3, "ms"),
+        "latency_p90_ms": (percentile(samples, 0.9) * 1e3, "ms"),
+        "peak_rss_mb": (run["peak_rss_mb"], "MB"),
         "setup_s": (run["setup_s"], "s"),
     }
 
@@ -583,7 +709,7 @@ def per_layer(run: dict) -> dict[str, tuple[float, str]]:
         "proof.us_per_rup": (_unit_us(layers["proof_check"], counts["proof.rup_checked"]), "us"),
         "unattributed.s": (layers["unattributed"], "s"),
         "script.s": (_traced_pass(layers), "s"),
-        "trace.overhead_frac": (sum(run["traced_latencies"]) / sum(run["latencies"]) - 1, "frac"),
+        "trace.overhead_frac": (sum(run["traced_latencies"]) / sum(run["fastest"]) - 1, "frac"),
     }
     for reason, count in run["loop"].unknown.items():
         out[f"unknown.{reason}"] = (count, "count")
@@ -660,10 +786,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     print(f"# workload={args.workload} seed={args.seed} trace={args.trace} "
           f"scripts={len(cases)} passes={run['passes']:.2f} "
           f"pass_s={sum(run['latencies']):.3f} oracle_s={loop.oracle_s:.3f}")
+    probes = run["host"].seconds
+    print(f"# host probe: {len(probes)} taken, median {statistics.median(probes) * 1e3:.3f} ms, "
+          f"fastest {min(probes) * 1e3:.3f} ms, reference {PROBE_REF_S * 1e3:.3f} ms; "
+          f"unscaled fastest-execution pass_s={sum(run['fastest']):.3f}")
     print(f"# cpus={os.cpu_count()} python={sys.version.split()[0]}")
     print(f"# check-sat attempted={loop.attempted} failed={loop.failed} "
           f"failed_frac={loop.failed / loop.attempted:.4f} "
-          f"latency_samples={len(run['latencies'])}")
+          f"latency_samples={len(run['samples'])}")
     print(f"# counters per pass: {json.dumps({k: loop.totals()[k] for k in DETERMINISTIC})}")
     print("# family share of untraced pass time: " + ", ".join(
         f"{family} {share:.1%}" for family, share in family_shares(run, cases).items()))
