@@ -27,7 +27,7 @@ hardware CI provides, not a claim about the 1-core case.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_portfolio.py \
-        [--mode {smoke,full,heavy}] [--share-clauses] [--out PATH]
+        [--mode {smoke,full,heavy}] [--out PATH]
 """
 
 from __future__ import annotations
@@ -82,16 +82,9 @@ def sequential_run(script: str) -> tuple[list[str], float, dict[str, int]]:
     return result.answers, elapsed, solver
 
 
-def portfolio_run(
-    script: str, workers: int, share_clauses: bool
-) -> tuple[list[str], float, str]:
+def portfolio_run(script: str, workers: int) -> tuple[list[str], float, str]:
     t0 = time.perf_counter()
-    outcome = solve_portfolio(
-        script,
-        workers=workers,
-        timeout=RACE_TIMEOUT,
-        share_clauses=share_clauses,
-    )
+    outcome = solve_portfolio(script, workers=workers, timeout=RACE_TIMEOUT)
     elapsed = time.perf_counter() - t0
     return (
         outcome.result.answers,
@@ -105,7 +98,6 @@ def run_family(
     n: int,
     script: str,
     worker_counts: tuple[int, ...],
-    share_clauses: bool,
 ) -> dict:
     seconds: dict[str, float] = {}
     speedup: dict[str, float] = {}
@@ -116,7 +108,7 @@ def run_family(
         # Interleaved A/B: a fresh sequential run right before each race.
         answers_a, seq_adjacent, _ = sequential_run(script)
         assert answers_a == baseline_answers, (name, workers, "sequential drifted")
-        answers_b, port_s, winner = portfolio_run(script, workers, share_clauses)
+        answers_b, port_s, winner = portfolio_run(script, workers)
         assert answers_b == baseline_answers, (
             f"{name}: portfolio w{workers} changed the verdict "
             f"({answers_b} vs {baseline_answers})"
@@ -143,7 +135,6 @@ def _run(args: argparse.Namespace) -> int:
             php_n,
             clauses_to_script(pigeonhole_clauses(php_n)),
             worker_counts,
-            args.share_clauses,
         )
     ]
     for seed in sat3_seeds:
@@ -153,7 +144,6 @@ def _run(args: argparse.Namespace) -> int:
                 sat3_n,
                 clauses_to_script(random_3sat_clauses(sat3_n, seed)),
                 worker_counts,
-                args.share_clauses,
             )
         )
 
@@ -183,7 +173,6 @@ def _run(args: argparse.Namespace) -> int:
     payload = {
         "bench": "portfolio",
         "mode": args.mode,
-        "share_clauses": args.share_clauses,
         "cpus": os.cpu_count(),
         "python": sys.version.split()[0],
         "results": results,
@@ -205,11 +194,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true", help="alias for --mode=smoke"
-    )
-    parser.add_argument(
-        "--share-clauses",
-        action="store_true",
-        help="enable learned-clause sharing between the racing workers",
     )
     parser.add_argument("--out", default="BENCH_portfolio.json", help="JSON output path")
     args = parser.parse_args(argv)

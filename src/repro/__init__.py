@@ -14,7 +14,7 @@ Subpackages and modules:
   CLI).
 * :mod:`repro.portfolio` — parallel portfolio solving: races diversified
   :class:`~repro.sat.SolverConfig` strategies across worker processes
-  with cooperative cancellation and optional learned-clause sharing.
+  with cooperative cancellation.
 * :mod:`repro.errors` — the shared exception hierarchy.
 """
 

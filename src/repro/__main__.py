@@ -52,15 +52,13 @@ Parallelism and budgets:
   checks answer ``unknown`` with reason ``timeout``.
 * ``--portfolio N`` races N diversified solver configurations in worker
   processes, first definitive answer wins (losers are cancelled
-  cooperatively); ``--share-clauses`` additionally broadcasts short
-  learnt clauses between the workers.  ``--dimacs``/``--trace`` are
-  sequential-only.
+  cooperatively).  ``--dimacs``/``--trace`` are sequential-only.
 
 Usage::
 
     python -m repro file.smt2 [more.smt2 ...] [--stats] [--stats-json]
                     [--trace FILE] [--profile] [--conflict-limit N]
-                    [--timeout SECS] [--portfolio N] [--share-clauses]
+                    [--timeout SECS] [--portfolio N]
                     [--dimacs PATH] [--proof PATH] [--check-proofs]
                     [--strict-status]
 """
@@ -75,7 +73,6 @@ from typing import Any, Optional
 
 from .engine import Engine
 from .errors import ReproError
-from .limits import ensure_recursion_limit
 from .portfolio import solve_portfolio
 from .obs import (
     EventLog,
@@ -118,11 +115,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         metavar="N",
         help="race N diversified solver configurations in worker processes; "
         "the first definitive answer wins",
-    )
-    parser.add_argument(
-        "--share-clauses",
-        action="store_true",
-        help="with --portfolio, share short learnt clauses between workers",
     )
     parser.add_argument(
         "--stats",
@@ -179,11 +171,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                      "worker-local solver state that a portfolio race does "
                      "not keep")
 
-    # Every pass is recursive over term depth; generated scripts nest
-    # deeply.  The bounded guard also applies inside Engine.run and the
-    # portfolio worker bootstrap, so the CLI is no longer special.
-    ensure_recursion_limit()
-
     events = EventLog(args.trace) if args.trace is not None else None
     tracing = args.profile or args.stats_json or events is not None
     status = 0
@@ -220,7 +207,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         timeout=args.timeout,
                         obs=obs,
                         produce_proofs=produce_proofs,
-                        share_clauses=args.share_clauses,
                     )
                     result = outcome.result
                     final_metrics = obs.metrics.snapshot() if obs is not None else {}

@@ -248,10 +248,6 @@ class Engine:
     ``timeout``.  ``interrupt`` is a zero-argument callable polled at
     search boundaries; returning true stops the current search with
     reason ``cancelled`` (the portfolio's cooperative-cancellation hook).
-    ``on_restart``/``share_max_lbd`` wire up learned-clause sharing: the
-    callback fires at every restart with the solver at decision level 0,
-    and a non-``None`` LBD bound turns on export of short learnt clauses
-    over input-safe variables (see :meth:`~repro.sat.Solver.drain_exported`).
     """
 
     def __init__(
@@ -264,8 +260,6 @@ class Engine:
         config: Optional[SolverConfig] = None,
         timeout: Optional[float] = None,
         interrupt: Optional[Callable[[], bool]] = None,
-        on_restart: Optional[Callable[[Solver], None]] = None,
-        share_max_lbd: Optional[int] = None,
     ) -> None:
         self._conflict_limit = conflict_limit
         self._theory_eager = theory_eager
@@ -275,8 +269,6 @@ class Engine:
         self._config = config
         self._timeout = timeout
         self._interrupt = interrupt
-        self._on_restart = on_restart
-        self._share_max_lbd = share_max_lbd
         self._deadline: Optional[float] = None
         self._reset()
 
@@ -284,8 +276,6 @@ class Engine:
         self._frames: list[Frame] = [Frame()]
         self._solver = Solver(config=self._config)
         self._solver.events = self._obs.events
-        self._solver.on_restart = self._on_restart
-        self._solver.share_max_lbd = self._share_max_lbd
         self._registry = AtomRegistry()
         # The blaster and the array-lemma state outlive individual checks:
         # blasted circuits are memoized on hash-consed terms, and emitted
@@ -567,16 +557,6 @@ class Engine:
         mid-search.  Lemma atoms are always leaves (equalities, predicate
         applications), so encoding allocates a variable and no gate
         clauses; the assertion guards that invariant."""
-        if self._share_max_lbd is not None:
-            # Mid-search lemma atoms are the first point where variable
-            # numbering can diverge between portfolio workers (which
-            # trajectory hits which lemma first is config-dependent), so
-            # clamp the clause-sharing export cap to the variables that
-            # were allocated deterministically before this one.
-            cap = self._solver.share_var_cap
-            current = self._registry.num_vars
-            if cap is None or cap > current:
-                self._solver.share_var_cap = current
         var = self._registry.encode(atom)
         gates = self._registry.drain_clauses()
         assert not gates, "theory lemmas must range over atomic literals"
@@ -1088,7 +1068,6 @@ def run_script(
     config: Optional[SolverConfig] = None,
     timeout: Optional[float] = None,
     portfolio: Optional[int] = None,
-    share_clauses: bool = False,
 ) -> ScriptResult:
     """Parse (when given text) and execute a script; return the full
     :class:`ScriptResult` including printable output.
@@ -1106,8 +1085,7 @@ def run_script(
     ``config`` and ``timeout`` pass through to :class:`Engine`.
     ``portfolio`` (≥ 2) instead races that many diversified solver
     processes and returns the winner's result (see
-    :func:`repro.portfolio.solve_portfolio`); ``share_clauses`` turns on
-    learned-clause sharing between the workers.  ``trace`` and ``config``
+    :func:`repro.portfolio.solve_portfolio`).  ``trace`` and ``config``
     are sequential-only and rejected under ``portfolio``.
     """
     if portfolio is not None and portfolio > 1:
@@ -1126,7 +1104,6 @@ def run_script(
             obs=obs,
             produce_proofs=produce_proofs,
             produce_unsat_cores=produce_unsat_cores,
-            share_clauses=share_clauses,
         ).result
     own_log: Optional[EventLog] = None
     if trace is not None:
@@ -1178,7 +1155,6 @@ def solve_script(
     config: Optional[SolverConfig] = None,
     timeout: Optional[float] = None,
     portfolio: Optional[int] = None,
-    share_clauses: bool = False,
 ) -> list[CheckSatResult]:
     """Execute a script and return one :class:`CheckSatResult` per
     ``(check-sat)``, in script order.  Keyword arguments as in
@@ -1193,7 +1169,6 @@ def solve_script(
         config=config,
         timeout=timeout,
         portfolio=portfolio,
-        share_clauses=share_clauses,
     ).check_results
 
 

@@ -9,15 +9,21 @@ left library callers (and portfolio worker processes) to crash with
 deep enough to exhaust the C stack and hard-crash CPython outright on
 some platforms.
 
-:func:`ensure_recursion_limit` is the one guard, applied where the
-recursion actually lives: :meth:`repro.engine.Engine.run` (every solve
-path, API or CLI, goes through it), the portfolio worker bootstrap, and
-``python -m repro``.  It only ever *raises* the limit — a caller that
-installed a higher one keeps it — and it is bounded: 100k Python frames
+:func:`ensure_recursion_limit` is the one guard, applied at the entry
+points where the recursion starts: :func:`repro.smtlib.parse_script`
+(every text input, API or CLI, goes through it),
+:meth:`repro.engine.Engine.run` (every solve path, including scripts
+built in code) and :func:`repro.portfolio.solve_portfolio` (which renders
+a built script back to text).  It only ever *raises* the limit — a caller
+that installed a higher one keeps it — and it is bounded: 100k Python frames
 live on the heap (cheap in CPython ≥ 3.11) and cover every workload in
-the corpus and benchmark suites with an order of magnitude to spare,
-without handing runaway recursion enough rope to take the interpreter
-down with it.
+the corpus and benchmark suites with an order of magnitude to spare.
+The guard counts Python frames only.  A pass whose recursion runs
+through C — a generator expression around the recursive call, or
+pickling — also spends C stack per level, which can crash the
+interpreter before the limit is reached, and CPython 3.12 caps such
+recursion at 1,500 C frames whatever the limit.  Recursive passes
+should call themselves from plain loops or list comprehensions.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from __future__ import annotations
 import sys
 
 #: Deep enough for every corpus/benchmark workload (the deepest, a
-#: 20k-node simplify chain, stays well under half of it); bounded enough
-#: that true runaway recursion still dies as a ``RecursionError`` instead
-#: of a C-stack overflow.
+#: 20k-node simplify chain, stays well under half of it).
 DEFAULT_RECURSION_LIMIT = 100_000
 
 

@@ -13,12 +13,12 @@ Worker protocol
 
 The parent renders the (already parsed) script back to SMT-LIB text and
 forks one worker per config.  Each worker bootstraps its own
-:class:`~repro.engine.Engine` (recursion guard included), re-parses and
-solves under its config, and ships the full pickled
-:class:`~repro.engine.ScriptResult` — verdicts, models, proofs, stats —
-plus a metrics snapshot back through a result queue.  Shipping text
-instead of the pickled term DAG keeps the protocol independent of the
-multiprocessing start method and makes the worker input auditable.
+:class:`~repro.engine.Engine`, re-parses and solves under its config, and
+ships the full pickled :class:`~repro.engine.ScriptResult` — verdicts,
+models, proofs, stats — plus a metrics snapshot back through a result
+queue.  Shipping text instead of the pickled term DAG keeps the protocol
+independent of the multiprocessing start method and makes the worker
+input auditable.
 
 Cancellation is cooperative: every worker polls a shared
 :class:`multiprocessing.Event` through the SAT core's ``interrupt`` hook
@@ -27,17 +27,6 @@ unwind their trails and exit cleanly; ``terminate()`` is a last resort for
 workers that stop responding.  A wall-clock ``timeout`` doubles as each
 worker's engine deadline, so on expiry the workers stop *themselves* and
 report ``unknown``/``timeout`` results the parent can still use.
-
-Clause sharing (optional)
--------------------------
-
-With ``share_clauses=True`` each worker exports its short low-LBD learnt
-clauses (over the deterministically-numbered input variables only — see
-:attr:`~repro.sat.Solver.share_var_cap`) to an outbox queue; a relay
-thread in the parent broadcasts them to every other worker's inbox, and
-workers import at restart boundaries as ``portfolio``-provenance lemmas.
-Imports are logged as lemma proof steps, so an importing winner's unsat
-proof remains independently checkable.
 
 Observability
 -------------
@@ -52,7 +41,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
-import threading
 from dataclasses import dataclass, field
 from time import monotonic
 from typing import Optional, Sequence, Union
@@ -62,7 +50,7 @@ from .errors import SolverError
 from .limits import ensure_recursion_limit
 from .obs import Observability
 from .obs.spans import set_current_tracer, trace_span
-from .sat import Solver, SolverConfig
+from .sat import SolverConfig
 from .smtlib.script import Script
 
 #: Seconds granted after the deadline for self-stopped workers to deliver
@@ -70,11 +58,6 @@ from .smtlib.script import Script
 _GRACE_SECONDS = 10.0
 #: Seconds a cancelled worker gets to exit cleanly before ``terminate()``.
 _JOIN_SECONDS = 5.0
-#: Default LBD bound for exported clauses when sharing is enabled.
-_SHARE_MAX_LBD = 4
-#: Bounded inbox depth per worker; overflowing batches are dropped (sharing
-#: is an optimization, never a correctness dependency).
-_INBOX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -122,30 +105,6 @@ def _definitive(result: ScriptResult) -> bool:
     )
 
 
-def _share_hook(index, outbox, inbox):
-    """Build the restart-boundary callback that exports/imports clauses.
-
-    Runs inside the worker with the solver at decision level 0 (the only
-    point where imports are unconditionally sound)."""
-
-    def hook(solver: Solver) -> None:
-        exported = solver.drain_exported()
-        if exported:
-            try:
-                outbox.put_nowait((index, exported))
-            except queue.Full:
-                pass
-        while True:
-            try:
-                sender, batch = inbox.get_nowait()
-            except queue.Empty:
-                break
-            if sender != index:
-                solver.import_clauses(batch, source="portfolio")
-
-    return hook
-
-
 def _worker_main(
     index: int,
     config: SolverConfig,
@@ -156,14 +115,11 @@ def _worker_main(
     produce_unsat_cores: bool,
     cancel,
     results,
-    outbox,
-    inbox,
 ) -> None:
     """Worker entry point: solve the script under ``config`` and report.
 
     Must stay a module-level function so every multiprocessing start
     method can import it."""
-    ensure_recursion_limit()
     started = monotonic()
     try:
         # Imports deferred so a fork-started worker does no extra work and
@@ -171,11 +127,6 @@ def _worker_main(
         from .engine import Engine
         from .smtlib.parser import parse_script
 
-        on_restart = None
-        share_max_lbd = None
-        if outbox is not None:
-            on_restart = _share_hook(index, outbox, inbox)
-            share_max_lbd = _SHARE_MAX_LBD
         engine = Engine(
             conflict_limit=conflict_limit,
             produce_proofs=produce_proofs,
@@ -183,8 +134,6 @@ def _worker_main(
             config=config,
             timeout=timeout,
             interrupt=cancel.is_set,
-            on_restart=on_restart,
-            share_max_lbd=share_max_lbd,
         )
         result = engine.run(parse_script(script_text))
         snapshot = engine.metrics.snapshot()
@@ -197,23 +146,6 @@ def _worker_main(
             pass
 
 
-def _relay(outbox, inboxes, stop: threading.Event) -> None:
-    """Parent-side broadcast loop: every exported batch goes to every
-    other worker's inbox.  Full inboxes drop the batch — sharing is
-    best-effort."""
-    while not stop.is_set():
-        try:
-            sender, batch = outbox.get(timeout=0.1)
-        except (queue.Empty, OSError, EOFError):
-            continue
-        for i, inbox in enumerate(inboxes):
-            if i != sender:
-                try:
-                    inbox.put_nowait((sender, batch))
-                except queue.Full:
-                    pass
-
-
 def solve_portfolio(
     source: Union[str, Script],
     workers: int = 2,
@@ -224,7 +156,6 @@ def solve_portfolio(
     obs: Optional[Observability] = None,
     produce_proofs: bool = False,
     produce_unsat_cores: bool = False,
-    share_clauses: bool = False,
 ) -> PortfolioOutcome:
     """Race ``workers`` diversified solver processes over one script.
 
@@ -240,6 +171,9 @@ def solve_portfolio(
     lineup (its length then sets the worker count).  Remaining keywords
     mirror :func:`repro.engine.solve_script`.
     """
+    # Rendering a Script back to text recurses over term depth, in the
+    # parent, where no Engine.run has installed the guard.
+    ensure_recursion_limit()
     if configs is not None:
         lineup = tuple(configs)
         workers = len(lineup)
@@ -271,7 +205,6 @@ def solve_portfolio(
                 timeout,
                 produce_proofs,
                 produce_unsat_cores,
-                share_clauses,
             )
     finally:
         if tracer is not None:
@@ -287,17 +220,10 @@ def _race(
     timeout: Optional[float],
     produce_proofs: bool,
     produce_unsat_cores: bool,
-    share_clauses: bool,
 ) -> PortfolioOutcome:
     ctx = multiprocessing.get_context()
     cancel = ctx.Event()
     results = ctx.Queue()
-    outbox = ctx.Queue() if share_clauses and len(lineup) > 1 else None
-    inboxes = (
-        [ctx.Queue(maxsize=_INBOX_DEPTH) for _ in lineup]
-        if outbox is not None
-        else [None] * len(lineup)
-    )
     procs = [
         ctx.Process(
             target=_worker_main,
@@ -311,19 +237,11 @@ def _race(
                 produce_unsat_cores,
                 cancel,
                 results,
-                outbox,
-                inboxes[index],
             ),
             name=f"portfolio-w{index}",
         )
         for index, config in enumerate(lineup)
     ]
-    relay_stop = threading.Event()
-    relay_thread = None
-    if outbox is not None:
-        relay_thread = threading.Thread(
-            target=_relay, args=(outbox, inboxes, relay_stop), daemon=True
-        )
 
     started = monotonic()
     deadline = started + timeout if timeout is not None else None
@@ -332,8 +250,6 @@ def _race(
     try:
         for proc in procs:
             proc.start()
-        if relay_thread is not None:
-            relay_thread.start()
         pending = set(range(len(procs)))
         while pending:
             try:
@@ -386,13 +302,8 @@ def _race(
                 proc.close()
             except ValueError:
                 pass  # refused to die even after terminate(); leak the handle
-        relay_stop.set()
-        if relay_thread is not None:
-            relay_thread.join(timeout=2.0)
-        for q in [results, outbox, *inboxes]:
-            if q is not None:
-                q.cancel_join_thread()
-                q.close()
+        results.cancel_join_thread()
+        results.close()
 
     if winner is None:
         # No definitive answer: fall back to the first completed result so

@@ -28,7 +28,7 @@ sequential engine's trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 #: Valid ``phase_init`` values.
@@ -151,10 +151,6 @@ class SolverConfig:
             )
             seed += 1
         return tuple(lineup[:count])
-
-    def with_name(self, name: str) -> "SolverConfig":
-        """A copy under a different display name."""
-        return replace(self, name=name)
 
 
 #: Module-level default, shared so hot paths can test identity.

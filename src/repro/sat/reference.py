@@ -130,11 +130,6 @@ class ReferenceSolver:
         #: :meth:`solve` returned :data:`UNKNOWN` (``"conflict-limit"``,
         #: ``"timeout"`` or ``"cancelled"``), ``None`` otherwise.
         self.stop_reason: Optional[str] = None
-        #: Contract parity with the production core; the reference spec
-        #: accepts the portfolio hooks but implements no clause sharing.
-        self.on_restart = None
-        self.share_max_lbd: Optional[int] = None
-        self.share_var_cap: Optional[int] = None
         self._deadline: Optional[float] = None
         self._interrupt: Optional[Callable[[], bool]] = None
         self.stats: dict[str, int] = {

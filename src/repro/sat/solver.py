@@ -41,10 +41,7 @@ starts with a sentinel word) and doubles as "no clause" everywhere a
 clause reference is optional — conflict returns, reason slots.  The
 arena is held as a plain Python list — flat machine-word payload, but
 CPython indexes lists faster than typed arrays because small ints come
-back as cached objects instead of being re-boxed per read;
-:meth:`Solver.arena_snapshot` exports the same words as a compact
-``array('i')`` for hashing or shipping across processes (the
-prerequisite for the portfolio/service roadmap items).
+back as cached objects instead of being re-boxed per read.
 
 Watch lists are lists of ``(clause ref, blocker literal)`` tuples —
 iterated directly by the propagation loop (CPython's fastest scan) and
@@ -248,7 +245,6 @@ class Solver:
         self._clauses: list[int] = []  # problem-clause refs
         self._learnts: list[int] = []  # learned-clause refs
         self._cla_activity: dict[int, float] = {}  # learned ref -> activity
-        self._cla_lbd: dict[int, int] = {}  # learned ref -> literal block distance
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._trail_low = 0
@@ -283,26 +279,6 @@ class Solver:
         #: ``"conflict-limit"``, ``"timeout"`` or ``"cancelled"``;
         #: ``None`` after a definitive answer.
         self.stop_reason: Optional[str] = None
-        #: Hook invoked at every restart boundary, with the trail already
-        #: unwound to level 0 — the safe point for cooperative work: the
-        #: portfolio runner drains/imports shared clauses here.  The hook
-        #: may call :meth:`import_clauses`; a level-0 conflict it causes
-        #: is noticed immediately after the hook returns.
-        self.on_restart: Optional[Callable[["Solver"], None]] = None
-        #: Learned-clause sharing (portfolio): when ``share_max_lbd`` is
-        #: set, learned clauses with at most that LBD, at most
-        #: ``share_max_size`` literals and no variable above
-        #: ``share_var_cap`` are buffered for :meth:`drain_exported`.
-        #: The cap keeps sharing *input-safe*: variables allocated before
-        #: the search are numbered identically in every worker (the
-        #: encoding pipeline is deterministic), while variables minted
-        #: mid-search (theory-lemma atoms) diverge per trajectory and
-        #: must never cross process boundaries.
-        self.share_max_lbd: Optional[int] = None
-        self.share_max_size: int = 8
-        self.share_var_cap: Optional[int] = None
-        self._share_out: list[tuple[int, ...]] = []
-        self._imported: set[tuple[int, ...]] = set()
         self._deadline: Optional[float] = None
         self._interrupt: Optional[Callable[[], bool]] = None
         self.stats: dict[str, int] = {
@@ -319,8 +295,6 @@ class Solver:
             "blocker_skips": 0,
             "arena_collections": 0,
             "random_decisions": 0,
-            "shared_exported": 0,
-            "shared_imported": 0,
         }
         if num_vars:
             self.ensure_vars(num_vars)
@@ -392,12 +366,6 @@ class Solver:
         sentinel and live headers/literals versus words awaiting
         compaction.  Introspection for tests and debugging."""
         return len(self._arena) - self._garbage_words, self._garbage_words
-
-    def arena_snapshot(self) -> array:
-        """The clause arena as a compact ``array('i')`` — a
-        position-independent flat copy (refs are offsets into it) cheap
-        to hash, diff, or ship to another process."""
-        return array("i", self._arena)
 
     def clause_lits(self, ref: int) -> tuple[int, ...]:
         """The literal block of a clause reference (tests/debugging)."""
@@ -481,47 +449,6 @@ class Solver:
         for lits in clauses:
             ok = self.add_clause(lits) and ok
         return ok
-
-    # -- learned-clause sharing (portfolio) ---------------------------------
-
-    def drain_exported(self) -> list[tuple[int, ...]]:
-        """Clauses learned since the last drain that passed the sharing
-        filter (LBD/size/variable caps).  Empty unless ``share_max_lbd``
-        is set."""
-        out, self._share_out = self._share_out, []
-        return out
-
-    def import_clauses(
-        self, clauses: Iterable[Sequence[int]], source: str = "portfolio"
-    ) -> int:
-        """Integrate clauses learned by another solver of the *same*
-        formula (same variable numbering below the sharing cap).
-
-        Must be called at decision level 0 — the :attr:`on_restart` hook
-        is the intended site.  Each clause joins the problem clauses like
-        a theory lemma (valid, never deleted) and is recorded in the
-        proof log as a ``lemma`` step with ``source`` provenance, keeping
-        the log independently checkable: imports are axioms certified by
-        the exporting worker's own proof.  Duplicate imports are skipped.
-        Returns the number of clauses integrated; may set the permanent
-        unsat flag (a level-0 conflict is a genuine refutation).
-        """
-        if self._trail_lim:
-            raise ValueError("clauses can only be imported at decision level 0")
-        imported = 0
-        for lits in clauses:
-            key = tuple(sorted(lits))
-            if key in self._imported or self._unsat:
-                continue
-            self._imported.add(key)
-            clause = [int(lit) for lit in lits]
-            if self.proof is not None:
-                self.proof.log_lemma(clause, source)
-            self._integrate_lemma(clause)
-            imported += 1
-        if imported:
-            self.stats["shared_imported"] += imported
-        return imported
 
     def _attach(self, ref: int) -> None:
         """Watch the clause's first two literals, each entry carrying the
@@ -889,26 +816,16 @@ class Solver:
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, levels[abs(learnt[1])]
 
-    def _record(self, lits: list[int], lbd: int) -> None:
+    def _record(self, lits: list[int]) -> None:
         """Attach a learnt clause and assert its first literal."""
         self.stats["learned"] += 1
         if self.proof is not None:
             self.proof.log_rup(lits)
-        if (
-            self.share_max_lbd is not None
-            and lbd <= self.share_max_lbd
-            and len(lits) <= self.share_max_size
-        ):
-            cap = self.share_var_cap
-            if cap is None or all(-cap <= lit <= cap for lit in lits):
-                self._share_out.append(tuple(lits))
-                self.stats["shared_exported"] += 1
         if len(lits) == 1:
             self._assign(lits[0], NO_CLAUSE)
             return
         ref = self._alloc(lits, learned=True)
         self._cla_activity[ref] = self._cla_inc
-        self._cla_lbd[ref] = lbd
         self._learnts.append(ref)
         self._attach(ref)
         self._assign(lits[0], ref)
@@ -1107,8 +1024,8 @@ class Solver:
         Retention is by clause activity, like the reference core —
         LBD-ordered deletion (Glucose-style) was measured here and lost
         badly on structured instances (pigeonhole: 3.7x more conflicts),
-        so LBD is recorded per clause (:attr:`_cla_lbd`, surfaced in
-        ``learn`` events) but does not drive deletion."""
+        so LBD is computed only for ``learn`` events and does not drive
+        deletion."""
         activities = self._cla_activity
         arena = self._arena
         self._learnts.sort(key=lambda ref: activities.get(ref, 0.0))
@@ -1135,7 +1052,6 @@ class Solver:
         self._arena[ref + 1] |= _DELETED_BIT
         self._garbage_words += self._arena[ref] + _HEADER_WORDS
         self._cla_activity.pop(ref, None)
-        self._cla_lbd.pop(ref, None)
 
     def _collect_garbage(self) -> None:
         """Compact the arena: copy live clause blocks into a fresh arena
@@ -1157,7 +1073,6 @@ class Solver:
         self._cla_activity = {
             remap[ref]: activity for ref, activity in self._cla_activity.items()
         }
-        self._cla_lbd = {remap[ref]: lbd for ref, lbd in self._cla_lbd.items()}
         self._reasons = [remap[ref] for ref in self._reasons]
         for watch_lists in (self._watches, self._bwatches):
             for watchers in watch_lists:
@@ -1216,10 +1131,6 @@ class Solver:
         self.stop_reason = None
         self._deadline = deadline
         self._interrupt = interrupt
-        if self.share_max_lbd is not None and self.share_var_cap is None:
-            # Input-safe export cap: variables allocated so far are numbered
-            # deterministically across workers running the same script.
-            self.share_var_cap = self._num_vars
         self._failed_assumptions = None
         if self._unsat:
             self._failed_assumptions = ()
@@ -1282,20 +1193,18 @@ class Solver:
                     self._proof_conclude(())
                     return UNSAT
                 learnt, backtrack_level = self._analyze(conflict)
-                # LBD (literal block distance): distinct decision levels
-                # in the learnt clause, read out before the backjump
-                # invalidates the level array.  Deletion is activity-based
-                # (see :meth:`_reduce_db`), so LBD is observability-only —
-                # computed when an event log is listening.
-                lbd = 0
-                if self.events is not None or self.share_max_lbd is not None:
-                    lbd = len({self._levels[abs(q)] for q in learnt})
                 if self.events is not None:
+                    # LBD (literal block distance): distinct decision levels
+                    # in the learnt clause, read out before the backjump
+                    # invalidates the level array.  Deletion is
+                    # activity-based (see :meth:`_reduce_db`), so LBD is
+                    # observability-only.
+                    lbd = len({self._levels[abs(q)] for q in learnt})
                     self.events.emit(
                         "learn", size=len(learnt), lbd=lbd, backjump=backtrack_level
                     )
                 self._cancel_until(backtrack_level)
-                self._record(learnt, lbd)
+                self._record(learnt)
                 self._var_inc *= self._var_decay_mult
                 self._cla_inc *= _CLA_DECAY
                 if conflict_limit is not None and conflicts >= conflict_limit:
@@ -1320,14 +1229,6 @@ class Solver:
                 if stop is not None:
                     self.stop_reason = stop
                     return UNKNOWN
-                if self.on_restart is not None:
-                    # Portfolio hook: drain/import shared clauses while the
-                    # trail is at level 0, where imports are always sound.
-                    self.on_restart(self)
-                    if self._unsat:
-                        self._failed_assumptions = ()
-                        self._proof_conclude(())
-                        return UNSAT
                 continue
             if len(self._learnts) - len(self._trail) >= max_learnts:
                 self._reduce_db()

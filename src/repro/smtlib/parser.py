@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from ..errors import ParseError, TypeCheckError, UnknownSymbolError
+from ..limits import ensure_recursion_limit
 from .lexer import RESERVED_WORDS, TokenKind
 from .script import (
     Assert,
@@ -225,7 +226,7 @@ def _term(expr: SExpr, context: DeclarationContext, bound: dict[str, Sort]) -> T
                 )
             if keyword in RESERVED_WORDS:
                 raise ParseError(f"reserved word {keyword!r} cannot head an application")
-        args = tuple(_term(item, context, bound) for item in expr[1:])
+        args = tuple([_term(item, context, bound) for item in expr[1:]])
         if keyword in bound:
             raise TypeCheckError(f"bound variable {keyword!r} cannot be applied")
         sort = apply_sort(keyword, (), tuple(a.sort for a in args), context)
@@ -241,7 +242,7 @@ def _term(expr: SExpr, context: DeclarationContext, bound: dict[str, Sort]) -> T
             raise ParseError(f"malformed indexed operator: {sexpr_to_string(head)}")
         op = head[1].text
         indices = tuple(_parse_numeral(item, "operator index") for item in head[2:])
-        args = tuple(_term(item, context, bound) for item in expr[1:])
+        args = tuple([_term(item, context, bound) for item in expr[1:]])
         sort = apply_sort(op, indices, tuple(a.sort for a in args), context)
         return Apply(op, args, sort, indices=indices)
     raise ParseError(f"cannot interpret term: {sexpr_to_string(expr)}")
@@ -543,6 +544,7 @@ def parse_script(
     each command sees everything declared before it, including the effect of
     ``push``/``pop`` on scoping.
     """
+    ensure_recursion_limit()  # the s-expression and term parsers recurse
     context = context if context is not None else DeclarationContext()
     commands: list[Command] = []
     for expr in parse_sexprs(text):

@@ -18,17 +18,22 @@ the portfolio layer makes:
   search unwinds the trail to the assumption-free root; the same solver
   and engine answer the same query correctly on retry.
 * **Recursion guard** — deep scripts solve through :class:`Engine`
-  directly (no CLI band-aid required).
+  directly and through every text and portfolio entry point of a fresh
+  interpreter (no CLI band-aid required).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import Engine, run_script, solve_script
 from repro.limits import DEFAULT_RECURSION_LIMIT, ensure_recursion_limit
 from repro.portfolio import solve_portfolio
@@ -161,50 +166,6 @@ def script_text_to_script(text: str) -> Script:
 
 
 # ---------------------------------------------------------------------------
-# Learned-clause sharing at the solver level.
-# ---------------------------------------------------------------------------
-
-
-def test_solver_export_and_import_roundtrip():
-    def clauses():
-        # PHP(4, 3) directly as CNF over vars 1..12: var(p, h) = 3p + h + 1.
-        out = []
-        for p in range(4):
-            out.append([3 * p + h + 1 for h in range(3)])
-        for h in range(3):
-            for p1 in range(4):
-                for p2 in range(p1 + 1, 4):
-                    out.append([-(3 * p1 + h + 1), -(3 * p2 + h + 1)])
-        return out
-
-    exporter = Solver(12)
-    exporter.share_max_lbd = 6
-    for clause in clauses():
-        exporter.add_clause(clause)
-    assert exporter.solve() == UNSAT
-    exported = exporter.drain_exported()
-    assert exported, "an unsat PHP search learned no short clauses"
-    assert exporter.drain_exported() == []  # drained means drained
-    assert exporter.stats["shared_exported"] >= len(exported)
-
-    importer = Solver(12)
-    for clause in clauses():
-        importer.add_clause(clause)
-    count = importer.import_clauses(exported)
-    assert count == len(exported)
-    assert importer.import_clauses(exported) == 0  # dedupe on re-import
-    assert importer.solve() == UNSAT
-
-
-def test_import_refused_mid_search():
-    solver = Solver(2)
-    solver.add_clause([1, 2])
-    solver._trail_lim.append(0)  # simulate an open decision level
-    with pytest.raises(ValueError):
-        solver.import_clauses([(1, 2)])
-
-
-# ---------------------------------------------------------------------------
 # Portfolio races (multiprocessing).
 # ---------------------------------------------------------------------------
 
@@ -222,13 +183,11 @@ def test_portfolio_matches_sequential_and_certifies(fragment):
     assert multiprocessing.active_children() == []
 
 
-def test_portfolio_with_clause_sharing_stays_sound():
+def test_portfolio_certifies_search_heavy_unsat():
+    # Unlike the fuzz scripts above, PHP(6, 5) needs real CDCL search, so
+    # the winner may be a non-default config with its own learnt clauses.
     outcome = solve_portfolio(
-        pigeonhole_script(5),
-        workers=3,
-        timeout=120,
-        produce_proofs=True,
-        share_clauses=True,
+        pigeonhole_script(5), workers=3, timeout=120, produce_proofs=True
     )
     (check,) = outcome.result.check_results
     assert check.answer == "unsat"
@@ -449,8 +408,87 @@ def test_engine_cancel_flag_reports_cancelled():
 
 
 # ---------------------------------------------------------------------------
-# Recursion guard: deep scripts through the Engine API (no CLI band-aid).
+# Recursion guard: deep scripts through every entry point (no CLI band-aid).
 # ---------------------------------------------------------------------------
+
+#: Run in a fresh interpreter: this process already raised its limit.
+#: 1,200 nested ``not``s are past the default limit of 1,000 frames;
+#: 20,000 are past what the C stack took while the term parser recursed
+#: through a generator expression.
+_DEEP_PRELUDE = """
+import multiprocessing
+from repro import run_script, solve_script
+from repro.smtlib import parse_script
+from repro.smtlib.script import Assert, CheckSat, DeclareConst, Script, SetLogic
+from repro.smtlib.sorts import BOOL
+from repro.smtlib.terms import Apply, Symbol
+
+def nots(depth):
+    return (
+        "(set-logic QF_UF)(declare-const p Bool)(assert "
+        + "(not " * depth + "p" + ")" * depth + ")(check-sat)"
+    )
+
+DEPTH = 1200
+TEXT = nots(DEPTH)
+term = Symbol("p", BOOL)
+for _ in range(DEPTH):
+    term = Apply("not", (term,), BOOL)
+SCRIPT = Script((SetLogic("QF_UF"), DeclareConst("p", BOOL), Assert(term), CheckSat()))
+"""
+
+
+#: CPython 3.12 caps C recursion at 1,500 frames whatever the recursion
+#: limit, and pickling a worker's result recurses through C about twice
+#: per term level, so the result of a 1,200-deep race cannot be shipped.
+_PICKLE_DEPTH_CAP = pytest.mark.xfail(
+    sys.version_info[:2] == (3, 12),
+    reason="CPython 3.12 C recursion cap while pickling a deep result",
+)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            "parse_script(TEXT).commands[2].term is term", "True", id="parse_script"
+        ),
+        pytest.param("solve_script(TEXT)[0].answer", "sat", id="solve_script"),
+        pytest.param(
+            "solve_script(nots(20000))[0].answer", "sat", id="solve_script-20k"
+        ),
+        pytest.param(
+            "run_script(TEXT, portfolio=2, timeout=60).answers",
+            "['sat']",
+            id="portfolio-text",
+            marks=_PICKLE_DEPTH_CAP,
+        ),
+        pytest.param(
+            "run_script(SCRIPT, portfolio=2, timeout=60).answers",
+            "['sat']",
+            id="portfolio-script",
+            marks=_PICKLE_DEPTH_CAP,
+        ),
+    ],
+)
+def test_deep_script_through_entry_points_in_fresh_interpreter(call, expected):
+    program = (
+        _DEEP_PRELUDE
+        + f"print({call})\n"
+        + "assert multiprocessing.active_children() == []\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == expected
 
 
 def test_deep_script_solves_through_engine_api():
