@@ -197,23 +197,28 @@ def run_workload(name, n, commands, expected, verify):
     if verify and expected is not None:
         assert answers == expected, (name, answers, expected)
     totals = {
-        key: sum(r.stats.get(key, 0) for r in result.check_results)
-        for key in ("conflicts", "theory_lemmas", "arith_pivots", "arith_branches")
+        key: sum(r.metrics.get(metric, 0) for r in result.check_results)
+        for key, metric in (
+            ("conflicts", "sat.conflicts"),
+            ("theory_lemmas", "sat.theory_lemmas"),
+            ("arith_pivots", "theory.arith.pivots"),
+            ("arith_branches", "theory.arith.branches"),
+        )
     }
-    last = result.check_results[-1]
+    metrics = engine.metrics.snapshot()
     return {
         "workload": name,
         "n": n,
         "nodes": {
-            "vars": last.stats.get("vars", 0),
-            "clauses": last.stats.get("clauses", 0),
-            "atoms": last.stats.get("atoms", 0),
+            "vars": metrics["engine.vars"],
+            "clauses": metrics["engine.clauses_shipped"],
+            "atoms": metrics["engine.atoms"],
         },
         "answer": ",".join(answers),
         "solver": totals,
         "seconds": {"solve": round(elapsed, 6)},
         "phases": phase_seconds(obs.tracer),
-        "metrics": engine.metrics.snapshot(),
+        "metrics": metrics,
     }
 
 

@@ -74,9 +74,9 @@ def sequential_run(script: str) -> tuple[list[str], float, dict[str, int]]:
     t0 = time.perf_counter()
     result = run_script(script, timeout=RACE_TIMEOUT)
     elapsed = time.perf_counter() - t0
-    stats = result.check_results[0].stats
+    metrics = result.check_results[0].metrics
     solver = {
-        key: stats.get(key, 0)
+        key: metrics.get(f"sat.{key}", 0)
         for key in ("conflicts", "decisions", "propagations", "restarts", "learned")
     }
     return result.answers, elapsed, solver

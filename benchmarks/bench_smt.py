@@ -185,6 +185,16 @@ def incremental_workload(length, rounds):
 # ---------------------------------------------------------------------------
 
 
+def _nodes(metrics):
+    """Encoding size after a run: variables, clauses shipped to the SAT
+    core and the last check's atoms."""
+    return {
+        "vars": metrics["engine.vars"],
+        "clauses": metrics["engine.clauses_shipped"],
+        "atoms": metrics["engine.atoms"],
+    }
+
+
 def run_script_workload(name, n, commands, expected, verify):
     obs = Observability.tracing()
     engine = Engine(obs=obs)
@@ -194,29 +204,24 @@ def run_script_workload(name, n, commands, expected, verify):
     answers = result.answers
     if verify and expected is not None:
         assert answers == expected, (name, answers, expected)
-    last = result.check_results[-1]
+    metrics = engine.metrics.snapshot()
     return {
         "workload": name,
         "n": n,
-        "nodes": {
-            "vars": last.stats.get("vars", 0),
-            "clauses": last.stats.get("clauses", 0),
-            "atoms": last.stats.get("atoms", 0),
-        },
+        "nodes": _nodes(metrics),
         "answer": ",".join(answers),
         "solver": {
-            "conflicts": sum(r.stats.get("conflicts", 0) for r in result.check_results),
-            "propagations": sum(
-                r.stats.get("propagations", 0) for r in result.check_results
-            ),
-            "theory_lemmas": sum(
-                r.stats.get("theory_lemmas", 0) for r in result.check_results
-            ),
-            "euf_merges": sum(r.stats.get("euf_merges", 0) for r in result.check_results),
+            key: sum(r.metrics.get(metric, 0) for r in result.check_results)
+            for key, metric in (
+                ("conflicts", "sat.conflicts"),
+                ("propagations", "sat.propagations"),
+                ("theory_lemmas", "sat.theory_lemmas"),
+                ("euf_merges", "theory.euf.merges"),
+            )
         },
         "seconds": {"solve": round(elapsed, 6)},
         "phases": phase_seconds(obs.tracer),
-        "metrics": engine.metrics.snapshot(),
+        "metrics": metrics,
     }
 
 
@@ -242,7 +247,9 @@ def run_incremental_workload(length, rounds, verify):
         assert scratch_answers == expected, (scratch_answers, expected)
         later = incremental_result.check_results[1:]
         # The core is never re-encoded after the first check ...
-        assert all(r.stats["tseitin_new_vars"] < 50 for r in later), "core re-encoded"
+        assert all(
+            r.metrics["engine.tseitin_new_vars"] < 50 for r in later
+        ), "core re-encoded"
         # ... and the acceptance criterion: >= 2x over from-scratch.  The
         # full bar applies only above a timing floor (mirroring
         # check_regression's clamp) so scheduler noise on CI-sized smoke
@@ -252,30 +259,29 @@ def run_incremental_workload(length, rounds, verify):
             assert speedup >= 2.0, f"incremental speedup only {speedup:.2f}x"
         else:
             assert speedup >= 1.2, f"incremental speedup only {speedup:.2f}x"
-    stats = incremental_result.check_results[-1].stats
+    metrics = engine.metrics.snapshot()
     return {
         "workload": "incremental",
         "n": length,
         "rounds": rounds,
-        "nodes": {
-            "vars": stats.get("vars", 0),
-            "clauses": stats.get("clauses", 0),
-            "atoms": stats.get("atoms", 0),
-        },
+        "nodes": _nodes(metrics),
         "answer": ",".join(answers),
         "speedup": round(speedup, 2),
         "solver": {
             "conflicts": sum(
-                r.stats.get("conflicts", 0) for r in incremental_result.check_results
+                r.metrics.get("sat.conflicts", 0)
+                for r in incremental_result.check_results
             ),
-            "learned_db": stats.get("learned_db", 0),
+            "learned_db": incremental_result.check_results[-1].metrics[
+                "engine.learned_db"
+            ],
         },
         "seconds": {
             "incremental": round(incremental_s, 6),
             "scratch": round(scratch_s, 6),
         },
         "phases": phase_seconds(obs.tracer),
-        "metrics": engine.metrics.snapshot(),
+        "metrics": metrics,
     }
 
 

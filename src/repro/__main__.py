@@ -11,13 +11,13 @@ to stderr, and with ``--strict-status`` also fails the run.
 
 Observability flags:
 
-* ``--stats`` prints the per-``check-sat`` solver counters (conflicts,
-  propagations, restarts, theory lemmas, Tseitin reuse ...) as comment
-  lines.
+* ``--stats`` prints each ``check-sat``'s namespaced ``metrics``
+  (``sat.conflicts``, ``theory.arith.pivots``,
+  ``engine.tseitin_new_vars`` ...) as one sorted comment line.
 * ``--stats-json`` replaces the normal solver output with **one** JSON
-  document covering every input file — per-check legacy ``stats``,
-  namespaced ``metrics`` deltas, per-phase nanoseconds and a final
-  whole-run registry snapshot — so the output pipes straight into
+  document covering every input file — per-check namespaced
+  ``metrics`` deltas, per-phase nanoseconds and a final whole-run
+  registry snapshot — so the output pipes straight into
   ``python -m json.tool`` or ``jq``.  Warnings and ``--profile`` tables
   move to stderr.
 * ``--trace FILE`` streams the structured search-event log (decisions,
@@ -119,13 +119,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-check-sat solver statistics as comment lines",
+        help="print each check-sat's namespaced metrics as a comment line",
     )
     parser.add_argument(
         "--stats-json",
         action="store_true",
-        help="print one JSON document (per-check stats, namespaced metrics, "
-        "phase timings) instead of the solver output",
+        help="print one JSON document (per-check namespaced metrics, phase "
+        "timings) instead of the solver output",
     )
     parser.add_argument(
         "--trace",
@@ -285,8 +285,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 )
             if args.stats and not args.stats_json:
                 for check_index, check in enumerate(result.check_results):
-                    stats = check.stats
-                    detail = ", ".join(f"{key}={stats[key]}" for key in sorted(stats))
+                    detail = ", ".join(
+                        f"{key}={value}" for key, value in sorted(check.metrics.items())
+                    )
                     reason = f" reason={check.reason}" if check.reason else ""
                     print(f"; check-sat #{check_index}: {check.answer}{reason} ({detail})")
             if args.profile and tracer is not None:
@@ -308,7 +309,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                                 "answer": check.answer,
                                 "reason": check.reason,
                                 "expected": check.expected,
-                                "stats": check.stats,
                                 "metrics": check.metrics,
                                 "phases": check.phases,
                                 "proof_steps": (

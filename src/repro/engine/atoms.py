@@ -7,7 +7,7 @@ variable counter survive across ``check-sat`` calls.  Because terms are
 hash-consed, re-encoding an unchanged assertion is a dictionary hit — the
 second ``check-sat`` on the same assertion set performs *zero* Tseitin
 work, which is exactly the invariant the incremental tests assert through
-the ``tseitin_new_vars`` / ``tseitin_new_clauses`` statistics.
+the ``engine.tseitin_new_vars`` / ``engine.tseitin_new_clauses`` metrics.
 
 The registry also allocates frame *selector* variables from the same
 space, so solver, encoder and engine agree on one numbering, and exposes

@@ -20,22 +20,23 @@ class CheckSatResult:
     exactly the terms a ``sat`` model is guaranteed to satisfy under
     :func:`~repro.smtlib.evaluate.evaluate` (pass ``fun_interps`` as its
     ``funs`` argument when uninterpreted functions are involved).
-    ``reason`` explains an ``unknown`` answer.  ``stats`` carries
-    per-check solver counters, CNF shape (``vars``, ``clauses``,
-    ``atoms``), incremental-encoding counters (``tseitin_new_vars``,
-    ``tseitin_new_clauses``, ``encoded_assertions``) and per-plugin
-    theory counters (``euf_*``: merges, conflicts ...; ``arith_*``:
-    pivots, branches ...).  ``expected`` records the script's
-    ``(set-info :status ...)`` annotation, when present.
+    ``reason`` explains an ``unknown`` answer.  ``expected`` records the
+    script's ``(set-info :status ...)`` annotation, when present.
 
-    ``metrics`` is the same information through the unified registry: a
-    namespaced per-check snapshot delta (``sat.conflicts``,
-    ``theory.arith.pivots``, ``intern.hits``, ``engine.guard_clauses``
-    ...) — ``stats`` is derived from it and kept for backward
-    compatibility.  ``phases`` carries per-phase wall-clock in
-    nanoseconds keyed by span path (``prepare``, ``search``,
-    ``search/theory-check`` ...) when the engine ran with a tracer, else
-    it is empty.
+    ``metrics`` is the check's counters: the namespaced delta of the
+    engine's metrics registry over this check.  It holds the SAT-core
+    counters (``sat.conflicts``, ``sat.theory_lemmas`` ...), per-plugin
+    theory counters (``theory.euf.merges``, ``theory.arith.pivots``
+    ...), the intern table (``intern.hits`` ...) and the engine's own
+    counters: incremental encoding (``engine.encoded_assertions``,
+    ``engine.tseitin_new_vars``, ``engine.tseitin_new_clauses``),
+    clause shipping (``engine.clauses_shipped``,
+    ``engine.guard_clauses``), ``engine.trivial`` (1 when a ``false``
+    assertion decided the check without search) and the gauges
+    ``engine.vars``, ``engine.atoms`` and ``engine.learned_db``.
+    ``phases`` carries per-phase wall-clock in nanoseconds keyed by span
+    path (``prepare``, ``search``, ``search/theory-check`` ...) when the
+    engine ran with a tracer, else it is empty.
 
     For an ``unsat`` answer two certification artifacts may be present:
     ``proof`` (when the engine ran with proof production on) is the
@@ -51,7 +52,6 @@ class CheckSatResult:
     fun_interps: Optional[dict[str, FunctionInterpretation]] = None
     assertions: tuple[Term, ...] = ()
     reason: Optional[str] = None
-    stats: dict[str, int] = field(default_factory=dict)
     expected: Optional[str] = None
     metrics: dict[str, int] = field(default_factory=dict)
     phases: dict[str, int] = field(default_factory=dict)

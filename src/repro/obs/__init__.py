@@ -2,11 +2,11 @@
 
 Three orthogonal instruments, one bundle:
 
-* :mod:`repro.obs.metrics` — a namespaced :class:`MetricsRegistry` of
-  counters/gauges/timers that *absorbs* the pre-existing stats surfaces
+* :mod:`repro.obs.metrics` — a namespaced :class:`MetricsRegistry`
+  of stat sources: it *absorbs* the plain-dict counter surfaces
   (``SatSolver.stats`` as ``sat.*``, per-plugin ``Theory.stats`` as
-  ``theory.<name>.*``, the intern table as ``intern.*``) behind one
-  snapshot/delta API.
+  ``theory.<name>.*``, the engine's own counters as ``engine.*``, the
+  intern table as ``intern.*``) behind one snapshot/delta API.
 * :mod:`repro.obs.spans` — hierarchical wall-clock tracing
   (``perf_counter_ns``) over the whole pipeline, with merged hot spans
   and a no-op-cheap module-level :func:`trace_span` entry point.
@@ -32,7 +32,7 @@ from .events import (
     validate_event,
     validate_trace,
 )
-from .metrics import Counter, Gauge, MetricsRegistry, Timer
+from .metrics import MetricsRegistry
 from .profile import format_phase_table, phase_seconds, phase_totals
 from .spans import (
     NULL_SPAN,
@@ -70,9 +70,6 @@ class Observability:
 __all__ = [
     "Observability",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Timer",
     "Span",
     "Tracer",
     "NULL_SPAN",

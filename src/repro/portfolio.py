@@ -15,10 +15,10 @@ The parent renders the (already parsed) script back to SMT-LIB text and
 forks one worker per config.  Each worker bootstraps its own
 :class:`~repro.engine.Engine`, re-parses and solves under its config, and
 ships the full pickled :class:`~repro.engine.ScriptResult` — verdicts,
-models, proofs, stats — plus a metrics snapshot back through a result
-queue.  Shipping text instead of the pickled term DAG keeps the protocol
-independent of the multiprocessing start method and makes the worker
-input auditable.
+models, proofs, per-check metrics — plus a whole-run metrics snapshot
+back through a result queue.  Shipping text instead of the pickled term
+DAG keeps the protocol independent of the multiprocessing start method
+and makes the worker input auditable.
 
 Cancellation is cooperative: every worker polls a shared
 :class:`multiprocessing.Event` through the SAT core's ``interrupt`` hook
@@ -287,17 +287,21 @@ def _race(
                 break
             reported.setdefault(index, (status, payload, snapshot, elapsed))
         terminated: set[int] = set()
-        launched = [proc for proc in procs if proc.ident is not None]
+        exit_codes: dict[int, Optional[int]] = {}
+        launched = {
+            index: proc for index, proc in enumerate(procs) if proc.ident is not None
+        }
         join_deadline = monotonic() + _JOIN_SECONDS
-        for proc in launched:
+        for proc in launched.values():
             proc.join(timeout=max(0.0, join_deadline - monotonic()))
-        for index, proc in enumerate(procs):
-            if proc.ident is not None and proc.is_alive():
+        for index, proc in launched.items():
+            if proc.is_alive():
                 proc.terminate()
                 terminated.add(index)
-        for proc in launched:
+        for index, proc in launched.items():
             if proc.is_alive():
                 proc.join(timeout=_JOIN_SECONDS)
+            exit_codes[index] = proc.exitcode
             try:
                 proc.close()
             except ValueError:
@@ -313,15 +317,16 @@ def _race(
                 winner = index
                 break
     if winner is None:
-        errors = "; ".join(
+        # No worker reported "ok" (the fallback above would have taken
+        # it): each one reported an error or died without reporting — a
+        # crash, or a result lost while being pickled.
+        causes = "; ".join(
             f"w{index}: {reported[index][1]}"
-            for index in sorted(reported)
-            if reported[index][0] == "error"
+            if index in reported
+            else f"w{index}: exited with code {code} without reporting"
+            for index, code in sorted(exit_codes.items())
         )
-        raise SolverError(
-            "portfolio produced no result"
-            + (f" — worker errors: {errors}" if errors else "")
-        )
+        raise SolverError(f"portfolio produced no result — worker errors: {causes}")
 
     reports = []
     for index, config in enumerate(lineup):

@@ -111,13 +111,13 @@ class TheoryModel:
 class Theory(ABC):
     """Abstract base of theory plugins (see the module docstring).
 
-    Implementations keep ``stats`` (plain counters, merged into the
-    engine's per-``check-sat`` statistics under a ``<name>_`` prefix) and
-    must make :meth:`pop` restore *exactly* the state at the matching
+    Implementations keep ``stats`` (plain counters, surfaced in the
+    engine's per-``check-sat`` metrics as ``theory.<name>.*``) and must
+    make :meth:`pop` restore *exactly* the state at the matching
     :meth:`push`, including any recorded conflict.
     """
 
-    #: Short lowercase identifier, used to prefix statistics keys.
+    #: Short lowercase identifier, the ``theory.<name>`` metrics namespace.
     name: str = "theory"
 
     def __init__(self) -> None:
@@ -168,8 +168,8 @@ class Theory(ABC):
     def register_metrics(self, registry: "MetricsRegistry") -> None:
         """Absorb this plugin's counters into a metrics registry under
         ``theory.<name>``.  The default registration covers any plugin
-        whose ``stats`` is a plain dict; plugins with gauge-like keys or
-        extra instruments override and extend."""
+        whose ``stats`` is a plain dict; plugins with gauge-like keys
+        override and extend."""
         registry.register_source(f"theory.{self.name}", lambda: self.stats)
 
 
@@ -195,7 +195,8 @@ class TheoryComposite(Theory):
       :class:`SortValueAllocator` so values minted by different plugins
       stay pairwise distinct per sort.  Any plugin failing to produce a
       model fails the composite.
-    * **Statistics** — merged with a ``<plugin-name>_`` prefix per key.
+    * **Metrics** — each plugin registers its own ``theory.<name>.*``
+      source; the composite keeps no counters of its own.
     """
 
     name = "multi"
@@ -207,18 +208,6 @@ class TheoryComposite(Theory):
     @property
     def plugins(self) -> tuple[Theory, ...]:
         return self._plugins
-
-    @property
-    def stats(self) -> dict[str, int]:  # type: ignore[override]
-        merged: dict[str, int] = {}
-        for plugin in self._plugins:
-            for key, value in plugin.stats.items():
-                merged[f"{plugin.name}_{key}"] = value
-        return merged
-
-    @stats.setter
-    def stats(self, value: dict[str, int]) -> None:
-        raise AttributeError("composite statistics are derived, not assignable")
 
     def owner(self, atom: Term) -> Optional[Theory]:
         """The plugin that decides ``atom``, or ``None`` (cached)."""

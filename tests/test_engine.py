@@ -186,10 +186,16 @@ class TestAnswers:
     def test_assert_false_is_trivially_unsat(self):
         result = solve_script("(assert false)\n(check-sat)")[0]
         assert result.answer == "unsat"
-        assert result.stats["trivial"] == 1
-        # The stats contract holds even on the trivial path.
-        for key in ("conflicts", "decisions", "vars", "clauses", "atoms"):
-            assert result.stats[key] == 0
+        assert result.metrics["engine.trivial"] == 1
+        # The metrics contract holds even on the trivial path.
+        for key in (
+            "sat.conflicts",
+            "sat.decisions",
+            "engine.vars",
+            "engine.clauses_shipped",
+            "engine.atoms",
+        ):
+            assert result.metrics[key] == 0
 
     def test_empty_assertions_are_sat(self):
         result = solve_script("(check-sat)")[0]
@@ -499,6 +505,8 @@ class TestCli:
         status, out, _ = self.run_cli(capsys, str(path), "--stats")
         assert status == 0
         assert "; check-sat #0: sat" in out
+        assert "sat.conflicts=" in out
+        assert "engine.tseitin_new_vars=" in out
 
     def test_parse_error_sets_status(self, capsys, tmp_path):
         path = tmp_path / "bad.smt2"

@@ -149,12 +149,12 @@ def test_seeded_noise_replays_deterministically():
     first = Engine(config=config).run(script_text_to_script(script))
     second = Engine(config=config).run(script_text_to_script(script))
     assert first.answers == second.answers
-    keys = ("conflicts", "decisions", "restarts", "random_decisions")
-    first_stats = first.check_results[0].stats
-    second_stats = second.check_results[0].stats
+    keys = ("sat.conflicts", "sat.decisions", "sat.restarts", "sat.random_decisions")
+    first_metrics = first.check_results[0].metrics
+    second_metrics = second.check_results[0].metrics
     for key in keys:
-        assert first_stats[key] == second_stats[key], key
-    assert first_stats["random_decisions"] > 0, (
+        assert first_metrics[key] == second_metrics[key], key
+    assert first_metrics["sat.random_decisions"] > 0, (
         "noise knobs produced no random decisions on a 1k-conflict search"
     )
 
@@ -260,6 +260,22 @@ def test_portfolio_win_attribution_metrics():
     assert snapshot[f"portfolio.w{outcome.winner}.won"] == 1
     # The winner shipped its final counters under its own namespace.
     assert f"portfolio.w{outcome.winner}.sat.conflicts" in snapshot
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the patched Engine.run only when forked",
+)
+def test_portfolio_names_workers_that_die_without_reporting(monkeypatch):
+    # A worker that dies before putting a result (a crash, or a result
+    # lost while being pickled) must not vanish silently from the error.
+    monkeypatch.setattr(Engine, "run", lambda self, script: os._exit(3))
+    with pytest.raises(repro.SolverError) as info:
+        solve_portfolio("(check-sat)", workers=2, timeout=60)
+    message = str(info.value)
+    assert "w0: exited with code 3 without reporting" in message
+    assert "w1: exited with code 3 without reporting" in message
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from repro import solve_script
+from repro.obs import MetricsRegistry
 from repro.smtlib.evaluate import evaluate
 from repro.smtlib.linarith import difference_form, linear_form
 from repro.smtlib.parser import parse_term
@@ -377,10 +378,12 @@ class TestComposite:
 
     def test_stats_are_prefixed(self):
         arith, euf, composite = self.make()
+        registry = MetricsRegistry()
+        composite.register_metrics(registry)
         composite.assert_literal(atom("(< x y)"), True)
-        merged = composite.stats
-        assert merged["arith_literals"] == 1
-        assert merged["euf_literals"] == 0
+        snapshot = registry.snapshot()
+        assert snapshot["theory.arith.literals"] == 1
+        assert snapshot["theory.euf.literals"] == 0
 
     def test_models_merge_with_shared_allocator(self):
         arith, euf, composite = self.make()
@@ -560,9 +563,9 @@ class TestEngineArith:
             """
         )
         assert result.answer == "sat"
-        assert result.stats["arith_literals"] >= 2
-        assert "arith_pivots" in result.stats
-        assert "euf_literals" in result.stats
+        assert result.metrics["theory.arith.literals"] >= 2
+        assert "theory.arith.pivots" in result.metrics
+        assert "theory.euf.literals" in result.metrics
 
     def test_get_value_over_rational_model(self):
         from repro import run_script
