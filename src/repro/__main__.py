@@ -28,9 +28,10 @@ Observability flags:
 * ``--profile`` records hierarchical phase spans (parse → prepare →
   encode → search → theory-check → model/validate) and prints a
   per-file timing table as comment lines.
-* ``--dimacs PATH`` dumps the final solver CNF — gates, frame-selector
-  guards, level-0 facts and theory lemmas — in DIMACS format (with
-  several inputs, ``PATH.<index>`` per file).
+* ``--dimacs PATH`` dumps the final solver CNF — each assertion's root
+  clauses (bare in the base frame, behind a selector literal in a pushed
+  frame), Tseitin gates, level-0 facts and theory lemmas — in DIMACS
+  format (with several inputs, ``PATH.<index>`` per file).
 
 Certification flags:
 

@@ -9,10 +9,15 @@ second ``check-sat`` on the same assertion set performs *zero* Tseitin
 work, which is exactly the invariant the incremental tests assert through
 the ``engine.tseitin_new_vars`` / ``engine.tseitin_new_clauses`` metrics.
 
-The registry also allocates frame *selector* variables from the same
-space, so solver, encoder and engine agree on one numbering, and exposes
-``atom_vars`` — the stable atom → variable map the engine inverts (over
-the owned subset) for the theory hook.
+An assertion enters through :meth:`AtomRegistry.root_clauses`: its root
+structure comes back as clauses (a conjunction splits, a disjunction is
+one clause, a boolean ``=`` two), for the engine to ship bare in the base
+frame or guarded by a selector in a pushed frame; only subterms below
+the root get Tseitin gates, which :meth:`AtomRegistry.drain_clauses`
+hands out.  The registry also allocates frame *selector* variables from
+the same space, so solver, encoder and engine agree on one numbering,
+and exposes ``atom_vars`` — the stable atom → variable map the engine
+inverts (over the owned subset) for the theory hook.
 """
 
 from __future__ import annotations
@@ -39,8 +44,14 @@ class AtomRegistry:
         return self._encoder.formula.atom_vars
 
     def encode(self, term: Term) -> int:
-        """The root literal for a boolean term (memoized across checks)."""
+        """The literal for a boolean term (memoized across checks)."""
         return self._encoder.encode(term)
+
+    def root_clauses(self, term: Term) -> list[tuple[int, ...]]:
+        """An asserted term's root clauses (see
+        :meth:`~repro.smtlib.cnf.TseitinEncoder.root_clauses`); the gate
+        clauses of its subterms wait for :meth:`drain_clauses`."""
+        return self._encoder.root_clauses(term)
 
     def new_selector(self) -> int:
         """A fresh selector variable in the shared numbering."""

@@ -2,9 +2,10 @@
 
 One :class:`Frame` per assertion-stack level holds the raw asserted
 terms, their *prepared* and *simplified* forms (computed once, cached for
-every later ``check-sat``), the declarations scoped to the level, and the
-frame's SAT *selector* variable — the assumption literal that activates
-the frame's clauses in the shared incremental solver.
+every later ``check-sat``), the declarations scoped to the level, and,
+for a pushed level, the frame's SAT *selector* variable — the assumption
+literal that activates the frame's clauses in the shared incremental
+solver.  The base level can never be popped, so it has no selector.
 
 Preparation is the term-level pipeline that runs **before** encoding:
 
@@ -74,9 +75,13 @@ class Frame:
         self.definitions: dict[str, DefineFun] = {}
         self.consts: dict[str, Sort] = {}
         self.funs: dict[str, FunSignature] = {}
+        #: The assumption literal guarding this frame's root clauses,
+        #: allocated at the first ``check-sat`` after ``push``.  It stays
+        #: ``None`` for the base frame, which can never be popped, so its
+        #: unnamed assertions ship their root clauses unguarded.
         self.selector: Optional[int] = None
         #: ``(label, selector)`` per encoded named assertion.  Named
-        #: assertions get their own selector on top of the frame's, so a
+        #: assertions get their own selector in place of the frame's, so a
         #: failed-assumption core maps straight back to labels; popping
         #: the frame retires these selectors alongside the frame's own.
         self.named: list[tuple[str, int]] = []

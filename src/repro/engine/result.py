@@ -30,10 +30,12 @@ class CheckSatResult:
     ...), the intern table (``intern.hits`` ...) and the engine's own
     counters: incremental encoding (``engine.encoded_assertions``,
     ``engine.tseitin_new_vars``, ``engine.tseitin_new_clauses``),
-    clause shipping (``engine.clauses_shipped``,
-    ``engine.guard_clauses``), ``engine.trivial`` (1 when a ``false``
-    assertion decided the check without search) and the gauges
-    ``engine.vars``, ``engine.atoms`` and ``engine.learned_db``.
+    clause shipping (``engine.clauses_shipped``, and
+    ``engine.guard_clauses``, the root clauses that carry a selector
+    literal — none for the base frame's unnamed assertions),
+    ``engine.trivial`` (1 when a ``false`` assertion decided the check
+    without search) and the gauges ``engine.vars``, ``engine.atoms`` and
+    ``engine.learned_db``.
     ``phases`` carries per-phase wall-clock in nanoseconds keyed by span
     path (``prepare``, ``search``, ``search/theory-check`` ...) when the
     engine ran with a tracer, else it is empty.

@@ -4,12 +4,19 @@
 monolith it keeps **one** SAT solver and **one** Tseitin encoder alive for
 the whole run:
 
-* Every assertion-stack frame owns a *selector* variable; an assertion in
-  frame ``i`` is encoded once as the guarded clause ``(¬sel_i ∨ root)``
-  and every ``check-sat`` solves under the assumptions ``sel_0 … sel_k``
-  of the live frames.  ``pop`` retires a frame by adding the permanent
-  unit ``¬sel_i`` — its clauses become vacuous, while learned clauses
-  (which may mention selectors) stay valid and keep pruning later checks.
+* An assertion ships as its *root clauses* — a root conjunction splits,
+  a disjunction is one clause, a boolean ``=`` two, anything else the
+  unit of its Tseitin literal — plus Tseitin gates for the structure
+  below them, so a CNF script reaches the SAT core as its own CNF.
+* The base frame can never be popped, so its unnamed assertions ship
+  their root clauses bare, as permanent facts.  Every pushed frame ``i``
+  owns a *selector* variable: its root clauses ship as
+  ``(¬sel_i ∨ clause)`` and every ``check-sat`` solves under the
+  assumptions ``sel_1 … sel_k`` of the live frames.  ``pop`` retires a
+  frame by adding the permanent unit ``¬sel_i`` — its clauses become
+  vacuous, while learned clauses (which may mention selectors) stay
+  valid and keep pruning later checks.  A named assertion is guarded by
+  its own selector instead, in any frame, so cores map back to labels.
 * The encoder's node → literal memo is keyed on hash-consed terms, so a
   ``check-sat`` after ``push``/``pop`` re-encodes **nothing** for
   unchanged assertions (the check's ``engine.tseitin_new_vars`` metric
@@ -24,7 +31,7 @@ the whole run:
 
 Answer semantics stay *sound*:
 
-* ``unsat`` — the guarded CNF plus theory lemmas is unsatisfiable under
+* ``unsat`` — the shipped CNF plus theory lemmas is unsatisfiable under
   the live selectors.  Atoms no theory owns are abstracted (an
   over-approximation), so propositional unsatisfiability implies real
   unsatisfiability.
@@ -379,8 +386,8 @@ class Engine:
         return self._status
 
     def dimacs(self, comments: Iterable[str] = ()) -> str:
-        """The current solver CNF (gates, guards, facts and theory
-        lemmas) in DIMACS format."""
+        """The current solver CNF (root clauses, bare or guarded, gates,
+        facts and theory lemmas) in DIMACS format."""
         num_vars, clauses = self._solver.export_cnf()
         return to_dimacs(max(num_vars, self._registry.num_vars), clauses, comments)
 
@@ -514,14 +521,18 @@ class Engine:
         ``engine.encoded_assertions``, ``engine.tseitin_new_vars`` and
         ``engine.tseitin_new_clauses``.
 
-        ``tseitin_new_clauses`` counts only the drained Tseitin gate
-        clauses — the per-assertion selector guards ``(¬sel ∨ root)`` are
-        engine bookkeeping, tallied separately as
-        ``engine.guard_clauses``.
+        Each assertion ships as its root clauses (see
+        :meth:`AtomRegistry.root_clauses`) plus the Tseitin gates of the
+        subterms below them.  The base frame can never be popped, so it
+        gets no selector: its unnamed assertions ship their root clauses
+        bare, as permanent facts.  A pushed frame's root clauses carry
+        ``¬sel`` and a named assertion's carry its own ``¬named_sel``;
+        ``engine.guard_clauses`` counts those guarded root clauses.
+        ``tseitin_new_clauses`` counts only the drained gate clauses.
         """
         vars_before = self._registry.num_vars
-        for frame in self._frames:
-            if frame.selector is None:
+        for depth, frame in enumerate(self._frames):
+            if depth and frame.selector is None:
                 frame.selector = self._registry.new_selector()
             while frame.encoded < len(frame.simplified):
                 index = frame.encoded
@@ -542,7 +553,7 @@ class Engine:
                 # the trivial-FALSE gate, so unsatisfiability must surface
                 # through the solver (keeping the proof machinery uniform).
                 nnf = to_nnf(term)
-                root = self._registry.encode(nnf)
+                roots = self._registry.root_clauses(nnf)
                 frame.atom_lists.append(tuple(skeleton_atoms(nnf)))
                 self._encoded_assertions += 1
                 for clause in self._registry.drain_clauses():
@@ -556,8 +567,11 @@ class Engine:
                     # assumptions of an unsat answer name the core exactly.
                     guard = self._registry.new_selector()
                     frame.named.append((name, guard))
-                self._guard_clauses += 1
-                self._add_clause((-guard, root))
+                if guard is not None:
+                    self._guard_clauses += len(roots)
+                    roots = [(-guard,) + clause for clause in roots]
+                for clause in roots:
+                    self._add_clause(clause)
         self._solver.ensure_vars(self._registry.num_vars)
         self._tseitin_new_vars += self._registry.num_vars - vars_before
 
@@ -708,7 +722,8 @@ class Engine:
             # values.
             theory.register_metrics(metrics)
 
-        # _encode_frames allocated every selector; the filter is for typing.
+        # _encode_frames allocated a selector for every pushed frame; the
+        # base frame has none (its unnamed assertions ship unguarded).
         selectors = [
             frame.selector for frame in self._frames if frame.selector is not None
         ]

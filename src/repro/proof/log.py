@@ -4,8 +4,9 @@ A proof is a sequence of :class:`ProofStep` records over DIMACS-style
 integer literals, in the order the solver produced them:
 
 * ``input`` — a problem clause exactly as shipped to the solver
-  (before its level-0 simplification), including frame-selector guards
-  and retirement units.  Inputs are the axioms of the proof.
+  (before its level-0 simplification): assertion root clauses, bare in
+  the base frame or selector-guarded, Tseitin gates and retirement
+  units.  Inputs are the axioms of the proof.
 * ``lemma`` — a theory lemma, logged as stated by the theory plugin
   (before mid-search simplification), with the plugin name as
   provenance.  Lemmas are theory-valid axioms: the checker records but

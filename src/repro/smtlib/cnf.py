@@ -26,6 +26,14 @@ Two invariants the rest of the solving layer builds on:
 
 The encoder accepts any boolean skeleton, NNF or not (``not`` simply flips
 the child literal and ``=>`` encodes as its ``or`` form).
+
+An asserted *root* is clausified rather than Tseitin-encoded
+(:meth:`TseitinEncoder.root_clauses`): a root ``and`` splits into its
+distinct conjuncts, an ``or`` conjunct ships as one clause over its
+children's literals, a binary boolean ``=`` as its two implication
+clauses, and anything else as the unit clause of its literal.  Only the
+structure *below* those clauses gets auxiliary variables, so a script
+that is already CNF reaches the SAT core as exactly its own clauses.
 """
 
 from __future__ import annotations
@@ -80,7 +88,7 @@ class CnfFormula:
 
     ``atom_vars`` maps each atom term to its variable; every other variable
     up to ``num_vars`` is a Tseitin auxiliary.  ``clauses`` hold the gate
-    definitions plus one unit clause per asserted root.
+    definitions plus the root clauses of every asserted term.
     """
 
     num_vars: int = 0
@@ -99,8 +107,9 @@ class CnfFormula:
 
 class TseitinEncoder:
     """Stateful encoder; feed it terms with :meth:`assert_term` (or get a
-    root literal with :meth:`encode`) and read the result via
-    :attr:`formula`.  Asserting several terms encodes their conjunction."""
+    term's literal with :meth:`encode`, its root clauses with
+    :meth:`root_clauses`) and read the result via :attr:`formula`.
+    Asserting several terms encodes their conjunction."""
 
     def __init__(self) -> None:
         self.formula = CnfFormula()
@@ -110,8 +119,43 @@ class TseitinEncoder:
     # -- public surface -----------------------------------------------------
 
     def assert_term(self, term: Term) -> None:
-        """Constrain ``term`` to hold: encode it and add its unit clause."""
-        self.formula.clauses.append((self.encode(term),))
+        """Constrain ``term`` to hold: add its root clauses."""
+        self.formula.clauses.extend(self.root_clauses(term))
+
+    def root_clauses(self, term: Term) -> list[tuple[int, ...]]:
+        """Clauses whose conjunction is equivalent to ``term`` over the
+        literals of its root's children.
+
+        The root ``and`` (nested ``and``s included) splits into its
+        distinct conjuncts; an ``or`` conjunct is one clause over its
+        children's literals, a binary boolean ``=`` the two clauses
+        ``(¬a ∨ b)``, ``(a ∨ ¬b)``, and any other conjunct the unit clause
+        of its literal.  Gate clauses for the children go to
+        :attr:`formula` as usual; the returned clauses do not, so the
+        caller can guard them.  The flatten walks each hash-consed node
+        once, so a shared ``and`` DAG costs its size, not its paths.
+        """
+        clauses: list[tuple[int, ...]] = []
+        seen: set[Term] = set()
+        stack = [term]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if not isinstance(node, Apply):
+                clauses.append((self.encode(node),))
+            elif node.op == "and":
+                stack.extend(reversed(node.args))
+            elif node.op == "or":
+                clauses.append(tuple([self.encode(arg) for arg in node.args]))
+            elif node.op == "=" and len(node.args) == 2 and node.args[0].sort == BOOL:
+                a, b = self.encode(node.args[0]), self.encode(node.args[1])
+                clauses.append((-a, b))
+                clauses.append((a, -b))
+            else:
+                clauses.append((self.encode(node),))
+        return clauses
 
     def new_var(self) -> int:
         """Allocate a fresh non-atom variable in the encoder's space.

@@ -118,8 +118,9 @@ class TestEquisatisfiability:
 class TestSharing:
     def test_shared_subterm_gets_one_aux_variable(self):
         shared = Apply("and", (A, B), BOOL)
-        term = Apply("or", (shared, Apply("not", (shared,), BOOL)), BOOL)
-        formula = tseitin(term)
+        inner = Apply("or", (shared, Apply("not", (shared,), BOOL)), BOOL)
+        # Under a root `not` the `or` is a subterm, so it gets a gate too.
+        formula = tseitin(Apply("not", (inner,), BOOL))
         # Atoms a, b plus exactly two gates: the shared `and`, the `or`.
         assert formula.num_atoms == 2
         assert formula.num_aux == 2
@@ -138,9 +139,68 @@ class TestSharing:
 
     def test_encoding_is_linear_in_connectives(self):
         wide = Apply("or", tuple(Symbol(f"v{i}", BOOL) for i in range(50)), BOOL)
-        formula = tseitin(wide)
+        # Under a root `not` the wide `or` is a subterm with a full gate.
+        formula = tseitin(Apply("not", (wide,), BOOL))
         assert formula.num_vars == 51
         assert len(formula.clauses) == 50 + 1 + 1  # gate + long clause + root unit
+
+
+class TestRootClauses:
+    def test_root_or_is_one_clause(self):
+        wide = Apply("or", tuple(Symbol(f"v{i}", BOOL) for i in range(50)), BOOL)
+        formula = tseitin(wide)
+        assert formula.num_vars == 50
+        assert formula.num_aux == 0
+        assert formula.clauses == [tuple(range(1, 51))]
+
+    def test_root_or_over_shared_subterm(self):
+        shared = Apply("and", (A, B), BOOL)
+        formula = tseitin(Apply("or", (shared, Apply("not", (shared,), BOOL)), BOOL))
+        # Only the `and` below the root gets a gate; the root `or` is the
+        # clause (s ∨ ¬s) over its literal.
+        assert formula.num_aux == 1
+        assert formula.clauses[-1] == (3, -3)
+
+    def test_root_and_splits_into_distinct_conjuncts(self):
+        term = Apply(
+            "and",
+            (A, Apply("or", (B, C), BOOL), A, Apply("and", (B, A), BOOL)),
+            BOOL,
+        )
+        formula = tseitin(term)
+        assert formula.num_aux == 0
+        assert formula.clauses == [(1,), (2, 3), (2,)]
+
+    def test_root_boolean_equality_is_two_clauses(self):
+        formula = tseitin(Apply("=", (A, B), BOOL))
+        assert formula.num_aux == 0
+        assert formula.clauses == [(-1, 2), (1, -2)]
+
+    def test_other_roots_are_units(self):
+        eq = Apply("=", (X, int_const(0)), BOOL)
+        xor = Apply("xor", (A, B), BOOL)
+        formula = tseitin(Apply("and", (eq, xor), BOOL))
+        assert formula.atom_vars[eq] == 1
+        assert formula.num_aux == 1
+        assert formula.clauses[-2:] == [(1,), (4,)]
+
+    def test_deep_shared_and_flattens_to_its_leaves(self):
+        term = Apply("and", (A, B), BOOL)
+        for _ in range(100):
+            term = Apply("and", (term, term), BOOL)
+        # Bound to a name first: a failing assert must not render the
+        # term, whose tree form is exponential in the DAG depth.
+        clauses = tseitin(term).clauses
+        assert clauses == [(1,), (2,)]
+
+    def test_root_clauses_leave_gates_to_the_formula(self):
+        encoder = TseitinEncoder()
+        inner = Apply("and", (A, B), BOOL)
+        roots = encoder.root_clauses(Apply("or", (inner, C), BOOL))
+        assert roots == [(3, 4)]
+        # The returned clauses are the caller's to guard; only the gate
+        # of the nested `and` went to the formula.
+        assert encoder.formula.clauses == [(-3, 1), (-3, 2), (3, -1, -2)]
 
 
 class TestEncoderErrors:

@@ -19,10 +19,12 @@ import random
 import pytest
 
 from repro import Engine, solve_script
+from repro.proof.log import INPUT
 from repro.sat import SAT, UNSAT, Solver, TheoryHook
 from repro.smtlib import BOOL, Apply, Assert, CheckSat, Pop, Push, Script, Symbol
 from test_engine import assert_model_satisfies, brute_force_answer
 from test_nnf import random_bool_term
+from test_sat import pigeonhole
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +349,51 @@ class TestIncrementalEngine:
         replay.add_clauses(clauses)
         # The exported CNF must preserve satisfiability of the final state.
         assert replay.solve() == SAT
+
+
+class TestRootClausification:
+    """A CNF script reaches the SAT core as its own CNF: root clauses ship
+    bare in the base frame and behind one selector in a pushed frame."""
+
+    @staticmethod
+    def cnf_script(clauses, num_vars, push=False):
+        def lit(value):
+            return f"x{value}" if value > 0 else f"(not x{-value})"
+
+        lines = [f"(declare-const x{var} Bool)" for var in range(1, num_vars + 1)]
+        if push:
+            lines.append("(push 1)")
+        for clause in clauses:
+            lines.append("(assert (or {}))".format(" ".join(map(lit, clause))))
+        lines.append("(check-sat)")
+        return "\n".join(lines)
+
+    def test_pigeonhole_text_ships_the_raw_cnf(self):
+        clauses = pigeonhole(5)
+        raw = Solver(30)
+        raw.add_clauses(clauses)
+        assert raw.solve() == UNSAT
+        assert raw.stats["conflicts"] == 162
+        (check,) = solve_script(self.cnf_script(clauses, 30))
+        assert check.answer == "unsat"
+        assert check.metrics["engine.vars"] == 30
+        assert check.metrics["engine.clauses_shipped"] == 81
+        assert check.metrics["engine.guard_clauses"] == 0
+        assert check.metrics["engine.tseitin_new_clauses"] == 0
+        assert check.metrics["sat.conflicts"] == raw.stats["conflicts"]
+        # The proof's axioms are exactly the script's clauses.
+        (proved,) = solve_script(self.cnf_script(clauses, 30), produce_proofs=True)
+        inputs = [step.lits for step in proved.proof.steps if step.kind == INPUT]
+        assert inputs == [tuple(clause) for clause in clauses]
+
+    def test_pigeonhole_in_a_pushed_frame_is_guarded_once_per_clause(self):
+        clauses = pigeonhole(5)
+        (check,) = solve_script(self.cnf_script(clauses, 30, push=True))
+        assert check.answer == "unsat"
+        assert check.metrics["engine.vars"] == 31
+        assert check.metrics["engine.clauses_shipped"] == 81
+        assert check.metrics["engine.guard_clauses"] == 81
+        assert check.metrics["sat.conflicts"] == 162
 
 
 # ---------------------------------------------------------------------------

@@ -457,24 +457,35 @@ class TestEngineIntegration:
             assert result.metrics.get("theory.euf.merges", 0) >= 0
 
     def test_guard_clauses_not_counted_as_tseitin_output(self):
-        results = solve_script(
-            """
-            (declare-const p Bool)
-            (assert p)
-            (check-sat)
-            (check-sat)
-            """
+        base, pushed = (
+            solve_script(
+                f"""
+                (declare-const p Bool)
+                {prefix}
+                (assert p)
+                (check-sat)
+                (check-sat)
+                """
+            )
+            for prefix in ("", "(push 1)")
         )
-        first, second = results
-        # One asserted atom: a guard clause ships, but the encoder
-        # itself emits no gate clauses.
-        assert first.metrics["engine.tseitin_new_clauses"] == 0
-        assert first.metrics["engine.guard_clauses"] >= 1
-        # Guards still count as shipped.
-        assert first.metrics["engine.clauses_shipped"] >= 1
+        # One asserted atom in the base frame: its root clause ships
+        # bare, and the encoder itself emits no gate clauses.
+        first = base[0].metrics
+        assert first["engine.tseitin_new_clauses"] == 0
+        assert first["engine.guard_clauses"] == 0
+        assert first["engine.clauses_shipped"] == 1
+        # After (push 1) the same root clause carries the frame's guard,
+        # which counts as shipped but not as Tseitin output.
+        guarded = pushed[0].metrics
+        assert guarded["engine.tseitin_new_clauses"] == 0
+        assert guarded["engine.guard_clauses"] == 1
+        assert guarded["engine.clauses_shipped"] == 1
         # Unchanged re-check: nothing new on either ledger.
-        assert second.metrics["engine.tseitin_new_clauses"] == 0
-        assert second.metrics["engine.tseitin_new_vars"] == 0
+        for again in (base[1].metrics, pushed[1].metrics):
+            assert again["engine.tseitin_new_clauses"] == 0
+            assert again["engine.tseitin_new_vars"] == 0
+            assert again["engine.guard_clauses"] == 0
 
     def test_trivial_check_keeps_zeroed_legacy_shape(self):
         result = solve_script("(assert false)(check-sat)")[0]

@@ -345,6 +345,14 @@ PROP_UNSAT = """
 """
 
 
+BASE_CONTRADICTION = """
+(declare-const p Bool)
+(assert p)
+(assert (not p))
+(check-sat)
+"""
+
+
 def certified_checks(source, **kwargs):
     checks = solve_script(source, produce_proofs=True, **kwargs)
     for check in checks:
@@ -357,11 +365,28 @@ def certified_checks(source, **kwargs):
 
 class TestEngineProofs:
     @pytest.mark.parametrize(
-        "source", [LIA_UNSAT, EUF_UNSAT, PROP_UNSAT], ids=["lia", "euf", "prop"]
+        "source",
+        [LIA_UNSAT, EUF_UNSAT, PROP_UNSAT, BASE_CONTRADICTION],
+        ids=["lia", "euf", "prop", "base-contradiction"],
     )
     def test_unsat_scripts_carry_certified_proofs(self, source):
         checks = certified_checks(source)
         assert [check.answer for check in checks] == ["unsat"]
+
+    def test_base_frame_contradiction_found_while_shipping(self):
+        # The base frame's unit clauses p and ¬p clash as they ship, so
+        # the solver is unsat before any search — and stays unsat in a
+        # pushed frame and after popping it.
+        checks = certified_checks(
+            BASE_CONTRADICTION
+            + "(declare-const q Bool)\n(push 1)\n(assert (! q :named nq))\n"
+            "(check-sat)\n(pop 1)\n(check-sat)\n",
+            produce_unsat_cores=True,
+        )
+        assert [check.answer for check in checks] == ["unsat"] * 3
+        assert checks[0].proof.conclusion == ()
+        assert checks[1].unsat_core == ()
+        assert checks[2].unsat_core == ()
 
     def test_theory_lemmas_carry_plugin_provenance(self):
         (check,) = certified_checks(EUF_UNSAT)
