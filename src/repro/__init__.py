@@ -2,9 +2,9 @@
 
 Subpackages and modules:
 
-* :mod:`repro.smtlib` — the SMT-LIB front end: lexer, s-expressions, sorts,
-  terms, script parser, type checker, simplifier/evaluator, CNF lowering
-  and round-trip printer.
+* :mod:`repro.smtlib` — the SMT-LIB front end: lexer, script parser, sorts,
+  terms, type checker, simplifier/evaluator, CNF lowering and round-trip
+  printer.
 * :mod:`repro.sat` — the CDCL propositional solver (two-watched-literal
   propagation, first-UIP learning, VSIDS decay, Luby restarts) plus DIMACS
   import/export.

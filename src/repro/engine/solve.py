@@ -375,16 +375,6 @@ class Engine:
         """The persistent atom ↔ variable registry."""
         return self._registry
 
-    @property
-    def expected_status(self) -> Optional[str]:
-        """The pending ``(set-info :status ...)`` value, if any.
-
-        Following the benchmark convention, an annotation applies to the
-        *next* ``check-sat`` (multi-query scripts re-annotate before each
-        query); the check consumes it.
-        """
-        return self._status
-
     def dimacs(self, comments: Iterable[str] = ()) -> str:
         """The current solver CNF (root clauses, bare or guarded, gates,
         facts and theory lemmas) in DIMACS format."""

@@ -1,10 +1,10 @@
 """Exception hierarchy shared across the reproduction library.
 
 Every error raised by the library derives from :class:`ReproError` so that
-callers can distinguish library failures from programming mistakes.  The
-solver substrate additionally distinguishes *solver-internal* failures
-(crashes that the fuzzing oracle must classify as bugs) from *input* failures
-(parse and type errors that merely mean the generated formula was invalid).
+callers can distinguish library failures from programming mistakes.
+*Input* failures (lexing, parsing, sort and evaluation errors: the formula
+is invalid) derive from :class:`SmtLibError`; failures of the solving
+layers themselves derive from :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -65,40 +65,3 @@ class UnknownSymbolError(SmtLibError):
 
 class SolverError(ReproError):
     """Base class for errors originating in the solver substrate."""
-
-
-class SolverInternalError(SolverError):
-    """An *internal* solver failure: assertion violation or segfault analogue.
-
-    These are exactly the failures the fuzzing oracle classifies as crash
-    bugs.  ``site`` identifies the internal code location that failed and is
-    used by crash de-duplication (crashes with the same site are one bug).
-    """
-
-    def __init__(self, message: str, site: str) -> None:
-        super().__init__(message)
-        self.site = site
-
-
-class SolverTimeoutError(SolverError):
-    """The solver exceeded its per-query budget."""
-
-
-class UnsupportedLogicError(SolverError):
-    """The formula uses a feature the solver does not implement."""
-
-
-class GeneratorError(ReproError):
-    """Raised when a synthesized term generator cannot be loaded or executed."""
-
-
-class LlmError(ReproError):
-    """Raised when an LLM backend cannot service a request."""
-
-
-class ReductionError(ReproError):
-    """Raised when delta reduction is asked to reduce a non-failing input."""
-
-
-class ExperimentError(ReproError):
-    """Raised when an experiment harness is misconfigured."""

@@ -11,7 +11,8 @@ some platforms.
 
 :func:`ensure_recursion_limit` is the one guard, applied at the entry
 points where the recursion starts: :func:`repro.smtlib.parse_script`
-(every text input, API or CLI, goes through it),
+(every text input, API or CLI, goes through it; reading the text into
+lists is iterative, interpreting each term recurses over its depth),
 :meth:`repro.engine.Engine.run` (every solve path, including scripts
 built in code) and :func:`repro.portfolio.solve_portfolio` (which renders
 a built script back to text).  It only ever *raises* the limit — a caller

@@ -361,12 +361,6 @@ class Solver:
 
     # -- the clause arena ---------------------------------------------------
 
-    def arena_size(self) -> tuple[int, int]:
-        """``(live words, garbage words)`` of the clause arena — the
-        sentinel and live headers/literals versus words awaiting
-        compaction.  Introspection for tests and debugging."""
-        return len(self._arena) - self._garbage_words, self._garbage_words
-
     def clause_lits(self, ref: int) -> tuple[int, ...]:
         """The literal block of a clause reference (tests/debugging)."""
         arena = self._arena

@@ -1,26 +1,25 @@
 """The SMT-LIB front end and term-compute layer.
 
-Pipeline: :mod:`lexer` (text → tokens) → :mod:`sexpr` (tokens → generic
-s-expressions) → :mod:`parser` (s-expressions → sorted commands and terms,
-using :mod:`sorts`, :mod:`terms` and :mod:`script`) → :mod:`typecheck`
-(well-sortedness verification) → :mod:`simplify` / :mod:`evaluate`
-(theory-aware rewriting and ground evaluation over the hash-consed term
-DAG) → :mod:`printer` (back to concrete syntax, satisfying
+Pipeline: :mod:`lexer` (text → tokens) → :mod:`parser` (tokens → sorted
+commands and terms, using :mod:`sorts`, :mod:`terms` and :mod:`script`) →
+:mod:`typecheck` (well-sortedness verification) → :mod:`simplify` /
+:mod:`evaluate` (theory-aware rewriting and ground evaluation over the
+hash-consed term DAG) → :mod:`printer` (back to concrete syntax, satisfying
 ``parse(print(s)) == s`` for every parsed script ``s``).
 
 Terms are hash-consed: structurally equal terms are one interned object,
 giving O(1) equality/hashing and memoizable passes (see
 :mod:`repro.smtlib.terms`).
 
-This module re-exports the surface the downstream subsystems (generator,
-skeletonizer, reducer, oracle) program against.
+This module re-exports the surface the engine, the CLI and the benchmarks
+program against.
 """
 
 from .cnf import CnfFormula, TseitinEncoder, is_connective, skeleton_atoms, tseitin
 from .evaluate import FunctionInterpretation, evaluate, evaluate_value, fold_apply
-from .lexer import RESERVED_WORDS, Token, TokenKind, is_simple_symbol, iter_tokens, tokenize
+from .lexer import RESERVED_WORDS, Token, TokenKind, is_simple_symbol, position, tokenize
 from .linarith import LinearForm, difference_form, linear_form
-from .parser import parse_command, parse_script, parse_sort, parse_term
+from .parser import parse_script, parse_sort, parse_term
 from .simplify import simplify, simplify_script, to_nnf
 from .printer import (
     command_to_smtlib,
@@ -52,7 +51,6 @@ from .script import (
     SetOption,
     apply_command,
 )
-from .sexpr import Atom, SExpr, parse_sexprs, sexpr_to_string, sexprs_to_script
 from .sorts import (
     BOOL,
     INT,
@@ -101,14 +99,8 @@ __all__ = [
     "TokenKind",
     "RESERVED_WORDS",
     "tokenize",
-    "iter_tokens",
+    "position",
     "is_simple_symbol",
-    # sexpr
-    "Atom",
-    "SExpr",
-    "parse_sexprs",
-    "sexpr_to_string",
-    "sexprs_to_script",
     # sorts
     "Sort",
     "BOOL",
@@ -171,7 +163,6 @@ __all__ = [
     # parser
     "parse_sort",
     "parse_term",
-    "parse_command",
     "parse_script",
     # typecheck
     "apply_sort",

@@ -1,17 +1,19 @@
 """Tokeniser for the SMT-LIB concrete syntax.
 
-The lexer understands the token classes needed by the fuzzing substrate:
-parentheses, symbols (simple and ``|quoted|``), keywords (``:named``),
-numerals, decimals, hexadecimal and binary literals, and string literals
-with SMT-LIB's doubled-quote escaping.  Comments (``;`` to end of line) are
-skipped.
+One compiled master regex recognises every token class the front end
+needs: parentheses, symbols (simple and ``|quoted|``), keywords
+(``:named``), numerals, decimals, hexadecimal and binary literals, and
+string literals with SMT-LIB's doubled-quote escaping.  Whitespace and
+comments (``;`` to end of line) are skipped.  A token carries the offset of
+its first character; :func:`position` turns an offset into a line and
+column, which only an error report needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
-from typing import Iterator
+from typing import NamedTuple, NoReturn
 
 from ..errors import LexerError, PrinterError
 
@@ -53,41 +55,62 @@ RESERVED_WORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source position."""
+class Token(NamedTuple):
+    """A single lexical token and the offset of its first character.
+
+    ``text`` is the token's meaning rather than its spelling: a string
+    literal without its quotes and with ``""`` undoubled, a quoted symbol
+    without its bars."""
 
     kind: TokenKind
     text: str
-    line: int
-    column: int
+    offset: int
 
 
-_SYMBOL_EXTRA = set("~!@$%^&*_-+=<>.?/")
-_ASCII_DIGITS = set("0123456789")
-_ASCII_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+#: The simple-symbol characters, ASCII only per the SMT-LIB grammar.  The
+#: lexer and :func:`is_simple_symbol` (and through it the printer's quoting)
+#: share this one definition, so they can never drift apart.
+_SYMBOL_CHAR = r"[a-zA-Z0-9~!@$%^&*_\-+=<>.?/]"
+_SIMPLE_SYMBOL = re.compile(rf"(?![0-9]){_SYMBOL_CHAR}+")
+# A literal ends where a symbol character cannot follow: `1x` is one
+# malformed token, never the two tokens `1` and `x`.
+_END = rf"(?!{_SYMBOL_CHAR})"
+_DIGITS = r"(?:0|[1-9][0-9]*)"
 
-
-def _is_digit(ch: str) -> bool:
-    # ASCII only: SMT-LIB numerals do not include Unicode digits.
-    return ch in _ASCII_DIGITS
-
-
-def _is_symbol_char(ch: str) -> bool:
-    # ASCII only, per the SMT-LIB simple-symbol grammar.
-    return ch in _ASCII_LETTERS or ch in _ASCII_DIGITS or ch in _SYMBOL_EXTRA
+# Whitespace and comments match without a group; every token kind is the
+# group named after it.  The string body is possessive, so `"a""` fails at
+# its opening quote instead of lexing as `"a"` plus a stray `"`.
+_TOKEN = re.compile(
+    rf"""[ \t\r\n]+|;[^\n]*
+    |(?P<LPAREN>\()
+    |(?P<RPAREN>\))
+    |(?P<SYMBOL>(?![0-9]){_SYMBOL_CHAR}+)
+    |(?P<NUMERAL>{_DIGITS}{_END})
+    |(?P<DECIMAL>{_DIGITS}\.[0-9]+{_END})
+    |(?P<HEXADECIMAL>\#x[0-9a-fA-F]+{_END})
+    |(?P<BINARY>\#b[01]+{_END})
+    |(?P<STRING>"(?:[^"]|"")*+")
+    |(?P<QUOTED_SYMBOL>\|[^|\\]*\|)
+    |(?P<KEYWORD>:{_SYMBOL_CHAR}+)
+    """,
+    re.VERBOSE,
+)
+_KINDS = {kind.name: kind for kind in TokenKind}
+# Bound once: on CPython 3.11 an enum attribute lookup costs several times a
+# global one, and the loop below runs once per token.
+_SYMBOL, _QUOTED_SYMBOL, _STRING = TokenKind.SYMBOL, TokenKind.QUOTED_SYMBOL, TokenKind.STRING
+_new_tuple = tuple.__new__
 
 
 def is_simple_symbol(text: str) -> bool:
     """True when ``text`` lexes as a simple (unquoted) symbol.
 
-    The single source of truth for the simple-symbol character set — the
-    printer quotes exactly the symbols this predicate rejects, so lexer and
-    printer can never drift apart.  Reserved words are *not* rejected here;
-    they are simple symbols syntactically and callers that need to keep them
-    out of identifier position consult :data:`RESERVED_WORDS`.
+    The printer quotes exactly the symbols this predicate rejects.
+    Reserved words are *not* rejected here; they are simple symbols
+    syntactically and callers that need to keep them out of identifier
+    position consult :data:`RESERVED_WORDS`.
     """
-    return bool(text) and not _is_digit(text[0]) and all(_is_symbol_char(c) for c in text)
+    return _SIMPLE_SYMBOL.fullmatch(text) is not None
 
 
 def quote_identifier(name: str) -> str:
@@ -102,154 +125,82 @@ def quote_identifier(name: str) -> str:
     return f"|{name}|"
 
 
+def position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based ``(line, column)`` of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenise ``text`` into a list of :class:`Token`.
 
     Raises :class:`~repro.errors.LexerError` on malformed input (unterminated
-    strings or quoted symbols, stray characters).
+    strings or quoted symbols, malformed literals, stray characters), with
+    the line and column where the offending token starts.
     """
-    return list(iter_tokens(text))
-
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    """Yield tokens lazily; see :func:`tokenize`."""
+    tokens: list[Token] = []
+    append = tokens.append
+    kinds = _KINDS
     pos = 0
-    line = 1
-    col = 1
-    length = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(count):
-            if pos < length and text[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    while pos < length:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            advance(1)
+    for match in _TOKEN.finditer(text):
+        start, end = match.span()
+        if start != pos:
+            _raise_lexer_error(text, pos)
+        pos = end
+        group = match.lastgroup
+        if group is None:
             continue
-        if ch == ";":
-            while pos < length and text[pos] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch == "(":
-            advance(1)
-            yield Token(TokenKind.LPAREN, "(", start_line, start_col)
-            continue
-        if ch == ")":
-            advance(1)
-            yield Token(TokenKind.RPAREN, ")", start_line, start_col)
-            continue
-        if ch == '"':
-            end = pos + 1
-            chunks = []
-            while True:
-                if end >= length:
-                    raise LexerError("unterminated string literal", start_line, start_col)
-                if text[end] == '"':
-                    if end + 1 < length and text[end + 1] == '"':
-                        chunks.append('"')
-                        end += 2
-                        continue
-                    break
-                chunks.append(text[end])
-                end += 1
-            literal = "".join(chunks)
-            advance(end + 1 - pos)
-            yield Token(TokenKind.STRING, literal, start_line, start_col)
-            continue
-        if ch == "|":
-            end = text.find("|", pos + 1)
-            if end == -1:
-                raise LexerError("unterminated quoted symbol", start_line, start_col)
-            name = text[pos + 1 : end]
-            if "\\" in name:
-                raise LexerError("backslash not allowed in quoted symbol", start_line, start_col)
-            advance(end + 1 - pos)
+        kind = kinds[group]
+        word = match.group()
+        if kind is _STRING:
+            word = word[1:-1].replace('""', '"')
+        elif kind is _QUOTED_SYMBOL:
+            word = word[1:-1]
             # A quoted simple symbol denotes the same symbol as its unquoted
             # spelling, so canonicalise to SYMBOL; reserved words and
             # non-simple contents stay QUOTED_SYMBOL so the parser never
             # mistakes |let| for the keyword.
-            if is_simple_symbol(name) and name not in RESERVED_WORDS:
-                yield Token(TokenKind.SYMBOL, name, start_line, start_col)
+            if is_simple_symbol(word) and word not in RESERVED_WORDS:
+                kind = _SYMBOL
+        # Token(kind, word, start) without the Python-level __new__ frame.
+        append(_new_tuple(Token, (kind, word, start)))
+    if pos != len(text):
+        _raise_lexer_error(text, pos)
+    return tokens
+
+
+def _raise_lexer_error(text: str, offset: int) -> NoReturn:
+    """Say why no token starts at ``offset``.  Only the failure path runs
+    this, so it may inspect the text character by character."""
+    ch = text[offset]
+    if ch == '"':
+        message = "unterminated string literal"
+    elif ch == "|":
+        if text.find("|", offset + 1) == -1:
+            message = "unterminated quoted symbol"
+        else:
+            message = "backslash not allowed in quoted symbol"
+    elif ch == ":":
+        message = "keyword with empty name"
+    elif text.startswith("#x", offset):
+        message = "malformed hexadecimal literal"
+    elif text.startswith("#b", offset):
+        message = "malformed binary literal"
+    elif "0" <= ch <= "9":
+        end = offset
+        while "0" <= text[end : end + 1] <= "9":
+            end += 1
+        if ch == "0" and end - offset > 1:
+            message = "numeral with leading zero"
+        elif text.startswith(".", end):
+            if "0" <= text[end + 1 : end + 2] <= "9":
+                message = "malformed decimal literal"
             else:
-                yield Token(TokenKind.QUOTED_SYMBOL, name, start_line, start_col)
-            continue
-        if ch == ":":
-            end = pos + 1
-            while end < length and _is_symbol_char(text[end]):
-                end += 1
-            word = text[pos:end]
-            if word == ":":
-                raise LexerError("keyword with empty name", start_line, start_col)
-            advance(end - pos)
-            yield Token(TokenKind.KEYWORD, word, start_line, start_col)
-            continue
-        if ch == "#":
-            if pos + 1 < length and text[pos + 1] == "x":
-                end = pos + 2
-                while end < length and text[end] in "0123456789abcdefABCDEF":
-                    end += 1
-                word = text[pos:end]
-                if len(word) <= 2:
-                    raise LexerError("malformed hexadecimal literal", start_line, start_col)
-                if end < length and _is_symbol_char(text[end]):
-                    raise LexerError("malformed hexadecimal literal", start_line, start_col)
-                advance(end - pos)
-                yield Token(TokenKind.HEXADECIMAL, word, start_line, start_col)
-                continue
-            if pos + 1 < length and text[pos + 1] == "b":
-                end = pos + 2
-                while end < length and text[end] in "01":
-                    end += 1
-                word = text[pos:end]
-                if len(word) <= 2:
-                    raise LexerError("malformed binary literal", start_line, start_col)
-                if end < length and _is_symbol_char(text[end]):
-                    raise LexerError("malformed binary literal", start_line, start_col)
-                advance(end - pos)
-                yield Token(TokenKind.BINARY, word, start_line, start_col)
-                continue
-            raise LexerError(f"unexpected character {ch!r}", start_line, start_col)
-        if _is_digit(ch):
-            end = pos
-            while end < length and _is_digit(text[end]):
-                end += 1
-            if ch == "0" and end - pos > 1:
-                raise LexerError("numeral with leading zero", start_line, start_col)
-            if end < length and text[end] == ".":
-                end += 1
-                if end >= length or not _is_digit(text[end]):
-                    raise LexerError("malformed decimal literal (no digits after '.')", start_line, start_col)
-                while end < length and _is_digit(text[end]):
-                    end += 1
-                if end < length and _is_symbol_char(text[end]):
-                    raise LexerError("malformed decimal literal", start_line, start_col)
-                word = text[pos:end]
-                advance(end - pos)
-                yield Token(TokenKind.DECIMAL, word, start_line, start_col)
-                continue
-            if end < length and _is_symbol_char(text[end]):
-                raise LexerError("numeral followed by symbol character", start_line, start_col)
-            word = text[pos:end]
-            advance(end - pos)
-            yield Token(TokenKind.NUMERAL, word, start_line, start_col)
-            continue
-        if _is_symbol_char(ch):
-            end = pos
-            while end < length and _is_symbol_char(text[end]):
-                end += 1
-            word = text[pos:end]
-            advance(end - pos)
-            yield Token(TokenKind.SYMBOL, word, start_line, start_col)
-            continue
-        raise LexerError(f"unexpected character {ch!r}", start_line, start_col)
+                message = "malformed decimal literal (no digits after '.')"
+        else:
+            message = "numeral followed by symbol character"
+    else:
+        message = f"unexpected character {ch!r}"
+    raise LexerError(message, *position(text, offset))
 
 
 __all__ = [
@@ -257,7 +208,7 @@ __all__ = [
     "TokenKind",
     "RESERVED_WORDS",
     "tokenize",
-    "iter_tokens",
+    "position",
     "is_simple_symbol",
     "quote_identifier",
 ]

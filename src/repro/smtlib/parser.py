@@ -1,9 +1,11 @@
-"""Interpret s-expressions as SMT-LIB scripts and fully-sorted terms.
+"""Read SMT-LIB text into scripts, sorts and fully-sorted terms.
 
-The parser sits on top of :mod:`repro.smtlib.sexpr` and produces the typed
-representation: :class:`~repro.smtlib.script.Script` of commands whose
-terms are :class:`~repro.smtlib.terms.Term` trees with every node carrying
-its :class:`~repro.smtlib.sorts.Sort`.  Sort inference is driven by the
+The parser groups the tokens of :func:`repro.smtlib.lexer.tokenize` into
+nested lists with an explicit stack, so reading never recurses, and
+interprets the lists as the typed representation: a
+:class:`~repro.smtlib.script.Script` of commands whose terms are
+:class:`~repro.smtlib.terms.Term` trees with every node carrying its
+:class:`~repro.smtlib.sorts.Sort`.  Sort inference is driven by the
 :class:`~repro.smtlib.script.DeclarationContext` (for declared symbols) and
 by the operator signature table in :mod:`repro.smtlib.typecheck` (for
 built-in operators), so parsing doubles as an eager well-sortedness check.
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, TypeGuard, Union
 
 from ..errors import ParseError, TypeCheckError, UnknownSymbolError
 from ..limits import ensure_recursion_limit
-from .lexer import RESERVED_WORDS, TokenKind
+from .lexer import RESERVED_WORDS, Token, TokenKind, position, tokenize
 from .script import (
     Assert,
     CheckSat,
@@ -44,7 +46,6 @@ from .script import (
     SetOption,
     apply_command,
 )
-from .sexpr import Atom, SExpr, parse_sexprs, sexpr_to_string
 from .sorts import (
     BOOL,
     REAL,
@@ -96,26 +97,104 @@ _BUILTIN_SORT_SHAPES: dict[str, tuple[int, int]] = {
     "Array": (2, 0),
 }
 
+#: A read expression: a token, or a list of expressions for a parenthesised
+#: group.
+_Expr = Union[Token, list]
+
+# Token kinds bound once: on CPython 3.11 an enum attribute lookup costs
+# several times a global one, and reading runs once per token.
+_LPAREN, _RPAREN = TokenKind.LPAREN, TokenKind.RPAREN
+_SYMBOL, _QUOTED_SYMBOL = TokenKind.SYMBOL, TokenKind.QUOTED_SYMBOL
+_SYMBOL_KINDS = (_SYMBOL, _QUOTED_SYMBOL)
+
+
+# ---------------------------------------------------------------------------
+# Reading.
+# ---------------------------------------------------------------------------
+
+
+def _read(text: str) -> list[_Expr]:
+    """Tokenise ``text`` and group the tokens into top-level expressions."""
+    top: list[_Expr] = []
+    current = top
+    # One (enclosing list, offset of the open paren) per unclosed group.
+    stack: list[tuple[list, int]] = []
+    for token in tokenize(text):
+        kind = token.kind
+        if kind is _LPAREN:
+            group: list[_Expr] = []
+            current.append(group)
+            stack.append((current, token.offset))
+            current = group
+        elif kind is _RPAREN:
+            if not stack:
+                line, column = position(text, token.offset)
+                raise ParseError(f"unexpected ')' at line {line}, column {column}")
+            current = stack.pop()[0]
+        else:
+            current.append(token)
+    if stack:
+        line, _ = position(text, stack[-1][1])
+        raise ParseError(f"unbalanced parenthesis opened at line {line}")
+    return top
+
+
+def _read_one(text: str, what: str) -> _Expr:
+    exprs = _read(text)
+    if len(exprs) != 1:
+        raise ParseError(f"expected exactly one {what}, got {len(exprs)} s-expressions")
+    return exprs[0]
+
+
+def _render(expr: _Expr) -> str:
+    """Render an expression back to concrete syntax: error messages quote
+    the input this way, and ``set-info``/``set-option`` keep their value in
+    this spelling."""
+    if isinstance(expr, list):
+        return "(" + " ".join([_render(item) for item in expr]) + ")"
+    if expr.kind is TokenKind.STRING:
+        return '"' + expr.text.replace('"', '""') + '"'
+    if expr.kind is _QUOTED_SYMBOL:
+        return f"|{expr.text}|"
+    return expr.text
+
+
+def _is_symbol(expr: _Expr) -> TypeGuard[Token]:
+    """True for symbols in either spelling (plain or ``|quoted|``)."""
+    return isinstance(expr, Token) and expr.kind in _SYMBOL_KINDS
+
+
+def _plain(expr: _Expr) -> Optional[str]:
+    """The name of an unquoted symbol, else None.  Only unquoted spellings
+    carry syntactic roles such as ``_``, ``!`` or a command name."""
+    if isinstance(expr, Token) and expr.kind is _SYMBOL:
+        return expr.text
+    return None
+
 
 # ---------------------------------------------------------------------------
 # Sorts.
 # ---------------------------------------------------------------------------
 
 
-def parse_sort(expr: SExpr, context: Optional[DeclarationContext] = None) -> Sort:
-    """Interpret an s-expression as a :class:`Sort`.
+def parse_sort(text: str, context: Optional[DeclarationContext] = None) -> Sort:
+    """Parse the text of one sort.
 
     ``(Relation S...)`` and ``(Tuple S...)`` are normalised through the
     constructors in :mod:`repro.smtlib.sorts` (a ``Relation`` becomes a
     ``Set`` of ``Tuple``).  When ``context`` is given, non-builtin head
     symbols must be declared sorts of matching arity.
     """
-    if isinstance(expr, Atom):
-        if not expr.is_symbol:
-            raise ParseError(f"expected a sort, got {expr}")
-        if expr.is_plain_symbol and expr.text in RESERVED_WORDS:
-            raise ParseError(f"reserved word {expr.text!r} is not a sort")
+    return _sort(_read_one(text, "sort"), context)
+
+
+def _sort(expr: _Expr, context: Optional[DeclarationContext]) -> Sort:
+    if isinstance(expr, Token):
+        if expr.kind not in _SYMBOL_KINDS:
+            raise ParseError(f"expected a sort, got {_render(expr)}")
         name = expr.text
+        if expr.kind is _SYMBOL and name in RESERVED_WORDS:
+            raise ParseError(f"reserved word {name!r} is not a sort")
         shape = _BUILTIN_SORT_SHAPES.get(name)
         if shape is not None and shape != (0, 0):
             raise ParseError(f"sort {name} requires arguments or indices")
@@ -127,9 +206,9 @@ def parse_sort(expr: SExpr, context: Optional[DeclarationContext] = None) -> Sor
     if not expr:
         raise ParseError("empty sort expression")
     head = expr[0]
-    if isinstance(head, Atom) and head.is_plain_symbol and head.text == "_":
-        if len(expr) < 3 or not isinstance(expr[1], Atom):
-            raise ParseError(f"malformed indexed sort: {sexpr_to_string(expr)}")
+    if _plain(head) == "_":
+        if len(expr) < 3 or not isinstance(expr[1], Token):
+            raise ParseError(f"malformed indexed sort: {_render(expr)}")
         name = expr[1].text
         indices = tuple(_parse_numeral(item, "sort index") for item in expr[2:])
         shape = _BUILTIN_SORT_SHAPES.get(name)
@@ -143,10 +222,10 @@ def parse_sort(expr: SExpr, context: Optional[DeclarationContext] = None) -> Sor
         if name == "FiniteField" and indices[0] < 2:
             raise ParseError("finite field order must be at least 2")
         return Sort(name, indices=indices)
-    if not isinstance(head, Atom) or not head.is_symbol:
-        raise ParseError(f"malformed sort: {sexpr_to_string(expr)}")
+    if not _is_symbol(head):
+        raise ParseError(f"malformed sort: {_render(expr)}")
     name = head.text
-    args = tuple(parse_sort(item, context) for item in expr[1:])
+    args = tuple([_sort(item, context) for item in expr[1:]])
     if name == "Relation":
         return relation_sort(*args)
     if name == "Tuple":
@@ -170,9 +249,9 @@ def _require_declared_sort(name: str, arity: int, context: Optional[DeclarationC
         raise ParseError(f"sort {name} has arity {declared}, applied to {arity} argument(s)")
 
 
-def _parse_numeral(expr: SExpr, what: str) -> int:
-    if not isinstance(expr, Atom) or not expr.is_numeral:
-        raise ParseError(f"expected a numeral {what}, got {sexpr_to_string(expr)}")
+def _parse_numeral(expr: _Expr, what: str) -> int:
+    if not isinstance(expr, Token) or expr.kind is not TokenKind.NUMERAL:
+        raise ParseError(f"expected a numeral {what}, got {_render(expr)}")
     return int(expr.text)
 
 
@@ -182,35 +261,31 @@ def _parse_numeral(expr: SExpr, what: str) -> int:
 
 
 def parse_term(
-    expr: Union[str, SExpr],
+    text: str,
     context: Optional[DeclarationContext] = None,
     bound: Optional[Mapping[str, Sort]] = None,
 ) -> Term:
-    """Interpret text or an s-expression as a fully-sorted :class:`Term`.
+    """Parse the text of one term into a fully-sorted :class:`Term`.
 
-    ``bound`` maps let/quantifier-bound variable names to their sorts for
-    recursive calls; callers normally omit it.
+    ``bound`` maps variable names to sorts, as if the term sat under a
+    binder that declares them.
     """
-    if isinstance(expr, str):
-        exprs = parse_sexprs(expr)
-        if len(exprs) != 1:
-            raise ParseError(f"expected exactly one term, got {len(exprs)} s-expressions")
-        expr = exprs[0]
+    expr = _read_one(text, "term")
     context = context if context is not None else DeclarationContext()
     return _term(expr, context, dict(bound or {}))
 
 
-def _term(expr: SExpr, context: DeclarationContext, bound: dict[str, Sort]) -> Term:
-    if isinstance(expr, Atom):
+def _term(expr: _Expr, context: DeclarationContext, bound: dict[str, Sort]) -> Term:
+    if isinstance(expr, Token):
         return _atom_term(expr, context, bound)
     if not expr:
         raise ParseError("empty term expression")
     head = expr[0]
-    if isinstance(head, Atom) and head.is_symbol:
+    if isinstance(head, Token) and head.kind in _SYMBOL_KINDS:
         keyword = head.text
         # Syntactic roles attach only to unquoted spellings: |let| is an
         # ordinary symbol, bare let is the binder keyword.
-        if head.is_plain_symbol:
+        if head.kind is _SYMBOL:
             if keyword == "as":
                 return _qualified_term(expr, context, bound)
             if keyword == "_":
@@ -231,40 +306,22 @@ def _term(expr: SExpr, context: DeclarationContext, bound: dict[str, Sort]) -> T
             raise TypeCheckError(f"bound variable {keyword!r} cannot be applied")
         sort = apply_sort(keyword, (), tuple(a.sort for a in args), context)
         return Apply(keyword, args, sort)
-    if (
-        isinstance(head, list)
-        and head
-        and isinstance(head[0], Atom)
-        and head[0].is_plain_symbol
-        and head[0].text == "_"
-    ):
-        if len(head) < 3 or not isinstance(head[1], Atom):
-            raise ParseError(f"malformed indexed operator: {sexpr_to_string(head)}")
+    if isinstance(head, list) and head and _plain(head[0]) == "_":
+        if len(head) < 3 or not isinstance(head[1], Token):
+            raise ParseError(f"malformed indexed operator: {_render(head)}")
         op = head[1].text
         indices = tuple(_parse_numeral(item, "operator index") for item in head[2:])
         args = tuple([_term(item, context, bound) for item in expr[1:]])
         sort = apply_sort(op, indices, tuple(a.sort for a in args), context)
         return Apply(op, args, sort, indices=indices)
-    raise ParseError(f"cannot interpret term: {sexpr_to_string(expr)}")
+    raise ParseError(f"cannot interpret term: {_render(expr)}")
 
 
-def _atom_term(atom: Atom, context: DeclarationContext, bound: dict[str, Sort]) -> Term:
+def _atom_term(atom: Token, context: DeclarationContext, bound: dict[str, Sort]) -> Term:
     kind = atom.kind
-    if kind == TokenKind.NUMERAL:
-        return int_const(int(atom.text))
-    if kind == TokenKind.DECIMAL:
-        return Constant(Fraction(atom.text), REAL)
-    if kind == TokenKind.HEXADECIMAL:
-        digits = atom.text[2:]
-        return Constant(int(digits, 16), bitvec_sort(4 * len(digits)))
-    if kind == TokenKind.BINARY:
-        digits = atom.text[2:]
-        return Constant(int(digits, 2), bitvec_sort(len(digits)))
-    if kind == TokenKind.STRING:
-        return string_const(atom.text)
-    if kind in (TokenKind.SYMBOL, TokenKind.QUOTED_SYMBOL):
+    if kind in _SYMBOL_KINDS:
         name = atom.text
-        if kind == TokenKind.SYMBOL and name in RESERVED_WORDS:
+        if kind is _SYMBOL and name in RESERVED_WORDS:
             raise ParseError(f"reserved word {name!r} is not a term")
         # Bound variables shadow every theory constant, true/false included.
         if name in bound:
@@ -283,16 +340,28 @@ def _atom_term(atom: Atom, context: DeclarationContext, bound: dict[str, Sort]) 
                 f"function {name!r} has arity {signature.arity}; apply it to arguments"
             )
         return Symbol(name, signature.result)
-    raise ParseError(f"cannot interpret atom as a term: {atom}")
+    if kind is TokenKind.NUMERAL:
+        return int_const(int(atom.text))
+    if kind is TokenKind.DECIMAL:
+        return Constant(Fraction(atom.text), REAL)
+    if kind is TokenKind.HEXADECIMAL:
+        digits = atom.text[2:]
+        return Constant(int(digits, 16), bitvec_sort(4 * len(digits)))
+    if kind is TokenKind.BINARY:
+        digits = atom.text[2:]
+        return Constant(int(digits, 2), bitvec_sort(len(digits)))
+    if kind is TokenKind.STRING:
+        return string_const(atom.text)
+    raise ParseError(f"cannot interpret atom as a term: {_render(atom)}")
 
 
 def _qualified_term(
-    expr: SExpr, context: DeclarationContext, bound: Mapping[str, Sort]
+    expr: list, context: DeclarationContext, bound: Mapping[str, Sort]
 ) -> Term:
-    if len(expr) != 3 or not isinstance(expr[1], Atom) or not expr[1].is_symbol:
-        raise ParseError(f"malformed qualified term: {sexpr_to_string(expr)}")
+    if len(expr) != 3 or not _is_symbol(expr[1]):
+        raise ParseError(f"malformed qualified term: {_render(expr)}")
     name = expr[1].text
-    sort = parse_sort(expr[2], context)
+    sort = _sort(expr[2], context)
     match = _FF_LITERAL.match(name)
     if match and is_finite_field(sort):
         return ff_const(int(match.group(1)), sort.width)
@@ -322,9 +391,9 @@ def _qualified_term(
     return Symbol(name, declared)
 
 
-def _indexed_literal(expr: SExpr) -> Term:
+def _indexed_literal(expr: list) -> Term:
     # A standalone (_ bvN w) bit-vector literal.
-    if len(expr) == 3 and isinstance(expr[1], Atom):
+    if len(expr) == 3 and isinstance(expr[1], Token):
         match = _BV_LITERAL.match(expr[1].text)
         if match:
             width = _parse_numeral(expr[2], "bit-vector width")
@@ -334,21 +403,16 @@ def _indexed_literal(expr: SExpr) -> Term:
             if value >= 1 << width:
                 raise ParseError(f"bit-vector literal bv{value} does not fit in {width} bit(s)")
             return Constant(value, bitvec_sort(width))
-    raise ParseError(f"indexed identifier is not a term: {sexpr_to_string(expr)}")
+    raise ParseError(f"indexed identifier is not a term: {_render(expr)}")
 
 
-def _let_term(expr: SExpr, context: DeclarationContext, bound: dict[str, Sort]) -> Term:
+def _let_term(expr: list, context: DeclarationContext, bound: dict[str, Sort]) -> Term:
     if len(expr) != 3 or not isinstance(expr[1], list):
-        raise ParseError(f"malformed let: {sexpr_to_string(expr)}")
+        raise ParseError(f"malformed let: {_render(expr)}")
     bindings: list[tuple[str, Term]] = []
     for binding in expr[1]:
-        if (
-            not isinstance(binding, list)
-            or len(binding) != 2
-            or not isinstance(binding[0], Atom)
-            or not binding[0].is_symbol
-        ):
-            raise ParseError(f"malformed let binding: {sexpr_to_string(binding)}")
+        if not isinstance(binding, list) or len(binding) != 2 or not _is_symbol(binding[0]):
+            raise ParseError(f"malformed let binding: {_render(binding)}")
         bindings.append((_symbol_text(binding[0]), _term(binding[1], context, bound)))
     if not bindings:
         raise ParseError("let requires at least one binding")
@@ -360,20 +424,15 @@ def _let_term(expr: SExpr, context: DeclarationContext, bound: dict[str, Sort]) 
 
 
 def _quantifier_term(
-    kind: str, expr: SExpr, context: DeclarationContext, bound: dict[str, Sort]
+    kind: str, expr: list, context: DeclarationContext, bound: dict[str, Sort]
 ) -> Term:
     if len(expr) != 3 or not isinstance(expr[1], list):
-        raise ParseError(f"malformed {kind}: {sexpr_to_string(expr)}")
+        raise ParseError(f"malformed {kind}: {_render(expr)}")
     bindings: list[tuple[str, Sort]] = []
     for binding in expr[1]:
-        if (
-            not isinstance(binding, list)
-            or len(binding) != 2
-            or not isinstance(binding[0], Atom)
-            or not binding[0].is_symbol
-        ):
-            raise ParseError(f"malformed binding: {sexpr_to_string(binding)}")
-        bindings.append((_symbol_text(binding[0]), parse_sort(binding[1], context)))
+        if not isinstance(binding, list) or len(binding) != 2 or not _is_symbol(binding[0]):
+            raise ParseError(f"malformed binding: {_render(binding)}")
+        bindings.append((_symbol_text(binding[0]), _sort(binding[1], context)))
     if not bindings:
         raise ParseError(f"{kind} requires at least one binding")
     _reject_duplicate_names(kind, [name for name, _ in bindings])
@@ -390,12 +449,11 @@ def _quantifier_term(
 # ---------------------------------------------------------------------------
 
 
-def parse_command(expr: SExpr, context: DeclarationContext) -> Command:
-    """Interpret one s-expression as a :class:`Command` (without applying its
-    declaration effect to ``context`` — callers do that via
-    :func:`~repro.smtlib.script.apply_command`)."""
-    if not isinstance(expr, list) or not expr or not isinstance(expr[0], Atom) or not expr[0].is_plain_symbol:
-        raise ParseError(f"expected a command, got {sexpr_to_string(expr)}")
+def _command(expr: _Expr, context: DeclarationContext) -> Command:
+    """Interpret one top-level expression as a :class:`Command` (without
+    applying its declaration effect to ``context``)."""
+    if not isinstance(expr, list) or not expr or _plain(expr[0]) is None:
+        raise ParseError(f"expected a command, got {_render(expr)}")
     name = expr[0].text
     rest = expr[1:]
     if name == "set-logic":
@@ -403,9 +461,9 @@ def parse_command(expr: SExpr, context: DeclarationContext) -> Command:
         return SetLogic(_symbol_text(rest[0]))
     if name in ("set-option", "set-info"):
         _expect_operands(name, rest, 2)
-        if not isinstance(rest[0], Atom) or rest[0].kind != TokenKind.KEYWORD:
-            raise ParseError(f"{name} expects a keyword, got {sexpr_to_string(rest[0])}")
-        value = sexpr_to_string(rest[1])
+        if not isinstance(rest[0], Token) or rest[0].kind is not TokenKind.KEYWORD:
+            raise ParseError(f"{name} expects a keyword, got {_render(rest[0])}")
+        value = _render(rest[1])
         return (SetOption if name == "set-option" else SetInfo)(rest[0].text, value)
     if name == "declare-sort":
         if len(rest) not in (1, 2):
@@ -416,11 +474,11 @@ def parse_command(expr: SExpr, context: DeclarationContext) -> Command:
         _expect_operands(name, rest, 3)
         if not isinstance(rest[1], list):
             raise ParseError("declare-fun expects a parameter sort list")
-        params = tuple(parse_sort(item, context) for item in rest[1])
-        return DeclareFun(_declarable_fun_name(rest[0]), params, parse_sort(rest[2], context))
+        params = tuple([_sort(item, context) for item in rest[1]])
+        return DeclareFun(_declarable_fun_name(rest[0]), params, _sort(rest[2], context))
     if name == "declare-const":
         _expect_operands(name, rest, 2)
-        return DeclareConst(_declarable_fun_name(rest[0]), parse_sort(rest[1], context))
+        return DeclareConst(_declarable_fun_name(rest[0]), _sort(rest[1], context))
     if name == "define-fun":
         _expect_operands(name, rest, 4)
         if not isinstance(rest[1], list):
@@ -428,10 +486,10 @@ def parse_command(expr: SExpr, context: DeclarationContext) -> Command:
         params: list[tuple[str, Sort]] = []
         for param in rest[1]:
             if not isinstance(param, list) or len(param) != 2:
-                raise ParseError(f"malformed define-fun parameter: {sexpr_to_string(param)}")
-            params.append((_symbol_text(param[0]), parse_sort(param[1], context)))
+                raise ParseError(f"malformed define-fun parameter: {_render(param)}")
+            params.append((_symbol_text(param[0]), _sort(param[1], context)))
         _reject_duplicate_names("define-fun parameter", [name for name, _ in params])
-        result = parse_sort(rest[2], context)
+        result = _sort(rest[2], context)
         body = _term(rest[3], context, dict(params))
         if body.sort != result:
             raise TypeCheckError(
@@ -442,13 +500,7 @@ def parse_command(expr: SExpr, context: DeclarationContext) -> Command:
         _expect_operands(name, rest, 1)
         operand = rest[0]
         label: Optional[str] = None
-        if (
-            isinstance(operand, list)
-            and operand
-            and isinstance(operand[0], Atom)
-            and operand[0].is_plain_symbol
-            and operand[0].text == "!"
-        ):
+        if isinstance(operand, list) and operand and _plain(operand[0]) == "!":
             operand, label = _named_annotation(operand)
         term = _term(operand, context, {})
         if term.sort != BOOL:
@@ -466,7 +518,7 @@ def parse_command(expr: SExpr, context: DeclarationContext) -> Command:
         _expect_operands(name, rest, 1)
         if not isinstance(rest[0], list) or not rest[0]:
             raise ParseError("get-value expects a non-empty term list")
-        return GetValue(tuple(_term(item, context, {}) for item in rest[0]))
+        return GetValue(tuple([_term(item, context, {}) for item in rest[0]]))
     if name in ("push", "pop"):
         if len(rest) not in (0, 1):
             raise ParseError(f"{name} takes at most one operand")
@@ -477,7 +529,7 @@ def parse_command(expr: SExpr, context: DeclarationContext) -> Command:
     raise ParseError(f"unknown command: {name}")
 
 
-def _named_annotation(expr: SExpr) -> tuple[SExpr, str]:
+def _named_annotation(expr: list) -> tuple[_Expr, str]:
     """Destructure ``(! term :named name)`` under ``assert``.
 
     Exactly one ``:named`` attribute is supported — other attributes (and
@@ -493,9 +545,9 @@ def _named_annotation(expr: SExpr) -> tuple[SExpr, str]:
             "assert annotations take exactly one attribute pair: (! term :named name)"
         )
     keyword = attributes[0]
-    if not isinstance(keyword, Atom) or keyword.kind != TokenKind.KEYWORD:
+    if not isinstance(keyword, Token) or keyword.kind is not TokenKind.KEYWORD:
         raise ParseError(
-            f"expected an attribute keyword, got {sexpr_to_string(keyword)}"
+            f"expected an attribute keyword, got {_render(keyword)}"
         )
     if keyword.text != ":named":
         raise ParseError(
@@ -508,14 +560,14 @@ def _reject_duplicate_names(what: str, names: list[str]) -> None:
     reject_duplicate_names(what, names, ParseError)
 
 
-def _declarable_fun_name(expr: SExpr) -> str:
+def _declarable_fun_name(expr: _Expr) -> str:
     name = _symbol_text(expr)
     if name in SIGNATURES or name in BUILTIN_CONSTANTS or name in ("true", "false"):
         raise ParseError(f"cannot redeclare builtin symbol {name!r}")
     return name
 
 
-def _declarable_sort_name(expr: SExpr) -> str:
+def _declarable_sort_name(expr: _Expr) -> str:
     name = _symbol_text(expr)
     if name in _BUILTIN_SORT_SHAPES or name in ("Tuple", "Relation"):
         raise ParseError(f"cannot redeclare builtin sort {name!r}")
@@ -527,10 +579,10 @@ def _expect_operands(name: str, rest: list, count: int) -> None:
         raise ParseError(f"{name} takes {count} operand(s), got {len(rest)}")
 
 
-def _symbol_text(expr: SExpr) -> str:
-    if not isinstance(expr, Atom) or not expr.is_symbol:
-        raise ParseError(f"expected a symbol, got {sexpr_to_string(expr)}")
-    if expr.is_plain_symbol and expr.text in RESERVED_WORDS:
+def _symbol_text(expr: _Expr) -> str:
+    if not isinstance(expr, Token) or expr.kind not in _SYMBOL_KINDS:
+        raise ParseError(f"expected a symbol, got {_render(expr)}")
+    if expr.kind is _SYMBOL and expr.text in RESERVED_WORDS:
         raise ParseError(f"reserved word {expr.text!r} cannot be used as a symbol")
     return expr.text
 
@@ -542,13 +594,15 @@ def parse_script(
 
     Declarations accumulate into ``context`` (a fresh one when omitted) so
     each command sees everything declared before it, including the effect of
-    ``push``/``pop`` on scoping.
+    ``push``/``pop`` on scoping.  The whole text is read before the first
+    command is interpreted, so a lexical or bracketing error anywhere wins
+    over an error in an earlier command.
     """
-    ensure_recursion_limit()  # the s-expression and term parsers recurse
+    ensure_recursion_limit()  # term interpretation recurses over term depth
     context = context if context is not None else DeclarationContext()
     commands: list[Command] = []
-    for expr in parse_sexprs(text):
-        command = parse_command(expr, context)
+    for expr in _read(text):
+        command = _command(expr, context)
         apply_command(command, context)
         commands.append(command)
     return Script(tuple(commands))
@@ -557,6 +611,5 @@ def parse_script(
 __all__ = [
     "parse_sort",
     "parse_term",
-    "parse_command",
     "parse_script",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..errors import SortError, UnknownSymbolError
+from ..errors import SortError
 from .sorts import BOOL, Sort
 from .terms import Term
 
@@ -112,19 +112,6 @@ class DeclarationContext:
             if name in scope:
                 return scope[name]
         return None
-
-    def require_fun(self, name: str) -> FunSignature:
-        signature = self.lookup_fun(name)
-        if signature is None:
-            raise UnknownSymbolError(name)
-        return signature
-
-    def declared_funs(self) -> dict[str, FunSignature]:
-        """All visible function signatures, innermost declarations winning."""
-        merged: dict[str, FunSignature] = {}
-        for scope in self._fun_scopes:
-            merged.update(scope)
-        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +289,6 @@ class Script:
     def assertions(self) -> list[Term]:
         """The asserted terms, in script order."""
         return [command.term for command in self.commands if isinstance(command, Assert)]
-
-    def declaration_context(self) -> DeclarationContext:
-        """Replay declarations (including push/pop) into a fresh context."""
-        context = DeclarationContext()
-        for command in self.commands:
-            apply_command(command, context)
-        return context
-
-    def with_command(self, command: Command) -> "Script":
-        """A new script with ``command`` appended."""
-        return Script(self.commands + (command,))
 
     def map_assertions(self, transform) -> "Script":
         """A new script with every asserted term rewritten by ``transform``.

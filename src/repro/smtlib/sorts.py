@@ -41,16 +41,6 @@ class Sort:
 
     # -- structural queries -------------------------------------------------
 
-    @property
-    def is_parametric(self) -> bool:
-        """True when the sort carries sort arguments (``Seq``, ``Array``...)."""
-        return bool(self.args)
-
-    @property
-    def is_indexed(self) -> bool:
-        """True when the sort carries numeral indices (``BitVec``...)."""
-        return bool(self.indices)
-
     def element(self, position: int = 0) -> "Sort":
         """Return the sort argument at ``position`` (element sort of ``Seq`` etc.)."""
         return self.args[position]
@@ -150,11 +140,6 @@ def relation_sort(*elements: Sort) -> Sort:
     return set_sort(tuple_sort(*elements))
 
 
-def datatype_sort(name: str, *args: Sort) -> Sort:
-    """A user-declared (possibly parametric) datatype sort."""
-    return Sort(name, args=tuple(args))
-
-
 def uninterpreted_sort(name: str) -> Sort:
     """A user-declared uninterpreted sort (``declare-sort``)."""
     return Sort(name)
@@ -211,30 +196,6 @@ def is_builtin(sort: Sort) -> bool:
     return sort.name in _BUILTIN_NAMES
 
 
-def parse_sort_sexpr(expr) -> Sort:
-    """Build a :class:`Sort` from a parsed s-expression.
-
-    ``expr`` is either a string (simple sort), or a nested list mirroring the
-    concrete syntax, e.g. ``["_", "BitVec", "8"]`` or ``["Seq", "Int"]``.
-    """
-    if isinstance(expr, str):
-        return Sort(expr)
-    if not isinstance(expr, (list, tuple)) or not expr:
-        raise ValueError(f"cannot interpret sort expression: {expr!r}")
-    if expr[0] == "_":
-        if len(expr) < 3:
-            raise ValueError(f"malformed indexed sort: {expr!r}")
-        name = expr[1]
-        indices = tuple(int(tok) for tok in expr[2:])
-        return Sort(name, indices=indices)
-    head = expr[0]
-    if isinstance(head, (list, tuple)):
-        # Indexed head with arguments, e.g. ((_ Foo 2) Int) — rare but legal.
-        base = parse_sort_sexpr(head)
-        return Sort(base.name, args=tuple(parse_sort_sexpr(a) for a in expr[1:]), indices=base.indices)
-    return Sort(head, args=tuple(parse_sort_sexpr(a) for a in expr[1:]))
-
-
 __all__ = [
     "Sort",
     "BOOL",
@@ -252,7 +213,6 @@ __all__ = [
     "array_sort",
     "tuple_sort",
     "relation_sort",
-    "datatype_sort",
     "uninterpreted_sort",
     "is_numeric",
     "is_bitvec",
@@ -260,5 +220,4 @@ __all__ = [
     "is_array",
     "is_container",
     "is_builtin",
-    "parse_sort_sexpr",
 ]

@@ -189,11 +189,6 @@ class Term:
 
     # -- convenience --------------------------------------------------------
 
-    @property
-    def is_boolean(self) -> bool:
-        """True when the term has sort ``Bool``."""
-        return self.sort == BOOL
-
     def __str__(self) -> str:
         from .printer import term_to_smtlib
 

@@ -40,7 +40,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Optional, Union
+from typing import Callable, Collection, Optional, Union
 
 from ..smtlib.sorts import BOOL
 from ..smtlib.terms import FALSE, TRUE, Apply, Constant, Symbol, Term
@@ -457,17 +457,6 @@ class EufTheory(Theory):
                 default = results[op]
             model.functions[op] = FunctionInterpretation(entries, default)
         return model
-
-    # -- introspection ---------------------------------------------------------
-
-    def asserted_diseqs(self) -> Iterable[tuple[Term, Term, Term]]:
-        """Currently recorded disequality entries (for tests/debugging)."""
-        seen = set()
-        for entries in self._diseqs.values():
-            for entry in entries:
-                if id(entry) not in seen:
-                    seen.add(id(entry))
-                    yield entry
 
 
 __all__ = ["EufTheory"]

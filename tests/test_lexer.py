@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexerError
-from repro.smtlib.lexer import TokenKind, tokenize
+from repro.smtlib.lexer import TokenKind, position, tokenize
 
 
 def kinds(text):
@@ -134,9 +134,47 @@ def test_comments_skipped():
 
 
 def test_positions_track_lines_and_columns():
-    tokens = tokenize("(a\n  b)")
-    assert (tokens[0].line, tokens[0].column) == (1, 1)
-    assert (tokens[2].line, tokens[2].column) == (2, 3)
+    text = "(a\n  b)"
+    tokens = tokenize(text)
+    assert [t.offset for t in tokens] == [0, 1, 5, 6]
+    assert [position(text, t.offset) for t in tokens] == [(1, 1), (1, 2), (2, 3), (2, 4)]
+
+
+# Every malformed token rejected above, with the message it is rejected
+# with and the index of its first bad character.
+MALFORMED_TOKENS = [
+    ("01", "numeral with leading zero", 0),
+    ("007.5", "numeral with leading zero", 0),
+    ("1.", "malformed decimal literal (no digits after '.')", 0),
+    ("3. )", "malformed decimal literal (no digits after '.')", 0),
+    ("1x", "numeral followed by symbol character", 0),
+    ("1.5x", "malformed decimal literal", 0),
+    ("#x1g", "malformed hexadecimal literal", 0),
+    ("#b012", "malformed binary literal", 0),
+    ("#x", "malformed hexadecimal literal", 0),
+    ("#b", "malformed binary literal", 0),
+    ("#q1", "unexpected character '#'", 0),
+    ("#Xff", "unexpected character '#'", 0),
+    ("#B01", "unexpected character '#'", 0),
+    ('"unterminated', "unterminated string literal", 0),
+    # A doubled quote escapes, so this string never closes; lexing it as
+    # "a" plus a stray quote would report the last column instead.
+    ('"a""', "unterminated string literal", 0),
+    ("|unterminated", "unterminated quoted symbol", 0),
+    (r"|a\b|", "backslash not allowed in quoted symbol", 0),
+    (": lonely-colon", "keyword with empty name", 0),
+    ("café", "unexpected character 'é'", 3),
+    ("x \x01 y", "unexpected character '\\x01'", 2),
+]
+
+
+@pytest.mark.parametrize("token, message, bad", MALFORMED_TOKENS)
+def test_malformed_token_reported_at_its_first_bad_character(token, message, bad):
+    with pytest.raises(LexerError) as info:
+        tokenize("(a)\n  " + token)
+    column = 3 + bad
+    assert (info.value.line, info.value.column) == (2, column)
+    assert str(info.value) == f"{message} (line 2, column {column})"
 
 
 def test_stray_character_rejected():

@@ -20,7 +20,6 @@ from repro.smtlib import (
     parse_sort,
     parse_term,
 )
-from repro.smtlib.sexpr import parse_sexprs
 from repro.smtlib.sorts import BOOL, INT, REAL, STRING, array_sort, bitvec_sort, seq_sort
 
 
@@ -35,7 +34,7 @@ def ctx(**consts):
 
 
 def sort_of(text, context=None):
-    return parse_sort(parse_sexprs(text)[0], context)
+    return parse_sort(text, context)
 
 
 def test_parse_simple_and_parametric_sorts():
@@ -271,6 +270,26 @@ def test_set_info_with_quoted_symbol_value_round_trips():
     assert parse_script(script_to_smtlib(script)) == script
 
 
+def test_set_info_string_value_keeps_its_spelling():
+    from repro.smtlib import SetInfo, script_to_smtlib
+
+    text = '(set-info :source "a""b")'
+    script = parse_script(text)
+    assert script.commands == (SetInfo(":source", '"a""b"'),)
+    assert script_to_smtlib(script).strip() == text
+    assert parse_script(script_to_smtlib(script)) == script
+
+
+def test_set_info_quoted_symbol_value_keeps_its_bars():
+    from repro.smtlib import SetInfo, script_to_smtlib
+
+    text = "(set-info :source |a b|)"
+    script = parse_script(text)
+    assert script.commands == (SetInfo(":source", "|a b|"),)
+    assert script_to_smtlib(script).strip() == text
+    assert parse_script(script_to_smtlib(script)) == script
+
+
 def test_builtin_names_cannot_be_redeclared():
     # cvc5 rejects redeclaring theory symbols; accepting them here would
     # silently resolve uses to the builtin and poison the oracle.
@@ -331,6 +350,32 @@ def test_reserved_words_rejected_in_identifier_positions():
         parse_term("(exists ((as Int)) true)")
     with pytest.raises(ParseError):
         parse_term("par")
+
+
+def test_unbalanced_parens_rejected():
+    with pytest.raises(ParseError, match=r"^unbalanced parenthesis opened at line 1$"):
+        parse_script("(a (b)")
+    # The innermost unclosed group is the one reported.
+    with pytest.raises(ParseError, match=r"^unbalanced parenthesis opened at line 3$"):
+        parse_script("(check-sat)\n(a\n  (b")
+    with pytest.raises(ParseError, match=r"^unexpected '\)' at line 1, column 2$"):
+        parse_script("a)")
+    with pytest.raises(ParseError, match=r"^unexpected '\)' at line 2, column 3$"):
+        parse_script("(check-sat)\n  )")
+
+
+def test_deeply_unclosed_script_is_a_parse_error():
+    # Reading uses an explicit stack, so depth never reaches the
+    # interpreter's recursion limit.
+    with pytest.raises(ParseError, match=r"^unbalanced parenthesis opened at line 1$"):
+        parse_script("(" * 200_000)
+
+
+def test_parse_sort_and_term_take_exactly_one_expression():
+    with pytest.raises(ParseError, match="expected exactly one sort, got 2"):
+        parse_sort("Int Bool")
+    with pytest.raises(ParseError, match="expected exactly one term, got 0"):
+        parse_term("")
 
 
 def test_unknown_command_rejected():
