@@ -17,7 +17,11 @@ the root get Tseitin gates, which :meth:`AtomRegistry.drain_clauses`
 hands out.  The registry also allocates frame *selector* variables from
 the same space, so solver, encoder and engine agree on one numbering,
 and exposes ``atom_vars`` — the stable atom → variable map the engine
-inverts (over the owned subset) for the theory hook.
+inverts (over the owned subset) for the theory hook.  The bit-vector
+blaster shares the encoder too: its bit and gate variables come from the
+same counter, its gate clauses drain with the Tseitin gates, and each
+lowered atom is bound to its circuit literal in the encoder memo, so the
+skeleton above it encodes against that literal.
 """
 
 from __future__ import annotations
@@ -34,6 +38,12 @@ class AtomRegistry:
         self._clause_cursor = 0
 
     @property
+    def encoder(self) -> TseitinEncoder:
+        """The shared encoder; the bit-vector blaster allocates its bit and
+        gate variables and binds lowered atoms here."""
+        return self._encoder
+
+    @property
     def num_vars(self) -> int:
         """Variables allocated so far (atoms, auxiliaries and selectors)."""
         return self._encoder.formula.num_vars
@@ -42,6 +52,11 @@ class AtomRegistry:
     def atom_vars(self) -> dict[Term, int]:
         """Atom term → variable, for every atom ever encoded."""
         return self._encoder.formula.atom_vars
+
+    @property
+    def literals(self) -> dict[Term, int]:
+        """Term → literal for every term ever encoded or bound."""
+        return self._encoder.literals
 
     def encode(self, term: Term) -> int:
         """The literal for a boolean term (memoized across checks)."""

@@ -64,7 +64,6 @@ from ..obs.spans import get_current_tracer, set_current_tracer, trace_span
 from ..proof.log import INPUT, Proof, ProofLog, ProofStep
 from ..sat import SAT, UNKNOWN, UNSAT, Solver, SolverConfig, TheoryHook, TheoryLemma
 from ..sat.dimacs import to_dimacs
-from ..smtlib.cnf import skeleton_atoms
 from ..smtlib.evaluate import FunctionInterpretation, evaluate
 from ..smtlib.parser import parse_script
 from ..smtlib.printer import (
@@ -91,7 +90,7 @@ from ..smtlib.script import (
     SetOption,
 )
 from ..smtlib.simplify import simplify, to_nnf
-from ..smtlib.sorts import BOOL, Sort
+from ..smtlib.sorts import BOOL, Sort, is_bitvec
 from ..smtlib.terms import (
     FALSE,
     TRUE,
@@ -130,22 +129,27 @@ class _TheorySync(TheoryHook):
     longest common prefix with what it asserted last time (per-literal
     checkpoints make this exact), asserts the new suffix, and converts
     any :class:`~repro.theory.TheoryConflict` into a blocking clause over
-    the atom variables.
+    the atom literals.
+
+    Trail literals are routed by variable *and* sign: ``routes`` maps both
+    literals of an owned atom's variable to ``(atom, polarity)``.  An
+    atom's literal need not be positive — a lowered bit-vector atom is
+    bound to its circuit literal, and a 1-bit ``=`` is a negated ``xor``.
     """
 
     def __init__(
         self,
         theory: Theory,
-        var_to_atom: dict[int, Term],
-        atom_vars: dict[Term, int],
+        routes: dict[int, tuple[Term, bool]],
+        literals: dict[Term, int],
+        encode_atom: Callable[[Term], int],
         events: Optional[EventLog] = None,
-        encode_atom: Optional[Callable[[Term], int]] = None,
     ) -> None:
         self._theory = theory
-        self._var_to_atom = var_to_atom
-        self._atom_vars = atom_vars
-        self._events = events
+        self._routes = routes
+        self._literals = literals
         self._encode_atom = encode_atom
+        self._events = events
         self._synced: list[int] = []
 
     def on_check(self, solver: Solver, final: bool) -> Iterable[Sequence[int]]:
@@ -159,6 +163,7 @@ class _TheorySync(TheoryHook):
     ) -> Iterable[Sequence[int]]:
         trail = solver.trail
         synced = self._synced
+        routes = self._routes
         # The solver's low watermark bounds how far the trail can have
         # been rewound since the last callback, so synchronization costs
         # O(popped + appended), not a prefix rescan per fixpoint.
@@ -170,9 +175,9 @@ class _TheorySync(TheoryHook):
         for lit in trail[len(synced) :]:
             self._theory.push()
             synced.append(lit)
-            atom = self._var_to_atom.get(abs(lit))
-            if atom is not None:
-                conflict = self._theory.assert_literal(atom, lit > 0)
+            route = routes.get(lit)
+            if route is not None:
+                conflict = self._theory.assert_literal(*route)
                 if conflict is not None:
                     break
         if conflict is None and final:
@@ -183,10 +188,11 @@ class _TheorySync(TheoryHook):
                 return self._lemma_clauses()
         if conflict is None:
             return ()
+        literals = self._literals
         clause = []
         for atom, positive in conflict.literals:
-            var = self._atom_vars[atom]
-            clause.append(-var if positive else var)
+            lit = literals[atom]
+            clause.append(-lit if positive else lit)
         if self._events is not None:
             self._events.emit(
                 "theory-conflict",
@@ -202,22 +208,21 @@ class _TheorySync(TheoryHook):
         lemmas = self._theory.pending_lemmas()
         if not lemmas:
             return []
+        routes, literals = self._routes, self._literals
         clauses: list[TheoryLemma] = []
         for lemma in lemmas:
             clause = []
             for atom, positive in lemma.literals:
-                var = self._atom_vars.get(atom)
-                if var is None:
-                    assert self._encode_atom is not None, (
-                        "theory emitted a lemma over a new atom but the "
-                        "engine provided no encoder"
-                    )
-                    var = self._encode_atom(atom)
-                    if self._theory.owns_atom(atom):
-                        # Future syncs must route the new atom's trail
-                        # literals back to the theory.
-                        self._var_to_atom[var] = atom
-                clause.append(var if positive else -var)
+                lit = literals.get(atom)
+                if lit is None:
+                    lit = self._encode_atom(atom)
+                if lit not in routes and self._theory.owns_atom(atom):
+                    # Future syncs must route the atom's trail literals
+                    # back to the theory: a new atom, or a lowered
+                    # bit-vector atom that reached the theory first here.
+                    routes[lit] = (atom, True)
+                    routes[-lit] = (atom, False)
+                clause.append(lit if positive else -lit)
             clauses.append(
                 TheoryLemma(clause, source=lemma.source or self._theory.name)
             )
@@ -288,7 +293,9 @@ class Engine:
         # The blaster and the array-lemma state outlive individual checks:
         # blasted circuits are memoized on hash-consed terms, and emitted
         # case-split lemmas are permanent clauses that must not re-ship.
-        self._bv = BvBlaster()
+        # The blaster draws its bit and gate variables from the registry's
+        # encoder, so there is one variable numbering.
+        self._bv = BvBlaster(self._registry.encoder)
         self._arrays_state = ArraysState()
         self._array_atom_memo: dict[Term, bool] = {}
         self._clauses_shipped = 0
@@ -511,16 +518,22 @@ class Engine:
         ``engine.encoded_assertions``, ``engine.tseitin_new_vars`` and
         ``engine.tseitin_new_clauses``.
 
-        Each assertion ships as its root clauses (see
-        :meth:`AtomRegistry.root_clauses`) plus the Tseitin gates of the
-        subterms below them.  The base frame can never be popped, so it
-        gets no selector: its unnamed assertions ship their root clauses
-        bare, as permanent facts.  A pushed frame's root clauses carry
-        ``¬sel`` and a named assertion's carry its own ``¬named_sel``;
-        ``engine.guard_clauses`` counts those guarded root clauses.
-        ``tseitin_new_clauses`` counts only the drained gate clauses.
+        Only the boolean skeleton of an assertion is Tseitin-encoded: its
+        bit-vector atoms are lowered first (inside the ``blast`` span),
+        each bound to its circuit literal in the encoder memo, and stay
+        out of ``frame.atom_lists``.  Each assertion contributes its
+        drained gate clauses (circuit and Tseitin gates) and its root
+        clauses (see :meth:`AtomRegistry.root_clauses`); the whole check
+        ships in one :meth:`~repro.sat.Solver.add_clauses` batch.  The base
+        frame can never be popped, so it gets no selector: its unnamed
+        assertions ship their root clauses bare, as permanent facts.  A
+        pushed frame's root clauses carry ``¬sel`` and a named assertion's
+        carry its own ``¬named_sel``; ``engine.guard_clauses`` counts those
+        guarded root clauses.  ``tseitin_new_clauses`` counts only the
+        drained gate clauses.
         """
         vars_before = self._registry.num_vars
+        batch: list[tuple[int, ...]] = []
         for depth, frame in enumerate(self._frames):
             if depth and frame.selector is None:
                 frame.selector = self._registry.new_selector()
@@ -533,22 +546,15 @@ class Engine:
                     # _check_sat before the solver ever runs.
                     frame.atom_lists.append(())
                     continue
-                with trace_span("blast", merge=True):
-                    term = self._bv.rewrite(term)
-                if term is TRUE:
-                    # The whole assertion folded away during blasting.
-                    frame.atom_lists.append(())
-                    continue
-                # A blast to FALSE still encodes: the check already passed
-                # the trivial-FALSE gate, so unsatisfiability must surface
-                # through the solver (keeping the proof machinery uniform).
                 nnf = to_nnf(term)
+                with trace_span("blast", merge=True):
+                    atoms = self._bv.lower_skeleton(nnf)
                 roots = self._registry.root_clauses(nnf)
-                frame.atom_lists.append(tuple(skeleton_atoms(nnf)))
+                frame.atom_lists.append(tuple(atoms))
                 self._encoded_assertions += 1
-                for clause in self._registry.drain_clauses():
-                    self._add_clause(clause)
-                    self._tseitin_new_clauses += 1
+                gates = self._registry.drain_clauses()
+                self._tseitin_new_clauses += len(gates)
+                batch.extend(gates)
                 name = frame.names[index]
                 guard = frame.selector
                 if name is not None:
@@ -560,21 +566,25 @@ class Engine:
                 if guard is not None:
                     self._guard_clauses += len(roots)
                     roots = [(-guard,) + clause for clause in roots]
-                for clause in roots:
-                    self._add_clause(clause)
+                batch.extend(roots)
         self._solver.ensure_vars(self._registry.num_vars)
+        if batch:
+            self._clauses_shipped += len(batch)
+            self._solver.add_clauses(batch)
         self._tseitin_new_vars += self._registry.num_vars - vars_before
 
     def _encode_lemma_atom(self, atom: Term) -> int:
-        """Allocate a SAT variable for an atom a theory lemma introduced
-        mid-search.  Lemma atoms are always leaves (equalities, predicate
-        applications), so encoding allocates a variable and no gate
-        clauses; the assertion guards that invariant."""
-        var = self._registry.encode(atom)
+        """The literal of an atom a theory lemma introduced mid-search.
+        Lemma atoms are always leaves (equalities, predicate
+        applications): one the engine has not seen allocates a variable
+        and no gate clauses; the assertion guards that invariant.  A
+        lowered bit-vector atom never gets here: it is already bound to
+        its circuit literal."""
+        lit = self._registry.encode(atom)
         gates = self._registry.drain_clauses()
         assert not gates, "theory lemmas must range over atomic literals"
         self._solver.ensure_vars(self._registry.num_vars)
-        return var
+        return lit
 
     def _mentions_arrays(self, atom: Term) -> bool:
         """True when the atom contains array structure (memoized)."""
@@ -693,14 +703,18 @@ class Engine:
             else:
                 unowned.append(atom)
         if owned:
-            atom_vars = self._registry.atom_vars
-            var_to_atom = {atom_vars[atom]: atom for atom in owned}
+            literals = self._registry.literals
+            routes: dict[int, tuple[Term, bool]] = {}
+            for atom in owned:
+                lit = literals[atom]
+                routes[lit] = (atom, True)
+                routes[-lit] = (atom, False)
             self._solver.theory = _TheorySync(
                 theory,
-                var_to_atom,
-                atom_vars,
+                routes,
+                literals,
+                self._encode_lemma_atom,
                 self._obs.events,
-                encode_atom=self._encode_lemma_atom,
             )
             self._solver.theory_eager = self._theory_eager
         else:
@@ -846,21 +860,20 @@ class Engine:
         for frame in self._frames:
             for term in frame.prepared:
                 free.update(term.free_symbols())
-        # Bit-vector symbols live in the model as their blasted bits;
-        # decode them to word values (and drop the bits) before anything
+        # Decode the words of the live bit-vector symbols (declared in a
+        # live frame, or free in a live assertion of a script built
+        # without declarations) from their bit variables before anything
         # defaults them.  Reserving the decoded constants keeps values
         # minted for other symbols of the same sort distinct from them.
-        declared = {
-            name for frame in self._frames for name in frame.consts
-        }
-        decoded: dict[str, Constant] = {}
-        for name, value in self._bv.decode(model).items():
-            if name in free or name in declared:
-                decoded[name] = value
-                allocator.reserve(value)
-        for name in list(model):
-            if self._bv.is_bit(name):
-                del model[name]
+        live = dict(free)
+        for frame in self._frames:
+            live.update(frame.consts)
+        decoded = self._bv.decode(
+            sat_model,
+            (Symbol(name, sort) for name, sort in live.items() if is_bitvec(sort)),
+        )
+        for value in decoded.values():
+            allocator.reserve(value)
         fun_interps: dict[str, FunctionInterpretation] = {}
         if theory is not None:
             theory_model = theory.model(allocator)
@@ -915,8 +928,6 @@ class Engine:
                     break
         for name, sort in free.items():
             if name in model:
-                continue
-            if self._bv.is_bit(name):
                 continue
             if sort == BOOL:
                 model[name] = FALSE

@@ -70,10 +70,11 @@ extensions of the classic loop:
   already inconsistent (the *final-conflict* core, from a reason-graph
   walk).  Assumption failure is not permanent: clauses and new
   assumptions may follow.
-* **Clause addition between solves** — :meth:`add_clause` may be called
-  after any :meth:`solve` return; new clauses attach to the live watch
-  lists and learned clauses persist, so repeated solving resumes instead
-  of restarting.
+* **Clause addition between solves** — :meth:`add_clauses` (the one
+  ingest path; :meth:`add_clause` is a batch of one) may be called after
+  any :meth:`solve` return; new clauses attach to the live watch lists
+  and learned clauses persist, so repeated solving resumes instead of
+  restarting.
 * **Theory hook** — a :class:`TheoryHook` attached via :attr:`theory` is
   invoked at propositional fixpoints (every one when :attr:`theory_eager`
   is set, and always at a *full* assignment before ``sat`` is declared).
@@ -95,6 +96,7 @@ from __future__ import annotations
 
 from array import array
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from random import Random
 from time import monotonic
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -312,43 +314,53 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate and return the next variable."""
-        self._num_vars += 1
-        var = self._num_vars
-        if 2 * var >= len(self._values):
-            self._grow_literal_tables()
-        self._levels.append(0)
-        self._reasons.append(NO_CLAUSE)
-        self._activity.append(0.0)
-        if self._phase_true_init:
-            self._phase.append(1)
-        elif self._rng is not None and self.config.phase_init == "random":
-            self._phase.append(self._rng.getrandbits(1))
-        else:
-            self._phase.append(0)
-        self._seen.append(0)
-        heappush(self._order, (0.0, var))
-        return var
+        self.ensure_vars(self._num_vars + 1)
+        return self._num_vars
 
     def ensure_vars(self, count: int) -> None:
-        """Grow the variable pool to at least ``count`` variables."""
-        while self._num_vars < count:
-            self.new_var()
+        """Grow the variable pool to at least ``count`` variables.
 
-    def _grow_literal_tables(self) -> None:
-        """Double the capacity of the literal-indexed tables.
+        The literal tables and the per-variable vectors grow once for the
+        whole range; random initial phases are still drawn in variable
+        order, so the result does not depend on how growth was split."""
+        old = self._num_vars
+        grow = count - old
+        if grow <= 0:
+            return
+        self._num_vars = count
+        if 2 * count >= len(self._values):
+            self._grow_literal_tables(old)
+        self._levels.extend([0] * grow)
+        self._reasons.extend([NO_CLAUSE] * grow)
+        self._activity.extend(array("d", bytes(8 * grow)))
+        if self._phase_true_init:
+            self._phase.extend(b"\x01" * grow)
+        elif self._rng is not None and self.config.phase_init == "random":
+            rng = self._rng
+            self._phase.extend(rng.getrandbits(1) for _ in range(grow))
+        else:
+            self._phase.extend(bytes(grow))
+        self._seen.extend(bytes(grow))
+        # A fresh variable's entry (0.0, var) is the heap's maximum (every
+        # key is -activity <= 0 and every older var is smaller), so
+        # appending keeps the heap ordered, exactly as heappush would.
+        self._order.extend([(0.0, var) for var in range(old + 1, count + 1)])
+
+    def _grow_literal_tables(self, old: int) -> None:
+        """Rebuild the literal-indexed tables with room for every current
+        variable, copying the state of variables ``1..old``.
 
         The negative-literal half sits at the *end* of each table, so a
         plain append would shift its meaning; instead the tables are
-        rebuilt with both halves re-anchored.  Amortized O(1) per
-        variable."""
-        n = self._num_vars
+        rebuilt with both halves re-anchored, at least doubling the
+        capacity: amortized O(1) per variable."""
         capacity = max(_MIN_LIT_CAPACITY, 2 * len(self._values))
-        while capacity <= 2 * n:
+        while capacity <= 2 * self._num_vars:
             capacity *= 2
         values = [0] * capacity
-        watches: list[list[int]] = [[] for _ in range(capacity)]
-        bwatches: list[list[int]] = [[] for _ in range(capacity)]
-        for v in range(1, n):  # the var being added has no state yet
+        watches: list[list[tuple[int, int]]] = [[] for _ in range(capacity)]
+        bwatches: list[list[tuple[int, int]]] = [[] for _ in range(capacity)]
+        for v in range(1, old + 1):
             values[v] = self._values[v]
             values[-v] = self._values[-v]
             watches[v] = self._watches[v]
@@ -386,63 +398,128 @@ class Solver:
     # -- clause management --------------------------------------------------
 
     def add_clause(self, lits: Iterable[int]) -> bool:
-        """Add a problem clause (a disjunction of literals).
+        """Add one problem clause: a batch of one (see :meth:`add_clauses`)."""
+        return self.add_clauses((list(lits),))
 
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add a batch of problem clauses (disjunctions of literals).
+
+        The variable pool grows once, to the batch's largest variable.
         Level-0 simplification applies: duplicate literals collapse,
-        tautologies and already-satisfied clauses are dropped, false
-        literals are removed.  Returns ``False`` when the formula became
-        unsatisfiable (empty clause, or a unit clause whose propagation
-        conflicts); the solver is then permanently in the unsat state.
+        tautologies and clauses satisfied at level 0 are dropped, false
+        literals are removed.  Unit clauses are assigned as they come, so
+        they simplify later clauses of the batch, and propagate once, at
+        the end of the batch.  Returns ``False`` when the formula became
+        unsatisfiable (an empty clause, or a unit that conflicts); the
+        solver is then permanently in the unsat state.
         """
         if self._trail_lim:
             raise ValueError("clauses can only be added at decision level 0")
         if self._unsat:
             return False
         self._model = None
-        lits = list(lits)
-        if self.proof is not None:
-            # Log the clause as shipped, before level-0 simplification:
-            # the checker holds the original plus every logged unit, which
-            # together subsume whatever simplified form gets attached.
-            self.proof.log_input(lits)
-        if lits:
-            self.ensure_vars(max(abs(lit) for lit in lits))
-        seen: set[int] = set()
-        out: list[int] = []
-        for lit in lits:
-            if lit == 0:
-                raise ValueError("0 is not a literal")
-            if -lit in seen:
-                return True  # tautology: contains both polarities
-            if lit in seen:
-                continue
-            value = self._values[lit]
-            if value == 1:
-                return True  # satisfied at level 0
-            if value == -1:
-                continue  # false at level 0: drop the literal
-            seen.add(lit)
-            out.append(lit)
-        if not out:
+        batch = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
+        top = max(map(abs, chain.from_iterable(batch)), default=0)
+        if top > self._num_vars:
+            self.ensure_vars(top)
+        values = self._values
+        arena = self._arena
+        problem = self._clauses
+        watches, bwatches = self._watches, self._bwatches
+        proof = self.proof
+        for lits in batch:
+            if proof is not None:
+                # Log the clause as shipped, before level-0 simplification:
+                # the checker holds the original plus every logged unit,
+                # which together subsume whatever simplified form attaches.
+                proof.log_input(lits)
+            size = len(lits)
+            if size == 1:
+                out = [lits[0]]
+                if not out[0]:
+                    raise ValueError("0 is not a literal")
+            elif size == 2:
+                a, b = lits
+                if a and b and a != b and a != -b and not values[a] and not values[b]:
+                    # The common case, a gate clause over free literals.
+                    ref = len(arena)
+                    arena.extend((2, 0, a, b))
+                    problem.append(ref)
+                    bwatches[a].append((ref, b))
+                    bwatches[b].append((ref, a))
+                    continue
+                if not a or not b:
+                    raise ValueError("0 is not a literal")
+                if a == -b:
+                    continue  # tautology
+                out = [a] if a == b else [a, b]
+            elif size == 3:
+                a, b, c = lits
+                if (
+                    a and b and c
+                    and a != b and a != c and b != c
+                    and a != -b and a != -c and b != -c
+                    and not values[a] and not values[b] and not values[c]
+                ):
+                    ref = len(arena)
+                    arena.extend((3, 0, a, b, c))
+                    problem.append(ref)
+                    watches[a].append((ref, b))
+                    watches[b].append((ref, a))
+                    continue
+                if not a or not b or not c:
+                    raise ValueError("0 is not a literal")
+                if a == -b or a == -c or b == -c:
+                    continue
+                out = [a]
+                if b != a:
+                    out.append(b)
+                if c != a and c != b:
+                    out.append(c)
+            else:
+                seen: set[int] = set()
+                out = []
+                tautology = False
+                for lit in lits:
+                    if lit in seen:
+                        continue
+                    if not lit:
+                        raise ValueError("0 is not a literal")
+                    if -lit in seen:
+                        tautology = True  # contains both polarities
+                        break
+                    seen.add(lit)
+                    out.append(lit)
+                if tautology:
+                    continue
+            kept: list[int] = []
+            for lit in out:
+                value = values[lit]
+                if value == 1:
+                    break  # satisfied at level 0
+                if value == 0:  # a false literal is dropped
+                    kept.append(lit)
+            else:
+                size = len(kept)
+                if size >= 2:
+                    ref = len(arena)
+                    arena.append(size)
+                    arena.append(0)
+                    arena.extend(kept)
+                    problem.append(ref)
+                    first, second = kept[0], kept[1]
+                    lists = bwatches if size == 2 else watches
+                    lists[first].append((ref, second))
+                    lists[second].append((ref, first))
+                elif size == 1:
+                    self._assign(kept[0], NO_CLAUSE)
+                else:
+                    self._unsat = True
+                    return False
+        if self._propagate() != NO_CLAUSE:
             self._unsat = True
             return False
-        if len(out) == 1:
-            self._assign(out[0], NO_CLAUSE)
-            if self._propagate() != NO_CLAUSE:
-                self._unsat = True
-                return False
-            return True
-        ref = self._alloc(out, learned=False)
-        self._clauses.append(ref)
-        self._attach(ref)
         return True
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
-        """Add many clauses; returns ``False`` once any addition does."""
-        ok = True
-        for lits in clauses:
-            ok = self.add_clause(lits) and ok
-        return ok
 
     def _attach(self, ref: int) -> None:
         """Watch the clause's first two literals, each entry carrying the
@@ -521,17 +598,21 @@ class Solver:
 
         Includes level-0 facts (as unit clauses) and every attached
         problem clause — theory lemmas count as problem clauses; learned
-        clauses are omitted.  Clauses satisfied or simplified away at
-        addition time are not reconstructed.  Must be called at decision
-        level 0 (i.e. outside :meth:`solve`).
+        clauses are omitted.  Problem clauses are simplified by the facts:
+        satisfied ones are left out and false literals dropped, so the
+        export does not depend on how the clauses were batched.  Must be
+        called at decision level 0 (i.e. outside :meth:`solve`).
         """
         if self._trail_lim:
             raise ValueError("export_cnf requires decision level 0")
         clauses: list[tuple[int, ...]] = [(lit,) for lit in self._trail]
         if self._unsat:
             clauses.append(())
+        values = self._values
         for ref in self._clauses:
-            clauses.append(self.clause_lits(ref))
+            lits = self.clause_lits(ref)
+            if all(values[lit] != 1 for lit in lits):
+                clauses.append(tuple(lit for lit in lits if values[lit] == 0))
         return self._num_vars, clauses
 
     def _assign(self, lit: int, reason: int) -> None:

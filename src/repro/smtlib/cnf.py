@@ -165,6 +165,29 @@ class TseitinEncoder:
         """
         return self._new_var()
 
+    def true_literal(self) -> int:
+        """The constant-true literal, allocated (with its unit clause) on
+        first use."""
+        if not self._true_var:
+            self._true_var = self._new_var()
+            self.formula.clauses.append((self._true_var,))
+        return self._true_var
+
+    @property
+    def literals(self) -> dict[Term, int]:
+        """The node → literal memo (read-only view)."""
+        return self._literals
+
+    def bind(self, term: Term, literal: int) -> None:
+        """Make ``literal`` the encoding of ``term``, so every later
+        :meth:`encode` of it returns that literal.  A term already encoded
+        under another literal is tied to it by two equivalence clauses."""
+        current = self._literals.get(term)
+        if current is None:
+            self._literals[term] = literal
+        elif current != literal:
+            self.formula.clauses.extend(((-current, literal), (current, -literal)))
+
     def encode(self, term: Term) -> int:
         """The literal equivalent to ``term`` (memoized per DAG node)."""
         if term.sort != BOOL:
@@ -187,18 +210,12 @@ class TseitinEncoder:
         self.formula.atom_vars[term] = var
         return var
 
-    def _true_literal(self) -> int:
-        if not self._true_var:
-            self._true_var = self._new_var()
-            self.formula.clauses.append((self._true_var,))
-        return self._true_var
-
     def _encode_node(self, term: Term) -> int:
         if isinstance(term, Constant):
             if term is TRUE:
-                return self._true_literal()
+                return self.true_literal()
             if term is FALSE:
-                return -self._true_literal()
+                return -self.true_literal()
             return self._atom(term)  # qualified boolean constant: opaque
         if not is_connective(term):
             return self._atom(term)
@@ -223,7 +240,7 @@ class TseitinEncoder:
         if op == "distinct":
             if len(lits) > 2:
                 # No three booleans are pairwise distinct.
-                return -self._true_literal()
+                return -self.true_literal()
             return self._xor_gate(lits[0], lits[1])
         if op == "ite":
             return self._ite_gate(lits[0], lits[1], lits[2])

@@ -20,9 +20,9 @@
   lazily, symbolic index case splits shipped to the SAT core as
   :class:`~repro.theory.core.TheoryClause` lemmas.
 * :mod:`repro.theory.bv` — not a lazy plugin but the *eager* path:
-  :class:`~repro.theory.bv.BvBlaster` lowers QF_BV atoms to boolean
-  circuits before encoding, so bit-vector reasoning rides the plain
-  CDCL/proof pipeline.
+  :class:`~repro.theory.bv.BvBlaster` lowers QF_BV atoms to gates over
+  the encoder's literals while encoding, so bit-vector reasoning rides
+  the plain CDCL/proof pipeline.
 * :class:`~repro.theory.core.TheoryComposite` — the dispatcher: routes
   each atom to the first plugin owning it (arithmetic before congruence
   closure), forwards checkpoints to all plugins in lockstep, and merges

@@ -1,18 +1,28 @@
-"""Eager bit-blasting: QF_BV atoms → boolean circuits.
+"""Eager bit-blasting: QF_BV atoms → gates over solver literals.
 
 Unlike the lazy plugins (:class:`~repro.theory.arith.ArithTheory`,
 :class:`~repro.theory.euf.EufTheory`), bit-vector reasoning is handled
-*eagerly*: :class:`BvBlaster` rewrites every supported bit-vector atom
-into a pure boolean term over fresh *bit symbols* (one per bit of every
-bit-vector variable) **before** Tseitin encoding.  The rewritten skeleton
-flows through the unchanged CNF/SAT pipeline, so
+*eagerly*: while the engine encodes an assertion, :class:`BvBlaster`
+lowers each supported bit-vector atom of its boolean skeleton to one
+literal of the engine's :class:`~repro.smtlib.cnf.TseitinEncoder` and
+binds it in the encoder memo, so only the skeleton is Tseitin-encoded.
+There are no bit symbols: each bit of a bit-vector symbol is an encoder
+variable keyed by the declared :class:`Symbol` term (name *and* sort), so
+generated names cannot collide with script identifiers and there is one
+variable numbering.  Gates are and/xor/ite over integer literals whose
+clauses go straight into the encoder's clause list; a circuit never
+becomes a :class:`Term`, so it skips interning, NNF and Tseitin.  Gates
+are structurally hashed in the style of an and-inverter graph: negation
+is a sign flip, ``or`` is ``¬and(¬a, ¬b)``, commutative inputs are sorted
+(``xor`` and ``ite`` also move input signs to the output), and every
+constructor folds constants.  Consequences:
 
 * blasted clauses are ordinary *input* clauses of the proof log — a BV
   ``unsat`` is fully RUP-certified by the independent checker with no
   trusted lemma steps, and
-* the incremental engine's term-keyed memoization applies: a
-  ``check-sat`` after ``push``/``pop`` re-blasts and re-encodes nothing
-  for unchanged assertions.
+* the word, atom and gate memos live as long as the engine: a
+  ``check-sat`` after ``push``/``pop`` re-blasts nothing for unchanged
+  assertions.
 
 The circuit constructors mirror :func:`repro.smtlib.evaluate.fold_apply`
 operation by operation (ripple-carry adder, shift-add multiplier,
@@ -20,41 +30,33 @@ restoring divider with the SMT-LIB total semantics for division by zero,
 barrel shifters with the ``shift >= width`` clamp, the signed
 ``bvsdiv``/``bvsrem``/``bvsmod`` definitional expansions), which makes
 ``fold_apply`` the blaster's semantic oracle: every ``sat`` model is
-validated by evaluating the *pre-blast* assertions, so the circuits are
-cross-checked against the reference semantics on every run, and the
-differential fuzzer compares both against exhaustive enumeration.
+validated by evaluating the *pre-blast* assertions, and the differential
+fuzzer compares both against exhaustive enumeration.
 
 Atoms whose bit-vector leaves are not plain symbols or constants (an
-uninterpreted application, an array ``select`` ...) are left untouched;
-they stay ordinary atoms for the lazy plugins or remain abstracted, which
-keeps every answer sound.
+uninterpreted application, an array ``select`` ...) are not lowered; they
+stay ordinary atoms for the lazy plugins or remain abstracted, which
+keeps every answer sound.  The atoms inside a bit-vector ``ite``
+condition that are not lowered themselves are reported with the
+skeleton's, so theory dispatch and model building still see them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
-from ..smtlib.cnf import is_connective
-from ..smtlib.sorts import BOOL, is_bitvec
-from ..smtlib.terms import (
-    FALSE,
-    TRUE,
-    Apply,
-    Constant,
-    Symbol,
-    Term,
-    bitvec_const,
-    negate,
-)
-
-#: Bit-symbol name marker: bit ``i`` of symbol ``x`` is ``x!bv!i``.  The
-#: ``!`` keeps generated names out of the plain-symbol lexical space, so
-#: they cannot collide with script-declared identifiers.
-BIT_MARKER = "!bv!"
+from ..smtlib.cnf import TseitinEncoder, is_connective, skeleton_atoms
+from ..smtlib.sorts import is_bitvec
+from ..smtlib.terms import Apply, Constant, Symbol, Term, bitvec_const
 
 #: Widths past this are not blasted (the circuits grow quadratically for
 #: multiplication/division); the atom stays abstracted instead.
 MAX_BLAST_WIDTH = 256
+
+#: The constant-true pseudo-literal inside circuits (``-_TOP`` is false).
+#: No encoder variable gets this large; a circuit that folds to a constant
+#: maps it to the encoder's true literal only at the atom boundary.
+_TOP = 1 << 62
 
 _UNSIGNED_CMP = {"bvult": False, "bvule": True, "bvugt": False, "bvuge": True}
 _SIGNED_CMP = frozenset({"bvslt", "bvsle", "bvsgt", "bvsge"})
@@ -65,17 +67,19 @@ class _Unsupported(Exception):
 
 
 class BvBlaster:
-    """Rewrites boolean skeletons, lowering bit-vector atoms to circuits.
+    """Lowers bit-vector atoms to gates over one encoder's literals.
 
-    One instance lives as long as the engine: the word memo (term → bit
-    list) and the atom memo survive ``push``/``pop``, so incremental
-    re-checks re-blast nothing, and :meth:`decode` can read back every
-    bit-vector variable's value from any later SAT model.
+    One instance lives as long as the engine: the symbol, word, atom and
+    gate memos survive ``push``/``pop``, so incremental re-checks re-blast
+    nothing, and :meth:`decode` can read every blasted symbol's value back
+    out of any later SAT model.
     """
 
     name = "bv"
 
-    def __init__(self, max_width: int = MAX_BLAST_WIDTH) -> None:
+    def __init__(
+        self, encoder: TseitinEncoder, max_width: int = MAX_BLAST_WIDTH
+    ) -> None:
         self.max_width = max_width
         self.stats: dict[str, int] = {
             "atoms_blasted": 0,
@@ -84,136 +88,169 @@ class BvBlaster:
             "bits": 0,
             "gates": 0,
         }
-        #: symbol name → (width, LSB-first bit symbols).
-        self._symbol_bits: dict[str, tuple[int, tuple[Symbol, ...]]] = {}
-        self._bit_names: set[str] = set()
-        self._word_memo: dict[Term, list[Term]] = {}
-        self._atom_memo: dict[Term, Optional[Term]] = {}
-        self._skeleton_memo: dict[Term, Term] = {}
+        self._encoder = encoder
+        self._formula = encoder.formula
+        #: declared symbol → its LSB-first bit variables.
+        self._symbol_bits: dict[Symbol, tuple[int, ...]] = {}
+        self._words: dict[Term, list[int]] = {}
+        #: atom → circuit literal (``±_TOP`` when constant), None if unsupported.
+        self._atoms: dict[Term, Optional[int]] = {}
+        self._ands: dict[tuple[int, int], int] = {}
+        self._xors: dict[tuple[int, int], int] = {}
+        self._ites: dict[tuple[int, int, int], int] = {}
+        # Atoms inside bit-vector ``ite`` conditions that stay theory
+        # atoms, collected while blasting and memoized per word and atom.
+        self._inner: list[Term] = []
+        self._word_inner: dict[Term, tuple[Term, ...]] = {}
+        self._atom_inner: dict[Term, tuple[Term, ...]] = {}
 
     # -- public surface -----------------------------------------------------
 
-    def rewrite(self, term: Term) -> Term:
-        """Rewrite a boolean skeleton: connectives are traversed, each
-        bit-vector atom becomes its circuit, every other atom survives."""
-        cached = self._skeleton_memo.get(term)
-        if cached is not None:
-            return cached
-        if is_connective(term):
-            assert isinstance(term, Apply)
-            args = tuple(self.rewrite(arg) for arg in term.args)
-            result = (
-                term
-                if args == term.args
-                else Apply(term.op, args, term.sort, term.indices)
-            )
-        else:
-            result = self._blast_atom(term)
-        self._skeleton_memo[term] = result
-        return result
+    def lower_skeleton(self, term: Term) -> list[Term]:
+        """Lower every supported bit-vector atom of a boolean skeleton,
+        binding its literal in the encoder memo, and return the atoms left
+        for theory dispatch: the skeleton atoms that were not lowered plus
+        those inside the ``ite`` conditions of the lowered ones."""
+        atoms: list[Term] = []
+        for atom in skeleton_atoms(term):
+            if self._atom_literal(atom) is None:
+                atoms.append(atom)
+            else:
+                atoms.extend(self._atom_inner.get(atom, ()))
+        return atoms
 
-    def is_bit(self, name: str) -> bool:
-        """True for generated bit-symbol names (hidden from models)."""
-        return name in self._bit_names
+    def symbol_bits(self, symbol: Symbol) -> tuple[int, ...]:
+        """The bit variables of a blasted symbol, least significant first
+        (empty when the symbol was never blasted)."""
+        return self._symbol_bits.get(symbol, ())
 
-    def decode(self, model: dict[str, Constant]) -> dict[str, Constant]:
-        """Read every blasted symbol's value out of a boolean model.
-
-        Bits absent from the model (simplified away by constant folding)
-        are don't-cares and read as 0."""
+    def decode(
+        self, model: Sequence[bool], symbols: Iterable[Symbol]
+    ) -> dict[str, Constant]:
+        """The word value of every blasted symbol among ``symbols`` in a
+        SAT model indexed by variable."""
         out: dict[str, Constant] = {}
-        for name, (width, bits) in self._symbol_bits.items():
+        for symbol in symbols:
+            bits = self.symbol_bits(symbol)
+            if not bits:
+                continue
             value = 0
             for position, bit in enumerate(bits):
-                if model.get(bit.name) is TRUE:
+                if model[bit]:
                     value |= 1 << position
-            out[name] = bitvec_const(value, width)
+            out[symbol.name] = bitvec_const(value, len(bits))
         return out
 
     # -- atom lowering ------------------------------------------------------
 
-    def _blast_atom(self, atom: Term) -> Term:
-        if atom in self._atom_memo:
-            cached = self._atom_memo[atom]
-            return atom if cached is None else cached
-        result = self._try_blast(atom)
-        self._atom_memo[atom] = result
-        if result is None:
-            if self._mentions_bitvec(atom):
+    def _atom_literal(self, atom: Term) -> Optional[int]:
+        """The atom's circuit literal (memoized), or None when the atom is
+        not a supported bit-vector atom.  A fresh literal is bound in the
+        encoder memo, so the skeleton encoding above it reuses it."""
+        if atom in self._atoms:
+            return self._atoms[atom]
+        start = len(self._inner)
+        lit = self._try_blast(atom)
+        inner = self._inner[start:]
+        del self._inner[start:]
+        self._atoms[atom] = lit
+        if lit is None:
+            if any(is_bitvec(node.sort) for node in atom.walk()):
                 self.stats["atoms_skipped"] += 1
-            return atom
+            return None
         self.stats["atoms_blasted"] += 1
-        return result
+        if inner:
+            self._atom_inner[atom] = tuple(dict.fromkeys(inner))
+        if lit == _TOP or lit == -_TOP:
+            true = self._encoder.true_literal()
+            self._encoder.bind(atom, true if lit > 0 else -true)
+        else:
+            self._encoder.bind(atom, lit)
+        return lit
 
-    @staticmethod
-    def _mentions_bitvec(atom: Term) -> bool:
-        return any(is_bitvec(node.sort) for node in atom.walk())
-
-    def _try_blast(self, atom: Term) -> Optional[Term]:
-        if not isinstance(atom, Apply) or atom.indices:
+    def _try_blast(self, atom: Term) -> Optional[int]:
+        if not isinstance(atom, Apply) or atom.indices or not atom.args:
+            return None
+        op, args = atom.op, atom.args
+        if not is_bitvec(args[0].sort):
             return None
         try:
-            if atom.op == "=" and len(atom.args) >= 2 and is_bitvec(atom.args[0].sort):
-                words = [self._bits(arg) for arg in atom.args]
-                result = TRUE
+            if op == "=" and len(args) >= 2:
+                words = [self._bits(arg) for arg in args]
+                result = _TOP
                 for left, right in zip(words, words[1:]):
                     result = self._and(result, self._word_eq(left, right))
                 return result
-            if atom.op in _UNSIGNED_CMP and len(atom.args) == 2:
-                if not is_bitvec(atom.args[0].sort):
-                    return None
-                return self._unsigned_cmp(atom.op, *atom.args)
-            if atom.op in _SIGNED_CMP and len(atom.args) == 2:
-                if not is_bitvec(atom.args[0].sort):
-                    return None
-                return self._signed_cmp(atom.op, *atom.args)
+            if op in _UNSIGNED_CMP and len(args) == 2:
+                return self._unsigned_cmp(op, *args)
+            if op in _SIGNED_CMP and len(args) == 2:
+                return self._signed_cmp(op, *args)
         except _Unsupported:
             return None
         return None
 
-    def _unsigned_cmp(self, op: str, lhs: Term, rhs: Term) -> Term:
+    def _condition(self, cond: Term) -> int:
+        """The literal of a bit-vector ``ite`` condition.  Its bit-vector
+        atoms are lowered, the rest are recorded for theory dispatch, and
+        any boolean structure goes through the encoder."""
+        for atom in skeleton_atoms(cond):
+            if self._atom_literal(atom) is None:
+                self._inner.append(atom)
+            else:
+                self._inner.extend(self._atom_inner.get(atom, ()))
+        if not is_connective(cond):
+            lit = self._atoms.get(cond)
+            if lit is not None:
+                return lit
+        return self._encoder.encode(cond)
+
+    def _unsigned_cmp(self, op: str, lhs: Term, rhs: Term) -> int:
         xs, ys = self._bits(lhs), self._bits(rhs)
         if op in ("bvugt", "bvuge"):
             xs, ys = ys, xs  # a > b  ≡  b < a
-        less = self._ult(xs, ys)
         if _UNSIGNED_CMP[op]:  # non-strict: a <= b ≡ ¬(b < a)
-            return negate(self._ult(ys, xs))
-        return less
+            return -self._ult(ys, xs)
+        return self._ult(xs, ys)
 
-    def _signed_cmp(self, op: str, lhs: Term, rhs: Term) -> Term:
+    def _signed_cmp(self, op: str, lhs: Term, rhs: Term) -> int:
         xs, ys = self._bits(lhs), self._bits(rhs)
         if op in ("bvsgt", "bvsge"):
             xs, ys = ys, xs
             op = {"bvsgt": "bvslt", "bvsge": "bvsle"}[op]
         if op == "bvsle":
-            return negate(self._slt(ys, xs))
+            return -self._slt(ys, xs)
         return self._slt(xs, ys)
 
     # -- word construction ---------------------------------------------------
 
-    def _bits(self, term: Term) -> list[Term]:
-        """The LSB-first boolean bit list of a bit-vector term."""
-        cached = self._word_memo.get(term)
+    def _bits(self, term: Term) -> list[int]:
+        """The LSB-first literal list of a bit-vector term."""
+        cached = self._words.get(term)
         if cached is not None:
+            if self._word_inner:
+                inner = self._word_inner.get(term)
+                if inner:
+                    self._inner.extend(inner)
             return cached
+        start = len(self._inner)
         result = self._bits_of(term)
-        if len(result) > self.max_width:
-            raise _Unsupported(term)
-        self._word_memo[term] = result
+        self._words[term] = result
+        if len(self._inner) > start:
+            self._word_inner[term] = tuple(self._inner[start:])
         return result
 
-    def _bits_of(self, term: Term) -> list[Term]:
-        if not is_bitvec(term.sort):
+    def _bits_of(self, term: Term) -> list[int]:
+        if not is_bitvec(term.sort) or term.sort.width > self.max_width:
             raise _Unsupported(term)
         width = term.sort.width
         if isinstance(term, Constant):
             if not isinstance(term.value, int):
                 raise _Unsupported(term)
             return [
-                TRUE if (term.value >> i) & 1 else FALSE for i in range(width)
+                _TOP if (term.value >> i) & 1 else -_TOP for i in range(width)
             ]
         if isinstance(term, Symbol):
-            return list(self._symbol_word(term.name, width))
+            return list(self._symbol_word(term))
         if not isinstance(term, Apply):
             raise _Unsupported(term)
         op, args = term.op, term.args
@@ -232,12 +269,12 @@ class BvBlaster:
                     acc = [gate(x, y) for x, y in zip(acc, rhs)]
             return acc
         if op == "bvnot":
-            return [negate(b) for b in self._bits(args[0])]
+            return [-b for b in self._bits(args[0])]
         if op == "bvneg":
             return self._neg(self._bits(args[0]))
         if op == "bvsub":
             xs, ys = self._bits(args[0]), self._bits(args[1])
-            return self._add(xs, [negate(y) for y in ys], carry=TRUE)
+            return self._add(xs, [-y for y in ys], carry=_TOP)
         if op in ("bvudiv", "bvurem"):
             quotient, remainder = self._udivrem(
                 self._bits(args[0]), self._bits(args[1])
@@ -250,12 +287,12 @@ class BvBlaster:
         if op in ("bvshl", "bvlshr", "bvashr"):
             return self._shift(op, self._bits(args[0]), self._bits(args[1]))
         if op == "concat":
-            out: list[Term] = []
+            out: list[int] = []
             for arg in reversed(args):  # the last operand is least significant
                 out.extend(self._bits(arg))
             return out
         if op == "ite" and len(args) == 3:
-            condition = self.rewrite(args[0])
+            condition = self._condition(args[0])
             then_bits = self._bits(args[1])
             else_bits = self._bits(args[2])
             return [
@@ -264,7 +301,7 @@ class BvBlaster:
             ]
         raise _Unsupported(term)
 
-    def _indexed(self, term: Apply) -> list[Term]:
+    def _indexed(self, term: Apply) -> list[int]:
         op, indices = term.op, term.indices
         bits = self._bits(term.args[0]) if term.args else []
         width = len(bits)
@@ -272,7 +309,7 @@ class BvBlaster:
             high, low = indices
             return bits[low : high + 1]
         if op == "zero_extend":
-            return bits + [FALSE] * indices[0]
+            return bits + [-_TOP] * indices[0]
         if op == "sign_extend":
             return bits + [bits[-1]] * indices[0]
         if op == "rotate_left":
@@ -285,90 +322,122 @@ class BvBlaster:
             return bits * indices[0]
         raise _Unsupported(term)
 
-    def _symbol_word(self, name: str, width: int) -> tuple[Symbol, ...]:
-        entry = self._symbol_bits.get(name)
-        if entry is not None:
-            assert entry[0] == width, f"width clash for {name}"
-            return entry[1]
-        bits = tuple(
-            Symbol(f"{name}{BIT_MARKER}{i}", BOOL) for i in range(width)
-        )
-        self._symbol_bits[name] = (width, bits)
-        self._bit_names.update(bit.name for bit in bits)
-        self.stats["symbols"] += 1
-        self.stats["bits"] += width
+    def _symbol_word(self, symbol: Symbol) -> tuple[int, ...]:
+        bits = self._symbol_bits.get(symbol)
+        if bits is None:
+            formula = self._formula
+            first = formula.num_vars + 1
+            formula.num_vars += symbol.sort.width
+            bits = tuple(range(first, formula.num_vars + 1))
+            self._symbol_bits[symbol] = bits
+            self.stats["symbols"] += 1
+            self.stats["bits"] += len(bits)
         return bits
 
-    # -- gate constructors (constant-folding) --------------------------------
+    # -- gate constructors (constant-folding, structurally hashed) ----------
 
-    def _and(self, a: Term, b: Term) -> Term:
-        if a is FALSE or b is FALSE:
-            return FALSE
-        if a is TRUE:
-            return b
-        if b is TRUE or a is b:
-            return a
+    def _gate(self) -> int:
         self.stats["gates"] += 1
-        return Apply("and", (a, b), BOOL)
+        self._formula.num_vars += 1
+        return self._formula.num_vars
 
-    def _or(self, a: Term, b: Term) -> Term:
-        if a is TRUE or b is TRUE:
-            return TRUE
-        if a is FALSE:
+    def _and(self, a: int, b: int) -> int:
+        if a == _TOP:
             return b
-        if b is FALSE or a is b:
+        if b == _TOP or a == b:
             return a
-        self.stats["gates"] += 1
-        return Apply("or", (a, b), BOOL)
+        if a == -_TOP or b == -_TOP or a == -b:
+            return -_TOP
+        if a > b:
+            a, b = b, a
+        key = (a, b)
+        g = self._ands.get(key)
+        if g is None:
+            g = self._ands[key] = self._gate()
+            self._formula.clauses.extend(((-g, a), (-g, b), (g, -a, -b)))
+        return g
 
-    def _xor(self, a: Term, b: Term) -> Term:
-        if a is FALSE:
+    def _or(self, a: int, b: int) -> int:
+        return -self._and(-a, -b)
+
+    def _xor(self, a: int, b: int) -> int:
+        if a == -_TOP:
             return b
-        if b is FALSE:
+        if b == -_TOP:
             return a
-        if a is TRUE:
-            return negate(b)
-        if b is TRUE:
-            return negate(a)
-        if a is b:
-            return FALSE
-        self.stats["gates"] += 1
-        return Apply("xor", (a, b), BOOL)
+        if a == _TOP:
+            return -b
+        if b == _TOP:
+            return -a
+        if a == b:
+            return -_TOP
+        if a == -b:
+            return _TOP
+        flip = (a < 0) != (b < 0)
+        if a < 0:
+            a = -a
+        if b < 0:
+            b = -b
+        if a > b:
+            a, b = b, a
+        key = (a, b)
+        g = self._xors.get(key)
+        if g is None:
+            g = self._xors[key] = self._gate()
+            self._formula.clauses.extend(
+                ((-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b))
+            )
+        return -g if flip else g
 
-    def _iff(self, a: Term, b: Term) -> Term:
-        return negate(self._xor(a, b))
+    def _iff(self, a: int, b: int) -> int:
+        return -self._xor(a, b)
 
-    def _ite(self, c: Term, t: Term, e: Term) -> Term:
-        if c is TRUE:
+    def _ite(self, c: int, t: int, e: int) -> int:
+        if c == _TOP:
             return t
-        if c is FALSE:
+        if c == -_TOP:
             return e
-        if t is e:
+        if t == e:
             return t
-        if t is TRUE and e is FALSE:
-            return c
-        if t is FALSE and e is TRUE:
-            return negate(c)
-        if t is TRUE:
+        if t == _TOP:
             return self._or(c, e)
-        if t is FALSE:
-            return self._and(negate(c), e)
-        if e is FALSE:
+        if t == -_TOP:
+            return self._and(-c, e)
+        if e == -_TOP:
             return self._and(c, t)
-        if e is TRUE:
-            return self._or(negate(c), t)
-        self.stats["gates"] += 1
-        return Apply("ite", (c, t, e), BOOL)
+        if e == _TOP:
+            return self._or(-c, t)
+        if c < 0:
+            c, t, e = -c, e, t
+        flip = t < 0
+        if flip:
+            t, e = -t, -e
+        key = (c, t, e)
+        g = self._ites.get(key)
+        if g is None:
+            g = self._ites[key] = self._gate()
+            self._formula.clauses.extend(
+                (
+                    (-g, -c, t),
+                    (-g, c, e),
+                    (g, -c, -t),
+                    (g, c, -e),
+                    # Redundant but propagation-strengthening:
+                    (-g, t, e),
+                    (g, -t, -e),
+                )
+            )
+        return -g if flip else g
 
     # -- word-level circuits -------------------------------------------------
 
-    def _word_eq(self, xs: list[Term], ys: list[Term]) -> Term:
-        result = TRUE
+    def _word_eq(self, xs: list[int], ys: list[int]) -> int:
+        result = _TOP
         for x, y in zip(xs, ys):
             result = self._and(result, self._iff(x, y))
         return result
 
-    def _add(self, xs: list[Term], ys: list[Term], carry: Term = FALSE) -> list[Term]:
+    def _add(self, xs: list[int], ys: list[int], carry: int = -_TOP) -> list[int]:
         out = []
         for x, y in zip(xs, ys):
             partial = self._xor(x, y)
@@ -376,46 +445,40 @@ class BvBlaster:
             carry = self._or(self._and(x, y), self._and(partial, carry))
         return out
 
-    def _neg(self, xs: list[Term]) -> list[Term]:
-        return self._add(
-            [negate(x) for x in xs], [FALSE] * len(xs), carry=TRUE
-        )
+    def _neg(self, xs: list[int]) -> list[int]:
+        return self._add([-x for x in xs], [-_TOP] * len(xs), carry=_TOP)
 
-    def _mul(self, xs: list[Term], ys: list[Term]) -> list[Term]:
+    def _mul(self, xs: list[int], ys: list[int]) -> list[int]:
         width = len(xs)
-        acc: list[Term] = [FALSE] * width
+        acc: list[int] = [-_TOP] * width
         for shift, y in enumerate(ys):
-            if y is FALSE:
+            if y == -_TOP:
                 continue
-            partial = [FALSE] * shift + [
+            partial = [-_TOP] * shift + [
                 self._and(y, x) for x in xs[: width - shift]
             ]
             acc = self._add(acc, partial)
         return acc
 
-    def _ult(self, xs: list[Term], ys: list[Term]) -> Term:
+    def _ult(self, xs: list[int], ys: list[int]) -> int:
         # Borrow chain of xs - ys: a final borrow means xs < ys.
-        borrow: Term = FALSE
+        borrow = -_TOP
         for x, y in zip(xs, ys):
             same = self._iff(x, y)
-            borrow = self._or(
-                self._and(negate(x), y), self._and(same, borrow)
-            )
+            borrow = self._or(self._and(-x, y), self._and(same, borrow))
         return borrow
 
-    def _slt(self, xs: list[Term], ys: list[Term]) -> Term:
+    def _slt(self, xs: list[int], ys: list[int]) -> int:
         sign_x, sign_y = xs[-1], ys[-1]
         # Different signs: the negative side (sign bit 1) is smaller.
-        return self._ite(
-            self._xor(sign_x, sign_y), sign_x, self._ult(xs, ys)
-        )
+        return self._ite(self._xor(sign_x, sign_y), sign_x, self._ult(xs, ys))
 
-    def _shift(self, op: str, xs: list[Term], amount: list[Term]) -> list[Term]:
+    def _shift(self, op: str, xs: list[int], amount: list[int]) -> list[int]:
         width = len(xs)
         sign = xs[-1]
-        fill: Term = sign if op == "bvashr" else FALSE
+        fill = sign if op == "bvashr" else -_TOP
         result = list(xs)
-        overflow: Term = FALSE
+        overflow = -_TOP
         for stage, bit in enumerate(amount):
             step = 1 << stage
             if step >= width:
@@ -424,7 +487,7 @@ class BvBlaster:
                 continue
             if op == "bvshl":
                 shifted = [
-                    result[i - step] if i >= step else FALSE
+                    result[i - step] if i >= step else -_TOP
                     for i in range(width)
                 ]
             else:
@@ -432,43 +495,36 @@ class BvBlaster:
                     result[i + step] if i + step < width else fill
                     for i in range(width)
                 ]
-            result = [
-                self._ite(bit, s, r) for s, r in zip(shifted, result)
-            ]
+            result = [self._ite(bit, s, r) for s, r in zip(shifted, result)]
         return [self._ite(overflow, fill, r) for r in result]
 
     def _udivrem(
-        self, xs: list[Term], ys: list[Term]
-    ) -> tuple[list[Term], list[Term]]:
+        self, xs: list[int], ys: list[int]
+    ) -> tuple[list[int], list[int]]:
         """Restoring division; SMT-LIB totality: x/0 = all-ones, x%0 = x."""
         width = len(xs)
-        divisor = ys + [FALSE]  # one headroom bit for the trial subtraction
-        remainder: list[Term] = [FALSE] * (width + 1)
-        quotient: list[Term] = [FALSE] * width
+        divisor = ys + [-_TOP]  # one headroom bit for the trial subtraction
+        remainder: list[int] = [-_TOP] * (width + 1)
+        quotient: list[int] = [-_TOP] * width
         for i in reversed(range(width)):
             remainder = [xs[i]] + remainder[:width]
-            fits = negate(self._ult(remainder, divisor))
-            difference = self._add(
-                remainder, [negate(d) for d in divisor], carry=TRUE
-            )
+            fits = -self._ult(remainder, divisor)
+            difference = self._add(remainder, [-d for d in divisor], carry=_TOP)
             remainder = [
-                self._ite(fits, d, r)
-                for d, r in zip(difference, remainder)
+                self._ite(fits, d, r) for d, r in zip(difference, remainder)
             ]
             quotient[i] = fits
-        zero_divisor = TRUE
+        zero_divisor = _TOP
         for y in ys:
-            zero_divisor = self._and(zero_divisor, negate(y))
-        quotient = [self._ite(zero_divisor, TRUE, q) for q in quotient]
+            zero_divisor = self._and(zero_divisor, -y)
+        quotient = [self._ite(zero_divisor, _TOP, q) for q in quotient]
         remainder = [
             self._ite(zero_divisor, x, r)
             for x, r in zip(xs, remainder[:width])
         ]
         return quotient, remainder
 
-    def _signed_divrem(
-        self, op: str, xs: list[Term], ys: list[Term]
-    ) -> list[Term]:
+    def _signed_divrem(self, op: str, xs: list[int], ys: list[int]) -> list[int]:
         """The SMT-LIB definitional expansions over ``bvudiv``/``bvurem``
         (mirrors ``_fold_bv_signed`` in the evaluator)."""
         sign_x, sign_y = xs[-1], ys[-1]
@@ -481,30 +537,24 @@ class BvBlaster:
             return [self._ite(flip, n, q) for n, q in zip(negated, quotient)]
         if op == "bvsrem":
             negated = self._neg(remainder)
-            return [
-                self._ite(sign_x, n, r) for n, r in zip(negated, remainder)
-            ]
+            return [self._ite(sign_x, n, r) for n, r in zip(negated, remainder)]
         # bvsmod: the result takes the divisor's sign.
-        rem_zero = TRUE
+        rem_zero = _TOP
         for r in remainder:
-            rem_zero = self._and(rem_zero, negate(r))
+            rem_zero = self._and(rem_zero, -r)
         same_sign = self._iff(sign_x, sign_y)
         both_negative = self._and(sign_x, sign_y)
         negated = self._neg(remainder)
         plain = [
-            self._ite(both_negative, n, r)
-            for n, r in zip(negated, remainder)
+            self._ite(both_negative, n, r) for n, r in zip(negated, remainder)
         ]
-        adjusted_neg = self._add(
-            ys, [negate(r) for r in remainder], carry=TRUE
-        )  # t - urem
+        adjusted_neg = self._add(ys, [-r for r in remainder], carry=_TOP)  # t - urem
         adjusted_pos = self._add(remainder, ys)  # urem + t
         mixed = [
-            self._ite(sign_x, a, b)
-            for a, b in zip(adjusted_neg, adjusted_pos)
+            self._ite(sign_x, a, b) for a, b in zip(adjusted_neg, adjusted_pos)
         ]
         take_plain = self._or(rem_zero, same_sign)
         return [self._ite(take_plain, p, m) for p, m in zip(plain, mixed)]
 
 
-__all__ = ["BvBlaster", "BIT_MARKER", "MAX_BLAST_WIDTH"]
+__all__ = ["BvBlaster", "MAX_BLAST_WIDTH"]

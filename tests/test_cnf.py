@@ -145,6 +145,24 @@ class TestSharing:
         assert len(formula.clauses) == 50 + 1 + 1  # gate + long clause + root unit
 
 
+class TestBind:
+    def test_bound_literal_is_the_encoding(self):
+        encoder = TseitinEncoder()
+        var = encoder.new_var()
+        encoder.bind(A, -var)
+        assert encoder.encode(A) == -var
+        assert encoder.root_clauses(Apply("or", (A, B), BOOL)) == [(-var, 2)]
+        assert encoder.formula.clauses == []
+
+    def test_binding_an_encoded_term_ties_the_literals(self):
+        encoder = TseitinEncoder()
+        old = encoder.encode(A)
+        new = encoder.new_var()
+        encoder.bind(A, new)
+        assert encoder.encode(A) == old
+        assert encoder.formula.clauses == [(-old, new), (old, -new)]
+
+
 class TestRootClauses:
     def test_root_or_is_one_clause(self):
         wide = Apply("or", tuple(Symbol(f"v{i}", BOOL) for i in range(50)), BOOL)

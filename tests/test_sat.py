@@ -3,10 +3,22 @@ unsatisfiable families, and the solver's operational behaviour."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from repro.sat import SAT, Solver, UNKNOWN, UNSAT, from_dimacs, luby, to_dimacs
+from repro.proof import ProofLog
+from repro.proof.log import INPUT
+from repro.sat import (
+    SAT,
+    Solver,
+    SolverConfig,
+    UNKNOWN,
+    UNSAT,
+    from_dimacs,
+    luby,
+    to_dimacs,
+)
 
 
 def brute_force(num_vars, clauses):
@@ -210,6 +222,93 @@ class TestOperational:
         solver.add_clause([-1])
         solver.solve()
         assert solver.model is None
+
+
+def mixed_cnf(rng, num_vars, num_clauses):
+    """Random clauses of 1 to 6 literals, duplicates and tautologies
+    included, so level-0 simplification has work to do."""
+    clauses = []
+    for _ in range(num_clauses):
+        size = rng.choice([1, 2, 2, 3, 3, 3, 4, 6])
+        clauses.append(
+            [rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(size)]
+        )
+    return clauses
+
+
+def clause_multiset(solver):
+    return Counter(tuple(sorted(clause)) for clause in solver.export_cnf()[1])
+
+
+class TestBatchIngestion:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_batch_matches_one_at_a_time(self, seed):
+        rng = random.Random(seed)
+        num_vars = rng.randint(4, 30)
+        clauses = mixed_cnf(rng, num_vars, rng.randint(5, 4 * num_vars))
+        batched, single = Solver(), Solver()
+        batched_ok = batched.add_clauses(clauses)
+        single_ok = True
+        for clause in clauses:
+            single_ok = single.add_clause(clause) and single_ok
+        assert batched_ok == single_ok
+        if batched_ok:
+            assert set(batched.trail) == set(single.trail)
+            assert clause_multiset(batched) == clause_multiset(single)
+        assert batched.solve() == single.solve()
+
+    def test_early_unit_simplifies_later_clauses(self):
+        solver = Solver()
+        assert solver.add_clauses([[1], [-1, 2, 3], [-1, 4], [1, 5, 6]])
+        # (-1 2 3) lost its false literal; (-1 4) became the unit 4;
+        # (1 5 6) was satisfied.
+        assert set(solver.trail) == {1, 4}
+        assert solver.num_clauses == 1
+        (ref,) = solver.watcher_refs(2)
+        assert solver.clause_lits(ref) == (2, 3)
+
+    def test_conflict_inside_batch(self):
+        solver = Solver()
+        # The units are queued; the conflict surfaces when the batch
+        # propagates 1 → 2 → 3 against (-3 -1).
+        assert solver.add_clauses([[-1, 2], [-2, 3], [-3, -1], [1]]) is False
+        assert solver.solve() == UNSAT
+        assert solver.add_clause([4]) is False
+        direct = Solver()
+        assert direct.add_clauses([[1], [2], [-1, -2]]) is False
+        assert direct.solve() == UNSAT
+
+    @pytest.mark.parametrize(
+        "clause", [[0], [1, 0], [0, 1, 2], [1, 2, 3, 0], [2, 2, 0, -3, 4, 5]]
+    )
+    def test_zero_literal_rejected_in_batch(self, clause):
+        with pytest.raises(ValueError):
+            Solver().add_clauses([[1, 2], clause])
+
+    def test_proof_logs_every_input_in_order(self):
+        batch = [[1, 2], [1, -1], [3], [3, 4], [2, 2, -5], [-3, 6, 7, 8], []]
+        solver = Solver()
+        solver.proof = ProofLog()
+        assert solver.add_clauses(batch) is False
+        steps = solver.proof.steps
+        assert all(step.kind == INPUT for step in steps)
+        assert [list(step.lits) for step in steps] == batch
+
+    @pytest.mark.parametrize(
+        "config",
+        [SolverConfig(phase_init="true"), SolverConfig(phase_init="random", seed=7)],
+        ids=["true", "random"],
+    )
+    def test_bulk_growth_matches_per_variable_growth(self, config):
+        bulk, stepwise = Solver(config=config), Solver(config=config)
+        bulk.ensure_vars(100_000)
+        for _ in range(100_000):
+            stepwise.new_var()
+        assert bulk.num_vars == stepwise.num_vars == 100_000
+        assert bulk._phase == stepwise._phase
+        assert bulk._order == stepwise._order
+        if config.phase_init == "random":
+            assert 0 < sum(bulk._phase) < 100_001
 
 
 class TestDimacsIntegration:

@@ -4,33 +4,34 @@ Two layers of assurance:
 
 * **Circuit-vs-oracle** — every circuit the blaster builds is checked
   exhaustively against :func:`repro.smtlib.evaluate.fold_apply` at small
-  widths: for every input pair, the blasted atom must evaluate ``true``
-  exactly on the operator's reference result and ``false`` on a wrong
-  one.  This covers the adder, multiplier, restoring divider (including
-  the SMT-LIB division-by-zero totality), barrel shifters, signed
-  expansions, comparisons and the structural/indexed operators.
+  widths: for every input assignment the blaster's clauses go to a fresh
+  :class:`~repro.sat.Solver`, which solves under the input bits as
+  assumptions; the blasted atom's literal must come out ``true`` exactly
+  on the operator's reference result, and its other value must be
+  unsatisfiable.  This covers the adder, multiplier, restoring divider
+  (including the SMT-LIB division-by-zero totality), barrel shifters,
+  signed expansions, comparisons and the structural/indexed operators.
 * **Engine cross-checks** — QF_BV scripts through the full stack:
   sat/unsat answers, certified proofs (blasted clauses are input clauses,
-  so every unsat is RUP-checkable), model decoding with bit symbols kept
-  out of models, incremental push/pop, and per-check metrics.
+  so every unsat is RUP-checkable), model decoding by bit variable,
+  incremental push/pop, and per-check metrics.
 """
 
 import pytest
 
-from repro import solve_script
+from repro import run_script, solve_script
 from repro.proof import check_proof
+from repro.sat import SAT, UNSAT, Solver
 from repro.smtlib import (
     BOOL,
     Apply,
     Symbol,
+    TseitinEncoder,
     bitvec_const,
     bitvec_sort,
-    bool_const,
-    evaluate,
     fold_apply,
 )
 from repro.theory import BvBlaster
-from repro.theory.bv import BIT_MARKER
 
 # ---------------------------------------------------------------------------
 # Circuit-vs-oracle exhaustive checks.
@@ -41,19 +42,39 @@ def bv_sym(name: str, width: int) -> Symbol:
     return Symbol(name, bitvec_sort(width))
 
 
-def bit_bindings(values: dict[str, tuple[int, int]]) -> dict:
-    """Bindings for every bit symbol of ``name -> (value, width)``."""
-    env = {}
-    for name, (value, width) in values.items():
-        for i in range(width):
-            env[f"{name}{BIT_MARKER}{i}"] = bool_const(bool((value >> i) & 1))
-    return env
+def blast(atoms):
+    """Lower ``atoms`` with a fresh blaster; returns (encoder, blaster)."""
+    encoder = TseitinEncoder()
+    blaster = BvBlaster(encoder)
+    for atom in atoms:
+        assert blaster.lower_skeleton(atom) == [], f"{atom} was not lowered"
+    return encoder, blaster
 
 
-def assert_circuit_matches(blaster, atom, env, expected: bool, context: str):
-    circuit = blaster.rewrite(atom)
-    got = evaluate(circuit, env).value
-    assert got is expected, f"{context}: circuit={got}, oracle={expected}"
+def assert_circuit_matches(encoder, blaster, inputs, checks, context: str):
+    """Solve the blaster's clauses under ``inputs`` (symbol → value) as
+    bit assumptions; each ``(atom, expected)`` of ``checks`` must take its
+    expected value in the model, and the other value must be unsat."""
+    solver = Solver(encoder.formula.num_vars)
+    solver.add_clauses(encoder.formula.clauses)
+    assumptions = []
+    for symbol, value in inputs.items():
+        bits = blaster.symbol_bits(symbol)
+        assert len(bits) == symbol.sort.width, f"{symbol} was not blasted"
+        for position, bit in enumerate(bits):
+            assumptions.append(bit if (value >> position) & 1 else -bit)
+    assert solver.solve(assumptions=assumptions) == SAT, context
+    model = solver.model
+    for atom, expected in checks:
+        lit = encoder.encode(atom)
+        got = model[abs(lit)] == (lit > 0)
+        assert got is expected, f"{context}: circuit={got}, oracle={expected}"
+    for atom, expected in checks:
+        lit = encoder.encode(atom)
+        wrong = -lit if expected else lit
+        assert solver.solve(assumptions=assumptions + [wrong]) == UNSAT, (
+            f"{context}: {atom} is not forced by the inputs"
+        )
 
 
 WORD_OPS = [
@@ -79,46 +100,46 @@ CMP_OPS = ["bvult", "bvule", "bvugt", "bvuge", "bvslt", "bvsle", "bvsgt", "bvsge
 @pytest.mark.parametrize("op", WORD_OPS)
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_binary_word_circuit_exhaustive(op, width):
-    blaster = BvBlaster()
     x, y = bv_sym("x", width), bv_sym("y", width)
     sort = bitvec_sort(width)
     term = Apply(op, (x, y), sort)
+    probes = [
+        Apply("=", (term, bitvec_const(probe, width)), BOOL)
+        for probe in range(1 << width)
+    ]
+    encoder, blaster = blast(probes)
     for xv in range(1 << width):
         for yv in range(1 << width):
-            env = bit_bindings({"x": (xv, width), "y": (yv, width)})
             oracle = fold_apply(
                 op, (), (bitvec_const(xv, width), bitvec_const(yv, width)), sort
             )
             assert oracle is not None, f"oracle cannot fold {op}"
             expected = oracle.value
-            for probe in range(1 << width):
-                atom = Apply("=", (term, bitvec_const(probe, width)), BOOL)
-                assert_circuit_matches(
-                    blaster,
-                    atom,
-                    env,
-                    probe == expected,
-                    f"{op} width={width} x={xv} y={yv} probe={probe}",
-                )
+            assert_circuit_matches(
+                encoder,
+                blaster,
+                {x: xv, y: yv},
+                [(atom, probe == expected) for probe, atom in enumerate(probes)],
+                f"{op} width={width} x={xv} y={yv}",
+            )
 
 
 @pytest.mark.parametrize("op", CMP_OPS)
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_comparison_circuit_exhaustive(op, width):
-    blaster = BvBlaster()
     x, y = bv_sym("x", width), bv_sym("y", width)
     atom = Apply(op, (x, y), BOOL)
+    encoder, blaster = blast([atom])
     for xv in range(1 << width):
         for yv in range(1 << width):
-            env = bit_bindings({"x": (xv, width), "y": (yv, width)})
             oracle = fold_apply(
                 op, (), (bitvec_const(xv, width), bitvec_const(yv, width)), BOOL
             )
             assert_circuit_matches(
+                encoder,
                 blaster,
-                atom,
-                env,
-                oracle.value,
+                {x: xv, y: yv},
+                [(atom, oracle.value)],
                 f"{op} width={width} x={xv} y={yv}",
             )
 
@@ -126,18 +147,23 @@ def test_comparison_circuit_exhaustive(op, width):
 @pytest.mark.parametrize("op", ["bvnot", "bvneg"])
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_unary_circuit_exhaustive(op, width):
-    blaster = BvBlaster()
     x = bv_sym("x", width)
     sort = bitvec_sort(width)
     term = Apply(op, (x,), sort)
+    probes = [
+        Apply("=", (term, bitvec_const(probe, width)), BOOL)
+        for probe in range(1 << width)
+    ]
+    encoder, blaster = blast(probes)
     for xv in range(1 << width):
-        env = bit_bindings({"x": (xv, width)})
         expected = fold_apply(op, (), (bitvec_const(xv, width),), sort).value
-        for probe in range(1 << width):
-            atom = Apply("=", (term, bitvec_const(probe, width)), BOOL)
-            assert_circuit_matches(
-                blaster, atom, env, probe == expected, f"{op} x={xv} probe={probe}"
-            )
+        assert_circuit_matches(
+            encoder,
+            blaster,
+            {x: xv},
+            [(atom, probe == expected) for probe, atom in enumerate(probes)],
+            f"{op} x={xv}",
+        )
 
 
 INDEXED_CASES = [
@@ -155,99 +181,150 @@ INDEXED_CASES = [
     "op,indices,width,out_width", INDEXED_CASES, ids=lambda v: str(v)
 )
 def test_indexed_circuit_exhaustive(op, indices, width, out_width):
-    blaster = BvBlaster()
     x = bv_sym("x", width)
     sort = bitvec_sort(out_width)
     term = Apply(op, (x,), sort, indices=tuple(indices))
+    probes = [
+        Apply("=", (term, bitvec_const(probe, out_width)), BOOL)
+        for probe in range(1 << out_width)
+    ]
+    encoder, blaster = blast(probes)
     for xv in range(1 << width):
-        env = bit_bindings({"x": (xv, width)})
         expected = fold_apply(
             op, tuple(indices), (bitvec_const(xv, width),), sort
         ).value
-        for probe in range(1 << out_width):
-            atom = Apply("=", (term, bitvec_const(probe, out_width)), BOOL)
-            assert_circuit_matches(
-                blaster,
-                atom,
-                env,
-                probe == expected,
-                f"{op}{indices} x={xv} probe={probe}",
-            )
+        assert_circuit_matches(
+            encoder,
+            blaster,
+            {x: xv},
+            [(atom, probe == expected) for probe, atom in enumerate(probes)],
+            f"{op}{indices} x={xv}",
+        )
 
 
 def test_concat_circuit_exhaustive():
-    blaster = BvBlaster()
     x, y = bv_sym("x", 2), bv_sym("y", 3)
     sort = bitvec_sort(5)
     term = Apply("concat", (x, y), sort)
+    probes = [Apply("=", (term, bitvec_const(probe, 5)), BOOL) for probe in range(32)]
+    encoder, blaster = blast(probes)
     for xv in range(4):
         for yv in range(8):
-            env = bit_bindings({"x": (xv, 2), "y": (yv, 3)})
             expected = (xv << 3) | yv
-            for probe in range(32):
-                atom = Apply("=", (term, bitvec_const(probe, 5)), BOOL)
-                assert_circuit_matches(
-                    blaster, atom, env, probe == expected, f"concat {xv} {yv}"
-                )
+            assert_circuit_matches(
+                encoder,
+                blaster,
+                {x: xv, y: yv},
+                [(atom, probe == expected) for probe, atom in enumerate(probes)],
+                f"concat {xv} {yv}",
+            )
 
 
 def test_ite_condition_is_rewritten():
     """The condition of a bit-vector ``ite`` is itself a BV atom and must
-    blast along with the branches."""
-    blaster = BvBlaster()
+    be lowered along with the branches."""
     x, y = bv_sym("x", 2), bv_sym("y", 2)
     sort = bitvec_sort(2)
     cond = Apply("bvult", (x, y), BOOL)
     term = Apply("ite", (cond, x, y), sort)  # min(x, y)
+    atoms = {
+        value: Apply("=", (term, bitvec_const(value, 2)), BOOL) for value in range(4)
+    }
+    encoder, blaster = blast(atoms.values())
     for xv in range(4):
         for yv in range(4):
-            env = bit_bindings({"x": (xv, 2), "y": (yv, 2)})
-            expected = min(xv, yv)
-            atom = Apply("=", (term, bitvec_const(expected, 2)), BOOL)
             assert_circuit_matches(
-                blaster, atom, env, True, f"ite-min {xv} {yv}"
+                encoder,
+                blaster,
+                {x: xv, y: yv},
+                [(atoms[min(xv, yv)], True)],
+                f"ite-min {xv} {yv}",
             )
 
 
 def test_nary_equality_chains():
-    blaster = BvBlaster()
     x, y, z = bv_sym("x", 2), bv_sym("y", 2), bv_sym("z", 2)
     atom = Apply("=", (x, y, z), BOOL)
+    encoder, blaster = blast([atom])
     for xv in range(4):
         for yv in range(4):
             for zv in range(4):
-                env = bit_bindings(
-                    {"x": (xv, 2), "y": (yv, 2), "z": (zv, 2)}
-                )
                 assert_circuit_matches(
-                    blaster, atom, env, xv == yv == zv, f"= {xv} {yv} {zv}"
+                    encoder,
+                    blaster,
+                    {x: xv, y: yv, z: zv},
+                    [(atom, xv == yv == zv)],
+                    f"= {xv} {yv} {zv}",
                 )
 
 
 def test_unsupported_leaves_stay_abstracted():
-    """Atoms over non-symbol BV leaves survive unchanged (sound fallback)."""
-    blaster = BvBlaster()
+    """Atoms over non-symbol BV leaves are not lowered (sound fallback)."""
+    encoder = TseitinEncoder()
+    blaster = BvBlaster(encoder)
     w = bitvec_sort(4)
     ux = Apply("f", (bv_sym("x", 4),), w)  # uninterpreted application
     atom = Apply("=", (ux, bitvec_const(0, 4)), BOOL)
-    assert blaster.rewrite(atom) is atom
+    assert blaster.lower_skeleton(atom) == [atom]
+    assert atom not in encoder.literals
     assert blaster.stats["atoms_skipped"] == 1
 
 
 def test_decode_reads_back_words():
-    blaster = BvBlaster()
     x = bv_sym("x", 3)
-    atom = Apply("=", (x, bitvec_const(5, 3)), BOOL)
-    blaster.rewrite(atom)
-    model = {
-        f"x{BIT_MARKER}0": bool_const(True),
-        f"x{BIT_MARKER}2": bool_const(True),
-        # bit 1 absent: don't-care bits read as 0
-    }
-    decoded = blaster.decode(model)
-    assert decoded["x"] == bitvec_const(5, 3)
-    assert blaster.is_bit(f"x{BIT_MARKER}1")
-    assert not blaster.is_bit("x")
+    wide_x = bv_sym("x", 5)  # same name, another sort: another word
+    encoder, blaster = blast(
+        [
+            Apply("=", (x, bitvec_const(5, 3)), BOOL),
+            Apply("=", (wide_x, bitvec_const(17, 5)), BOOL),
+        ]
+    )
+    assert set(blaster.symbol_bits(x)).isdisjoint(blaster.symbol_bits(wide_x))
+    solver = Solver(encoder.formula.num_vars)
+    solver.add_clauses(encoder.formula.clauses)
+    lits = [encoder.encode(atom) for atom in encoder.literals]
+    assert solver.solve(assumptions=lits) == SAT
+    assert blaster.decode(solver.model, [x]) == {"x": bitvec_const(5, 3)}
+    assert blaster.decode(solver.model, [wide_x]) == {"x": bitvec_const(17, 5)}
+    # A symbol that was never blasted has no word to decode.
+    assert blaster.decode(solver.model, [bv_sym("y", 3)]) == {}
+
+
+def test_structural_hashing_shares_commuted_adders():
+    """``(bvadd x y)`` and ``(bvadd y x)`` build the adder's gates once."""
+    x, y, z = bv_sym("x", 8), bv_sym("y", 8), bv_sym("z", 8)
+    sort = bitvec_sort(8)
+    encoder = TseitinEncoder()
+    blaster = BvBlaster(encoder)
+    first = Apply("=", (Apply("bvadd", (x, y), sort), z), BOOL)
+    second = Apply("=", (Apply("bvadd", (y, x), sort), z), BOOL)
+    blaster.lower_skeleton(first)
+    gates, clauses = blaster.stats["gates"], len(encoder.formula.clauses)
+    assert gates > 0
+    blaster.lower_skeleton(second)
+    assert blaster.stats["atoms_blasted"] == 2
+    assert blaster.stats["gates"] == gates
+    assert len(encoder.formula.clauses) == clauses
+    assert encoder.encode(first) == encoder.encode(second)
+
+
+def test_atom_under_both_polarities_ships_its_circuit_once():
+    """An atom under an ``xor`` occurs in both polarities; it is one
+    literal, so its circuit is built and shipped once."""
+    head = (
+        "(declare-const x (_ BitVec 4))(declare-const y (_ BitVec 4))"
+        "(declare-const p Bool)(declare-const q Bool)"
+        "(assert (xor p (bvult (bvmul x y) #x5)))"
+    )
+    one = solve_script(head + "(check-sat)")[0].metrics
+    both = solve_script(
+        head + "(assert (not (xor q (bvult (bvmul x y) #x5))))(check-sat)"
+    )[0].metrics
+    assert both["theory.bv.atoms_blasted"] == one["theory.bv.atoms_blasted"] == 1
+    assert both["theory.bv.gates"] == one["theory.bv.gates"] > 0
+    # The second assertion adds only its skeleton: one xor gate (4
+    # clauses) and its root unit.
+    assert both["engine.clauses_shipped"] == one["engine.clauses_shipped"] + 5
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +350,7 @@ class TestEngine:
         xv, yv = model["x"].value, model["y"].value
         assert (xv + yv) % 256 == 0x2A
         assert xv < yv
-        assert all(BIT_MARKER not in name for name in model)
+        assert set(model) == {"x", "y"}  # words only, no bit variables
 
     def test_unsat_is_certified(self):
         checks = solve_script(
@@ -399,3 +476,105 @@ class TestEngine:
             "(check-sat)"
         )
         assert checks[0].answer in ("sat", "unknown")
+
+    @pytest.mark.parametrize("polarity", ["(not x!bv!0)", "x!bv!0"])
+    def test_bit_named_symbol_is_its_own_variable(self, polarity):
+        # ``x!bv!0`` is a legal simple symbol; it must not alias bit 0 of
+        # the bit-vector ``x`` (both polarities are satisfiable).
+        checks = solve_script(
+            "(declare-const x!bv!0 Bool)"
+            "(declare-const x (_ BitVec 1))"
+            "(assert (= x #b1))"
+            f"(assert {polarity})"
+            "(check-sat)"
+        )
+        assert [c.answer for c in checks] == ["sat"]
+        assert checks[0].model["x"] == bitvec_const(1, 1)
+
+    def test_redeclared_width_after_pop(self):
+        result = run_script(
+            "(push 1)"
+            "(declare-const x (_ BitVec 4))"
+            "(assert (= x #x3))"
+            "(check-sat)"
+            "(pop 1)"
+            "(declare-const x (_ BitVec 8))"
+            "(assert (= x #x13))"
+            "(check-sat)"
+            "(get-value (x))"
+        )
+        assert result.output == ["sat", "sat", "((x #x13))"]
+
+    @pytest.mark.parametrize("width", [4, 1])
+    def test_lowered_index_equality_in_array_lemmas(self, width):
+        # The array lemmas mention (= i j), which is lowered to a circuit
+        # literal (a negated xor at width 1); they must reuse it.
+        sort = f"(_ BitVec {width})"
+        checks = solve_script(
+            f"(declare-const a (Array {sort} Int))"
+            f"(declare-const i {sort})"
+            f"(declare-const j {sort})"
+            "(assert (= (select (store a i 5) j) 7))"
+            "(assert (= i j))"
+            "(check-sat)",
+            produce_proofs=True,
+        )
+        assert [c.answer for c in checks] == ["unsat"]
+        assert check_proof(checks[0].proof).ok
+
+    def test_ite_condition_atoms_reach_theories(self):
+        # Non-BV atoms inside a BV ite condition still reach theory
+        # dispatch and the model.
+        result = run_script(
+            "(declare-fun p (Int) Bool)"
+            "(declare-const k Int)"
+            "(declare-const x (_ BitVec 4))"
+            "(assert (= (ite (p k) x #x0) #x3))"
+            "(check-sat)"
+            "(get-value (x (p k)))"
+        )
+        assert result.output == ["sat", "((x #x3) ((p k) true))"]
+        assert answers(
+            "(declare-const k Int)"
+            "(declare-const x (_ BitVec 4))"
+            "(assert (= (ite (> k 2) x #x0) #x3))"
+            "(assert (< k 2))"
+            "(check-sat)"
+        ) == ["unsat"]
+        assert answers(
+            "(declare-const q Bool)"
+            "(declare-const x (_ BitVec 4))"
+            "(assert (= (ite q x #x0) #x3))"
+            "(assert (not q))"
+            "(check-sat)"
+        ) == ["unsat"]
+
+    def test_undeclared_symbols_of_an_api_script_decode(self):
+        # A Script built through the API may skip declarations; its free
+        # bit-vector symbols still get their words in the model.
+        from repro import Engine
+        from repro.smtlib import Assert, CheckSat, Script
+
+        x, y = bv_sym("x", 6), bv_sym("y", 6)
+        product = Apply("bvmul", (x, y), bitvec_sort(6))
+        script = Script(
+            (
+                Assert(Apply("=", (product, bitvec_const(35, 6)), BOOL)),
+                Assert(Apply("bvult", (bitvec_const(1, 6), x), BOOL)),
+                Assert(Apply("bvult", (bitvec_const(1, 6), y), BOOL)),
+                CheckSat(),
+            )
+        )
+        (check,) = Engine().run(script).check_results
+        assert check.answer == "sat"
+        xv, yv = check.model["x"].value, check.model["y"].value
+        assert (xv * yv) % 64 == 35 and xv > 1 and yv > 1
+
+    def test_true_literal_only_when_a_circuit_folds(self):
+        # A script without folded circuits allocates no constant-true
+        # variable: one variable for the one atom.
+        checks = solve_script(
+            "(declare-const k Int)(assert (> k 2))(check-sat)"
+        )
+        assert checks[0].metrics["engine.vars"] == 1
+        assert checks[0].metrics["engine.clauses_shipped"] == 1
