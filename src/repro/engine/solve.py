@@ -24,10 +24,14 @@ the whole run:
 * Theory reasoning is layered in through :class:`repro.sat.TheoryHook`:
   the hook keeps a :class:`~repro.theory.TheoryComposite` — linear
   arithmetic (:class:`~repro.theory.ArithTheory`) routed ahead of
-  congruence closure (:class:`~repro.theory.EufTheory`) — synchronized
-  with the SAT trail via per-literal checkpoints (``push`` on assert,
-  ``pop`` on backtrack) and translates theory conflicts into blocking
-  clauses over the atom variables.
+  congruence closure with arrays (:class:`~repro.theory.EufTheory`) —
+  synchronized with the SAT trail via per-literal checkpoints (``push``
+  on assert, ``pop`` on backtrack) and translates theory conflicts into
+  blocking clauses over the atom variables.  The composite, the hook and
+  the plugins' metrics sources are built once per run; each
+  ``check-sat`` routes its live atoms and pops the theory back to empty,
+  while plugin caches (compiled atoms, the tableau, emitted array
+  lemmas) carry over.
 
 Answer semantics stay *sound*:
 
@@ -103,8 +107,6 @@ from ..smtlib.terms import (
 )
 from ..theory import (
     ArithTheory,
-    ArraysState,
-    ArraysTheory,
     BvBlaster,
     EufTheory,
     SortValueAllocator,
@@ -131,26 +133,37 @@ class _TheorySync(TheoryHook):
     any :class:`~repro.theory.TheoryConflict` into a blocking clause over
     the atom literals.
 
-    Trail literals are routed by variable *and* sign: ``routes`` maps both
+    Trail literals are routed by variable *and* sign: the routes map both
     literals of an owned atom's variable to ``(atom, polarity)``.  An
     atom's literal need not be positive — a lowered bit-vector atom is
     bound to its circuit literal, and a 1-bit ``=`` is a negated ``xor``.
+    One hook serves a whole run; :meth:`restart` begins each check.
     """
 
     def __init__(
         self,
         theory: Theory,
-        routes: dict[int, tuple[Term, bool]],
         literals: dict[Term, int],
         encode_atom: Callable[[Term], int],
         events: Optional[EventLog] = None,
     ) -> None:
         self._theory = theory
-        self._routes = routes
+        self._routes: dict[int, tuple[Term, bool]] = {}
         self._literals = literals
         self._encode_atom = encode_atom
         self._events = events
         self._synced: list[int] = []
+
+    def restart(self, routes: dict[int, tuple[Term, bool]]) -> None:
+        """Begin a check under ``routes``: pop the theory back to empty, so
+        the first callback re-syncs the whole trail — the state a fresh
+        plugin would start from.  Lemmas still queued go too: a final
+        check that queued lemmas and found a conflict may have ended the
+        last search, and its lemmas may mention popped symbols."""
+        self._theory.pop(len(self._synced))
+        self._synced.clear()
+        self._theory.pending_lemmas()
+        self._routes = routes
 
     def on_check(self, solver: Solver, final: bool) -> Iterable[Sequence[int]]:
         # One merged span per search: the hook fires at every
@@ -290,14 +303,21 @@ class Engine:
         self._solver = Solver(config=self._config)
         self._solver.events = self._obs.events
         self._registry = AtomRegistry()
-        # The blaster and the array-lemma state outlive individual checks:
+        # The blaster and the theory stack outlive individual checks:
         # blasted circuits are memoized on hash-consed terms, and emitted
         # case-split lemmas are permanent clauses that must not re-ship.
         # The blaster draws its bit and gate variables from the registry's
-        # encoder, so there is one variable numbering.
+        # encoder, so there is one variable numbering.  Arithmetic is
+        # routed ahead of congruence closure: a numeric comparison is
+        # never uninterpreted structure.
         self._bv = BvBlaster(self._registry.encoder)
-        self._arrays_state = ArraysState()
-        self._array_atom_memo: dict[Term, bool] = {}
+        self._theory = TheoryComposite((ArithTheory(), EufTheory()))
+        self._sync = _TheorySync(
+            self._theory,
+            self._registry.literals,
+            self._encode_lemma_atom,
+            self._obs.events,
+        )
         self._clauses_shipped = 0
         self._guard_clauses = 0
         self._retired_selectors = 0
@@ -321,6 +341,11 @@ class Engine:
             self._engine_counters,
             gauges=("vars", "atoms", "learned_db", "frames"),
         )
+        metrics.register_source("theory.bv", lambda: self._bv.stats)
+        for plugin in self._theory.plugins:
+            metrics.register_source(
+                f"theory.{plugin.name}", lambda plugin=plugin: plugin.stats
+            )
 
     def _enable_proofs(self) -> None:
         """Attach a proof log to the SAT core (idempotent).
@@ -586,22 +611,6 @@ class Engine:
         self._solver.ensure_vars(self._registry.num_vars)
         return lit
 
-    def _mentions_arrays(self, atom: Term) -> bool:
-        """True when the atom contains array structure (memoized)."""
-        cached = self._array_atom_memo.get(atom)
-        if cached is None:
-            cached = any(
-                node.sort.name == "Array"
-                or (
-                    isinstance(node, Apply)
-                    and not node.indices
-                    and node.op in ("select", "store")
-                )
-                for node in atom.walk()
-            )
-            self._array_atom_memo[atom] = cached
-        return cached
-
     # -- the check-sat pipeline ---------------------------------------------
 
     def _check_sat(self) -> CheckSatResult:
@@ -630,13 +639,6 @@ class Engine:
     def _check_sat_inner(self) -> CheckSatResult:
         expected, self._status = self._status, None
         metrics = self._obs.metrics
-        # Theory plugins are per-check; drop last check's sources so the
-        # snapshot delta reports this check's plugins from zero.
-        metrics.unregister_prefix("theory.")
-        # The blaster is engine-lived (its memo must survive push/pop), so
-        # it re-registers before the snapshot: the delta then reports this
-        # check's blasting increments, like any persistent source.
-        metrics.register_source("theory.bv", lambda: self._bv.stats)
         before = metrics.snapshot()
         # Increment after the snapshot so each check's delta shows
         # ``engine.checks == 1`` rather than a stale zero.
@@ -676,55 +678,31 @@ class Engine:
                         active_atoms.append(atom)
         self._active_atoms = len(active_atoms)
 
-        uninterpreted = frozenset(
-            name for frame in self._frames for name in frame.funs
-        )
-        # Theory dispatch: arithmetic first (numeric comparisons are
-        # never uninterpreted structure), then congruence closure; the
-        # composite routes each atom to the first plugin owning it.  When
-        # any live atom carries array structure the congruence plugin is
-        # the arrays extension (one e-graph subsuming EUF) — a separate
-        # plugin would not see the index equalities closure needs.
-        closure: Theory
-        if any(self._mentions_arrays(atom) for atom in active_atoms):
-            closure = ArraysTheory(
-                uninterpreted=uninterpreted, state=self._arrays_state
-            )
-        else:
-            closure = EufTheory(uninterpreted=uninterpreted)
-        theory: Optional[Theory] = TheoryComposite((ArithTheory(), closure))
+        # Theory dispatch: the composite routes each atom to the first
+        # plugin owning it; ownership is static, so it is cached per atom.
         owned: list[Term] = []
         unowned: list[Term] = []
         for atom in active_atoms:
             if isinstance(atom, Symbol) and atom.sort == BOOL:
                 continue  # the SAT core owns plain boolean symbols
-            if theory.owns_atom(atom):
+            if self._theory.owns_atom(atom):
                 owned.append(atom)
             else:
                 unowned.append(atom)
+        theory: Optional[Theory] = None
         if owned:
+            theory = self._theory
             literals = self._registry.literals
             routes: dict[int, tuple[Term, bool]] = {}
             for atom in owned:
                 lit = literals[atom]
                 routes[lit] = (atom, True)
                 routes[-lit] = (atom, False)
-            self._solver.theory = _TheorySync(
-                theory,
-                routes,
-                literals,
-                self._encode_lemma_atom,
-                self._obs.events,
-            )
+            self._sync.restart(routes)
+            self._solver.theory = self._sync
             self._solver.theory_eager = self._theory_eager
         else:
-            theory = None
             self._solver.theory = None
-        if theory is not None:
-            # Register after the `before` snapshot: the plugins are fresh,
-            # so the delta reports their counters as absolute per-check
-            # values.
-            theory.register_metrics(metrics)
 
         # _encode_frames allocated a selector for every pushed frame; the
         # base frame has none (its unnamed assertions ship unguarded).
@@ -793,17 +771,26 @@ class Engine:
             return outcome("unknown", reason="abstracted-atoms")
 
         with trace_span("model"):
-            model, fun_interps, failure = self._build_model(theory, active_atoms)
+            model, fun_interps = self._build_model(theory, active_atoms)
+        failure: Optional[str] = None
+        if model is None:
+            failure = "model-construction-failed"
+        else:
+            with trace_span("validate"):
+                try:
+                    if not all(
+                        evaluate(term, model, fun_interps) is TRUE
+                        for term in active_prepared
+                    ):
+                        failure = "model-validation-failed"
+                except EvaluationError:
+                    failure = "model-validation-failed"
         if failure is not None:
+            # An incomplete theory (an exhausted budget) explains a model
+            # that could not be built or did not validate.
+            if theory is not None:
+                failure = theory.incomplete_reason() or failure
             return outcome("unknown", reason=failure)
-        assert model is not None
-        with trace_span("validate"):
-            try:
-                for term in active_prepared:
-                    if evaluate(term, model, fun_interps) is not TRUE:
-                        return outcome("unknown", reason="model-validation-failed")
-            except EvaluationError:
-                return outcome("unknown", reason="model-validation-failed")
         return outcome("sat", model=model, fun_interps=fun_interps)
 
     def _trivial_unsat_artifacts(
@@ -841,13 +828,13 @@ class Engine:
         self,
         theory: Optional[Theory],
         active_atoms: list[Term],
-    ) -> tuple[
-        Optional[dict[str, Constant]],
-        dict[str, FunctionInterpretation],
-        Optional[str],
-    ]:
+    ) -> tuple[Optional[dict[str, Constant]], dict[str, FunctionInterpretation]]:
         """Assemble the script-level model from the SAT assignment, the
-        theory's congruence classes and per-sort default values."""
+        theory's congruence classes and per-sort default values; ``None``
+        for the model when the theory cannot realize one.  Symbols and
+        functions no assertion constrains get
+        :meth:`~repro.theory.SortValueAllocator.default` values, which may
+        repeat, so the model is total over the live declarations."""
         sat_model = self._solver.model
         assert sat_model is not None
         atom_vars = self._registry.atom_vars
@@ -856,18 +843,19 @@ class Engine:
             if isinstance(atom, Symbol) and atom.sort == BOOL:
                 model[atom.name] = bool_const(sat_model[atom_vars[atom]])
         allocator = SortValueAllocator()
-        free: dict[str, Sort] = {}
+        # The live symbols: free in a live assertion (a script built
+        # without declarations may have no others), then declared in a
+        # live frame.
+        live: dict[str, Sort] = {}
         for frame in self._frames:
             for term in frame.prepared:
-                free.update(term.free_symbols())
-        # Decode the words of the live bit-vector symbols (declared in a
-        # live frame, or free in a live assertion of a script built
-        # without declarations) from their bit variables before anything
-        # defaults them.  Reserving the decoded constants keeps values
-        # minted for other symbols of the same sort distinct from them.
-        live = dict(free)
+                live.update(term.free_symbols())
         for frame in self._frames:
             live.update(frame.consts)
+        # Decode the words of the live bit-vector symbols from their bit
+        # variables before anything defaults them.  Reserving the decoded
+        # constants keeps values minted for other symbols of the same sort
+        # distinct from them.
         decoded = self._bv.decode(
             sat_model,
             (Symbol(name, sort) for name, sort in live.items() if is_bitvec(sort)),
@@ -878,8 +866,7 @@ class Engine:
         if theory is not None:
             theory_model = theory.model(allocator)
             if theory_model is None:
-                reason = theory.incomplete_reason() or "model-construction-failed"
-                return None, {}, reason
+                return None, {}
             model.update(theory_model.values)
             fun_interps = theory_model.functions
         # Decoded words override any congruence-class value for the same
@@ -892,63 +879,37 @@ class Engine:
         # apply it: give it an unconstrained default interpretation.
         for frame in self._frames:
             for name, signature in frame.funs.items():
-                if name in fun_interps:
-                    continue
-                if signature.result == BOOL:
-                    default: Optional[Constant] = FALSE
-                else:
-                    default = allocator.fresh(signature.result)
-                    if default is None:
-                        return None, {}, "model-construction-failed"
-                fun_interps[name] = FunctionInterpretation({}, default)
+                if name not in fun_interps:
+                    fun_interps[name] = FunctionInterpretation(
+                        {}, allocator.default(signature.result)
+                    )
         # The builtin ``select`` can drop out the same way (every read
         # sat inside a trivial atom): validation still evaluates it, so
         # back it with an unconstrained graph over the element sort.
         if "select" not in fun_interps:
-            for frame in self._frames:
-                for term in frame.prepared:
-                    for node in term.walk():
-                        if (
-                            isinstance(node, Apply)
-                            and node.op == "select"
-                            and not node.indices
-                        ):
-                            if node.sort == BOOL:
-                                select_default: Optional[Constant] = FALSE
-                            else:
-                                select_default = allocator.fresh(node.sort)
-                            if select_default is not None:
-                                fun_interps["select"] = FunctionInterpretation(
-                                    {}, select_default
-                                )
-                            break
-                    if "select" in fun_interps:
-                        break
-                if "select" in fun_interps:
-                    break
-        for name, sort in free.items():
-            if name in model:
-                continue
-            if sort == BOOL:
-                model[name] = FALSE
-                continue
-            value = allocator.fresh(sort)
-            if value is None:
-                return None, {}, "model-construction-failed"
-            model[name] = value
-        # Declared-but-unused constants are don't-cares; give them values
-        # anyway so (get-model) is total over the declarations.
-        for frame in self._frames:
-            for name, sort in frame.consts.items():
-                if name in model:
-                    continue
-                if sort == BOOL:
-                    model[name] = FALSE
-                else:
-                    value = allocator.fresh(sort)
-                    if value is not None:
-                        model[name] = value
-        return model, fun_interps, None
+            read = next(
+                (
+                    node
+                    for frame in self._frames
+                    for term in frame.prepared
+                    for node in term.walk()
+                    if isinstance(node, Apply)
+                    and node.op == "select"
+                    and not node.indices
+                ),
+                None,
+            )
+            if read is not None:
+                fun_interps["select"] = FunctionInterpretation(
+                    {}, allocator.default(read.sort)
+                )
+        # Live symbols nothing valued (free in an assertion the theories
+        # never saw, or declared and unused) are don't-cares, valued so
+        # (get-model) is total over the declarations.
+        for name, sort in live.items():
+            if name not in model:
+                model[name] = allocator.default(sort)
+        return model, fun_interps
 
     # -- model queries ------------------------------------------------------
 

@@ -32,8 +32,8 @@ class MetricsRegistry:
     """Namespaced stat sources behind one snapshot/delta API.
 
     Sources are registered per namespace and may be re-registered (the
-    engine re-binds its solver source on every reset) or dropped by
-    prefix (the engine drops last check's theory plugins).
+    engine re-binds its solver and theory sources on every reset) or
+    dropped by prefix (the engine drops a previous run's proof source).
     """
 
     def __init__(self) -> None:

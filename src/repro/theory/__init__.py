@@ -5,20 +5,20 @@
   ``push`` / ``pop`` / ``model``), the :class:`TheoryConflict` explanation
   shape, the :class:`TheoryClause` lazy-lemma channel, and the
   :class:`SortValueAllocator` that mints pairwise-distinct model values
-  per sort.
-* :mod:`repro.theory.euf` — the first plugin: congruence closure over the
-  hash-consed DAG (union-find with a proof forest, congruence table keyed
-  on interned children, disequality and distinguished-constant tracking),
-  deciding QF_UF with checkable models and minimal-ish explanations.
-* :mod:`repro.theory.arith` — the second plugin: linear rational/integer
-  arithmetic (QF_LRA/QF_LIA) by Dutertre–de Moura dual simplex over
-  δ-rationals, with Bland's-rule pivoting, minimal bound-clash and row
-  explanations, and budgeted branch-and-bound for integer solutions.
-* :mod:`repro.theory.arrays` — the third plugin: extensional arrays
-  (QF_AX-style ``select``/``store``) as a congruence-closure *extension*
-  — one e-graph shared with EUF, read-over-write axioms instantiated
-  lazily, symbolic index case splits shipped to the SAT core as
-  :class:`~repro.theory.core.TheoryClause` lemmas.
+  per sort (and repeatable defaults for don't-cares).
+* :mod:`repro.theory.euf` — congruence closure over the hash-consed DAG
+  (union-find with a proof forest, congruence table keyed on interned
+  children, disequality and distinguished-constant tracking), deciding
+  QF_UF with checkable models and minimal-ish explanations.  The same
+  e-graph decides extensional arrays (QF_AX-style ``select``/``store``):
+  read-over-write axioms are instantiated lazily, and symbolic index case
+  splits ship to the SAT core as :class:`~repro.theory.core.TheoryClause`
+  lemmas.  An application is uninterpreted when its operator is not in
+  the signature table.
+* :mod:`repro.theory.arith` — linear rational/integer arithmetic
+  (QF_LRA/QF_LIA) by Dutertre–de Moura dual simplex over δ-rationals,
+  with Bland's-rule pivoting, minimal bound-clash and row explanations,
+  and budgeted branch-and-bound for integer solutions.
 * :mod:`repro.theory.bv` — not a lazy plugin but the *eager* path:
   :class:`~repro.theory.bv.BvBlaster` lowers QF_BV atoms to gates over
   the encoder's literals while encoding, so bit-vector reasoning rides
@@ -26,17 +26,18 @@
 * :class:`~repro.theory.core.TheoryComposite` — the dispatcher: routes
   each atom to the first plugin owning it (arithmetic before congruence
   closure), forwards checkpoints to all plugins in lockstep, and merges
-  their models/statistics, so the engine keeps talking to exactly one
+  their models, so the engine keeps talking to exactly one
   :class:`Theory`.
 
-The SAT core (:mod:`repro.sat`) knows nothing about terms and theories;
-the engine (:mod:`repro.engine`) adapts a :class:`Theory` into a
+The engine builds one composite per run, so plugin caches, emitted
+lemmas and counters outlive individual ``check-sat`` commands.  The SAT
+core (:mod:`repro.sat`) knows nothing about terms and theories; the
+engine (:mod:`repro.engine`) adapts a :class:`Theory` into a
 :class:`repro.sat.TheoryHook` by mapping trail literals back to atoms.
 See ``docs/THEORIES.md`` for the plugin-author contract.
 """
 
 from .arith import ArithTheory, DeltaRational
-from .arrays import ArraysState, ArraysTheory
 from .bv import BvBlaster
 from .core import (
     SortValueAllocator,
@@ -57,8 +58,6 @@ __all__ = [
     "SortValueAllocator",
     "EufTheory",
     "ArithTheory",
-    "ArraysTheory",
-    "ArraysState",
     "BvBlaster",
     "DeltaRational",
 ]

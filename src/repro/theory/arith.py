@@ -52,7 +52,10 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
   assignment and all slack definitions persist across ``pop`` — rows
   are definitional identities, and relaxing bounds can never invalidate
   the non-basic-within-bounds invariant — so backtracking costs
-  O(bounds changed), never a rebuild.
+  O(bounds changed), never a rebuild.  They persist across checks too
+  (the plugin lives for the whole engine run): a variable only atoms of
+  an earlier check mention stays in the tableau, unbounded, and out of
+  the model.
 
 Equality atoms are deliberately **not** owned: the engine's preparation
 pass splits every pure-arithmetic ``(= a b)`` into
@@ -744,8 +747,19 @@ class ArithTheory(Theory):
         if self._simplex() is not None or self._fractional_int_var() is not None:
             return None  # pragma: no cover - defensive; check() runs first
         delta = self._delta_value()
+        # The model covers the variables the asserted literals constrain:
+        # every bounded variable (an asserted atom always leaves a bound on
+        # its variable; a weaker one finds a bound already there) and the
+        # symbols of every bounded slack.  Variables of an earlier check's
+        # atoms stay out of it.
+        live = self._lower.keys() | self._upper.keys()
+        for key, slack in self._slack_of.items():
+            if slack in live:
+                live.update(self._var_of[symbol] for symbol, _ in key)
         model = TheoryModel()
         for symbol, var in self._var_of.items():
+            if var not in live:
+                continue
             value = self._assign[var]
             exact = value.real + value.delta * delta
             if self._is_int[var]:

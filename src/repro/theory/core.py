@@ -32,10 +32,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:
-    from ..obs.metrics import MetricsRegistry
+from typing import Optional, Sequence
 
 from ..smtlib.evaluate import FunctionInterpretation
 from ..smtlib.sorts import (
@@ -48,6 +45,7 @@ from ..smtlib.sorts import (
     is_finite_field,
 )
 from ..smtlib.terms import (
+    FALSE,
     Constant,
     Term,
     bitvec_const,
@@ -111,10 +109,14 @@ class TheoryModel:
 class Theory(ABC):
     """Abstract base of theory plugins (see the module docstring).
 
-    Implementations keep ``stats`` (plain counters, surfaced in the
-    engine's per-``check-sat`` metrics as ``theory.<name>.*``) and must
-    make :meth:`pop` restore *exactly* the state at the matching
-    :meth:`push`, including any recorded conflict.
+    Implementations keep ``stats`` (plain counters, which the engine
+    registers once per run as the ``theory.<name>`` metrics source, so
+    each ``check-sat`` reports their increments) and must make :meth:`pop`
+    restore *exactly* the state at the matching :meth:`push`, including
+    any recorded conflict.  A plugin lives for a whole engine run: at
+    each ``check-sat`` the engine pops it back to empty and re-asserts
+    the trail, so state outside the undo log must be valid in every
+    check (caches, emitted lemmas) or reset by :meth:`check`.
     """
 
     #: Short lowercase identifier, the ``theory.<name>`` metrics namespace.
@@ -165,13 +167,6 @@ class Theory(ABC):
         Default: no lemmas (most theories propagate eagerly)."""
         return ()
 
-    def register_metrics(self, registry: "MetricsRegistry") -> None:
-        """Absorb this plugin's counters into a metrics registry under
-        ``theory.<name>``.  The default registration covers any plugin
-        whose ``stats`` is a plain dict; plugins with gauge-like keys
-        override and extend."""
-        registry.register_source(f"theory.{self.name}", lambda: self.stats)
-
 
 class TheoryComposite(Theory):
     """Routes atoms among several theory plugins (first owner wins).
@@ -180,10 +175,11 @@ class TheoryComposite(Theory):
     interface out to an ordered plugin list:
 
     * **Routing** — an atom is decided by the first plugin whose
-      ``owns_atom`` accepts it; the choice is cached so every later
-      ``assert_literal`` is a dictionary hit.  The plugin order is the
-      priority order (arithmetic before EUF, so numeric comparisons are
-      never mistaken for uninterpreted structure).
+      ``owns_atom`` accepts it; ownership is static, so the choice is
+      cached for the composite's lifetime (the whole engine run) and
+      every later ``assert_literal`` is a dictionary hit.  The plugin
+      order is the priority order (arithmetic before EUF, so numeric
+      comparisons are never mistaken for uninterpreted structure).
     * **Checkpoints** — ``push``/``pop`` forward to every plugin, so the
       per-literal trail synchronization stays exact regardless of which
       plugin an individual literal went to.
@@ -195,8 +191,8 @@ class TheoryComposite(Theory):
       :class:`SortValueAllocator` so values minted by different plugins
       stay pairwise distinct per sort.  Any plugin failing to produce a
       model fails the composite.
-    * **Metrics** — each plugin registers its own ``theory.<name>.*``
-      source; the composite keeps no counters of its own.
+    * **Metrics** — the engine registers each plugin's ``stats`` as its
+      own ``theory.<name>`` source; the composite keeps no counters.
     """
 
     name = "multi"
@@ -270,10 +266,6 @@ class TheoryComposite(Theory):
             lemmas.extend(plugin.pending_lemmas())
         return tuple(lemmas)
 
-    def register_metrics(self, registry: "MetricsRegistry") -> None:
-        for plugin in self._plugins:
-            plugin.register_metrics(registry)
-
 
 _UNROUTED = object()
 
@@ -288,7 +280,8 @@ class SortValueAllocator:
     the ``@`` qualifier as a distinguished model value, so ``=`` and
     ``distinct`` fold over them.  Finite sorts (``BitVec``, finite
     fields) can exhaust; :meth:`fresh` then returns ``None`` and the
-    caller falls back to ``unknown``.
+    caller falls back to ``unknown``.  A don't-care value, which need not
+    be distinct, comes from :meth:`default` and never fails.
     """
 
     def __init__(self) -> None:
@@ -339,6 +332,20 @@ class SortValueAllocator:
         # Uninterpreted (or otherwise unvalued) sort: abstract constants.
         self._next[sort] = counter + 1
         return qualified_constant(f"@{sort.name}!{counter}", sort)
+
+    def default(self, sort: Sort) -> Constant:
+        """A value for a symbol or function no assertion constrains:
+        ``false`` for Bool, otherwise a fresh value while the sort has
+        one, and once a finite sort is exhausted its zero, repeating a
+        value already in use."""
+        if sort == BOOL:
+            return FALSE
+        value = self.fresh(sort)
+        if value is not None:
+            return value
+        if is_finite_field(sort):
+            return ff_const(0, sort.width)
+        return bitvec_const(0, sort.width)
 
 
 __all__ = [

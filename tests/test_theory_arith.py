@@ -351,7 +351,7 @@ class TestArithTheoryDirect:
 class TestComposite:
     def make(self):
         arith = ArithTheory()
-        euf = EufTheory(uninterpreted=("f",))
+        euf = EufTheory()
         return arith, euf, TheoryComposite((arith, euf))
 
     def test_routing_priority(self):
@@ -379,7 +379,10 @@ class TestComposite:
     def test_stats_are_prefixed(self):
         arith, euf, composite = self.make()
         registry = MetricsRegistry()
-        composite.register_metrics(registry)
+        for plugin in composite.plugins:
+            registry.register_source(
+                f"theory.{plugin.name}", lambda plugin=plugin: plugin.stats
+            )
         composite.assert_literal(atom("(< x y)"), True)
         snapshot = registry.snapshot()
         assert snapshot["theory.arith.literals"] == 1
@@ -566,6 +569,53 @@ class TestEngineArith:
         assert result.metrics["theory.arith.literals"] >= 2
         assert "theory.arith.pivots" in result.metrics
         assert "theory.euf.literals" in result.metrics
+
+    def test_theory_counters_are_per_check(self):
+        results = solve_script(
+            """
+            (declare-sort U 0)
+            (declare-const u U)
+            (declare-const w U)
+            (declare-const x Int)
+            (declare-const p Bool)
+            (assert p)
+            (push 1)
+            (assert (>= x 3))
+            (assert (not (= u w)))
+            (check-sat)
+            (pop 1)
+            (check-sat)
+            (push 1)
+            (assert (<= x 5))
+            (check-sat)
+            """
+        )
+        assert [r.answer for r in results] == ["sat"] * 3
+        first, second, third = (r.metrics for r in results)
+        assert first["theory.arith.literals"] == first["theory.euf.literals"] == 1
+        # The plugins live for the run and report each check's
+        # increments, also for a check that routes nothing to them.
+        assert second["theory.arith.literals"] == second["theory.euf.literals"] == 0
+        assert third["theory.arith.literals"] == 1
+        assert third["theory.euf.literals"] == 0
+
+    def test_popped_symbols_stay_out_of_later_models(self):
+        results = solve_script(
+            """
+            (declare-const y Int)
+            (assert (> y 5))
+            (push 1)
+            (declare-const x Int)
+            (declare-const z Int)
+            (assert (< (+ x z) 0))
+            (check-sat)
+            (pop 1)
+            (check-sat)
+            """
+        )
+        assert [r.answer for r in results] == ["sat", "sat"]
+        assert set(results[0].model) == {"x", "y", "z"}
+        assert set(results[1].model) == {"y"}
 
     def test_get_value_over_rational_model(self):
         from repro import run_script

@@ -2,9 +2,10 @@
 
 Three layers of assurance:
 
-* **Unit tests** drive :class:`ArraysTheory` directly: read-over-write
-  propagation, extensionality witnesses, provenance-rewritten conflicts
-  and push/pop rollback on the shared e-graph.
+* **Unit tests** drive the arrays side of :class:`EufTheory` directly:
+  read-over-write propagation, extensionality witnesses,
+  provenance-rewritten conflicts and push/pop rollback on the shared
+  e-graph.
 * **Engine cross-checks** — QF_AX-style scripts through the full DPLL(T)
   stack: store-chain reasoning, symbolic index case splits shipped as
   theory lemmas, certified unsat proofs, unsat cores, incremental
@@ -17,6 +18,7 @@ Three layers of assurance:
 import pytest
 
 from repro import run_script, solve_script
+from repro.theory import euf
 from repro.proof import check_proof
 from repro.smtlib import (
     BOOL,
@@ -27,7 +29,7 @@ from repro.smtlib import (
     int_const,
     uninterpreted_sort,
 )
-from repro.theory import ArraysState, ArraysTheory
+from repro.theory import EufTheory
 
 I = uninterpreted_sort("I")
 AII = array_sort(I, INT)
@@ -56,7 +58,7 @@ def store(a, i, v):
 
 class TestPlugin:
     def test_row1_read_own_write(self):
-        t = ArraysTheory()
+        t = EufTheory()
         a, i = sym("a", AII), sym("i", I)
         atom = eq(select(store(a, i, int_const(5)), i), int_const(5))
         t.push()
@@ -66,7 +68,7 @@ class TestPlugin:
         assert (atom, False) in conflict.literals
 
     def test_conflict_hides_internal_axioms(self):
-        t = ArraysTheory()
+        t = EufTheory()
         a, i = sym("a", AII), sym("i", I)
         atom = eq(select(store(a, i, int_const(5)), i), int_const(5))
         t.push()
@@ -75,7 +77,7 @@ class TestPlugin:
         assert set(conflict.literals) <= {(atom, False)}
 
     def test_congruent_indices_propagate(self):
-        t = ArraysTheory()
+        t = EufTheory()
         a = sym("a", AII)
         i, j = sym("i", I), sym("j", I)
         read = select(store(a, i, int_const(1)), j)
@@ -88,7 +90,7 @@ class TestPlugin:
         assert conflict is not None
 
     def test_symbolic_indices_emit_lemma_pair(self):
-        t = ArraysTheory()
+        t = EufTheory()
         a = sym("a", AII)
         i, j = sym("i", I), sym("j", I)
         read = select(store(a, i, int_const(1)), j)
@@ -104,25 +106,8 @@ class TestPlugin:
         assert t.check() is None
         assert t.pending_lemmas() == ()
 
-    def test_state_survives_plugin_rebuild(self):
-        state = ArraysState()
-        a = sym("a", AII)
-        i, j = sym("i", I), sym("j", I)
-        read = select(store(a, i, int_const(1)), j)
-        t = ArraysTheory(state=state)
-        t.push()
-        t.assert_literal(eq(read, int_const(2)), True)
-        t.check()
-        assert len(t.pending_lemmas()) == 2
-        # A fresh plugin over the same engine state skips the emitted pair.
-        t2 = ArraysTheory(state=state)
-        t2.push()
-        t2.assert_literal(eq(read, int_const(2)), True)
-        t2.check()
-        assert t2.pending_lemmas() == ()
-
     def test_extensionality_creates_witness(self):
-        t = ArraysTheory()
+        t = EufTheory()
         a, b = sym("a", AII), sym("b", AII)
         t.push()
         assert t.assert_literal(eq(a, b), False) is None
@@ -133,7 +118,7 @@ class TestPlugin:
         assert conflict is not None
 
     def test_push_pop_rolls_back(self):
-        t = ArraysTheory()
+        t = EufTheory()
         a, i = sym("a", AII), sym("i", I)
         atom = eq(select(store(a, i, int_const(5)), i), int_const(5))
         t.push()
@@ -146,7 +131,7 @@ class TestPlugin:
     def test_model_hides_witnesses(self):
         from repro.theory import SortValueAllocator
 
-        t = ArraysTheory()
+        t = EufTheory()
         a, b = sym("a", AII), sym("b", AII)
         t.push()
         assert t.assert_literal(eq(a, b), False) is None
@@ -208,8 +193,8 @@ class TestEngine:
         )
         assert checks[0].answer == "unsat"
         # Distinct literal indices resolve internally, no lemma shipped.
-        assert checks[0].metrics["theory.arrays.row2_ground"] >= 1
-        assert checks[0].metrics["theory.arrays.lemmas"] == 0
+        assert checks[0].metrics["theory.euf.row2_ground"] >= 1
+        assert checks[0].metrics["theory.euf.lemmas"] == 0
 
     def test_extensionality_unsat(self):
         assert answers(
@@ -309,8 +294,54 @@ class TestEngine:
             + "(assert (not (= (select (store a i 1) j) 1)))(check-sat)"
         )
         metrics = checks[0].metrics
-        assert metrics["theory.arrays.row1_instances"] >= 1
-        assert metrics["theory.arrays.lemmas"] >= 1
+        assert metrics["theory.euf.row1_instances"] >= 1
+        assert metrics["theory.euf.lemmas"] >= 1
+
+    def test_case_split_ships_once_per_run(self):
+        """The plugin lives for the whole run: a re-check after push/pop
+        re-ships none of the case splits the first check emitted."""
+        checks = solve_script(
+            PRELUDE
+            + "(assert (not (= (select (store a i 1) j) 1)))"
+            "(check-sat)(push 1)(pop 1)(check-sat)"
+        )
+        assert [check.answer for check in checks] == ["sat", "sat"]
+        assert checks[0].metrics["theory.euf.lemmas"] >= 1
+        assert checks[1].metrics["theory.euf.lemmas"] == 0
+
+    def test_queued_case_splits_end_with_their_check(self):
+        """A final check can queue case splits and find a conflict at
+        once.  When that ends the check, the queued lemmas must not ship
+        into the next one, where their popped symbols would reach the
+        model."""
+        result = run_script(
+            "(declare-const c Int)(assert (> c 0))"
+            "(push 1)"
+            "(declare-const a (Array Int Int))(declare-const b (Array Int Int))"
+            "(declare-const k Int)(declare-const m Int)"
+            "(assert (= (select (store b k 1) m) 7))"
+            "(assert (= (select (store a 1 10) 2) 5))"
+            "(assert (= (select a 2) 6))"
+            "(check-sat)(pop 1)"
+            "(declare-const d (Array Int Int))(assert (= (select d 3) 4))"
+            "(check-sat)"
+        )
+        assert result.output == ["unsat", "sat"]
+        assert set(result.check_results[1].model) == {"c", "d"}
+
+    def test_exhausted_lemma_budget_is_the_reason(self, monkeypatch):
+        script = (
+            "(declare-sort U 0)"
+            "(declare-const a (Array U Int))"
+            "(declare-const i U)(declare-const j U)(declare-const k U)"
+            "(assert (= (select (store (store a i 5) k 6) j) 7))"
+            "(assert (= i j))"
+            "(check-sat)"
+        )
+        assert answers(script) == ["unsat"]
+        monkeypatch.setattr(euf, "LEMMA_BUDGET", 0)
+        check = solve_script(script)[0]
+        assert (check.answer, check.reason) == ("unknown", "array-lemma-budget")
 
     def test_arith_forced_index_equality_stays_sound(self):
         """Simplex-forced index equalities are invisible to the arrays

@@ -435,6 +435,40 @@ class TestEngine:
         assert metrics["theory.bv.symbols"] == 1
         assert metrics["theory.bv.bits"] == 4
 
+    # Two 1-bit words that must differ take both values of their sort, so
+    # the don't-cares below can only repeat one of them.
+    DISTINCT_BITS = (
+        "(declare-const x (_ BitVec 1))(declare-const y (_ BitVec 1))"
+        "(assert (distinct x y))"
+    )
+
+    def test_unconstrained_function_repeats_a_value(self):
+        assert answers(
+            self.DISTINCT_BITS
+            + "(declare-fun g (Int) (_ BitVec 1))(check-sat)"
+        ) == ["sat"]
+
+    def test_trivially_constrained_constant_repeats_a_value(self):
+        assert answers(
+            self.DISTINCT_BITS
+            + "(declare-const z (_ BitVec 1))(assert (= z z))(check-sat)"
+        ) == ["sat"]
+
+    def test_trivially_applied_function_repeats_a_value(self):
+        assert answers(
+            self.DISTINCT_BITS
+            + "(declare-fun f ((_ BitVec 1)) (_ BitVec 1))"
+            "(assert (= (f x) (f x)))(check-sat)"
+        ) == ["sat"]
+
+    def test_get_model_values_unused_constant(self):
+        result = run_script(
+            self.DISTINCT_BITS
+            + "(declare-const z (_ BitVec 1))(check-sat)(get-model)"
+        )
+        assert result.output[0] == "sat"
+        assert "(define-fun z () (_ BitVec 1) #b" in result.output[1]
+
     def test_mixed_bool_structure(self):
         assert answers(
             "(declare-const x (_ BitVec 3))"

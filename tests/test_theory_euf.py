@@ -19,13 +19,18 @@ import random
 
 import pytest
 
-from repro import solve_script
+from repro import Engine, solve_script
 from repro.smtlib import (
     BOOL,
     INT,
+    TRUE,
     Apply,
+    Assert,
+    CheckSat,
+    Script,
     Symbol,
     bitvec_sort,
+    evaluate,
     int_const,
     uninterpreted_sort,
 )
@@ -55,7 +60,7 @@ def p(t) -> Apply:
 
 
 def fresh_theory() -> EufTheory:
-    return EufTheory(uninterpreted={"f", "g", "p"})
+    return EufTheory()
 
 
 def assert_literals(theory: EufTheory, literals) -> TheoryConflict | None:
@@ -592,3 +597,19 @@ class TestEngineEuf:
             """
         )[0]
         assert result.answer == "unsat"
+
+    def test_api_script_applies_undeclared_function(self):
+        """Ownership comes from the signature table: a script built in
+        code may apply ``f`` without declaring it, and EUF decides it."""
+        x, y = sym("x"), sym("y")
+        script = Script(
+            (
+                Assert(eq(f(x), y)),
+                Assert(Apply("not", (eq(x, y),), BOOL)),
+                CheckSat(),
+            )
+        )
+        result = Engine().run(script).check_results[0]
+        assert result.answer == "sat"
+        for term in result.assertions:
+            assert evaluate(term, result.model, result.fun_interps) is TRUE
