@@ -10,7 +10,12 @@ benchmark suite is gated the moment its baseline is committed, with no
 CI or script changes (a discovered baseline whose fresh file is missing
 fails the gate: the suite was supposed to run).
 
-The gate fails (exit 1) when any
+A fresh file must have been run at its baseline's size: when the two
+``mode`` fields differ (say ``smoke`` against ``full``), the suite fails
+the gate with a message naming both modes, because timings of different
+sizes cannot be compared.
+
+The gate also fails (exit 1) when any
 workload regressed by more than ``--threshold``× (default 2.5×, generous
 enough to absorb CI-runner noise).  Sub-floor timings (default 50 ms) are
 clamped before comparing, so micro-workloads cannot trip the gate on
@@ -47,6 +52,12 @@ import argparse
 import glob
 import json
 import os
+
+
+def payload_mode(path: str):
+    """The ``mode`` a result file was recorded at (``None`` when absent)."""
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle).get("mode")
 
 
 def workload_seconds(payload: dict) -> dict[str, float]:
@@ -181,6 +192,17 @@ def main(argv: list[str] | None = None) -> int:
         if not os.path.exists(baseline_path):
             print("   no baseline found; skipping (commit one to enable the gate)")
             continue
+        fresh_mode = payload_mode(fresh_path)
+        baseline_mode = payload_mode(baseline_path)
+        if fresh_mode != baseline_mode:
+            message = (
+                f"{os.path.basename(fresh_path)} (fresh mode {fresh_mode!r} "
+                f"differs from baseline mode {baseline_mode!r})"
+            )
+            print(f"   MODE MISMATCH: {message}")
+            print()
+            failures.append(message)
+            continue
         print(header)
         print("-" * len(header))
         for workload, fresh_s, baseline_s, ratio, regressed in compare(
@@ -229,7 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         for speedup in speedups:
             print(f"  - {speedup}")
     if failures:
-        print(f"FAIL: {len(failures)} workload(s) regressed beyond {args.threshold}x:")
+        print(f"FAIL: {len(failures)} suite(s) or workload(s) failed the gate "
+              f"(regression beyond {args.threshold}x, mode mismatch or missing result):")
         for failure in failures:
             print(f"  - {failure}")
         return 1

@@ -2,9 +2,13 @@
 
 :func:`linear_form` rewrites a numeric term into a sparse linear
 polynomial — a mapping from :class:`~repro.smtlib.terms.Symbol` to
-:class:`~fractions.Fraction` coefficients plus a rational constant — or
-reports that the term is not linear (``None``).  The supported fragment
-is the linear one of ``Ints``/``Reals``:
+exact rational coefficients plus a rational constant — or reports that
+the term is not linear (``None``).  The walk accumulates in ``int`` while
+every value is integral and switches to :class:`~fractions.Fraction` only
+when a ``Real`` literal or a ``/`` makes one non-integral; an integral
+coefficient or constant always comes back as an ``int`` (which compares
+and hashes equal to the ``Fraction`` of the same value).  The supported
+fragment is the linear one of ``Ints``/``Reals``:
 
 * numerals and decimals (exact rationals),
 * ``Int``/``Real`` symbols (the *variables* of the form),
@@ -41,7 +45,8 @@ from .sorts import INT, REAL
 from .terms import Apply, Constant, Symbol, Term
 
 #: A sparse linear polynomial: coefficients per variable plus a constant.
-LinearForm = tuple[dict[Symbol, Fraction], Fraction]
+#: Integral values are ``int``; only non-integral ones are ``Fraction``.
+LinearForm = tuple[dict[Symbol, int | Fraction], int | Fraction]
 
 _NUMERIC = (INT, REAL)
 
@@ -51,6 +56,21 @@ def is_numeric_term(term: Term) -> bool:
     return term.sort in _NUMERIC
 
 
+def _number(value: int | Fraction) -> int | Fraction:
+    """An integral rational as an ``int``; any other value unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _finish(coeffs: dict[Symbol, int | Fraction], constant: int | Fraction) -> LinearForm:
+    """Drop zero coefficients and hand integral values back as ``int``."""
+    return (
+        {symbol: _number(coeff) for symbol, coeff in coeffs.items() if coeff},
+        _number(constant),
+    )
+
+
 def linear_form(term: Term) -> Optional[LinearForm]:
     """The linear normal form of a numeric term, or ``None``.
 
@@ -58,36 +78,34 @@ def linear_form(term: Term) -> Optional[LinearForm]:
     ground (variable-free) term yields an empty mapping and the form's
     value is the constant alone.
     """
-    coeffs: dict[Symbol, Fraction] = {}
-    constant = _accumulate(term, Fraction(1), coeffs)
+    coeffs: dict[Symbol, int | Fraction] = {}
+    constant = _accumulate(term, 1, coeffs)
     if constant is None:
         return None
-    for symbol in [s for s, c in coeffs.items() if c == 0]:
-        del coeffs[symbol]
-    return coeffs, constant
+    return _finish(coeffs, constant)
 
 
 def _accumulate(
-    term: Term, scale: Fraction, coeffs: dict[Symbol, Fraction]
-) -> Optional[Fraction]:
+    term: Term, scale: int | Fraction, coeffs: dict[Symbol, int | Fraction]
+) -> Optional[int | Fraction]:
     """Add ``scale * term`` into ``coeffs``; return the constant part
     contributed, or ``None`` when the term is not linear."""
     if isinstance(term, Constant):
         if term.sort not in _NUMERIC or term.qualifier:
             return None
-        return scale * Fraction(term.value)  # type: ignore[arg-type]
+        return scale * _number(term.value)  # type: ignore[arg-type]
     if isinstance(term, Symbol):
         if term.sort not in _NUMERIC:
             return None
-        coeffs[term] = coeffs.get(term, Fraction(0)) + scale
-        return Fraction(0)
+        coeffs[term] = coeffs.get(term, 0) + scale
+        return 0
     if not isinstance(term, Apply) or term.indices:
         return None
     op = term.op
     if op == "to_real":
         return _accumulate(term.args[0], scale, coeffs)
     if op == "+":
-        total = Fraction(0)
+        total: int | Fraction = 0
         for arg in term.args:
             part = _accumulate(arg, scale, coeffs)
             if part is None:
@@ -97,9 +115,10 @@ def _accumulate(
     if op == "-":
         if len(term.args) == 1:
             return _accumulate(term.args[0], -scale, coeffs)
-        total = _accumulate(term.args[0], scale, coeffs)
-        if total is None:
+        first = _accumulate(term.args[0], scale, coeffs)
+        if first is None:
             return None
+        total = first
         for arg in term.args[1:]:
             part = _accumulate(arg, -scale, coeffs)
             if part is None:
@@ -108,7 +127,7 @@ def _accumulate(
         return total
     if op == "*":
         # Linear only when at most one factor is non-constant.
-        factor = Fraction(1)
+        factor: int | Fraction = 1
         symbolic: Optional[Term] = None
         for arg in term.args:
             literal = _ground_value(arg)
@@ -118,29 +137,31 @@ def _accumulate(
                 symbolic = arg
             else:
                 return None
+        factor = _number(factor)
         if symbolic is None:
             return scale * factor
         return _accumulate(symbolic, scale * factor, coeffs)
     if op == "/":
-        divisor = Fraction(1)
+        divisor: int | Fraction = 1
         for arg in term.args[1:]:
             literal = _ground_value(arg)
             if literal is None or literal == 0:
                 return None  # symbolic or unspecified (zero) divisor
             divisor *= literal
-        return _accumulate(term.args[0], scale / divisor, coeffs)
+        # Fraction division: ``int / int`` would be a float.
+        return _accumulate(term.args[0], _number(Fraction(scale) / divisor), coeffs)
     return None
 
 
-def _ground_value(term: Term) -> Optional[Fraction]:
+def _ground_value(term: Term) -> Optional[int | Fraction]:
     """The rational value of a *ground* linear term, or ``None``."""
     if isinstance(term, Constant):
         if term.sort not in _NUMERIC or term.qualifier:
             return None
-        return Fraction(term.value)  # type: ignore[arg-type]
+        return _number(term.value)  # type: ignore[arg-type]
     if isinstance(term, Apply) and not term.indices:
-        nested: dict[Symbol, Fraction] = {}
-        constant = _accumulate(term, Fraction(1), nested)
+        nested: dict[Symbol, int | Fraction] = {}
+        constant = _accumulate(term, 1, nested)
         if constant is not None and not any(nested.values()):
             return constant
     return None
@@ -150,16 +171,14 @@ def difference_form(lhs: Term, rhs: Term) -> Optional[LinearForm]:
     """The linear form of ``lhs - rhs``, or ``None`` when either side is
     not linear.  Shared-term cancellation falls out of the arithmetic:
     ``difference_form(x, x)`` is the empty form."""
-    coeffs: dict[Symbol, Fraction] = {}
-    left = _accumulate(lhs, Fraction(1), coeffs)
+    coeffs: dict[Symbol, int | Fraction] = {}
+    left = _accumulate(lhs, 1, coeffs)
     if left is None:
         return None
-    right = _accumulate(rhs, Fraction(-1), coeffs)
+    right = _accumulate(rhs, -1, coeffs)
     if right is None:
         return None
-    for symbol in [s for s, c in coeffs.items() if c == 0]:
-        del coeffs[symbol]
-    return coeffs, left + right
+    return _finish(coeffs, left + right)
 
 
 __all__ = ["LinearForm", "linear_form", "difference_form", "is_numeric_term"]

@@ -18,7 +18,9 @@
 * :mod:`repro.theory.arith` — linear rational/integer arithmetic
   (QF_LRA/QF_LIA) by Dutertre–de Moura dual simplex over δ-rationals,
   with Bland's-rule pivoting, minimal bound-clash and row explanations,
-  and budgeted branch-and-bound for integer solutions.
+  and budgeted branch-and-bound for integer solutions.  The kernel runs
+  on Python integers: integer tableau rows over one denominator and
+  integer δ-rational triples compared by cross-multiplication.
 * :mod:`repro.theory.bv` — not a lazy plugin but the *eager* path:
   :class:`~repro.theory.bv.BvBlaster` lowers QF_BV atoms to gates over
   the encoder's literals while encoding, so bit-vector reasoning rides
@@ -37,7 +39,7 @@ engine (:mod:`repro.engine`) adapts a :class:`Theory` into a
 See ``docs/THEORIES.md`` for the plugin-author contract.
 """
 
-from .arith import ArithTheory, DeltaRational
+from .arith import ArithTheory
 from .bv import BvBlaster
 from .core import (
     SortValueAllocator,
@@ -59,5 +61,4 @@ __all__ = [
     "EufTheory",
     "ArithTheory",
     "BvBlaster",
-    "DeltaRational",
 ]

@@ -7,12 +7,13 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
 * **Atoms** are binary comparisons ``lhs ▷ rhs`` (``<``, ``<=``, ``>``,
   ``>=``) whose difference is *linear* over Int/Real symbols (the
   fragment :func:`~repro.smtlib.linarith.linear_form` accepts).  Each
-  atom compiles once into a bound ``v ▷ c`` on a single simplex
-  variable: the symbol itself for one-variable forms, otherwise a *slack*
-  variable defined by the canonically-scaled linear expression.  Slack
-  definitions are shared — ``x + 2y <= 3`` and ``2x + 4y >= 10`` bound
-  the same slack — so the tableau grows with distinct expressions, not
-  with asserted literals.
+  atom's difference form is computed once, when :meth:`owns_atom`
+  classifies it, and compiles once into a bound ``v ▷ c`` on a single
+  simplex variable: the symbol itself for one-variable forms, otherwise a
+  *slack* variable defined by the canonically-scaled linear expression.
+  Slack definitions are shared — ``x + 2y <= 3`` and ``2x + 4y >= 10``
+  bound the same slack — so the tableau grows with distinct expressions,
+  not with asserted literals.
 * **Assert** updates one bound: a clash against the opposite bound is an
   immediate conflict explained by exactly the two responsible literals;
   a non-basic variable pushed outside its bounds is repaired by the
@@ -21,12 +22,22 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
   *minimal-by-construction* infeasibility explanation (the violated
   bound plus the limiting bound of every variable in its row), with
   Bland's rule (smallest variable index first) guaranteeing termination.
-* **Strict bounds** use δ-rationals (:class:`DeltaRational`): ``x < c``
-  is ``x <= c - δ`` for a symbolic infinitesimal δ, materialized at
-  model-extraction time by choosing a concrete δ small enough for every
-  asserted bound.  Integer variables avoid δ entirely — their strict
-  bounds tighten to the nearest integer (``x < 5/2`` becomes
-  ``x <= 2``), which also strengthens propagation.
+* **Exact integer kernel** — the tableau, the assignment and the bounds
+  are Python integers.  The row of basic variable ``b`` is integer
+  coefficients ``a_j`` over one positive denominator ``den``, meaning
+  ``den·x_b = Σ a_j·x_j``, divided through by the gcd of its entries
+  after every definition and pivot (so ``den`` is the lcm of the reduced
+  coefficients' denominators, and the sign of ``a_j`` is the sign of the
+  coefficient).  Values are integer δ-rational triples (:data:`_Value`)
+  compared by cross-multiplication, so every comparison is exact and
+  cheap.  A :class:`~fractions.Fraction` appears only where an atom is
+  compiled and where a model is extracted.
+* **Strict bounds** use δ-rationals: ``x < c`` is ``x <= c - δ`` for a
+  symbolic infinitesimal δ, materialized at model-extraction time by
+  choosing a concrete δ small enough for every asserted bound.  Integer
+  variables avoid δ entirely — their strict bounds tighten to the
+  nearest integer (``x < 5/2`` becomes ``x <= 2``), which also
+  strengthens propagation.
 * **Integers** get branch-and-bound on top of the rational relaxation:
   a fractional integer variable ``x`` with value ``v`` splits into
   ``x <= ⌊v⌋`` and ``x >= ⌊v⌋ + 1`` on an internal trail, bounded by a
@@ -36,17 +47,6 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
   the two cuts are exhaustive over the integers).  An exhausted budget
   degrades to ``unknown`` — the theory stays sound, never complete by
   accident.
-* **Float filter** — every variable keeps a float image of the real
-  part of its exact δ-rational assignment (refreshed at each exact
-  write), and bound values cache a float image on first use.  The
-  bound-violation scan and Bland column selection compare floats first
-  and only fall back to exact ``Fraction`` comparison inside a relative
-  guard band (:data:`_FLOAT_GUARD`): floats *steer* the search to the
-  comparisons that matter, but every decided comparison is provably
-  equal to the exact one (the band dwarfs the 1/2-ulp conversion
-  error), so verdicts never depend on floating point.  Overflowing
-  conversions degrade to ``±inf``, which always lands in the guard band
-  and thus falls back to exact arithmetic.
 * **Backtracking** restores bounds (and the conflict flag) through the
   same undo-log discipline as EUF.  The tableau, the variable
   assignment and all slack definitions persist across ``pop`` — rows
@@ -65,12 +65,13 @@ into strict inequalities — the theory never needs disequality reasoning.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import Optional
 
 from ..obs.spans import trace_span
-from ..smtlib.linarith import difference_form
+from ..smtlib.linarith import LinearForm, difference_form
 from ..smtlib.sorts import INT, REAL
 from ..smtlib.terms import Apply, Constant, Symbol, Term, int_const
 from .core import SortValueAllocator, Theory, TheoryConflict, TheoryModel
@@ -81,108 +82,79 @@ _MISSING = object()
 #: ``None`` for the internal cuts branch-and-bound asserts.
 _Lit = Optional[tuple[Term, bool]]
 
+#: An integer δ-rational ``(p, q, d)``: the value ``(p + q·δ)/d`` for a
+#: symbolic positive infinitesimal δ, with ``d > 0`` and
+#: ``gcd(p, q, d) = 1``.  Ordered by the real part, then the δ part —
+#: exactly the order that makes the strict bound ``x < c`` equivalent to
+#: ``x <= c - δ`` for every sufficiently small positive δ.
+_Value = tuple[int, int, int]
+
+_ZERO: _Value = (0, 0, 1)
+
 _ARITH_OPS = ("<", "<=", ">", ">=")
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
-#: Relative guard band for the simplex float filter: a float comparison
-#: whose operands differ by no more than ``_FLOAT_GUARD * (1 + |a| + |b|)``
-#: is treated as undecided and re-run exactly.  The band is ~10⁷ times the
-#: worst-case ``float(Fraction)`` conversion error (1/2 ulp ≈ 1.1e-16
-#: relative), so a float verdict outside the band always matches the
-#: exact one.
-_FLOAT_GUARD = 1e-9
+
+def _value(p: int, q: int, d: int) -> _Value:
+    """The normalized triple of ``(p + q·δ)/d`` for ``d > 0``."""
+    g = gcd(p, q, d)
+    if g == 1:
+        return p, q, d
+    return p // g, q // g, d // g
 
 
-def _to_float(value: Fraction) -> float:
-    """Correctly-rounded float image of a rational; ``±inf`` on overflow
-    (always inside the guard band, hence always re-checked exactly)."""
-    try:
-        return float(value)
-    except OverflowError:
-        return float("inf") if value > 0 else float("-inf")
+def _lt(a: _Value, b: _Value) -> bool:
+    """``a < b``: real parts first, then δ parts, by cross-multiplying
+    (both denominators are positive)."""
+    left = a[0] * b[2]
+    right = b[0] * a[2]
+    return left < right or (left == right and a[1] * b[2] < b[1] * a[2])
 
 
-def _floor(value: Fraction) -> int:
-    return value.numerator // value.denominator
+def _add_scaled(x: _Value, y: _Value, num: int, den: int) -> _Value:
+    """``x + y·num/den`` for ``den > 0``."""
+    xp, xq, xd = x
+    yp, yq, yd = y
+    scale = yd * den
+    factor = num * xd
+    return _value(xp * scale + yp * factor, xq * scale + yq * factor, xd * scale)
 
 
-def _ceil(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
+def _is_integral(value: _Value) -> bool:
+    """Integral exactly when δ-free over denominator 1 (normalized)."""
+    return value[1] == 0 and value[2] == 1
 
 
-class DeltaRational:
-    """A rational plus a symbolic-infinitesimal multiple: ``r + k·δ``.
+def _floor(value: _Value) -> int:
+    """The largest integer at or below the value (strictly below when the
+    real part is integral and the δ part negative)."""
+    p, q, d = value
+    base, rest = divmod(p, d)
+    if rest == 0 and q < 0:
+        return base - 1
+    return base
 
-    Ordered lexicographically — exactly the order that makes the strict
-    bound ``x < c`` equivalent to ``x <= c - δ`` for every sufficiently
-    small positive δ.  Supports the ring operations the simplex needs
-    (addition, subtraction, scaling by :class:`~fractions.Fraction`).
-    """
 
-    __slots__ = ("real", "delta", "_freal")
+def _ceil(value: _Value) -> int:
+    p, q, d = value
+    return -_floor((-p, -q, d))
 
-    def __init__(
-        self, real: Union[int, Fraction], delta: Union[int, Fraction] = 0
-    ) -> None:
-        self.real = Fraction(real)
-        self.delta = Fraction(delta)
 
-    @property
-    def freal(self) -> float:
-        """Float image of the real part, cached on first use — what the
-        simplex float filter compares before falling back to exact
-        arithmetic.  ``±inf`` on overflow."""
-        try:
-            return self._freal
-        except AttributeError:
-            image = _to_float(self.real)
-            self._freal = image
-            return image
-
-    def __add__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real + other.real, self.delta + other.delta)
-
-    def __sub__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real - other.real, self.delta - other.delta)
-
-    def scaled(self, factor: Fraction) -> "DeltaRational":
-        return DeltaRational(self.real * factor, self.delta * factor)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeltaRational):
-            return NotImplemented
-        return self.real == other.real and self.delta == other.delta
-
-    def __lt__(self, other: "DeltaRational") -> bool:
-        return (self.real, self.delta) < (other.real, other.delta)
-
-    def __le__(self, other: "DeltaRational") -> bool:
-        return (self.real, self.delta) <= (other.real, other.delta)
-
-    def __gt__(self, other: "DeltaRational") -> bool:
-        return (self.real, self.delta) > (other.real, other.delta)
-
-    def __ge__(self, other: "DeltaRational") -> bool:
-        return (self.real, self.delta) >= (other.real, other.delta)
-
-    def __hash__(self) -> int:
-        return hash((self.real, self.delta))
-
-    @property
-    def is_integral(self) -> bool:
-        return self.delta == 0 and self.real.denominator == 1
-
-    def floor(self) -> int:
-        """The largest integer (strictly) below a non-integral value, the
-        value itself when integral."""
-        if self.real.denominator == 1:
-            base = int(self.real)
-            return base - 1 if self.delta < 0 else base
-        return _floor(self.real)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DeltaRational({self.real!r}, {self.delta!r})"
+def _normalize_row(row: dict[int, int], den: int) -> int:
+    """Divide ``row`` and its denominator by their gcd; the new
+    denominator.  The gcd divides ``den``, so the scan stops as soon as
+    it reaches 1 (at once for an integral row)."""
+    g = den
+    for entry in row.values():
+        if g == 1:
+            return den
+        g = gcd(g, entry)
+    if g != 1:
+        for column in row:
+            row[column] //= g
+        den //= g
+    return den
 
 
 class ArithTheory(Theory):
@@ -200,23 +172,21 @@ class ArithTheory(Theory):
         super().__init__()
         self._branch_limit = branch_limit
         # Variable space: externals (script symbols) and slacks share it.
-        self._terms: list[Optional[Symbol]] = []
         self._is_int: list[bool] = []
         self._var_of: dict[Symbol, int] = {}
         self._slack_of: dict[tuple, int] = {}
-        # The tableau: basic variable -> sparse row over non-basic ones,
-        # plus the column index (non-basic -> rows that mention it).
-        self._rows: dict[int, dict[int, Fraction]] = {}
-        self._cols: dict[int, set[int]] = {}
-        self._assign: list[DeltaRational] = []
-        # Float shadow of the real parts of _assign, refreshed at every
-        # exact write.  Assignments are never rolled back by the undo
-        # log, so the shadow needs no undo handling either.
-        self._freal: list[float] = []
-        self._lower: dict[int, tuple[DeltaRational, _Lit]] = {}
-        self._upper: dict[int, tuple[DeltaRational, _Lit]] = {}
+        # The tableau: basic variable -> sparse integer row over non-basic
+        # ones and its positive denominator, plus the column index
+        # (non-basic -> rows that mention it).
+        self._rows: dict[int, dict[int, int]] = {}
+        self._dens: dict[int, int] = {}
+        self._cols: defaultdict[int, set[int]] = defaultdict(set)
+        self._assign: list[_Value] = []
+        self._lower: dict[int, tuple[_Value, _Lit]] = {}
+        self._upper: dict[int, tuple[_Value, _Lit]] = {}
+        # Difference form per classified atom (None: not owned).
+        self._forms: dict[Term, Optional[LinearForm]] = {}
         self._compiled: dict[Term, tuple] = {}
-        self._owned: dict[Term, bool] = {}
         self._conflict: Optional[TheoryConflict] = None
         self._incomplete = False
         self._trail: list[tuple] = []
@@ -229,8 +199,6 @@ class ArithTheory(Theory):
             "branches": 0,
             "checks": 0,
             "bb_exhausted": 0,
-            "float_skips": 0,
-            "float_fallbacks": 0,
         }
 
     # -- fragment membership -------------------------------------------------
@@ -238,18 +206,25 @@ class ArithTheory(Theory):
     def owns_atom(self, atom: Term) -> bool:
         """Binary ``<``/``<=``/``>``/``>=`` whose difference is linear
         over Int/Real symbols."""
-        cached = self._owned.get(atom)
-        if cached is not None:
-            return cached
-        result = (
+        return self._form(atom) is not None
+
+    def _form(self, atom: Term) -> Optional[LinearForm]:
+        """The atom's difference form (``None`` when not owned), computed
+        once per run and shared by classification and compilation."""
+        try:
+            return self._forms[atom]
+        except KeyError:
+            pass
+        form = None
+        if (
             isinstance(atom, Apply)
             and not atom.indices
             and atom.op in _ARITH_OPS
             and len(atom.args) == 2
-            and difference_form(atom.args[0], atom.args[1]) is not None
-        )
-        self._owned[atom] = result
-        return result
+        ):
+            form = difference_form(atom.args[0], atom.args[1])
+        self._forms[atom] = form
+        return form
 
     # -- undo log ------------------------------------------------------------
 
@@ -283,41 +258,32 @@ class ArithTheory(Theory):
 
     # -- variable and slack registration ------------------------------------
 
-    def _new_var(self, term: Optional[Symbol], is_int: bool) -> int:
+    def _new_var(self, is_int: bool) -> int:
         index = len(self._assign)
-        self._terms.append(term)
         self._is_int.append(is_int)
-        self._assign.append(DeltaRational(0))
-        self._freal.append(0.0)
+        self._assign.append(_ZERO)
         return index
 
     def _var_index(self, symbol: Symbol) -> int:
         index = self._var_of.get(symbol)
         if index is None:
-            index = self._new_var(symbol, symbol.sort == INT)
+            index = self._new_var(symbol.sort == INT)
             self._var_of[symbol] = index
         return index
 
-    def _slack_index(self, coeffs: dict[Symbol, Fraction]) -> tuple[int, Fraction]:
+    def _slack_index(self, coeffs: dict[Symbol, int | Fraction]) -> tuple[int, Fraction]:
         """The (shared) slack variable for a multi-variable linear
         expression, plus the scale mapping the caller's coefficients onto
         the canonical ones (coprime integers, positive leading
         coefficient, variables ordered by name)."""
         items = sorted(coeffs.items(), key=lambda entry: entry[0].name)
-        denominator_lcm = 1
-        for _, coeff in items:
-            denominator_lcm = (
-                denominator_lcm
-                * coeff.denominator
-                // gcd(denominator_lcm, coeff.denominator)
-            )
-        numerator_gcd = 0
-        for _, coeff in items:
-            numerator_gcd = gcd(numerator_gcd, int(coeff * denominator_lcm))
-        scale = Fraction(denominator_lcm, numerator_gcd)
-        if items[0][1] < 0:
-            scale = -scale
-        key = tuple((symbol, coeff * scale) for symbol, coeff in items)
+        multiple = lcm(*(coeff.denominator for _, coeff in items))
+        scaled = [coeff.numerator * (multiple // coeff.denominator) for _, coeff in items]
+        divisor = gcd(*scaled)
+        if scaled[0] < 0:
+            divisor = -divisor
+        key = tuple((symbol, entry // divisor) for (symbol, _), entry in zip(items, scaled))
+        scale = Fraction(multiple, divisor)
         existing = self._slack_of.get(key)
         if existing is not None:
             return existing, scale
@@ -325,34 +291,41 @@ class ArithTheory(Theory):
         # variables (substituting any basic variable's row keeps the
         # tableau in solved form) and enter it as a basic variable whose
         # assignment is the current value of the expression.
-        row: dict[int, Fraction] = {}
-        value = DeltaRational(0)
+        rows, dens, assign = self._rows, self._dens, self._assign
+        row: dict[int, int] = {}
+        den = 1
+        p, q, d = _ZERO
         is_int = True
         for symbol, coeff in key:
             index = self._var_index(symbol)
             if symbol.sort != INT:
                 is_int = False
-            value = value + self._assign[index].scaled(coeff)
-            basic_row = self._rows.get(index)
-            if basic_row is None:
-                updated = row.get(index, Fraction(0)) + coeff
-                if updated == 0:
-                    row.pop(index, None)
-                else:
-                    row[index] = updated
+            vp, vq, vd = assign[index]
+            p, q, d = p * vd + coeff * vp * d, q * vd + coeff * vq * d, d * vd
+            # row/den + coeff·(expansion/expansion_den) over the lcm; a
+            # non-basic variable expands to itself.
+            if index in rows:
+                expansion, expansion_den = rows[index], dens[index]
             else:
-                for column, entry in basic_row.items():
-                    updated = row.get(column, Fraction(0)) + coeff * entry
-                    if updated == 0:
-                        row.pop(column, None)
-                    else:
-                        row[column] = updated
-        slack = self._new_var(None, is_int)
-        self._assign[slack] = value
-        self._freal[slack] = _to_float(value.real)
-        self._rows[slack] = row
+                expansion, expansion_den = {index: 1}, 1
+            widen = expansion_den // gcd(den, expansion_den)
+            if widen != 1:
+                for column in row:
+                    row[column] *= widen
+                den *= widen
+            factor = coeff * (den // expansion_den)
+            for column, entry in expansion.items():
+                updated = row.get(column, 0) + factor * entry
+                if updated:
+                    row[column] = updated
+                else:
+                    row.pop(column, None)
+        slack = self._new_var(is_int)
+        assign[slack] = _value(p, q, d)
+        rows[slack] = row
+        dens[slack] = _normalize_row(row, den)
         for column in row:
-            self._cols.setdefault(column, set()).add(slack)
+            self._cols[column].add(slack)
         self._slack_of[key] = slack
         return slack, scale
 
@@ -362,18 +335,17 @@ class ArithTheory(Theory):
         cached = self._compiled.get(atom)
         if cached is not None:
             return cached
-        form = difference_form(atom.args[0], atom.args[1])
+        form = self._form(atom)
         assert form is not None, f"not an arithmetic atom: {atom!r}"
         coeffs, constant = form
         target = -constant  # the atom is  Σ coeffs · x  ▷  target
         compiled: tuple
         if not coeffs:
-            zero = Fraction(0)
             truth = {
-                "<": zero < target,
-                "<=": zero <= target,
-                ">": zero > target,
-                ">=": zero >= target,
+                "<": 0 < target,
+                "<=": 0 <= target,
+                ">": 0 > target,
+                ">=": 0 >= target,
             }[atom.op]
             compiled = ("const", truth)
         else:
@@ -396,246 +368,188 @@ class ArithTheory(Theory):
         return compiled
 
     @staticmethod
-    def _bound_for(
-        op: str, bound: Fraction, is_int: bool
-    ) -> tuple[bool, DeltaRational]:
+    def _bound_for(op: str, bound: Fraction, is_int: bool) -> tuple[bool, _Value]:
         """``(is_upper, value)`` for ``v op bound``; integer variables
         tighten to integral δ-free bounds."""
+        n, d = bound.numerator, bound.denominator
+        exact: _Value = (n, 0, d)
         if op == "<=":
-            return True, DeltaRational(_floor(bound)) if is_int else DeltaRational(bound)
+            return True, (_floor(exact), 0, 1) if is_int else exact
         if op == "<":
-            if is_int:
-                return True, DeltaRational(_ceil(bound) - 1)
-            return True, DeltaRational(bound, -1)
+            return True, (_ceil(exact) - 1, 0, 1) if is_int else (n, -d, d)
         if op == ">=":
-            return False, DeltaRational(_ceil(bound)) if is_int else DeltaRational(bound)
+            return False, (_ceil(exact), 0, 1) if is_int else exact
         assert op == ">"
-        if is_int:
-            return False, DeltaRational(_floor(bound) + 1)
-        return False, DeltaRational(bound, 1)
+        return False, (_floor(exact) + 1, 0, 1) if is_int else (n, d, d)
 
     # -- bound maintenance ---------------------------------------------------
 
     def _assert_bound(
-        self, var: int, is_upper: bool, value: DeltaRational, lit: _Lit
+        self, var: int, is_upper: bool, value: _Value, lit: _Lit
     ) -> Optional[list[_Lit]]:
         """Tighten one bound; return the two clashing literals on an
         immediate lower/upper contradiction, ``None`` otherwise."""
         if is_upper:
             current = self._upper.get(var)
-            if current is not None and current[0] <= value:
+            if current is not None and not _lt(value, current[0]):
                 return None  # weaker than what is already known
             other = self._lower.get(var)
-            if other is not None and value < other[0]:
+            if other is not None and _lt(value, other[0]):
                 return [lit, other[1]]
             self._save(self._upper, var)
             self._upper[var] = (value, lit)
-            if var not in self._rows and self._assign[var] > value:
+            if var not in self._rows and _lt(value, self._assign[var]):
                 self._update(var, value)
         else:
             current = self._lower.get(var)
-            if current is not None and current[0] >= value:
+            if current is not None and not _lt(current[0], value):
                 return None
             other = self._upper.get(var)
-            if other is not None and value > other[0]:
+            if other is not None and _lt(other[0], value):
                 return [lit, other[1]]
             self._save(self._lower, var)
             self._lower[var] = (value, lit)
-            if var not in self._rows and self._assign[var] < value:
+            if var not in self._rows and _lt(self._assign[var], value):
                 self._update(var, value)
         return None
 
-    def _update(self, var: int, value: DeltaRational) -> None:
+    def _update(self, var: int, value: _Value) -> None:
         """Move a non-basic variable, carrying every dependent basic."""
-        assign, freal = self._assign, self._freal
-        delta = value - assign[var]
+        assign, rows, dens = self._assign, self._rows, self._dens
+        delta = _add_scaled(value, assign[var], -1, 1)
         for basic in self._cols.get(var, ()):
-            moved = assign[basic] + delta.scaled(self._rows[basic][var])
-            assign[basic] = moved
-            freal[basic] = _to_float(moved.real)
+            assign[basic] = _add_scaled(assign[basic], delta, rows[basic][var], dens[basic])
         assign[var] = value
-        freal[var] = _to_float(value.real)
 
     # -- the simplex core ----------------------------------------------------
 
-    def _below_upper(self, var: int) -> bool:
-        """Strictly below the upper bound?  Float-filtered: the shadow
-        decides outside the guard band, exact δ-rationals inside it."""
-        bound = self._upper.get(var)
-        if bound is None:
-            return True
-        af = self._freal[var]
-        bf = bound[0].freal
-        band = _FLOAT_GUARD * (1.0 + abs(af) + abs(bf))
-        diff = bf - af
-        if diff > band:
-            self.stats["float_skips"] += 1
-            return True
-        if diff < -band:
-            self.stats["float_skips"] += 1
-            return False
-        self.stats["float_fallbacks"] += 1
-        return self._assign[var] < bound[0]
-
-    def _above_lower(self, var: int) -> bool:
-        """Strictly above the lower bound?  Float-filtered like
-        :meth:`_below_upper`."""
-        bound = self._lower.get(var)
-        if bound is None:
-            return True
-        af = self._freal[var]
-        bf = bound[0].freal
-        band = _FLOAT_GUARD * (1.0 + abs(af) + abs(bf))
-        diff = af - bf
-        if diff > band:
-            self.stats["float_skips"] += 1
-            return True
-        if diff < -band:
-            self.stats["float_skips"] += 1
-            return False
-        self.stats["float_fallbacks"] += 1
-        return self._assign[var] > bound[0]
-
     def _simplex(self) -> Optional[list[_Lit]]:
         """Pivot to feasibility; ``None`` when feasible, otherwise the
-        infeasibility explanation (a list of bound literals).
-
-        The violated-row scan runs on the float shadow: a row whose float
-        image sits decisively inside (or outside) its bounds never touches
-        exact arithmetic; only comparisons inside the guard band re-run on
-        the δ-rationals.  Floats pick where to look — every verdict that
-        reaches the caller is exact."""
-        freal = self._freal
-        guard = _FLOAT_GUARD
-        skips = 0
-        fallbacks = 0
-        try:
-            while True:
-                violated: Optional[tuple[int, bool]] = None
-                for basic in sorted(self._rows):
-                    af = freal[basic]
-                    low = self._lower.get(basic)
-                    if low is not None:
-                        bf = low[0].freal
-                        band = guard * (1.0 + abs(af) + abs(bf))
-                        diff = af - bf
-                        if diff < -band:
-                            skips += 1
-                            violated = (basic, True)
-                            break
-                        if diff <= band:
-                            fallbacks += 1
-                            if self._assign[basic] < low[0]:
-                                violated = (basic, True)
-                                break
-                        else:
-                            skips += 1
-                    high = self._upper.get(basic)
-                    if high is not None:
-                        bf = high[0].freal
-                        band = guard * (1.0 + abs(af) + abs(bf))
-                        diff = af - bf
-                        if diff > band:
-                            skips += 1
-                            violated = (basic, False)
-                            break
-                        if diff >= -band:
-                            fallbacks += 1
-                            if self._assign[basic] > high[0]:
-                                violated = (basic, False)
-                                break
-                        else:
-                            skips += 1
-                if violated is None:
-                    return None
-                basic, need_increase = violated
-                row = self._rows[basic]
-                chosen: Optional[int] = None
-                for column in sorted(row):  # Bland's rule: smallest index
-                    coeff = row[column]
-                    if need_increase:
-                        suitable = (coeff > 0 and self._below_upper(column)) or (
-                            coeff < 0 and self._above_lower(column)
-                        )
-                    else:
-                        suitable = (coeff < 0 and self._below_upper(column)) or (
-                            coeff > 0 and self._above_lower(column)
-                        )
-                    if suitable:
+        infeasibility explanation (a list of bound literals)."""
+        rows, assign = self._rows, self._assign
+        lower, upper = self._lower, self._upper
+        while True:
+            violated: Optional[tuple[int, bool]] = None
+            # The compares of :func:`_lt`, inlined: this is the hot loop.
+            for basic in sorted(rows):
+                p, q, d = assign[basic]
+                low = lower.get(basic)
+                if low is not None:
+                    bp, bq, bd = low[0]
+                    left, right = p * bd, bp * d
+                    if left < right or (left == right and q * bd < bq * d):
+                        violated = (basic, True)
+                        break
+                high = upper.get(basic)
+                if high is not None:
+                    bp, bq, bd = high[0]
+                    left, right = p * bd, bp * d
+                    if left > right or (left == right and q * bd > bq * d):
+                        violated = (basic, False)
+                        break
+            if violated is None:
+                return None
+            basic, need_increase = violated
+            row = rows[basic]
+            chosen: Optional[int] = None
+            for column in sorted(row):  # Bland's rule: smallest index
+                # The column must rise when its coefficient's sign agrees
+                # with the direction the basic variable has to move.
+                if (row[column] > 0) == need_increase:
+                    bound = upper.get(column)
+                    if bound is None or _lt(assign[column], bound[0]):
                         chosen = column
                         break
-                if chosen is None:
-                    # Every row variable is at its limiting bound: the row is
-                    # an inconsistent combination of exactly these bounds.
-                    if need_increase:
-                        explanation = [self._lower[basic][1]]
-                        for column in sorted(row):
-                            side = self._upper if row[column] > 0 else self._lower
-                            explanation.append(side[column][1])
-                    else:
-                        explanation = [self._upper[basic][1]]
-                        for column in sorted(row):
-                            side = self._lower if row[column] > 0 else self._upper
-                            explanation.append(side[column][1])
-                    return explanation
-                target = (
-                    self._lower[basic][0] if need_increase else self._upper[basic][0]
-                )
-                self._pivot_and_update(basic, chosen, target)
-                self.stats["pivots"] += 1
-        finally:
-            self.stats["float_skips"] += skips
-            self.stats["float_fallbacks"] += fallbacks
+                else:
+                    bound = lower.get(column)
+                    if bound is None or _lt(bound[0], assign[column]):
+                        chosen = column
+                        break
+            if chosen is None:
+                # Every row variable is at its limiting bound: the row is
+                # an inconsistent combination of exactly these bounds.
+                if need_increase:
+                    explanation = [lower[basic][1]]
+                    for column in sorted(row):
+                        side = upper if row[column] > 0 else lower
+                        explanation.append(side[column][1])
+                else:
+                    explanation = [upper[basic][1]]
+                    for column in sorted(row):
+                        side = lower if row[column] > 0 else upper
+                        explanation.append(side[column][1])
+                return explanation
+            target = lower[basic][0] if need_increase else upper[basic][0]
+            self._pivot_and_update(basic, chosen, target)
+            self.stats["pivots"] += 1
 
-    def _pivot_and_update(self, basic: int, entering: int, value: DeltaRational) -> None:
-        row = self._rows[basic]
+    def _pivot_and_update(self, basic: int, entering: int, value: _Value) -> None:
+        rows, dens, cols, assign = self._rows, self._dens, self._cols, self._assign
+        row = rows.pop(basic)
+        den = dens.pop(basic)
         coeff = row[entering]
-        assign, freal = self._assign, self._freal
-        theta = (value - assign[basic]).scaled(Fraction(1) / coeff)
+        sign = 1 if coeff > 0 else -1
+        # θ = (value − x_b)·den/coeff moves x_entering so x_b lands on value.
+        vp, vq, vd = value
+        bp, bq, bd = assign[basic]
+        theta = _value(
+            (vp * bd - bp * vd) * den * sign,
+            (vq * bd - bq * vd) * den * sign,
+            vd * bd * coeff * sign,
+        )
         # Assignments first (they need the old column index).
         assign[basic] = value
-        freal[basic] = _to_float(value.real)
-        for other in self._cols.get(entering, ()):
+        for other in cols.get(entering, ()):
             if other != basic:
-                moved = assign[other] + theta.scaled(self._rows[other][entering])
-                assign[other] = moved
-                freal[other] = _to_float(moved.real)
-        entered = assign[entering] + theta
-        assign[entering] = entered
-        freal[entering] = _to_float(entered.real)
-        # Structural pivot: solve ``basic``'s row for ``entering`` ...
-        del self._rows[basic]
+                assign[other] = _add_scaled(assign[other], theta, rows[other][entering], dens[other])
+        assign[entering] = _add_scaled(assign[entering], theta, 1, 1)
+        # Structural pivot: solve ``basic``'s row for ``entering``
+        # (coeff·x_e = den·x_b − Σ a_j·x_j; its entries keep the row's
+        # gcd of 1) ...
         for column in row:
-            self._cols[column].discard(basic)
-        inverse = Fraction(1) / coeff
-        entering_row: dict[int, Fraction] = {basic: inverse}
+            cols[column].discard(basic)
+        entering_den = coeff * sign
+        entering_row: dict[int, int] = {basic: den * sign}
         for column, entry in row.items():
             if column != entering:
-                entering_row[column] = -entry * inverse
-        # ... and substitute it into every other row that mentions it.
-        for other in self._cols.pop(entering, set()):
-            other_row = self._rows[other]
+                entering_row[column] = -entry * sign
+        # ... and substitute it into every other row that mentions it:
+        # den_o·x_o = … + c_e·x_e becomes, scaled by entering_den/g,
+        # an integer row again, then divided by its gcd.
+        targets = [(column, entry, cols[column]) for column, entry in entering_row.items()]
+        for other in cols.pop(entering, ()):
+            other_row = rows[other]
             factor = other_row.pop(entering)
-            for column, entry in entering_row.items():
+            g = gcd(factor, entering_den)
+            widen = entering_den // g
+            factor //= g
+            if widen != 1:
+                for column in other_row:
+                    other_row[column] *= widen
+            for column, entry, members in targets:
                 previous = other_row.get(column)
-                updated = (previous or Fraction(0)) + factor * entry
-                if updated == 0:
-                    if previous is not None:
-                        del other_row[column]
-                        self._cols[column].discard(other)
+                if previous is None:
+                    other_row[column] = factor * entry
+                    members.add(other)
                 else:
-                    other_row[column] = updated
-                    if previous is None:
-                        self._cols.setdefault(column, set()).add(other)
-        self._rows[entering] = entering_row
-        for column in entering_row:
-            self._cols.setdefault(column, set()).add(entering)
+                    updated = previous + factor * entry
+                    if updated:
+                        other_row[column] = updated
+                    else:
+                        del other_row[column]
+                        members.discard(other)
+            dens[other] = _normalize_row(other_row, dens[other] * widen)
+        rows[entering] = entering_row
+        dens[entering] = entering_den
+        for _, _, members in targets:
+            members.add(entering)
 
     # -- branch and bound ----------------------------------------------------
 
     def _fractional_int_var(self) -> Optional[int]:
+        assign = self._assign
         for var, is_int in enumerate(self._is_int):
-            if is_int and not self._assign[var].is_integral:
+            if is_int and not _is_integral(assign[var]):
                 return var
         return None
 
@@ -667,13 +581,13 @@ class ArithTheory(Theory):
         var = self._fractional_int_var()
         if var is None:
             return "sat", {}
-        cut = self._assign[var].floor()
+        cut = _floor(self._assign[var])
         self.stats["branches"] += 1
         accumulated: dict[tuple[Term, bool], None] = {}
         exhausted = False
         for is_upper, bound in ((True, cut), (False, cut + 1)):
             self._push_internal()
-            clash = self._assert_bound(var, is_upper, DeltaRational(bound), None)
+            clash = self._assert_bound(var, is_upper, (bound, 0, 1), None)
             if clash is None:
                 verdict, literals = self._branch(budget, depth + 1)
             else:
@@ -760,12 +674,12 @@ class ArithTheory(Theory):
         for symbol, var in self._var_of.items():
             if var not in live:
                 continue
-            value = self._assign[var]
-            exact = value.real + value.delta * delta
+            p, q, d = self._assign[var]
+            exact = (p + q * delta) / d  # a Fraction: δ is one
             if self._is_int[var]:
                 if exact.denominator != 1:
                     return None  # pragma: no cover - defensive
-                constant = int_const(int(exact))
+                constant = int_const(exact.numerator)
             else:
                 constant = Constant(exact, REAL)
             allocator.reserve(constant)
@@ -782,35 +696,26 @@ class ArithTheory(Theory):
         substituted: for each ``a₁ + b₁δ ≤ a₂ + b₂δ`` with ``b₁ > b₂``
         the substitution stays true for δ up to ``(a₂ − a₁)/(b₁ − b₂)``."""
         delta = Fraction(1)
-        for var, value in enumerate(self._assign):
+        for var, (vp, vq, vd) in enumerate(self._assign):
             low = self._lower.get(var)
             if low is not None:
-                bound = low[0]
-                if bound.real < value.real and bound.delta > value.delta:
-                    delta = min(
-                        delta,
-                        (value.real - bound.real) / (bound.delta - value.delta),
-                    )
+                bp, bq, bd = low[0]
+                gap, slope = vp * bd - bp * vd, bq * vd - vq * bd
+                if gap > 0 and slope > 0:
+                    delta = min(delta, Fraction(gap, slope))
             high = self._upper.get(var)
             if high is not None:
-                bound = high[0]
-                if value.real < bound.real and value.delta > bound.delta:
-                    delta = min(
-                        delta,
-                        (bound.real - value.real) / (value.delta - bound.delta),
-                    )
+                bp, bq, bd = high[0]
+                gap, slope = bp * vd - vp * bd, vq * bd - bq * vd
+                if gap > 0 and slope > 0:
+                    delta = min(delta, Fraction(gap, slope))
         return delta
 
     # -- introspection -------------------------------------------------------
-
-    def assignment(self) -> dict[Symbol, DeltaRational]:
-        """The current (δ-symbolic) assignment per script symbol, for
-        tests and debugging."""
-        return {symbol: self._assign[var] for symbol, var in self._var_of.items()}
 
     def tableau_size(self) -> tuple[int, int]:
         """``(variables, basic rows)`` — the live tableau dimensions."""
         return len(self._assign), len(self._rows)
 
 
-__all__ = ["ArithTheory", "DeltaRational"]
+__all__ = ["ArithTheory"]

@@ -1,5 +1,4 @@
-"""Old-vs-new CDCL core equivalence, flat-layout unit tests, and the
-simplex float-filter guard band.
+"""Old-vs-new CDCL core equivalence and flat-layout unit tests.
 
 PR 9 rewrote :class:`repro.sat.Solver` onto flat integer arrays (clause
 arena, ``(ref, blocker)`` watch tuples, parallel assignment arrays); the
@@ -9,8 +8,7 @@ the two on seeded sweeps — identical verdicts, identical
 failed-assumption cores, checker-accepted proofs from both, and matching
 engine-level verdicts on the fuzz-gauntlet fragments — and unit-tests
 the flat-specific machinery: arena growth, literal-table growth, watch
-swap-remove, blocker skips, and the float filter falling back to exact
-``Fraction`` arithmetic on near-degenerate comparisons.
+swap-remove and blocker skips.
 
 On search statistics: the new core scans binary clauses before long
 clauses, so *propagation order within a decision level* can differ from
@@ -20,7 +18,6 @@ stats-equality test pins seeds verified to stay deterministic-identical,
 per the "match where determinism allows" contract.
 """
 
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -29,9 +26,6 @@ from repro.engine import Engine
 from repro.proof import ProofLog, check_proof
 from repro.sat import SAT, UNSAT, Solver
 from repro.sat.reference import ReferenceSolver
-from repro.smtlib.sorts import BOOL, REAL
-from repro.smtlib.terms import Apply, Constant, Symbol
-from repro.theory import ArithTheory
 
 import test_fuzz_differential as fuzz
 
@@ -204,62 +198,3 @@ class TestFlatLayout:
         solver.add_clauses(clauses)
         solver.solve()
         assert solver.stats["blocker_skips"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Float filter: near-degenerate comparisons must fall back to exact
-# Fraction arithmetic and never change the verdict.
-# ---------------------------------------------------------------------------
-
-
-U = Symbol("fu", REAL)
-V = Symbol("fv", REAL)
-EPS = Fraction(1, 10**12)
-
-
-def _real(value) -> Constant:
-    return Constant(Fraction(value), REAL)
-
-
-def _cmp(op, lhs, rhs):
-    return Apply(op, (lhs, rhs), BOOL)
-
-
-class TestFloatFilterFallback:
-    def test_row_within_guard_band_falls_back_unsat(self):
-        """A slack row 1e-12 short of its lower bound: the float scan
-        cannot tell, the exact fallback must flag the violation, and the
-        verdict is exactly unsat."""
-        theory = ArithTheory()
-        total = Apply("+", (U, V), REAL)
-        assert theory.assert_literal(_cmp(">=", total, _real(3)), True) is None
-        assert theory.assert_literal(_cmp("<=", U, _real(1)), True) is None
-        near = Constant(Fraction(2) - EPS, REAL)
-        outcome = theory.assert_literal(_cmp("<=", V, near), True)
-        if outcome is None:
-            outcome = theory.check()
-        assert outcome is not None  # max u + v = 3 - 1e-12 < 3 exactly
-        assert theory.stats["float_fallbacks"] > 0
-
-    def test_near_degenerate_pivot_row_falls_back(self):
-        """A slack row whose value sits within 1e-12 of its bound: the
-        float violated-row scan cannot decide it and must consult the
-        exact tableau, which says "not violated" — sat."""
-        theory = ArithTheory()
-        total = Apply("+", (U, V), REAL)
-        assert theory.assert_literal(_cmp("<=", total, _real(6)), True) is None
-        assert theory.assert_literal(_cmp(">=", U, _real(3)), True) is None
-        near = Constant(Fraction(3) - EPS, REAL)
-        assert theory.assert_literal(_cmp(">=", V, near), True) is None
-        assert theory.check() is None  # u + v = 6 - 1e-12 <= 6 exactly
-        assert theory.stats["float_fallbacks"] > 0
-
-    def test_decisive_comparisons_use_float_path(self):
-        theory = ArithTheory()
-        total = Apply("+", (U, V), REAL)
-        assert theory.assert_literal(_cmp("<=", total, _real(100)), True) is None
-        assert theory.assert_literal(_cmp(">=", U, _real(3)), True) is None
-        assert theory.assert_literal(_cmp(">=", V, _real(3)), True) is None
-        assert theory.check() is None  # slack row sits far from its bound
-        assert theory.stats["float_skips"] > 0
-        assert theory.stats["float_fallbacks"] == 0

@@ -1,8 +1,10 @@
-"""Linear arithmetic: linarith normal forms, δ-rationals, the simplex
-plugin's direct API, composite dispatch, and engine-level QF_LRA/QF_LIA
-solving."""
+"""Linear arithmetic: linarith normal forms, integer δ-rational triples,
+the simplex plugin's direct API (with exact compares and a
+Fourier–Motzkin oracle), composite dispatch, and engine-level
+QF_LRA/QF_LIA solving."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -12,14 +14,14 @@ from repro.smtlib.evaluate import evaluate
 from repro.smtlib.linarith import difference_form, linear_form
 from repro.smtlib.parser import parse_term
 from repro.smtlib.sorts import BOOL, INT, REAL
-from repro.smtlib.terms import TRUE, Apply, Constant, Symbol, int_const
+from repro.smtlib.terms import FALSE, TRUE, Apply, Constant, Symbol, int_const
 from repro.theory import (
     ArithTheory,
-    DeltaRational,
     EufTheory,
     SortValueAllocator,
     TheoryComposite,
 )
+from repro.theory.arith import _ZERO, _add_scaled, _floor, _is_integral, _lt, _value
 
 X = Symbol("x", INT)
 Y = Symbol("y", INT)
@@ -114,33 +116,39 @@ class TestLinearForm:
 
 
 # ---------------------------------------------------------------------------
-# Delta-rationals.
+# Integer δ-rational triples: (p, q, d) is (p + q·δ)/d.
 # ---------------------------------------------------------------------------
 
 
-class TestDeltaRational:
+class TestDeltaTriple:
     def test_lexicographic_order(self):
-        assert DeltaRational(1) < DeltaRational(1, 1)
-        assert DeltaRational(1, -1) < DeltaRational(1)
-        assert DeltaRational(1, 5) < DeltaRational(2, -5)
-        assert DeltaRational(3, 2) == DeltaRational(3, 2)
-        assert DeltaRational(3) >= DeltaRational(3)
+        assert _lt((1, 0, 1), (1, 1, 1))
+        assert _lt((1, -1, 1), (1, 0, 1))
+        assert _lt((1, 5, 1), (2, -5, 1))
+        assert _value(6, 4, 2) == (3, 2, 1)
+        assert not _lt((3, 0, 1), (3, 0, 1))
+        # Cross-multiplied: 1/3 < 1/2, and 1/2 + δ/2 > 1/2.
+        assert _lt((1, 0, 3), (1, 0, 2))
+        assert _lt((1, 0, 2), (1, 1, 2))
+        assert not _lt((1, 1, 2), (1, 0, 2))
 
     def test_ring_operations(self):
-        a = DeltaRational(Fraction(1, 2), 1)
-        b = DeltaRational(Fraction(3, 2), -2)
-        assert a + b == DeltaRational(2, -1)
-        assert a - b == DeltaRational(-1, 3)
-        assert a.scaled(Fraction(4)) == DeltaRational(2, 4)
+        a = (1, 2, 2)  # 1/2 + δ
+        b = (3, -4, 2)  # 3/2 - 2δ
+        assert _add_scaled(a, b, 1, 1) == (2, -1, 1)
+        assert _add_scaled(a, b, -1, 1) == (-1, 3, 1)
+        assert _add_scaled(_ZERO, a, 4, 1) == (2, 4, 1)
+        assert _add_scaled(_ZERO, a, 2, 3) == (1, 2, 3)
+        assert _value(4, -2, 6) == (2, -1, 3)
 
     def test_integrality_and_floor(self):
-        assert DeltaRational(3).is_integral
-        assert not DeltaRational(3, 1).is_integral
-        assert not DeltaRational(Fraction(1, 2)).is_integral
-        assert DeltaRational(3, 1).floor() == 3
-        assert DeltaRational(3, -1).floor() == 2
-        assert DeltaRational(Fraction(7, 2), 1).floor() == 3
-        assert DeltaRational(Fraction(-7, 2)).floor() == -4
+        assert _is_integral((3, 0, 1))
+        assert not _is_integral((3, 1, 1))
+        assert not _is_integral((1, 0, 2))
+        assert _floor((3, 1, 1)) == 3
+        assert _floor((3, -1, 1)) == 2
+        assert _floor((7, 2, 2)) == 3  # 7/2 + δ
+        assert _floor((-7, 0, 2)) == -4
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +349,128 @@ class TestArithTheoryDirect:
                 theory.check()  # must not raise, whatever the verdict
         finally:
             sys.setrecursionlimit(limit)
+
+
+# ---------------------------------------------------------------------------
+# Exact compares: rows a hair (1e-12) from their bounds decide exactly.
+# ---------------------------------------------------------------------------
+
+
+FU = Symbol("fu", REAL)
+FV = Symbol("fv", REAL)
+EPS = Fraction(1, 10**12)
+
+
+def _real(value) -> Constant:
+    return Constant(Fraction(value), REAL)
+
+
+def _cmp(op, lhs, rhs):
+    return Apply(op, (lhs, rhs), BOOL)
+
+
+class TestExactCompare:
+    def test_row_a_hair_short_of_its_bound_is_unsat(self):
+        theory = ArithTheory()
+        total = Apply("+", (FU, FV), REAL)
+        assert theory.assert_literal(_cmp(">=", total, _real(3)), True) is None
+        assert theory.assert_literal(_cmp("<=", FU, _real(1)), True) is None
+        near = Constant(Fraction(2) - EPS, REAL)
+        outcome = theory.assert_literal(_cmp("<=", FV, near), True)
+        if outcome is None:
+            outcome = theory.check()
+        assert outcome is not None  # max u + v = 3 - 1e-12 < 3 exactly
+
+    def test_row_a_hair_inside_its_bound_is_sat(self):
+        theory = ArithTheory()
+        total = Apply("+", (FU, FV), REAL)
+        assert theory.assert_literal(_cmp("<=", total, _real(6)), True) is None
+        assert theory.assert_literal(_cmp(">=", FU, _real(3)), True) is None
+        near = Constant(Fraction(3) - EPS, REAL)
+        assert theory.assert_literal(_cmp(">=", FV, near), True) is None
+        assert theory.check() is None  # u + v = 6 - 1e-12 <= 6 exactly
+
+    def test_row_far_inside_its_bound_is_sat(self):
+        theory = ArithTheory()
+        total = Apply("+", (FU, FV), REAL)
+        assert theory.assert_literal(_cmp("<=", total, _real(100)), True) is None
+        assert theory.assert_literal(_cmp(">=", FU, _real(3)), True) is None
+        assert theory.assert_literal(_cmp(">=", FV, _real(3)), True) is None
+        assert theory.check() is None  # the slack row sits far from its bound
+
+
+# ---------------------------------------------------------------------------
+# Fourier–Motzkin oracle: exact two-sided verdicts on fractional rows.
+# ---------------------------------------------------------------------------
+
+
+FM_VARS = tuple(Symbol(f"r{i}", REAL) for i in range(3))
+_FM_NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def _fm_row(atom, positive):
+    """The literal as ``(coeffs, strict, bound)``: ``Σ coeffs·r (<|<=) bound``."""
+    op = atom.op if positive else _FM_NEGATE[atom.op]
+    coeffs, constant = difference_form(*atom.args)
+    sign = 1 if op in ("<", "<=") else -1
+    row = tuple(sign * Fraction(coeffs.get(var, 0)) for var in FM_VARS)
+    return row, op in ("<", ">"), -sign * Fraction(constant)
+
+
+def _fm_feasible(literals):
+    """Fourier–Motzkin elimination of every variable, strictness tracked."""
+    rows = [_fm_row(atom, positive) for atom, positive in literals]
+    for k in range(len(FM_VARS)):
+        upper = [r for r in rows if r[0][k] > 0]
+        lower = [r for r in rows if r[0][k] < 0]
+        rows = [r for r in rows if r[0][k] == 0]
+        for (a, a_strict, a_bound) in upper:
+            for (b, b_strict, b_bound) in lower:
+                ka, kb = 1 / a[k], -1 / b[k]
+                combined = tuple(x * ka + y * kb for x, y in zip(a, b))
+                rows.append((combined, a_strict or b_strict, a_bound * ka + b_bound * kb))
+    return all(bound > 0 if strict else bound >= 0 for _, strict, bound in rows)
+
+
+def _fm_conjunction(rng):
+    literals = []
+    for _ in range(rng.randint(3, 8)):
+        products = []
+        for var in rng.sample(FM_VARS, rng.randint(1, 3)):
+            coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 7))
+            products.append(Apply("*", (_real(coeff), var), REAL))
+        lhs = products[0] if len(products) == 1 else Apply("+", tuple(products), REAL)
+        constant = _real(Fraction(rng.randint(-12, 12), rng.randint(1, 7)))
+        atom = _cmp(rng.choice(("<", "<=", ">", ">=")), lhs, constant)
+        literals.append((atom, rng.random() >= 0.3))
+    return literals
+
+
+def test_simplex_agrees_with_fourier_motzkin():
+    verdicts = {"sat": 0, "unsat": 0}
+    fractional_rows = 0
+    for seed in range(300):
+        literals = _fm_conjunction(Random(seed))
+        theory = ArithTheory()
+        conflict = None
+        for atom, positive in literals:
+            conflict = theory.assert_literal(atom, positive)
+            if conflict is not None:
+                break
+        if conflict is None:
+            conflict = theory.check()
+        fractional_rows += max(theory._dens.values(), default=1) > 1
+        assert (conflict is None) == _fm_feasible(literals), seed
+        if conflict is None:
+            verdicts["sat"] += 1
+            model = theory.model(SortValueAllocator())
+            for atom, positive in literals:
+                assert evaluate(atom, model.values) is (TRUE if positive else FALSE), seed
+        else:
+            verdicts["unsat"] += 1
+            assert set(conflict.literals) <= set(literals), seed
+            assert not _fm_feasible(conflict.literals), seed
+    assert min(verdicts.values()) > 0 and fractional_rows > 0, (verdicts, fractional_rows)
 
 
 # ---------------------------------------------------------------------------
