@@ -3,8 +3,9 @@
 The engine layer is split by responsibility:
 
 * :mod:`repro.engine.context` — assertion-stack :class:`Frame` bookkeeping
-  and term preparation (``define-fun`` inlining, ``let`` expansion,
-  n-ary equality expansion, arithmetic equality/chain splitting).
+  and :func:`~repro.engine.context.prepare`, the one memoized walk that
+  expands ``define-fun`` and ``let`` binders and splits n-ary
+  equalities, linear equalities and chained comparisons.
 * :mod:`repro.engine.atoms` — the persistent atom ↔ SAT-variable
   registry wrapping one long-lived Tseitin encoder, so unchanged
   assertions are never re-encoded across ``check-sat`` calls.

@@ -7,29 +7,41 @@ for a pushed level, the frame's SAT *selector* variable — the assumption
 literal that activates the frame's clauses in the shared incremental
 solver.  The base level can never be popped, so it has no selector.
 
-Preparation is the term-level pipeline that runs **before** encoding:
+Preparation is the term-level rewrite that runs **before** simplification
+and encoding: :func:`prepare`, one memoized post-order walk.
 
-1. :func:`inline_definitions` — beta-reduce ``define-fun`` applications.
-2. :func:`expand_lets` — substitute ``let`` binders away (parallel
-   semantics).
-3. :func:`expand_equalities` — rewrite n-ary ``=`` / ``distinct`` over
-   non-boolean terms into conjunctions of *binary* equalities (negated
-   for ``distinct``), so the theory layer only ever sees binary equality
-   atoms.  Boolean ``=``/``distinct`` are CNF connectives and stay as-is.
-4. :func:`expand_arithmetic` — split pure-linear ``=`` into
-   ``<=``/``>=`` bound pairs (NNF turns their negation into a
-   disjunction of strict inequalities, so the SAT core case-splits
-   disequalities for the convex simplex) and chained comparisons into
-   binary conjunctions.
+* **Binders.**  ``define-fun`` applications and ``let`` terms expand
+  away.  A ``let`` body, or a defined function's body, is walked once
+  under an *environment* that maps each binder name to its already
+  prepared value (a ``let``'s values are prepared in the enclosing
+  environment: parallel semantics), with a memo of its own.  A nullary
+  definition's body is prepared once, through the top-level memo.
+  Quantifier and ``let`` binders shadow same-named definitions and
+  enclosing bindings.  A bound value is not re-walked, so it is never
+  captured by a ``let`` it lands under; a quantifier inside a definition
+  body can still capture an argument's free symbol, which cannot happen
+  in the quantifier-free skeletons the engine targets.
+* **Rules.**  Once its arguments are prepared, an application gets two
+  rules, in order:
 
-``define-fun`` expansion substitutes by name and is not capture-avoiding
-against quantifiers inside definition bodies; the engine targets
-quantifier-free skeletons, where no capture can occur.
+  1. n-ary ``=`` and every ``distinct`` over non-boolean arguments
+     become boolean structure over *binary* equalities — ``(= a b c)``
+     is ``(and (= a b) (= b c))``, ``(distinct a b c)`` the conjunction
+     of ``(not (= x y))`` over all pairs — so the theory layer only ever
+     sees binary equality atoms.  Boolean ``=``/``distinct`` are CNF
+     connectives and stay as-is.
+  2. A binary ``=`` whose difference is linear over Int/Real symbols
+     becomes ``(and (<= a b) (>= a b))`` (NNF turns its negation into a
+     disjunction of strict inequalities, so the SAT core case-splits
+     disequalities for the convex simplex; other equalities are left
+     for EUF), and a chained comparison ``(< a b c)`` becomes the
+     conjunction of its adjacent binary pairs.  Every binary equality
+     rule 1 makes goes through this rule too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..smtlib.linarith import difference_form
 from ..smtlib.script import DefineFun, FunSignature
@@ -42,7 +54,8 @@ from ..smtlib.terms import (
     Symbol,
     Term,
     negate,
-    substitute,
+    pop_scope,
+    push_scope,
 )
 
 
@@ -88,230 +101,101 @@ class Frame:
 
 
 # ---------------------------------------------------------------------------
-# Definition inlining and let expansion.
+# The preparation walk.
 # ---------------------------------------------------------------------------
 
 
-def inline_definitions(
-    term: Term,
-    definitions: dict[str, DefineFun],
-    shadowed: frozenset[str],
-    memo: dict[tuple[Term, frozenset[str]], Term],
-) -> Term:
-    """Beta-reduce every application (or nullary occurrence) of a defined
-    function.  ``shadowed`` holds binder names that hide same-named
-    definitions below them."""
-    if not definitions:
-        return term
-    key = (term, shadowed)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = _inline_node(term, definitions, shadowed, memo)
-    memo[key] = result
-    return result
+def prepare(term: Term, definitions: dict[str, DefineFun], memo: dict[Term, Term]) -> Term:
+    """``term`` with its definitions and ``let`` binders expanded and the
+    equality/arithmetic rules applied (see the module docstring).
+
+    ``memo`` caches the top-level scope; share it across the assertions
+    of one preparation round, which all see the same ``definitions``."""
+    return _prepare(term, definitions, {}, memo, memo)
 
 
-def _inline_node(
+def _prepare(
     term: Term,
     definitions: dict[str, DefineFun],
-    shadowed: frozenset[str],
-    memo: dict[tuple[Term, frozenset[str]], Term],
+    env: dict[str, Term],
+    memo: dict[Term, Term],
+    top: dict[Term, Term],
 ) -> Term:
     if isinstance(term, Constant):
         return term
     if isinstance(term, Symbol):
+        bound = env.get(term.name)
+        if bound is not None:
+            return bound
         definition = definitions.get(term.name)
-        if definition is not None and not definition.params and term.name not in shadowed:
-            return inline_definitions(definition.body, definitions, frozenset(), memo)
-        return term
+        if definition is None or definition.params:
+            return term
+        return _prepare(definition.body, definitions, {}, top, top)
+    cached = memo.get(term)
+    if cached is not None:
+        return cached
     if isinstance(term, Apply):
-        rewritten = []
+        prepared = []
         for arg in term.args:
-            rewritten.append(inline_definitions(arg, definitions, shadowed, memo))
-        args = tuple(rewritten)
+            prepared.append(_prepare(arg, definitions, env, memo, top))
+        args = tuple(prepared)
         definition = definitions.get(term.op)
-        if definition is not None and not term.indices and term.op not in shadowed:
-            body = inline_definitions(definition.body, definitions, frozenset(), memo)
-            mapping = {name: arg for (name, _), arg in zip(definition.params, args)}
-            return substitute(body, mapping)
-        if args == term.args:
-            return term
-        return Apply(term.op, args, term.sort, term.indices)
-    if isinstance(term, Quantifier):
-        inner = shadowed | {name for name, _ in term.bindings}
-        body = inline_definitions(term.body, definitions, inner, memo)
-        if body is term.body:
-            return term
-        return Quantifier(term.kind, term.bindings, body)
-    if isinstance(term, Let):
-        bindings = tuple(
-            (name, inline_definitions(value, definitions, shadowed, memo))
-            for name, value in term.bindings
-        )
-        inner = shadowed | {name for name, _ in term.bindings}
-        body = inline_definitions(term.body, definitions, inner, memo)
-        return Let(bindings, body)
-    raise TypeError(f"unknown term node: {term!r}")
-
-
-def expand_lets(term: Term, memo: dict[Term, Term]) -> Term:
-    """Substitute every ``let`` binder away (parallel-let semantics)."""
-    cached = memo.get(term)
-    if cached is not None:
-        return cached
-    if isinstance(term, (Constant, Symbol)):
-        result: Term = term
-    elif isinstance(term, Apply):
-        rewritten = []
-        for arg in term.args:
-            rewritten.append(expand_lets(arg, memo))
-        args = tuple(rewritten)
-        result = term if args == term.args else Apply(term.op, args, term.sort, term.indices)
+        if definition is not None and not term.indices and term.op not in env:
+            params = {name: arg for (name, _), arg in zip(definition.params, args)}
+            result = _prepare(definition.body, definitions, params, {}, top)
+        else:
+            result = _rewrite(term, args)
     elif isinstance(term, Quantifier):
-        body = expand_lets(term.body, memo)
+        saved = push_scope(env, [(name, Symbol(name, sort)) for name, sort in term.bindings])
+        body = _prepare(term.body, definitions, env, {}, top)
+        pop_scope(env, saved)
         result = term if body is term.body else Quantifier(term.kind, term.bindings, body)
     elif isinstance(term, Let):
-        mapping = {
-            name: expand_lets(value, memo) for name, value in term.bindings
-        }
-        body = expand_lets(term.body, memo)
-        result = substitute(body, mapping)
+        values = []
+        for name, value in term.bindings:
+            values.append((name, _prepare(value, definitions, env, memo, top)))
+        saved = push_scope(env, values)
+        result = _prepare(term.body, definitions, env, {}, top)
+        pop_scope(env, saved)
     else:
         raise TypeError(f"unknown term node: {term!r}")
     memo[term] = result
     return result
 
 
-# ---------------------------------------------------------------------------
-# Equality expansion (theory preparation).
-# ---------------------------------------------------------------------------
-
-
-def _expand_bottom_up(
-    term: Term,
-    memo: dict[Term, Term],
-    rewrite_apply: Callable[[Apply, tuple[Term, ...]], Term],
-) -> Term:
-    """The memoized bottom-up traversal shared by the expansion passes:
-    children rewrite first, then ``rewrite_apply`` sees each ``Apply``
-    node with its rewritten arguments; ``Quantifier``/``Let`` rebuild
-    with structure sharing (unchanged nodes return ``is``-identical)."""
-    cached = memo.get(term)
-    if cached is not None:
-        return cached
-    if isinstance(term, (Constant, Symbol)):
-        result: Term = term
-    elif isinstance(term, Apply):
-        rewritten = []
-        for arg in term.args:
-            rewritten.append(_expand_bottom_up(arg, memo, rewrite_apply))
-        result = rewrite_apply(term, tuple(rewritten))
-    elif isinstance(term, Quantifier):
-        body = _expand_bottom_up(term.body, memo, rewrite_apply)
-        result = term if body is term.body else Quantifier(term.kind, term.bindings, body)
-    elif isinstance(term, Let):
-        bindings = tuple(
-            (name, _expand_bottom_up(value, memo, rewrite_apply))
-            for name, value in term.bindings
-        )
-        body = _expand_bottom_up(term.body, memo, rewrite_apply)
-        if body is term.body and all(
-            new is old for (_, new), (_, old) in zip(bindings, term.bindings)
-        ):
-            result = term
-        else:
-            result = Let(bindings, body)
-    else:
-        raise TypeError(f"unknown term node: {term!r}")
-    memo[term] = result
-    return result
-
-
-def _rebuild(term: Apply, args: tuple[Term, ...]) -> Term:
-    return term if args == term.args else Apply(term.op, args, term.sort, term.indices)
-
-
-def expand_arithmetic(term: Term, memo: dict[Term, Term]) -> Term:
-    """Normalize arithmetic atoms for the simplex theory.
-
-    * A binary ``=`` whose difference is linear over Int/Real symbols
-      becomes ``(and (<= a b) (>= a b))`` — asserted positively the two
-      bounds pin the value, and under negation NNF turns the conjunction
-      into a disjunction of *strict* inequalities, letting the SAT core
-      case-split disequalities so the (convex) simplex never sees them.
-      Equalities that are not linear (uninterpreted applications,
-      ``div``/``mod`` ...) are left for EUF.
-    * A chained comparison ``(< a b c)`` becomes the conjunction of its
-      adjacent binary pairs, so the theory's atom vocabulary is binary
-      only (mirroring what :func:`expand_equalities` does for ``=``).
-
-    Runs after :func:`expand_equalities` (which reduces n-ary ``=`` and
-    ``distinct`` to binary equalities first).
-    """
-    return _expand_bottom_up(term, memo, _arithmetic_rule)
-
-
-def _arithmetic_rule(term: Apply, args: tuple[Term, ...]) -> Term:
-    if (
-        term.op == "="
-        and len(args) == 2
-        and args[0].sort in (INT, REAL)
-        and difference_form(args[0], args[1]) is not None
-    ):
-        return Apply(
-            "and",
-            (Apply("<=", args, BOOL), Apply(">=", args, BOOL)),
-            BOOL,
-        )
-    if term.op in ("<", "<=", ">", ">=") and len(args) > 2:
-        pairs = tuple(
-            Apply(term.op, (left, right), BOOL)
-            for left, right in zip(args, args[1:])
-        )
-        return Apply("and", pairs, BOOL)
-    return _rebuild(term, args)
-
-
-def expand_equalities(term: Term, memo: dict[Term, Term]) -> Term:
-    """Rewrite n-ary ``=``/``distinct`` over non-boolean arguments into
-    boolean structure over *binary* equalities.
-
-    ``(= a b c)`` becomes ``(and (= a b) (= b c))``; ``(distinct a b c)``
-    becomes the conjunction of ``(not (= x y))`` over all pairs; binary
-    ``distinct`` becomes a single negated equality.  Logically equivalent
-    in every theory, and it normalizes the atom vocabulary so the EUF
-    plugin only handles binary equalities.
-    """
-    return _expand_bottom_up(term, memo, _equality_rule)
-
-
-def _equality_rule(term: Apply, args: tuple[Term, ...]) -> Term:
-    if (
-        term.op in ("=", "distinct")
-        and args
-        and args[0].sort != BOOL
-        and (len(args) > 2 or term.op == "distinct")
-    ):
-        if term.op == "=":
+def _rewrite(term: Apply, args: tuple[Term, ...]) -> Term:
+    """The two rules on an application whose arguments are prepared."""
+    op = term.op
+    if (op == "=" or op == "distinct") and args and args[0].sort != BOOL:
+        if op == "distinct":
             parts = [
-                Apply("=", (left, right), BOOL)
-                for left, right in zip(args, args[1:])
-            ]
-        else:
-            parts = [
-                negate(Apply("=", (args[i], args[j]), BOOL))
+                negate(_equality((args[i], args[j])))
                 for i in range(len(args))
                 for j in range(i + 1, len(args))
             ]
-        return parts[0] if len(parts) == 1 else Apply("and", tuple(parts), BOOL)
-    return _rebuild(term, args)
+            return parts[0] if len(parts) == 1 else Apply("and", tuple(parts), BOOL)
+        if len(args) > 2:
+            return Apply("and", tuple([_equality(pair) for pair in zip(args, args[1:])]), BOOL)
+        bounds = _bounds(args)
+        if bounds is not None:
+            return bounds
+    elif op in ("<", "<=", ">", ">=") and len(args) > 2:
+        return Apply("and", tuple([Apply(op, pair, BOOL) for pair in zip(args, args[1:])]), BOOL)
+    return term if args == term.args else Apply(op, args, term.sort, term.indices)
 
 
-__all__ = [
-    "Frame",
-    "inline_definitions",
-    "expand_lets",
-    "expand_equalities",
-    "expand_arithmetic",
-]
+def _equality(args: tuple[Term, Term]) -> Term:
+    """``(= a b)``, or its bound pair when the difference is linear."""
+    bounds = _bounds(args)
+    return Apply("=", args, BOOL) if bounds is None else bounds
+
+
+def _bounds(args: tuple[Term, ...]) -> Optional[Term]:
+    """``(and (<= a b) (>= a b))`` for a binary equality whose difference
+    is linear over Int/Real, else ``None``."""
+    if len(args) == 2 and args[0].sort in (INT, REAL) and difference_form(*args) is not None:
+        return Apply("and", (Apply("<=", args, BOOL), Apply(">=", args, BOOL)), BOOL)
+    return None
+
+
+__all__ = ["Frame", "prepare"]

@@ -114,13 +114,7 @@ from ..theory import (
     TheoryComposite,
 )
 from .atoms import AtomRegistry
-from .context import (
-    Frame,
-    expand_arithmetic,
-    expand_equalities,
-    expand_lets,
-    inline_definitions,
-)
+from .context import Frame, prepare
 from .result import CheckSatResult, ScriptResult
 
 
@@ -518,22 +512,20 @@ class Engine:
         self._clauses_shipped += 1
         self._solver.add_clause(clause)
 
-    def _prepare_frames(self) -> None:
-        """Inline/expand/simplify assertions added since the last check."""
+    def _definitions(self) -> dict[str, DefineFun]:
+        """The ``define-fun``s of every live frame, by name."""
         definitions: dict[str, DefineFun] = {}
         for frame in self._frames:
             definitions.update(frame.definitions)
-        inline_memo: dict[tuple[Term, frozenset[str]], Term] = {}
-        let_memo: dict[Term, Term] = {}
-        eq_memo: dict[Term, Term] = {}
-        arith_memo: dict[Term, Term] = {}
+        return definitions
+
+    def _prepare_frames(self) -> None:
+        """Prepare and simplify assertions added since the last check."""
+        definitions = self._definitions()
+        memo: dict[Term, Term] = {}
         for frame in self._frames:
             while len(frame.prepared) < len(frame.assertions):
-                term = frame.assertions[len(frame.prepared)]
-                term = inline_definitions(term, definitions, frozenset(), inline_memo)
-                term = expand_lets(term, let_memo)
-                term = expand_equalities(term, eq_memo)
-                term = expand_arithmetic(term, arith_memo)
+                term = prepare(frame.assertions[len(frame.prepared)], definitions, memo)
                 frame.prepared.append(term)
                 with trace_span("simplify", merge=True):
                     frame.simplified.append(simplify(term))
@@ -892,7 +884,7 @@ class Engine:
                     node
                     for frame in self._frames
                     for term in frame.prepared
-                    for node in term.walk()
+                    for node in term.dag_walk()
                     if isinstance(node, Apply)
                     and node.op == "select"
                     and not node.indices
@@ -982,17 +974,11 @@ class Engine:
     def _get_value(self, terms: tuple[Term, ...]) -> str:
         if self._last is None or self._last.model is None:
             return '(error "no model available: last check-sat was not sat")'
-        definitions: dict[str, DefineFun] = {}
-        for frame in self._frames:
-            definitions.update(frame.definitions)
-        inline_memo: dict[tuple[Term, frozenset[str]], Term] = {}
-        let_memo: dict[Term, Term] = {}
+        definitions = self._definitions()
+        memo: dict[Term, Term] = {}
         pairs = []
         for term in terms:
-            prepared = expand_lets(
-                inline_definitions(term, definitions, frozenset(), inline_memo),
-                let_memo,
-            )
+            prepared = prepare(term, definitions, memo)
             try:
                 value = evaluate(prepared, self._last.model, self._last.fun_interps)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed

@@ -608,7 +608,7 @@ def evaluate(
     free symbols, or unfoldable applications.
     """
     env: dict[str, Constant] = dict(bindings or {})
-    return _evaluate(term, env, dict(funs) if funs else None)
+    return _evaluate(term, env, dict(funs) if funs else None, {})
 
 
 def evaluate_value(
@@ -624,7 +624,10 @@ def _evaluate(
     term: Term,
     env: dict[str, Constant],
     funs: Optional[dict[str, FunctionInterpretation]],
+    memo: dict[Term, Constant],
 ) -> Constant:
+    # ``memo`` holds the values of the applications evaluated in the
+    # current scope, so a shared subterm evaluates once per scope.
     if isinstance(term, Constant):
         return term
     if isinstance(term, Symbol):
@@ -637,62 +640,76 @@ def _evaluate(
             )
         return value
     if isinstance(term, Apply):
+        result = memo.get(term)
+        if result is not None:
+            return result
         op = term.op
         if op == "ite":
-            condition = _evaluate(term.args[0], env, funs)
-            return _evaluate(term.args[1] if condition.value else term.args[2], env, funs)
-        if op == "and":
+            condition = _evaluate(term.args[0], env, funs, memo)
+            branch = term.args[1] if condition.value else term.args[2]
+            result = _evaluate(branch, env, funs, memo)
+        elif op == "and":
+            result = TRUE
             for arg in term.args:
-                if not _evaluate(arg, env, funs).value:
-                    return FALSE
-            return TRUE
-        if op == "or":
+                if not _evaluate(arg, env, funs, memo).value:
+                    result = FALSE
+                    break
+        elif op == "or":
+            result = FALSE
             for arg in term.args:
-                if _evaluate(arg, env, funs).value:
-                    return TRUE
-            return FALSE
-        # Plain loop, not a genexpr: keeps deep chains linear on CPython
-        # 3.11+ (a genexpr re-enters the C interpreter at every level).
-        evaluated = []
-        for arg in term.args:
-            evaluated.append(_evaluate(arg, env, funs))
-        args = tuple(evaluated)
-        if op in ("select", "store") and not term.indices:
-            # Array semantics come before any function graph: a store
-            # chain denotes a concrete update map, never a free function.
-            result = _fold_array(op, args, term.sort, funs)
-            if result is not None:
-                return result
-        if (
-            op in ("=", "distinct")
-            and not term.indices
-            and args
-            and is_array(args[0].sort)
-        ):
-            return _fold_array_cmp(op, args, funs)
-        if funs is not None and not term.indices:
-            interpretation = funs.get(op)
-            if interpretation is not None:
-                return interpretation(args)
-        folded = fold_apply(op, term.indices, args, term.sort)
-        if folded is None:
-            raise EvaluationError(f"cannot evaluate application of {op!r}")
-        return folded
+                if _evaluate(arg, env, funs, memo).value:
+                    result = TRUE
+                    break
+        else:
+            # Plain loop, not a genexpr: keeps deep chains linear on CPython
+            # 3.11+ (a genexpr re-enters the C interpreter at every level).
+            evaluated = []
+            for arg in term.args:
+                evaluated.append(_evaluate(arg, env, funs, memo))
+            result = _apply(term, tuple(evaluated), funs)
+        memo[term] = result
+        return result
     if isinstance(term, Let):
         # Parallel let: values evaluate in the enclosing environment.  The
         # environment is mutated and restored rather than copied, so deep
-        # let chains evaluate in linear time.
+        # let chains evaluate in linear time; the body is a new scope with
+        # a memo of its own.
         values = []
         for name, value in term.bindings:
-            values.append((name, _evaluate(value, env, funs)))
+            values.append((name, _evaluate(value, env, funs, memo)))
         saved = push_scope(env, values)
         try:
-            return _evaluate(term.body, env, funs)
+            return _evaluate(term.body, env, funs, {})
         finally:
             pop_scope(env, saved)
     if isinstance(term, Quantifier):
         raise EvaluationError(f"cannot evaluate quantified term ({term.kind})")
     raise EvaluationError(f"unknown term node: {term!r}")
+
+
+def _apply(
+    term: Apply,
+    args: tuple[Constant, ...],
+    funs: Optional[dict[str, FunctionInterpretation]],
+) -> Constant:
+    """The value of ``term`` with its arguments evaluated to ``args``."""
+    op = term.op
+    if op in ("select", "store") and not term.indices:
+        # Array semantics come before any function graph: a store
+        # chain denotes a concrete update map, never a free function.
+        result = _fold_array(op, args, term.sort, funs)
+        if result is not None:
+            return result
+    if op in ("=", "distinct") and not term.indices and args and is_array(args[0].sort):
+        return _fold_array_cmp(op, args, funs)
+    if funs is not None and not term.indices:
+        interpretation = funs.get(op)
+        if interpretation is not None:
+            return interpretation(args)
+    folded = fold_apply(op, term.indices, args, term.sort)
+    if folded is None:
+        raise EvaluationError(f"cannot evaluate application of {op!r}")
+    return folded
 
 
 __all__ = [

@@ -138,13 +138,25 @@ class Term:
         """Yield this node and every descendant, pre-order.
 
         Shared subterms are yielded once per *occurrence* (tree view); use
-        :meth:`dag_size` or a visited set for the DAG view.
+        :meth:`dag_walk` for the DAG view.
         """
         stack = [self]
         while stack:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children()))
+
+    def dag_walk(self) -> Iterator["Term"]:
+        """Yield every *distinct* node once, at its first occurrence in
+        :meth:`walk` order — the DAG view, linear in :meth:`dag_size`."""
+        seen: set[Term] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                yield node
+                stack.extend(reversed(node.children()))
 
     def size(self) -> int:
         """Number of nodes in the term viewed as a tree (occurrences)."""
@@ -156,15 +168,7 @@ class Term:
         With hash-consing, structurally equal subterms are one object, so
         this counts unique objects — the real memory footprint.
         """
-        seen: set[Term] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(node.children())
-        return len(seen)
+        return sum(1 for _ in self.dag_walk())
 
     def depth(self) -> int:
         """Height of the term tree (a leaf has depth 1)."""
@@ -185,7 +189,7 @@ class Term:
 
     def operators(self) -> set[str]:
         """The set of operator names applied anywhere inside the term."""
-        return {node.op for node in self.walk() if isinstance(node, Apply)}
+        return {node.op for node in self.dag_walk() if isinstance(node, Apply)}
 
     # -- convenience --------------------------------------------------------
 

@@ -155,7 +155,7 @@ class BvBlaster:
         del self._inner[start:]
         self._atoms[atom] = lit
         if lit is None:
-            if any(is_bitvec(node.sort) for node in atom.walk()):
+            if any(is_bitvec(node.sort) for node in atom.dag_walk()):
                 self.stats["atoms_skipped"] += 1
             return None
         self.stats["atoms_blasted"] += 1

@@ -155,6 +155,8 @@ class EufTheory(Theory):
         self._queue: list[tuple[Term, bool, _Provenance]] = []
         self._lemmas: list[TheoryClause] = []
         self._budget_exhausted = False
+        #: :meth:`is_euf_term` answers, so a shared subterm is classified once.
+        self._euf_terms: dict[Term, bool] = {}
         self.stats = {
             "literals": 0,
             "merges": 0,
@@ -176,28 +178,27 @@ class EufTheory(Theory):
         such terms, whose boolean positions admit only the constants
         ``true`` and ``false`` (a boolean-symbol element would smuggle SAT
         structure into the e-graph)."""
+        known = self._euf_terms.get(term)
+        if known is not None:
+            return known
         if isinstance(term, Constant):
-            return _distinguished(term)
-        if isinstance(term, Symbol):
-            return term.sort != BOOL
-        if isinstance(term, Apply):
-            if term.indices:
-                return False
-            if term.op == "select" or term.op == "store":
-                for arg in term.args:
-                    if arg.sort == BOOL:
-                        if arg is not TRUE and arg is not FALSE:
-                            return False
-                    elif not self.is_euf_term(arg):
-                        return False
-                return True
-            if is_builtin_operator(term.op):
-                return False
+            known = _distinguished(term)
+        elif isinstance(term, Symbol):
+            known = term.sort != BOOL
+        elif isinstance(term, Apply) and not term.indices:
+            array_op = term.op == "select" or term.op == "store"
+            known = array_op or not is_builtin_operator(term.op)
             for arg in term.args:
-                if arg.sort == BOOL or not self.is_euf_term(arg):
-                    return False
-            return True
-        return False
+                if not known:
+                    break
+                if arg.sort == BOOL:
+                    known = array_op and (arg is TRUE or arg is FALSE)
+                else:
+                    known = self.is_euf_term(arg)
+        else:
+            known = False
+        self._euf_terms[term] = known
+        return known
 
     def owns_atom(self, atom: Term) -> bool:
         """Binary non-boolean equalities over e-graph terms, boolean reads

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import EvaluationError
 from repro.smtlib import DeclarationContext, evaluate, evaluate_value, parse_term, simplify
 from repro.smtlib.sorts import BOOL, INT
-from repro.smtlib.terms import Constant, int_const
+from repro.smtlib.terms import Apply, Constant, Let, Symbol, int_const
 
 
 def ev(text, bindings=None):
@@ -195,6 +195,18 @@ def test_quantifier_raises():
 
 def test_let_evaluates_bindings_in_parallel():
     assert ev("(let ((a 1) (b 2)) (let ((a b) (b a)) (- a b)))") == 1
+
+
+def test_shared_subterms_evaluate_once_per_scope():
+    # 2**64 leaves as a tree, 65 nodes as a DAG.
+    term = Apply("+", (Symbol("x", INT), int_const(1)), INT)
+    for _ in range(64):
+        term = Apply("+", (term, term), INT)
+    assert evaluate(term, {"x": int_const(0)}).value == 2**64
+    # Inside a let body the same node means another value: a binder
+    # shadowing x must not reuse the outer scope's result.
+    shadowed = Let((("x", int_const(1)),), Apply("-", (term, Symbol("x", INT)), INT))
+    assert evaluate(Apply("-", (term, shadowed), INT), {"x": int_const(0)}).value == 1 - 2**64
 
 
 def test_simplify_and_evaluate_agree_on_ground_terms():

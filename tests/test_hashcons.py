@@ -127,6 +127,15 @@ def test_dag_size_counts_unique_nodes():
     assert doubled.dag_size() == 3  # DAG view: x, shared, doubled
 
 
+def test_dag_walk_yields_first_occurrences_in_walk_order():
+    x, y = Symbol("x", INT), Symbol("y", INT)
+    shared = Apply("+", (x, y), INT)
+    term = Apply("*", (shared, Apply("-", (y, shared), INT)), INT)
+    first_seen = list(dict.fromkeys(term.walk()))
+    assert list(term.dag_walk()) == first_seen
+    assert len(first_seen) == term.dag_size() == 5
+
+
 def test_deep_free_symbols_is_linear_via_sharing():
     t = Apply("+", (Symbol("x", INT), int_const(1)), INT)
     for _ in range(64):  # tree size 2^64+: only tractable on the DAG
