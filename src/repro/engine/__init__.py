@@ -6,12 +6,11 @@ The engine layer is split by responsibility:
   and :func:`~repro.engine.context.prepare`, the one memoized walk that
   expands ``define-fun`` and ``let`` binders and splits n-ary
   equalities, linear equalities and chained comparisons.
-* :mod:`repro.engine.atoms` — the persistent atom ↔ SAT-variable
-  registry wrapping one long-lived Tseitin encoder, so unchanged
-  assertions are never re-encoded across ``check-sat`` calls.
 * :mod:`repro.engine.solve` — :class:`Engine` itself: the incremental
-  CDCL(T) loop with selector-literal ``push``/``pop``, the theory-hook
-  adapter, model assembly and validation.
+  CDCL(T) loop with selector-literal ``push``/``pop`` over one
+  long-lived Tseitin encoder (so unchanged assertions are never
+  re-encoded across ``check-sat`` calls), the theory-hook adapter, model
+  assembly and validation.
 * :mod:`repro.engine.result` — :class:`CheckSatResult` /
   :class:`ScriptResult`.
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..smtlib.linarith import difference_form
+from ..smtlib.linarith import linear_form
 from ..smtlib.script import DefineFun, FunSignature
 from ..smtlib.sorts import BOOL, INT, REAL, Sort
 from ..smtlib.terms import (
@@ -191,9 +191,14 @@ def _equality(args: tuple[Term, Term]) -> Term:
 
 
 def _bounds(args: tuple[Term, ...]) -> Optional[Term]:
-    """``(and (<= a b) (>= a b))`` for a binary equality whose difference
-    is linear over Int/Real, else ``None``."""
-    if len(args) == 2 and args[0].sort in (INT, REAL) and difference_form(*args) is not None:
+    """``(and (<= a b) (>= a b))`` for a binary equality whose sides are
+    both linear over Int/Real, else ``None``."""
+    if (
+        len(args) == 2
+        and args[0].sort in (INT, REAL)
+        and linear_form(args[0]) is not None
+        and linear_form(args[1]) is not None
+    ):
         return Apply("and", (Apply("<=", args, BOOL), Apply(">=", args, BOOL)), BOOL)
     return None
 

@@ -68,6 +68,7 @@ from ..obs.spans import get_current_tracer, set_current_tracer, trace_span
 from ..proof.log import INPUT, Proof, ProofLog, ProofStep
 from ..sat import SAT, UNKNOWN, UNSAT, Solver, SolverConfig, TheoryHook, TheoryLemma
 from ..sat.dimacs import to_dimacs
+from ..smtlib.cnf import TseitinEncoder
 from ..smtlib.evaluate import FunctionInterpretation, evaluate
 from ..smtlib.parser import parse_script
 from ..smtlib.printer import (
@@ -113,7 +114,6 @@ from ..theory import (
     Theory,
     TheoryComposite,
 )
-from .atoms import AtomRegistry
 from .context import Frame, prepare
 from .result import CheckSatResult, ScriptResult
 
@@ -296,19 +296,25 @@ class Engine:
         self._frames: list[Frame] = [Frame()]
         self._solver = Solver(config=self._config)
         self._solver.events = self._obs.events
-        self._registry = AtomRegistry()
+        # One Tseitin encoder for the whole run: its node → literal memo
+        # and variable counter survive across checks, so re-encoding an
+        # unchanged assertion is a dictionary hit, and its clause list is
+        # drained from a cursor (see _drain_clauses).  Frame selectors come
+        # from the same counter.
+        self._encoder = TseitinEncoder()
+        self._clause_cursor = 0
         # The blaster and the theory stack outlive individual checks:
         # blasted circuits are memoized on hash-consed terms, and emitted
         # case-split lemmas are permanent clauses that must not re-ship.
-        # The blaster draws its bit and gate variables from the registry's
-        # encoder, so there is one variable numbering.  Arithmetic is
-        # routed ahead of congruence closure: a numeric comparison is
-        # never uninterpreted structure.
-        self._bv = BvBlaster(self._registry.encoder)
+        # The blaster draws its bit and gate variables from the encoder,
+        # so there is one variable numbering.  Arithmetic is routed ahead
+        # of congruence closure: a numeric comparison is never
+        # uninterpreted structure.
+        self._bv = BvBlaster(self._encoder)
         self._theory = TheoryComposite((ArithTheory(), EufTheory()))
         self._sync = _TheorySync(
             self._theory,
-            self._registry.literals,
+            self._encoder.literals,
             self._encode_lemma_atom,
             self._obs.events,
         )
@@ -371,7 +377,7 @@ class Engine:
             "tseitin_new_clauses": self._tseitin_new_clauses,
             "trivial": self._trivial_checks,
             "checks": self._checks_run,
-            "vars": self._registry.num_vars,
+            "vars": self._encoder.formula.num_vars,
             "atoms": self._active_atoms,
             "learned_db": self._solver.num_learnts,
             "frames": len(self._frames),
@@ -396,16 +402,11 @@ class Engine:
         """The persistent SAT core (live across ``check-sat`` calls)."""
         return self._solver
 
-    @property
-    def registry(self) -> AtomRegistry:
-        """The persistent atom ↔ variable registry."""
-        return self._registry
-
     def dimacs(self, comments: Iterable[str] = ()) -> str:
         """The current solver CNF (root clauses, bare or guarded, gates,
         facts and theory lemmas) in DIMACS format."""
         num_vars, clauses = self._solver.export_cnf()
-        return to_dimacs(max(num_vars, self._registry.num_vars), clauses, comments)
+        return to_dimacs(max(num_vars, self._encoder.formula.num_vars), clauses, comments)
 
     # -- command loop -------------------------------------------------------
 
@@ -540,20 +541,20 @@ class Engine:
         each bound to its circuit literal in the encoder memo, and stay
         out of ``frame.atom_lists``.  Each assertion contributes its
         drained gate clauses (circuit and Tseitin gates) and its root
-        clauses (see :meth:`AtomRegistry.root_clauses`); the whole check
-        ships in one :meth:`~repro.sat.Solver.add_clauses` batch.  The base
-        frame can never be popped, so it gets no selector: its unnamed
-        assertions ship their root clauses bare, as permanent facts.  A
-        pushed frame's root clauses carry ``¬sel`` and a named assertion's
-        carry its own ``¬named_sel``; ``engine.guard_clauses`` counts those
-        guarded root clauses.  ``tseitin_new_clauses`` counts only the
+        clauses (see :meth:`~repro.smtlib.cnf.TseitinEncoder.root_clauses`);
+        the whole check ships in one :meth:`~repro.sat.Solver.add_clauses`
+        batch.  The base frame can never be popped, so it gets no
+        selector: its unnamed assertions ship their root clauses bare, as
+        permanent facts.  A pushed frame's root clauses carry ``¬sel`` and
+        a named assertion's carry its own ``¬named_sel``;
+        ``engine.guard_clauses`` counts those guarded root clauses.  ``tseitin_new_clauses`` counts only the
         drained gate clauses.
         """
-        vars_before = self._registry.num_vars
+        vars_before = self._encoder.formula.num_vars
         batch: list[tuple[int, ...]] = []
         for depth, frame in enumerate(self._frames):
             if depth and frame.selector is None:
-                frame.selector = self._registry.new_selector()
+                frame.selector = self._encoder.new_var()
             while frame.encoded < len(frame.simplified):
                 index = frame.encoded
                 term = frame.simplified[index]
@@ -566,10 +567,10 @@ class Engine:
                 nnf = to_nnf(term)
                 with trace_span("blast", merge=True):
                     atoms = self._bv.lower_skeleton(nnf)
-                roots = self._registry.root_clauses(nnf)
+                roots = self._encoder.root_clauses(nnf)
                 frame.atom_lists.append(tuple(atoms))
                 self._encoded_assertions += 1
-                gates = self._registry.drain_clauses()
+                gates = self._drain_clauses()
                 self._tseitin_new_clauses += len(gates)
                 batch.extend(gates)
                 name = frame.names[index]
@@ -578,17 +579,25 @@ class Engine:
                     # A named assertion is guarded by its own selector,
                     # assumed alongside the frame selectors, so the failed
                     # assumptions of an unsat answer name the core exactly.
-                    guard = self._registry.new_selector()
+                    guard = self._encoder.new_var()
                     frame.named.append((name, guard))
                 if guard is not None:
                     self._guard_clauses += len(roots)
                     roots = [(-guard,) + clause for clause in roots]
                 batch.extend(roots)
-        self._solver.ensure_vars(self._registry.num_vars)
+        self._solver.ensure_vars(self._encoder.formula.num_vars)
         if batch:
             self._clauses_shipped += len(batch)
             self._solver.add_clauses(batch)
-        self._tseitin_new_vars += self._registry.num_vars - vars_before
+        self._tseitin_new_vars += self._encoder.formula.num_vars - vars_before
+
+    def _drain_clauses(self) -> list[tuple[int, ...]]:
+        """The gate clauses the encoder produced since the previous drain
+        (circuit gates of lowered bit-vector atoms and Tseitin gates)."""
+        clauses = self._encoder.formula.clauses
+        fresh = clauses[self._clause_cursor :]
+        self._clause_cursor = len(clauses)
+        return fresh
 
     def _encode_lemma_atom(self, atom: Term) -> int:
         """The literal of an atom a theory lemma introduced mid-search.
@@ -597,10 +606,10 @@ class Engine:
         and no gate clauses; the assertion guards that invariant.  A
         lowered bit-vector atom never gets here: it is already bound to
         its circuit literal."""
-        lit = self._registry.encode(atom)
-        gates = self._registry.drain_clauses()
+        lit = self._encoder.encode(atom)
+        gates = self._drain_clauses()
         assert not gates, "theory lemmas must range over atomic literals"
-        self._solver.ensure_vars(self._registry.num_vars)
+        self._solver.ensure_vars(self._encoder.formula.num_vars)
         return lit
 
     # -- the check-sat pipeline ---------------------------------------------
@@ -684,7 +693,7 @@ class Engine:
         theory: Optional[Theory] = None
         if owned:
             theory = self._theory
-            literals = self._registry.literals
+            literals = self._encoder.literals
             routes: dict[int, tuple[Term, bool]] = {}
             for atom in owned:
                 lit = literals[atom]
@@ -829,7 +838,7 @@ class Engine:
         repeat, so the model is total over the live declarations."""
         sat_model = self._solver.model
         assert sat_model is not None
-        atom_vars = self._registry.atom_vars
+        atom_vars = self._encoder.formula.atom_vars
         model: dict[str, Constant] = {}
         for atom in active_atoms:
             if isinstance(atom, Symbol) and atom.sort == BOOL:

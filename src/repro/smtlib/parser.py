@@ -65,6 +65,8 @@ from .terms import (
     bool_const,
     ff_const,
     int_const,
+    pop_scope,
+    push_scope,
     qualified_constant,
     string_const,
 )
@@ -276,6 +278,9 @@ def parse_term(
 
 
 def _term(expr: _Expr, context: DeclarationContext, bound: dict[str, Sort]) -> Term:
+    # ``bound`` is the binder scope, extended in place by ``let`` and
+    # quantifiers (push_scope/pop_scope); every top-level call passes a
+    # fresh dict, so one that an error abandons mid-scope is never reused.
     if isinstance(expr, Token):
         return _atom_term(expr, context, bound)
     if not expr:
@@ -417,9 +422,9 @@ def _let_term(expr: list, context: DeclarationContext, bound: dict[str, Sort]) -
     if not bindings:
         raise ParseError("let requires at least one binding")
     _reject_duplicate_names("let", [name for name, _ in bindings])
-    inner = dict(bound)
-    inner.update((name, value.sort) for name, value in bindings)
-    body = _term(expr[2], context, inner)
+    saved = push_scope(bound, [(name, value.sort) for name, value in bindings])
+    body = _term(expr[2], context, bound)
+    pop_scope(bound, saved)
     return Let(tuple(bindings), body)
 
 
@@ -436,9 +441,9 @@ def _quantifier_term(
     if not bindings:
         raise ParseError(f"{kind} requires at least one binding")
     _reject_duplicate_names(kind, [name for name, _ in bindings])
-    inner = dict(bound)
-    inner.update(bindings)
-    body = _term(expr[2], context, inner)
+    saved = push_scope(bound, bindings)
+    body = _term(expr[2], context, bound)
+    pop_scope(bound, saved)
     if body.sort != BOOL:
         raise TypeCheckError(f"{kind} body must be Bool, got {body.sort}")
     return Quantifier(kind, tuple(bindings), body)

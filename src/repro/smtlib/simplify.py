@@ -45,7 +45,8 @@ shared memo table.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from itertools import combinations, pairwise
+from typing import Callable, Iterable, Optional
 
 from .evaluate import fold_apply
 from .linarith import is_numeric_term, linear_form
@@ -346,18 +347,22 @@ def _rule_implies(node: Apply) -> Term:
     return Apply("=>", tuple(premises) + (args[-1],), BOOL)
 
 
-def _linear_forms(args: tuple[Term, ...]):
-    """``linear_form`` of each argument, computed once per argument (a
-    pairwise ``difference_form`` would re-walk every term n-1 times)."""
-    return [linear_form(arg) for arg in args]
-
-
-def _forms_difference(left, right):
-    """The rational value of ``left - right`` for two linear forms whose
-    variables cancel exactly, else ``None``."""
-    if left is None or right is None or left[0] != right[0]:
-        return None
-    return left[1] - right[1]
+def _fold_linear(
+    node: Apply, pairs: Iterable[tuple[int, int]], holds: Callable[[object], bool]
+) -> Term:
+    """Fold an arithmetic atom that is the conjunction of ``holds(a - b)``
+    over the argument index ``pairs``: ``false`` when one pair's
+    difference is a ground value that fails, ``true`` when every pair's is
+    one that holds, else the atom itself."""
+    forms = [linear_form(arg) for arg in node.args]
+    decided = True
+    for i, j in pairs:
+        left, right = forms[i], forms[j]
+        if left is None or right is None or left[0] != right[0]:
+            decided = False  # the difference is not ground
+        elif not holds(left[1] - right[1]):
+            return FALSE
+    return TRUE if decided else node
 
 
 def _rule_eq(node: Apply) -> Term:
@@ -371,20 +376,9 @@ def _rule_eq(node: Apply) -> Term:
             if value is FALSE:
                 return Apply("not", (other,), BOOL)
     if is_numeric_term(args[0]):
-        # Linear normalization: fold when adjacent differences are ground
-        # (adjacent equalities chain, so one non-zero difference refutes
-        # the whole atom and all-zero differences prove it).
-        forms = _linear_forms(args)
-        ground = 0
-        for left, right in zip(forms, forms[1:]):
-            difference = _forms_difference(left, right)
-            if difference is None:
-                continue
-            if difference != 0:
-                return FALSE
-            ground += 1
-        if ground == len(args) - 1:
-            return TRUE
+        # Linear normalization: adjacent equalities chain, so one non-zero
+        # ground difference refutes the whole atom.
+        return _fold_linear(node, pairwise(range(len(args))), lambda d: d == 0)
     return node
 
 
@@ -401,18 +395,7 @@ def _rule_distinct(node: Apply) -> Term:
             if value is FALSE:
                 return other
     if is_numeric_term(args[0]):
-        forms = _linear_forms(args)
-        ground = 0
-        for i in range(len(args)):
-            for j in range(i + 1, len(args)):
-                difference = _forms_difference(forms[i], forms[j])
-                if difference is None:
-                    continue
-                if difference == 0:
-                    return FALSE
-                ground += 1
-        if ground == len(args) * (len(args) - 1) // 2:
-            return TRUE
+        return _fold_linear(node, combinations(range(len(args)), 2), lambda d: d != 0)
     return node
 
 
@@ -550,19 +533,8 @@ def _rule_compare(node: Apply) -> Term:
         return bool_const(_REFLEXIVE_COMPARE[node.op])
     verdict = _COMPARE_VERDICT.get(node.op)
     if verdict is not None and is_numeric_term(node.args[0]):
-        # A chained comparison is the conjunction of its adjacent pairs:
-        # one decisively-false pair refutes the atom, all-true proves it.
-        forms = _linear_forms(node.args)
-        ground = 0
-        for left, right in zip(forms, forms[1:]):
-            difference = _forms_difference(left, right)
-            if difference is None:
-                continue
-            if not verdict(difference):
-                return FALSE
-            ground += 1
-        if ground == len(node.args) - 1:
-            return TRUE
+        # A chained comparison is the conjunction of its adjacent pairs.
+        return _fold_linear(node, pairwise(range(len(node.args))), verdict)
     return node
 
 

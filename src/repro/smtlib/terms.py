@@ -78,7 +78,9 @@ class Term:
     Subclasses allocate exclusively through :meth:`Term._intern`.
     """
 
-    __slots__ = ("_sort", "_hash", "__weakref__")
+    # ``_linear`` stays unset until :func:`repro.smtlib.linarith.linear_form`
+    # caches the node's linear form (or ``None``) there.
+    __slots__ = ("_sort", "_hash", "_linear", "__weakref__")
 
     _sort: Sort
     _hash: int
@@ -399,8 +401,9 @@ def push_scope(bound: dict, bindings) -> list:
     return the shadowed entries for :func:`pop_scope`.
 
     Mutate-and-restore keeps deep binder chains linear where copying the
-    scope dict per level would be quadratic; the type checker and the
-    evaluator both thread their scopes through this pair.
+    scope dict per level would be quadratic; the parser, the type checker,
+    the evaluator and engine preparation thread their scopes through this
+    pair.
     """
     saved = [(name, bound.get(name)) for name, _ in bindings]
     for name, value in bindings:

@@ -7,9 +7,9 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
 * **Atoms** are binary comparisons ``lhs ▷ rhs`` (``<``, ``<=``, ``>``,
   ``>=``) whose difference is *linear* over Int/Real symbols (the
   fragment :func:`~repro.smtlib.linarith.linear_form` accepts).  Each
-  atom's difference form is computed once, when :meth:`owns_atom`
-  classifies it, and compiles once into a bound ``v ▷ c`` on a single
-  simplex variable: the symbol itself for one-variable forms, otherwise a
+  atom compiles once, from the difference of its sides' cached linear
+  forms, into a bound ``v ▷ c`` on a single simplex variable: the
+  symbol itself for one-variable forms, otherwise a
   *slack* variable defined by the canonically-scaled linear expression.
   Slack definitions are shared — ``x + 2y <= 3`` and ``2x + 4y >= 10``
   bound the same slack — so the tableau grows with distinct expressions,
@@ -71,7 +71,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from ..obs.spans import trace_span
-from ..smtlib.linarith import LinearForm, difference_form
+from ..smtlib.linarith import difference_form, linear_form
 from ..smtlib.sorts import INT, REAL
 from ..smtlib.terms import Apply, Constant, Symbol, Term, int_const
 from .core import SortValueAllocator, Theory, TheoryConflict, TheoryModel
@@ -184,8 +184,6 @@ class ArithTheory(Theory):
         self._assign: list[_Value] = []
         self._lower: dict[int, tuple[_Value, _Lit]] = {}
         self._upper: dict[int, tuple[_Value, _Lit]] = {}
-        # Difference form per classified atom (None: not owned).
-        self._forms: dict[Term, Optional[LinearForm]] = {}
         self._compiled: dict[Term, tuple] = {}
         self._conflict: Optional[TheoryConflict] = None
         self._incomplete = False
@@ -204,27 +202,16 @@ class ArithTheory(Theory):
     # -- fragment membership -------------------------------------------------
 
     def owns_atom(self, atom: Term) -> bool:
-        """Binary ``<``/``<=``/``>``/``>=`` whose difference is linear
-        over Int/Real symbols."""
-        return self._form(atom) is not None
-
-    def _form(self, atom: Term) -> Optional[LinearForm]:
-        """The atom's difference form (``None`` when not owned), computed
-        once per run and shared by classification and compilation."""
-        try:
-            return self._forms[atom]
-        except KeyError:
-            pass
-        form = None
-        if (
+        """Binary ``<``/``<=``/``>``/``>=`` whose sides are linear over
+        Int/Real symbols."""
+        return (
             isinstance(atom, Apply)
             and not atom.indices
             and atom.op in _ARITH_OPS
             and len(atom.args) == 2
-        ):
-            form = difference_form(atom.args[0], atom.args[1])
-        self._forms[atom] = form
-        return form
+            and linear_form(atom.args[0]) is not None
+            and linear_form(atom.args[1]) is not None
+        )
 
     # -- undo log ------------------------------------------------------------
 
@@ -335,7 +322,7 @@ class ArithTheory(Theory):
         cached = self._compiled.get(atom)
         if cached is not None:
             return cached
-        form = self._form(atom)
+        form = difference_form(*atom.args)
         assert form is not None, f"not an arithmetic atom: {atom!r}"
         coeffs, constant = form
         target = -constant  # the atom is  Σ coeffs · x  ▷  target

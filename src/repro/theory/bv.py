@@ -155,8 +155,6 @@ class BvBlaster:
         del self._inner[start:]
         self._atoms[atom] = lit
         if lit is None:
-            if any(is_bitvec(node.sort) for node in atom.dag_walk()):
-                self.stats["atoms_skipped"] += 1
             return None
         self.stats["atoms_blasted"] += 1
         if inner:
@@ -186,7 +184,10 @@ class BvBlaster:
             if op in _SIGNED_CMP and len(args) == 2:
                 return self._signed_cmp(op, *args)
         except _Unsupported:
-            return None
+            pass
+        # A bit-vector atom left abstract: unsupported leaves, a width past
+        # ``max_width``, or an operator the blaster does not lower.
+        self.stats["atoms_skipped"] += 1
         return None
 
     def _condition(self, cond: Term) -> int:

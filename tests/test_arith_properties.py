@@ -9,7 +9,7 @@ check the algebraic laws the arithmetic stack rests on:
   ``evaluate(simplify(t), m)`` over random bindings;
 * :func:`~repro.smtlib.linarith.linear_form` agrees with the evaluator:
   the polynomial it extracts computes the same value as the term it
-  came from.
+  came from, on random trees and on shared DAGs built over them.
 """
 
 from fractions import Fraction
@@ -61,6 +61,15 @@ def random_numeric(rng: Random, depth: int, sort) -> Term:
     width = rng.randint(2, 3)
     args = tuple(random_numeric(rng, depth - 1, sort) for _ in range(width))
     return Apply(op, args, sort)
+
+
+def shared_dag(rng: Random, term: Term, sort) -> Term:
+    """``term`` under a short chain of sums and differences that each use
+    the previous link twice: a DAG whose tree is exponentially larger."""
+    other = random_numeric(rng, 2, sort)
+    for _ in range(rng.randint(1, 6)):
+        term = Apply(rng.choice(["+", "-"]), (term, other, term), sort)
+    return term
 
 
 def random_atom(rng: Random, sort) -> Term:
@@ -120,19 +129,20 @@ def test_numeric_simplify_preserves_values(seed, sort):
 @pytest.mark.parametrize("sort", [INT, REAL], ids=["int", "real"])
 def test_linear_form_agrees_with_evaluate(seed, sort):
     rng = Random(6000 + seed)
-    term = random_numeric(rng, 3, sort)
-    form = linear_form(term)
-    if form is None:
-        return  # nonlinear: nothing to check
-    coeffs, constant = form
-    for trial in range(5):
-        bindings = random_bindings(Random(7000 + seed * 31 + trial), sort)
-        expected = Fraction(evaluate(term, bindings).value)
-        computed = constant + sum(
-            coeff * Fraction(bindings[symbol.name].value)
-            for symbol, coeff in coeffs.items()
-        )
-        assert computed == expected, f"linear_form disagrees on {term}"
+    tree = random_numeric(rng, 3, sort)
+    for term in (tree, shared_dag(rng, tree, sort)):
+        form = linear_form(term)
+        if form is None:
+            continue  # nonlinear: nothing to check
+        coeffs, constant = form
+        for trial in range(5):
+            bindings = random_bindings(Random(7000 + seed * 31 + trial), sort)
+            expected = Fraction(evaluate(term, bindings).value)
+            computed = constant + sum(
+                coeff * Fraction(bindings[symbol.name].value)
+                for symbol, coeff in coeffs.items()
+            )
+            assert computed == expected, f"linear_form disagrees on {term}"
 
 
 @pytest.mark.parametrize("seed", range(40))

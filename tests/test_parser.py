@@ -186,6 +186,31 @@ def test_shadowing_let_over_declared_const():
     assert term.sort == BOOL
 
 
+def test_binder_scope_ends_with_its_body():
+    # Once a binder's body is parsed, the shadowed binding is back.
+    term = parse_term("(+ (let ((x true)) (ite x 1 2)) x)", ctx(x=INT))
+    assert term.args[1] == Symbol("x", INT)
+    term = parse_term("(let ((x true)) (and (let ((x 1)) (> x 0)) x))")
+    assert term.body.args[1] == Symbol("x", BOOL)
+    term = parse_term("(and (forall ((x Bool)) x) (> x 0))", ctx(x=INT))
+    assert term.args[1].args[0] == Symbol("x", INT)
+    with pytest.raises(UnknownSymbolError):
+        parse_term("(and (exists ((z Int)) (> z 0)) (> z 0))")
+
+
+def test_deep_let_chain_parses():
+    # Each binder extends the one scope in place: copying it per level
+    # would make this chain quadratic in time and memory.
+    depth = 20_000
+    binders = "".join(f"(let ((x{i} (+ x{i - 1} 1))) " for i in range(1, depth + 1))
+    (command,) = parse_script(f"(assert {binders}(> x{depth} 0){')' * depth})", ctx(x0=INT))
+    term, levels = command.term, 0
+    while isinstance(term, Let):
+        term, levels = term.body, levels + 1
+    assert levels == depth
+    assert term.args[0] == Symbol(f"x{depth}", INT)
+
+
 # -- commands and scripts ---------------------------------------------------
 
 

@@ -3,12 +3,14 @@ the simplex plugin's direct API (with exact compares and a
 Fourier–Motzkin oracle), composite dispatch, and engine-level
 QF_LRA/QF_LIA solving."""
 
+import gc
+import weakref
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from repro import solve_script
+from repro import run_script, solve_script
 from repro.obs import MetricsRegistry
 from repro.smtlib.evaluate import evaluate
 from repro.smtlib.linarith import difference_form, linear_form
@@ -113,6 +115,32 @@ class TestLinearForm:
             coeff * bindings[symbol.name].value for symbol, coeff in coeffs.items()
         )
         assert computed == expected
+
+    def test_form_is_computed_once_per_node(self):
+        term = atom("(+ x (* 3 y) (- x) 5)")
+        assert linear_form(term) is linear_form(term)
+
+    def test_forms_keep_no_dead_term_alive(self):
+        # No form refers back to its own term, so terms still die by
+        # reference count, without the cycle collector.
+        gc.disable()
+        try:
+            x = Symbol("only_in_this_test", INT)
+            term = Apply("+", (x, int_const(3)), INT)
+            assert linear_form(term) == ({x: 1}, 3) and linear_form(x) == ({x: 1}, 0)
+            dead = weakref.ref(x), weakref.ref(term)
+            del x, term
+            assert [ref() for ref in dead] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_sum_chain_deeper_than_the_recursion_limit(self):
+        # 100,001 nested sums: deeper than the frames repro.limits allows,
+        # so the form cannot come from recursing over the sum.
+        term, one = X, int_const(1)
+        for _ in range(100_001):
+            term = Apply("+", (term, one), INT)
+        assert linear_form(term) == ({X: 1}, 100_001)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +570,31 @@ def assert_valid_model(result):
     assert result.model is not None
     for term in result.assertions:
         assert evaluate(term, result.model, result.fun_interps) is TRUE
+
+
+def doubling_chain(depth, step, goal):
+    """``x_i = step(x_{i-1})`` bound by ``depth`` nested lets, then
+    ``goal`` over ``x_depth``: a term of ``2**depth`` leaves as a tree."""
+    binders = "".join(
+        f"(let ((x{i} {step.format(x=f'x{i - 1}')})) " for i in range(1, depth + 1)
+    )
+    body = goal.format(x=f"x{depth}")
+    return (
+        "(declare-const x0 Int) (declare-const y Int)"
+        f" (assert {binders}{body}{')' * depth}) (check-sat)"
+    )
+
+
+@pytest.mark.parametrize(
+    "step", ["(+ {x} {x})", "(* 2 {x})", "(- {x} (- 0 {x}))"], ids=["sum", "product", "minus"]
+)
+@pytest.mark.parametrize(
+    "goal", ["(= {x} y)", "(distinct {x} y)", "(> {x} 0)"], ids=["eq", "distinct", "gt"]
+)
+def test_doubling_chain_answers_sat(step, goal):
+    result = run_script(doubling_chain(64, step, goal))
+    assert result.output == ["sat"]
+    assert_valid_model(result.check_results[0])
 
 
 class TestEngineArith:

@@ -24,12 +24,14 @@ from repro.proof import check_proof
 from repro.sat import SAT, UNSAT, Solver
 from repro.smtlib import (
     BOOL,
+    INT,
     Apply,
     Symbol,
     TseitinEncoder,
     bitvec_const,
     bitvec_sort,
     fold_apply,
+    int_const,
 )
 from repro.theory import BvBlaster
 
@@ -268,6 +270,17 @@ def test_unsupported_leaves_stay_abstracted():
     assert blaster.lower_skeleton(atom) == [atom]
     assert atom not in encoder.literals
     assert blaster.stats["atoms_skipped"] == 1
+
+
+def test_atoms_skipped_counts_only_bitvector_atoms():
+    """An atom whose arguments are not bit-vectors is not a skipped
+    bit-vector atom, whatever bit-vector terms sit below its arguments."""
+    encoder = TseitinEncoder()
+    blaster = BvBlaster(encoder)
+    size = Apply("g", (bv_sym("x", 4),), INT)  # uninterpreted BV → Int
+    atom = Apply("<", (size, int_const(3)), BOOL)
+    assert blaster.lower_skeleton(atom) == [atom]
+    assert blaster.stats["atoms_skipped"] == 0
 
 
 def test_decode_reads_back_words():
