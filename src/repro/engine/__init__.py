@@ -3,14 +3,14 @@
 The engine layer is split by responsibility:
 
 * :mod:`repro.engine.context` — assertion-stack :class:`Frame` bookkeeping
-  and :func:`~repro.engine.context.prepare`, the one memoized walk that
-  expands ``define-fun`` and ``let`` binders and splits n-ary
-  equalities, linear equalities and chained comparisons.
+  and :class:`~repro.engine.context.Preparation`, the one memoized walk
+  that expands ``define-fun`` and ``let`` binders, splits n-ary
+  equalities, linear equalities and chained comparisons, and simplifies.
 * :mod:`repro.engine.solve` — :class:`Engine` itself: the incremental
   CDCL(T) loop with selector-literal ``push``/``pop`` over one
   long-lived Tseitin encoder (so unchanged assertions are never
   re-encoded across ``check-sat`` calls), the theory-hook adapter, model
-  assembly and validation.
+  assembly and validation against the asserted terms.
 * :mod:`repro.engine.result` — :class:`CheckSatResult` /
   :class:`ScriptResult`.
 

@@ -1,14 +1,15 @@
 """Assertion-stack frames and term preparation.
 
 One :class:`Frame` per assertion-stack level holds the raw asserted
-terms, their *prepared* and *simplified* forms (computed once, cached for
-every later ``check-sat``), the declarations scoped to the level, and,
-for a pushed level, the frame's SAT *selector* variable — the assumption
-literal that activates the frame's clauses in the shared incremental
-solver.  The base level can never be popped, so it has no selector.
+terms, one *prepared* term per assertion (computed once, cached for every
+later ``check-sat``) plus the preparation walk's records, the
+declarations scoped to the level, and, for a pushed level, the frame's
+SAT *selector* variable — the assumption literal that activates the
+frame's clauses in the shared incremental solver.  The base level can
+never be popped, so it has no selector.
 
-Preparation is the term-level rewrite that runs **before** simplification
-and encoding: :func:`prepare`, one memoized post-order walk.
+Preparation is the only walk between an asserted term and the encoder:
+:class:`Preparation`, one memoized post-order walk per round.
 
 * **Binders.**  ``define-fun`` applications and ``let`` terms expand
   away.  A ``let`` body, or a defined function's body, is walked once
@@ -37,6 +38,15 @@ and encoding: :func:`prepare`, one memoized post-order walk.
      for EUF), and a chained comparison ``(< a b c)`` becomes the
      conjunction of its adjacent binary pairs.  Every binary equality
      rule 1 makes goes through this rule too.
+* **Simplification.**  Then each application, and each quantifier once
+  its body is prepared, goes through the simplifier's node rules to
+  fixpoint (:func:`~repro.smtlib.simplify.simplify_with`, one memo per
+  round), so the rules see simplified arguments: ``(= (ite true x 1) y)``
+  splits like ``(= x y)``.
+* **Records.**  The walk records into its frame the free symbols it
+  passes and the sort of the first ``select`` read (before simplification
+  can drop it), so building a model walks no assertion; a memo hit skips
+  only what the same or an earlier, longer-lived frame recorded.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from typing import Optional
 
 from ..smtlib.linarith import linear_form
 from ..smtlib.script import DefineFun, FunSignature
+from ..smtlib.simplify import simplify_with
 from ..smtlib.sorts import BOOL, INT, REAL, Sort
 from ..smtlib.terms import (
     Apply,
@@ -60,14 +71,15 @@ from ..smtlib.terms import (
 
 
 class Frame:
-    """One assertion-stack level: assertions, their cached prepared forms,
-    scoped declarations and the frame's selector variable."""
+    """One assertion-stack level: assertions, their prepared forms and
+    the walk's records, scoped declarations and the selector variable."""
 
     __slots__ = (
         "assertions",
         "names",
         "prepared",
-        "simplified",
+        "symbols",
+        "read_sort",
         "atom_lists",
         "encoded",
         "definitions",
@@ -81,8 +93,12 @@ class Frame:
         self.assertions: list[Term] = []
         #: Parallel to ``assertions``: the ``:named`` label, or ``None``.
         self.names: list[Optional[str]] = []
+        #: Parallel to ``assertions``: the prepared, simplified term.
         self.prepared: list[Term] = []
-        self.simplified: list[Term] = []
+        #: The free symbols the walk passed, name → sort, first seen first.
+        self.symbols: dict[str, Sort] = {}
+        #: The sort of the first ``select`` read the walk passed.
+        self.read_sort: Optional[Sort] = None
         self.atom_lists: list[tuple[Term, ...]] = []
         self.encoded = 0
         self.definitions: dict[str, DefineFun] = {}
@@ -105,62 +121,66 @@ class Frame:
 # ---------------------------------------------------------------------------
 
 
-def prepare(term: Term, definitions: dict[str, DefineFun], memo: dict[Term, Term]) -> Term:
-    """``term`` with its definitions and ``let`` binders expanded and the
-    equality/arithmetic rules applied (see the module docstring).
+class Preparation:
+    """One preparation round: the live definitions, and the top-level and
+    simplifier memos the round's new assertions share."""
 
-    ``memo`` caches the top-level scope; share it across the assertions
-    of one preparation round, which all see the same ``definitions``."""
-    return _prepare(term, definitions, {}, memo, memo)
+    def __init__(self, definitions: dict[str, DefineFun]) -> None:
+        self._definitions = definitions
+        self._top: dict[Term, Term] = {}
+        self._simplified: dict[Term, Term] = {}
+        self._free: dict[Term, frozenset[str]] = {}
 
+    def prepare(self, term: Term, frame: Frame) -> Term:
+        """``term`` prepared and simplified; the walk records into ``frame``."""
+        self._frame = frame
+        return self._walk(term, {}, self._top)
 
-def _prepare(
-    term: Term,
-    definitions: dict[str, DefineFun],
-    env: dict[str, Term],
-    memo: dict[Term, Term],
-    top: dict[Term, Term],
-) -> Term:
-    if isinstance(term, Constant):
-        return term
-    if isinstance(term, Symbol):
-        bound = env.get(term.name)
-        if bound is not None:
-            return bound
-        definition = definitions.get(term.name)
-        if definition is None or definition.params:
+    def _walk(self, term: Term, env: dict[str, Term], memo: dict[Term, Term]) -> Term:
+        if isinstance(term, Constant):
             return term
-        return _prepare(definition.body, definitions, {}, top, top)
-    cached = memo.get(term)
-    if cached is not None:
-        return cached
-    if isinstance(term, Apply):
-        prepared = []
-        for arg in term.args:
-            prepared.append(_prepare(arg, definitions, env, memo, top))
-        args = tuple(prepared)
-        definition = definitions.get(term.op)
-        if definition is not None and not term.indices and term.op not in env:
-            params = {name: arg for (name, _), arg in zip(definition.params, args)}
-            result = _prepare(definition.body, definitions, params, {}, top)
+        if isinstance(term, Symbol):
+            bound = env.get(term.name)
+            if bound is not None:
+                return bound
+            definition = self._definitions.get(term.name)
+            if definition is None or definition.params:
+                self._frame.symbols.setdefault(term.name, term.sort)
+                return term
+            return self._walk(definition.body, {}, self._top)
+        cached = memo.get(term)
+        if cached is not None:
+            return cached
+        if isinstance(term, Apply):
+            if term.op == "select" and self._frame.read_sort is None and not term.indices:
+                self._frame.read_sort = term.sort
+            prepared = []
+            for arg in term.args:
+                prepared.append(self._walk(arg, env, memo))
+            args = tuple(prepared)
+            definition = self._definitions.get(term.op)
+            if definition is not None and not term.indices and term.op not in env:
+                params = {name: arg for (name, _), arg in zip(definition.params, args)}
+                result = self._walk(definition.body, params, {})
+            else:
+                result = simplify_with(_rewrite(term, args), self._simplified, self._free)
+        elif isinstance(term, Quantifier):
+            saved = push_scope(env, [(name, Symbol(name, sort)) for name, sort in term.bindings])
+            body = self._walk(term.body, env, {})
+            pop_scope(env, saved)
+            node = term if body is term.body else Quantifier(term.kind, term.bindings, body)
+            result = simplify_with(node, self._simplified, self._free)
+        elif isinstance(term, Let):
+            values = []
+            for name, value in term.bindings:
+                values.append((name, self._walk(value, env, memo)))
+            saved = push_scope(env, values)
+            result = self._walk(term.body, env, {})
+            pop_scope(env, saved)
         else:
-            result = _rewrite(term, args)
-    elif isinstance(term, Quantifier):
-        saved = push_scope(env, [(name, Symbol(name, sort)) for name, sort in term.bindings])
-        body = _prepare(term.body, definitions, env, {}, top)
-        pop_scope(env, saved)
-        result = term if body is term.body else Quantifier(term.kind, term.bindings, body)
-    elif isinstance(term, Let):
-        values = []
-        for name, value in term.bindings:
-            values.append((name, _prepare(value, definitions, env, memo, top)))
-        saved = push_scope(env, values)
-        result = _prepare(term.body, definitions, env, {}, top)
-        pop_scope(env, saved)
-    else:
-        raise TypeError(f"unknown term node: {term!r}")
-    memo[term] = result
-    return result
+            raise TypeError(f"unknown term node: {term!r}")
+        memo[term] = result
+        return result
 
 
 def _rewrite(term: Apply, args: tuple[Term, ...]) -> Term:
@@ -203,4 +223,4 @@ def _bounds(args: tuple[Term, ...]) -> Optional[Term]:
     return None
 
 
-__all__ = ["Frame", "prepare"]
+__all__ = ["Frame", "Preparation"]

@@ -14,12 +14,12 @@ from ..smtlib.terms import Constant, Term
 class CheckSatResult:
     """The outcome of one ``(check-sat)``.
 
-    ``assertions`` are the asserted terms active at the check, with
-    ``define-fun`` applications inlined, ``let`` binders expanded and
-    n-ary (dis)equalities over non-boolean terms expanded to binary form —
-    exactly the terms a ``sat`` model is guaranteed to satisfy under
-    :func:`~repro.smtlib.evaluate.evaluate` (pass ``fun_interps`` as its
-    ``funs`` argument when uninterpreted functions are involved).
+    ``assertions`` are the active assertions as preparation left them
+    (definitions and ``let``s expanded, (dis)equalities split, simplified).
+    A ``sat`` model is validated against the asserted terms and satisfies
+    these too under :func:`~repro.smtlib.evaluate.evaluate` (pass
+    ``fun_interps`` as its ``funs`` argument when uninterpreted functions
+    are involved).
     ``reason`` explains an ``unknown`` answer.  ``expected`` records the
     script's ``(set-info :status ...)`` annotation, when present.
 

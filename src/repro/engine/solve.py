@@ -45,8 +45,10 @@ Answer semantics stay *sound*:
   values, congruence-class values and uninterpreted-function graphs —
   makes
   :func:`~repro.smtlib.evaluate.evaluate` return ``true`` on every live
-  assertion.  The validation runs inside the engine; a model that cannot
-  be built or checked demotes the answer to ``unknown``.
+  assertion as asserted (through the live ``define-fun``s, so the check
+  audits preparation and simplification too).  The validation runs
+  inside the engine; a model that cannot be built or checked demotes the
+  answer to ``unknown``.
 * anything else — ``unknown`` with a reason (``abstracted-atoms``,
   ``conflict-limit``, ``timeout``, ``cancelled``,
   ``branch-budget-exhausted``, ``model-construction-failed``,
@@ -94,12 +96,11 @@ from ..smtlib.script import (
     SetInfo,
     SetOption,
 )
-from ..smtlib.simplify import simplify, to_nnf
+from ..smtlib.simplify import to_nnf
 from ..smtlib.sorts import BOOL, Sort, is_bitvec
 from ..smtlib.terms import (
     FALSE,
     TRUE,
-    Apply,
     Constant,
     Symbol,
     Term,
@@ -114,7 +115,7 @@ from ..theory import (
     Theory,
     TheoryComposite,
 )
-from .context import Frame, prepare
+from .context import Frame, Preparation
 from .result import CheckSatResult, ScriptResult
 
 
@@ -521,15 +522,11 @@ class Engine:
         return definitions
 
     def _prepare_frames(self) -> None:
-        """Prepare and simplify assertions added since the last check."""
-        definitions = self._definitions()
-        memo: dict[Term, Term] = {}
+        """Prepare the assertions added since the last check, in one round."""
+        walk = Preparation(self._definitions())
         for frame in self._frames:
             while len(frame.prepared) < len(frame.assertions):
-                term = prepare(frame.assertions[len(frame.prepared)], definitions, memo)
-                frame.prepared.append(term)
-                with trace_span("simplify", merge=True):
-                    frame.simplified.append(simplify(term))
+                frame.prepared.append(walk.prepare(frame.assertions[len(frame.prepared)], frame))
 
     def _encode_frames(self) -> None:
         """Encode assertions added since the last check, counting
@@ -555,9 +552,9 @@ class Engine:
         for depth, frame in enumerate(self._frames):
             if depth and frame.selector is None:
                 frame.selector = self._encoder.new_var()
-            while frame.encoded < len(frame.simplified):
+            while frame.encoded < len(frame.prepared):
                 index = frame.encoded
-                term = frame.simplified[index]
+                term = frame.prepared[index]
                 frame.encoded += 1
                 if term is TRUE or term is FALSE:
                     # TRUE constrains nothing; FALSE short-circuits in
@@ -651,7 +648,7 @@ class Engine:
         )
 
         if any(
-            term is FALSE for frame in self._frames for term in frame.simplified
+            term is FALSE for frame in self._frames for term in frame.prepared
         ):
             # Nothing is encoded or solved, so the delta's solver and
             # encoder counters are all zero.
@@ -777,11 +774,13 @@ class Engine:
         if model is None:
             failure = "model-construction-failed"
         else:
+            definitions = self._definitions()  # validate the terms as asserted
             with trace_span("validate"):
                 try:
                     if not all(
-                        evaluate(term, model, fun_interps) is TRUE
-                        for term in active_prepared
+                        evaluate(term, model, fun_interps, definitions) is TRUE
+                        for frame in self._frames
+                        for term in frame.assertions
                     ):
                         failure = "model-validation-failed"
                 except EvaluationError:
@@ -802,7 +801,7 @@ class Engine:
 
         The shared incremental proof log is left untouched — a popped
         ``FALSE`` frame must not poison later checks' proofs — so the
-        proof is a standalone one-step argument: the simplified assertion
+        proof is a standalone one-step argument: the prepared assertion
         *is* the empty clause.  The core is the first ``FALSE`` named
         assertion's label, or empty when an unnamed assertion is already
         ``FALSE`` on its own (the background alone is unsat)."""
@@ -815,7 +814,7 @@ class Engine:
             return proof, None
         named_false: Optional[str] = None
         for frame in self._frames:
-            for index, term in enumerate(frame.simplified):
+            for index, term in enumerate(frame.prepared):
                 if term is not FALSE:
                     continue
                 name = frame.names[index]
@@ -844,13 +843,12 @@ class Engine:
             if isinstance(atom, Symbol) and atom.sort == BOOL:
                 model[atom.name] = bool_const(sat_model[atom_vars[atom]])
         allocator = SortValueAllocator()
-        # The live symbols: free in a live assertion (a script built
-        # without declarations may have no others), then declared in a
-        # live frame.
+        # The live symbols: free in a live assertion, as the preparation
+        # walk recorded them (a script built without declarations may have
+        # no others), then declared in a live frame.
         live: dict[str, Sort] = {}
         for frame in self._frames:
-            for term in frame.prepared:
-                live.update(term.free_symbols())
+            live.update(frame.symbols)
         for frame in self._frames:
             live.update(frame.consts)
         # Decode the words of the live bit-vector symbols from their bit
@@ -876,8 +874,8 @@ class Engine:
         model.update(decoded)
         # A declared function whose every occurrence simplified away (a
         # trivial atom such as (= (f a) (f a))) never reaches the theory,
-        # yet validation evaluates the *prepared* assertions, which still
-        # apply it: give it an unconstrained default interpretation.
+        # yet validation evaluates the asserted terms, which still apply
+        # it: give it an unconstrained default interpretation.
         for frame in self._frames:
             for name, signature in frame.funs.items():
                 if name not in fun_interps:
@@ -886,23 +884,16 @@ class Engine:
                     )
         # The builtin ``select`` can drop out the same way (every read
         # sat inside a trivial atom): validation still evaluates it, so
-        # back it with an unconstrained graph over the element sort.
+        # back it with an unconstrained graph over the element sort the
+        # preparation walk recorded.
         if "select" not in fun_interps:
-            read = next(
-                (
-                    node
-                    for frame in self._frames
-                    for term in frame.prepared
-                    for node in term.dag_walk()
-                    if isinstance(node, Apply)
-                    and node.op == "select"
-                    and not node.indices
-                ),
+            read_sort = next(
+                (frame.read_sort for frame in self._frames if frame.read_sort is not None),
                 None,
             )
-            if read is not None:
+            if read_sort is not None:
                 fun_interps["select"] = FunctionInterpretation(
-                    {}, allocator.default(read.sort)
+                    {}, allocator.default(read_sort)
                 )
         # Live symbols nothing valued (free in an assertion the theories
         # never saw, or declared and unused) are don't-cares, valued so
@@ -984,12 +975,10 @@ class Engine:
         if self._last is None or self._last.model is None:
             return '(error "no model available: last check-sat was not sat")'
         definitions = self._definitions()
-        memo: dict[Term, Term] = {}
         pairs = []
         for term in terms:
-            prepared = prepare(term, definitions, memo)
             try:
-                value = evaluate(prepared, self._last.model, self._last.fun_interps)
+                value = evaluate(term, self._last.model, self._last.fun_interps, definitions)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                 return f'(error "cannot evaluate {term_to_smtlib(term)}: {exc}")'
             pairs.append(f"({term_to_smtlib(term)} {constant_to_smtlib(value)})")

@@ -14,7 +14,12 @@ Two entry points:
   single :class:`Constant`, short-circuiting ``and``/``or``/``ite`` the way
   the logic defines them.  Raises
   :class:`~repro.errors.EvaluationError` when the term is not ground or
-  hits an unfoldable application.
+  hits an unfoldable application.  Through ``define-fun`` definitions it
+  evaluates a term as asserted: an application evaluates the body under
+  the top-level bindings plus its parameters (a call-site ``let`` cannot
+  capture a body name).  A nullary definition is evaluated where it is
+  read, and a ``let`` value or an argument that cannot be evaluated
+  fails only where it is read, so an unused one costs nothing.
 
 Semantics follow the SMT-LIB standard: ``div``/``mod`` are Euclidean,
 ``bvudiv x 0`` is all-ones, ``bvurem x 0`` is ``x``, ``str.substr`` is
@@ -23,10 +28,12 @@ total with out-of-range arguments yielding ``""``, and so on.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 from ..errors import EvaluationError
+from .script import DefineFun
 from .sorts import (
     INT,
     REAL,
@@ -596,19 +603,20 @@ def evaluate(
     term: Term,
     bindings: Optional[Mapping[str, Constant]] = None,
     funs: Optional[Mapping[str, FunctionInterpretation]] = None,
+    definitions: Optional[Mapping[str, DefineFun]] = None,
 ) -> Constant:
     """Reduce a closed term to a literal :class:`Constant`.
 
     ``bindings`` maps free symbol names to constants (their sorts must match
     the symbol occurrences); ``funs`` maps uninterpreted function names to
     :class:`FunctionInterpretation` objects, extending evaluation over EUF
-    models.  ``and``/``or``/``ite`` evaluate lazily in argument order,
-    mirroring the logic's short-circuit identities.  Raises
+    models; ``definitions`` maps ``define-fun`` names to their commands
+    (see the module docstring).  ``and``/``or``/``ite`` evaluate lazily in
+    argument order, mirroring the logic's short-circuit identities.  Raises
     :class:`~repro.errors.EvaluationError` for quantified terms, uncovered
     free symbols, or unfoldable applications.
     """
-    env: dict[str, Constant] = dict(bindings or {})
-    return _evaluate(term, env, dict(funs) if funs else None, {})
+    return _evaluate(term, {}, _Model(bindings or {}, funs or {}, definitions or {}), {})
 
 
 def evaluate_value(
@@ -620,53 +628,86 @@ def evaluate_value(
     return evaluate(term, bindings, funs).value
 
 
+@dataclass
+class _Model:
+    """What a term is evaluated against besides its binders."""
+
+    bindings: Mapping[str, Constant]
+    funs: Mapping[str, FunctionInterpretation]
+    definitions: Mapping[str, DefineFun]
+    values: dict[str, Constant] = field(default_factory=dict)
+
+    def free(self, name: str) -> Constant:
+        """A name no binder binds: its binding, or its nullary definition's value."""
+        value = self.bindings.get(name, self.values.get(name))
+        if value is None:
+            definition = self.definitions.get(name)
+            if definition is None or definition.params:
+                raise EvaluationError(f"cannot evaluate free symbol {name!r}")
+            value = self.values[name] = _evaluate(definition.body, {}, self, {})
+        return value
+
+
+#: A bound name's value, or the error its binding's evaluation raised.
+_Value = Union[Constant, EvaluationError]
+
+
 def _evaluate(
     term: Term,
-    env: dict[str, Constant],
-    funs: Optional[dict[str, FunctionInterpretation]],
+    env: dict[str, _Value],
+    model: _Model,
     memo: dict[Term, Constant],
 ) -> Constant:
-    # ``memo`` holds the values of the applications evaluated in the
-    # current scope, so a shared subterm evaluates once per scope.
+    # ``env`` binds the names in scope (a definition's parameters and the
+    # enclosing ``let`` binders; other names go to ``model.free``);
+    # ``memo`` holds the values of the applications and ``let`` terms
+    # evaluated in this scope, so a shared subterm evaluates once per scope.
     if isinstance(term, Constant):
         return term
     if isinstance(term, Symbol):
         value = env.get(term.name)
         if value is None:
-            raise EvaluationError(f"cannot evaluate free symbol {term.name!r}")
+            value = model.free(term.name)
+        if isinstance(value, EvaluationError):
+            raise value
         if value.sort != term.sort:
             raise EvaluationError(
                 f"binding for {term.name!r} has sort {value.sort}, expected {term.sort}"
             )
         return value
+    result = memo.get(term)
+    if result is not None:
+        return result
     if isinstance(term, Apply):
-        result = memo.get(term)
-        if result is not None:
-            return result
         op = term.op
         if op == "ite":
-            condition = _evaluate(term.args[0], env, funs, memo)
+            condition = _evaluate(term.args[0], env, model, memo)
             branch = term.args[1] if condition.value else term.args[2]
-            result = _evaluate(branch, env, funs, memo)
+            result = _evaluate(branch, env, model, memo)
         elif op == "and":
             result = TRUE
             for arg in term.args:
-                if not _evaluate(arg, env, funs, memo).value:
+                if not _evaluate(arg, env, model, memo).value:
                     result = FALSE
                     break
         elif op == "or":
             result = FALSE
             for arg in term.args:
-                if _evaluate(arg, env, funs, memo).value:
+                if _evaluate(arg, env, model, memo).value:
                     result = TRUE
                     break
+        elif not term.indices and op in model.definitions:
+            definition = model.definitions[op]
+            names = [name for name, _ in definition.params]
+            params = {name: _bound(arg, env, model, memo) for name, arg in zip(names, term.args)}
+            result = _evaluate(definition.body, params, model, {})
         else:
             # Plain loop, not a genexpr: keeps deep chains linear on CPython
             # 3.11+ (a genexpr re-enters the C interpreter at every level).
             evaluated = []
             for arg in term.args:
-                evaluated.append(_evaluate(arg, env, funs, memo))
-            result = _apply(term, tuple(evaluated), funs)
+                evaluated.append(_evaluate(arg, env, model, memo))
+            result = _apply(term, tuple(evaluated), model.funs)
         memo[term] = result
         return result
     if isinstance(term, Let):
@@ -676,21 +717,32 @@ def _evaluate(
         # a memo of its own.
         values = []
         for name, value in term.bindings:
-            values.append((name, _evaluate(value, env, funs, memo)))
+            values.append((name, _bound(value, env, model, memo)))
         saved = push_scope(env, values)
         try:
-            return _evaluate(term.body, env, funs, {})
+            result = _evaluate(term.body, env, model, {})
         finally:
             pop_scope(env, saved)
+        memo[term] = result
+        return result
     if isinstance(term, Quantifier):
         raise EvaluationError(f"cannot evaluate quantified term ({term.kind})")
     raise EvaluationError(f"unknown term node: {term!r}")
 
 
+def _bound(term: Term, env: dict[str, _Value], model: _Model, memo: dict[Term, Constant]) -> _Value:
+    """What a ``let`` binder or a parameter binds: ``term``'s value, or the
+    error evaluating it raised, raised again only where the name is read."""
+    try:
+        return _evaluate(term, env, model, memo)
+    except EvaluationError as error:
+        return error
+
+
 def _apply(
     term: Apply,
     args: tuple[Constant, ...],
-    funs: Optional[dict[str, FunctionInterpretation]],
+    funs: Optional[Mapping[str, FunctionInterpretation]],
 ) -> Constant:
     """The value of ``term`` with its arguments evaluated to ``args``."""
     op = term.op

@@ -76,7 +76,7 @@ FLATTEN_LIMIT = 128
 
 def simplify(term: Term) -> Term:
     """Simplify ``term`` to a rewrite fixpoint.  Sort-preserving."""
-    return _simplify(term, {}, {})
+    return simplify_with(term, {}, {})
 
 
 def simplify_script(script: Script) -> Script:
@@ -88,7 +88,7 @@ def simplify_script(script: Script) -> Script:
     """
     memo: dict[Term, Term] = {}
     free: dict[Term, frozenset[str]] = {}
-    return script.map_assertions(lambda term: _simplify(term, memo, free))
+    return script.map_assertions(lambda term: simplify_with(term, memo, free))
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +132,13 @@ def _free_names(term: Term, free: dict[Term, frozenset[str]]) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _simplify(
+def simplify_with(
     term: Term,
     memo: dict[Term, Term],
     free: dict[Term, frozenset[str]],
 ) -> Term:
+    """:func:`simplify` through caller-owned tables (``memo``: term → fixpoint,
+    ``free``: free-name sets); terms sharing them simplify a subterm once."""
     cached = memo.get(term)
     if cached is not None:
         return cached
@@ -148,13 +150,13 @@ def _simplify(
         # every level and makes deep chains quadratically slower.
         simplified = []
         for arg in term.args:
-            simplified.append(_simplify(arg, memo, free))
+            simplified.append(simplify_with(arg, memo, free))
         args = tuple(simplified)
-        node = Apply(term.op, args, term.sort, term.indices)
+        node = term if args == term.args else Apply(term.op, args, term.sort, term.indices)
         rewritten = _apply_rules(node)
-        result = node if rewritten is node else _simplify(rewritten, memo, free)
+        result = node if rewritten is node else simplify_with(rewritten, memo, free)
     elif isinstance(term, Quantifier):
-        body = _simplify(term.body, memo, free)
+        body = simplify_with(term.body, memo, free)
         used = _free_names(body, free)
         kept = tuple((name, sort) for name, sort in term.bindings if name in used)
         if not kept:
@@ -196,7 +198,7 @@ def _simplify_let(
             # sized) environment.
             needed = _restrict(env, value, free)
             value = substitute(value, needed) if needed else value
-            value = _simplify(value, memo, free)
+            value = simplify_with(value, memo, free)
             bound_here.append((name, value))
         for name, _ in node.bindings:
             env.pop(name, None)  # names bound here shadow outer entries
@@ -209,7 +211,7 @@ def _simplify_let(
         node = node.body
     needed = _restrict(env, node, free)
     body = substitute(node, needed) if needed else node
-    result = _simplify(body, memo, free)
+    result = simplify_with(body, memo, free)
     for kept in reversed(frames):
         used = _free_names(result, free)
         remaining = tuple((name, value) for name, value in kept if name in used)
@@ -773,4 +775,4 @@ def _nnf_iff(term: Apply, positive: bool, memo: dict[tuple[Term, bool], Term]) -
     return Apply("and" if positive else "or", pairs, BOOL)
 
 
-__all__ = ["simplify", "simplify_script", "to_nnf", "FLATTEN_LIMIT"]
+__all__ = ["simplify", "simplify_script", "simplify_with", "to_nnf", "FLATTEN_LIMIT"]

@@ -3,12 +3,16 @@
 Two acceptance properties from the issue are enforced here:
 
 * **Model oracle** — every ``sat`` answer's model makes ``evaluate`` return
-  true for all (inlined) assertions active at that ``check-sat``.
+  true for every term asserted at that ``check-sat`` (through the live
+  definitions) and for every prepared assertion.
 * **Brute-force cross-check** — on every quantifier-free corpus script
-  whose assertions range over at most 18 boolean atoms (and no other free
-  symbols), the engine's answer equals exhaustive enumeration.
+  whose asserted terms range over at most 18 boolean atoms (and no other
+  free symbols), the engine's answer equals exhaustive enumeration of the
+  terms as asserted, evaluated through their definitions, so the oracle
+  audits preparation and simplification too.
 """
 
+import importlib
 import itertools
 import random
 from pathlib import Path
@@ -16,18 +20,23 @@ from pathlib import Path
 import pytest
 
 from repro import CheckSatResult, Engine, run_script, solve_script
+from repro.engine import context
 from repro.errors import SolverError
 from repro.smtlib import (
     BOOL,
     Apply,
     Assert,
     CheckSat,
+    DefineFun,
+    Exit,
     GetValue,
     Pop,
     Push,
+    Quantifier,
     Script,
     Symbol,
     TRUE,
+    Term,
     bool_const,
     evaluate,
     parse_script,
@@ -43,40 +52,72 @@ CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.smt2"))
 # ---------------------------------------------------------------------------
 
 
-def assert_model_satisfies(result: CheckSatResult) -> None:
-    """The model-checking oracle: the model evaluates every assertion true
-    (uninterpreted functions evaluate through the result's
-    interpretations)."""
+def assert_model_satisfies(result: CheckSatResult, script, index: int = 0) -> None:
+    """The model-checking oracle: the model evaluates true every term
+    asserted at the ``index``-th check of ``script`` (a script or its
+    text), through the definitions live there, and every prepared
+    assertion of ``result`` (uninterpreted functions evaluate through the
+    result's interpretations)."""
+    if isinstance(script, str):
+        script = parse_script(script)
+    terms, definitions = list(live_checks(script))[index]
     assert result.model is not None
-    for term in result.assertions:
-        assert evaluate(term, result.model, result.fun_interps) is TRUE, term
+    for term in (*terms, *result.assertions):
+        assert evaluate(term, result.model, result.fun_interps, definitions) is TRUE, term
 
 
-def boolean_frees(result: CheckSatResult):
-    """Free symbols of the checked assertions, or None when any is not Bool
-    (or a quantifier blocks evaluation)."""
+def live_checks(script: Script):
+    """The asserted terms and the definitions (``:named`` labels included)
+    live at each ``check-sat`` of ``script``, as the assertion stack holds
+    them."""
+    frames: list[tuple[list, dict]] = [([], {})]
+    for command in script.commands:
+        if isinstance(command, Exit):
+            break
+        if isinstance(command, Assert):
+            frames[-1][0].append(command.term)
+            if command.name is not None:
+                frames[-1][1][command.name] = DefineFun(command.name, (), BOOL, command.term)
+        elif isinstance(command, DefineFun):
+            frames[-1][1][command.name] = command
+        elif isinstance(command, Push):
+            frames.extend(([], {}) for _ in range(command.levels))
+        elif isinstance(command, Pop):
+            del frames[len(frames) - command.levels :]
+        elif isinstance(command, CheckSat):
+            terms = [term for asserted, _ in frames for term in asserted]
+            definitions = {name: d for _, defined in frames for name, d in defined.items()}
+            yield terms, definitions
+
+
+def boolean_frees(terms, definitions):
+    """Free symbols of ``terms`` and of the bodies of ``definitions`` (bar
+    their parameters), or None when any is not Bool (or a quantifier
+    blocks evaluation)."""
     free: dict[str, object] = {}
-    for term in result.assertions:
-        from repro.smtlib import Quantifier
-
+    scopes = [(term, ()) for term in terms] + [(d.body, d.params) for d in definitions.values()]
+    for term, params in scopes:
         if any(isinstance(node, Quantifier) for node in term.walk()):
             return None
-        free.update(term.free_symbols())
+        bound = {name for name, _ in params}
+        free.update((name, sort) for name, sort in term.free_symbols().items() if name not in bound)
+    for name in definitions:
+        free.pop(name, None)
     if any(sort != BOOL for sort in free.values()):
         return None
     return sorted(free)
 
 
-def brute_force_answer(result: CheckSatResult):
-    """Exhaustively decide the checked assertions; None when not amenable
-    (non-boolean symbols, quantifiers, or more than 18 atoms)."""
-    names = boolean_frees(result)
+def brute_force(terms, definitions):
+    """Exhaustively decide ``terms`` under ``definitions``; None when not
+    amenable (non-boolean symbols, quantifiers, or more than 18 atoms)."""
+    names = boolean_frees(terms, definitions)
     if names is None or len(names) > 18:
         return None
     for values in itertools.product([False, True], repeat=len(names)):
         env = {name: bool_const(v) for name, v in zip(names, values)}
         try:
-            if all(evaluate(term, env) is TRUE for term in result.assertions):
+            if all(evaluate(term, env, None, definitions) is TRUE for term in terms):
                 return "sat"
         except Exception:
             return None  # unfoldable ground operator: not amenable
@@ -90,17 +131,19 @@ def brute_force_answer(result: CheckSatResult):
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_scripts_execute(path):
-    result = run_script(path.read_text())
-    for check in result.check_results:
+    script = parse_script(path.read_text())
+    result = run_script(script)
+    for index, check in enumerate(result.check_results):
         assert check.answer in ("sat", "unsat", "unknown")
         if check.answer == "sat":
-            assert_model_satisfies(check)
+            assert_model_satisfies(check, script, index)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_brute_force_cross_check(path):
-    for check in solve_script(path.read_text()):
-        expected = brute_force_answer(check)
+    script = parse_script(path.read_text())
+    for check, (terms, definitions) in zip(solve_script(script), live_checks(script), strict=True):
+        expected = brute_force(terms, definitions)
         if expected is None:
             continue
         assert check.answer == expected, (path.stem, check.answer, expected)
@@ -126,12 +169,13 @@ def test_random_propositional_scripts_cross_check(seed):
     for _ in range(rng.randint(1, 4)):
         commands.append(Assert(random_bool_term(rng, 3, atoms)))
     commands.append(CheckSat())
-    result = solve_script(Script(tuple(commands)))[0]
-    expected = brute_force_answer(result)
+    script = Script(tuple(commands))
+    result = solve_script(script)[0]
+    expected = brute_force(script.assertions(), {})
     assert expected is not None
     assert result.answer == expected
     if result.answer == "sat":
-        assert_model_satisfies(result)
+        assert_model_satisfies(result, script)
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +248,16 @@ class TestAnswers:
 
     def test_ground_theory_atoms_prefold(self):
         # The PR-2 evaluator folds the ground atoms; p remains free.
-        result = solve_script(
-            """
+        source = """
             (declare-const p Bool)
             (assert (or p (< 2 1)))
             (assert (= (+ 1 2) 3))
             (check-sat)
             """
-        )[0]
+        result = solve_script(source)[0]
         assert result.answer == "sat"
         assert result.model["p"] is TRUE
-        assert_model_satisfies(result)
+        assert_model_satisfies(result, source)
 
     def test_theory_atoms_give_unknown_not_sat(self):
         # ``div`` is outside the linear fragment, so the atom stays
@@ -233,15 +276,14 @@ class TestAnswers:
     def test_linear_atoms_now_decided(self):
         # The same shape over the *linear* fragment is decided by the
         # simplex plugin (this was unknown before the arith theory).
-        result = solve_script(
-            """
+        source = """
             (declare-const x Int)
             (assert (< x 0))
             (check-sat)
             """
-        )[0]
+        result = solve_script(source)[0]
         assert result.answer == "sat"
-        assert_model_satisfies(result)
+        assert_model_satisfies(result, source)
 
     def test_propositionally_inconsistent_theory_is_unsat(self):
         result = solve_script(
@@ -271,16 +313,15 @@ class TestAnswers:
     def test_vacuous_integer_symbol_gets_a_model_value(self):
         # (= x x) folds to true; since PR 4 the theory layer mints a
         # concrete value for x, so the answer is a validated sat.
-        result = solve_script(
-            """
+        source = """
             (declare-const x Int)
             (assert (= x x))
             (check-sat)
             """
-        )[0]
+        result = solve_script(source)[0]
         assert result.answer == "sat"
         assert result.model is not None and "x" in result.model
-        assert_model_satisfies(result)
+        assert_model_satisfies(result, source)
 
     def test_conflict_limit_reports_unknown(self):
         # Pigeonhole as a boolean skeleton: 4 pigeons, 3 holes.
@@ -312,18 +353,17 @@ class TestAnswers:
         assert limited.reason == "conflict-limit"
 
     def test_model_covers_symbols_simplified_away(self):
-        result = solve_script(
-            """
+        source = """
             (declare-const p Bool)
             (declare-const unused Bool)
             (assert (or p (not p)))
             (check-sat)
             """
-        )[0]
+        result = solve_script(source)[0]
         assert result.answer == "sat"
         assert result.model["p"] is not None
         assert "unused" in result.model
-        assert_model_satisfies(result)
+        assert_model_satisfies(result, source)
 
 
 class TestDefinitions:
@@ -340,8 +380,7 @@ class TestDefinitions:
         assert result.model["p"] is TRUE
 
     def test_definitions_compose(self):
-        result = solve_script(
-            """
+        source = """
             (declare-const p Bool)
             (declare-const q Bool)
             (define-fun nand ((a Bool) (b Bool)) Bool (not (and a b)))
@@ -350,11 +389,11 @@ class TestDefinitions:
             (assert p)
             (check-sat)
             """
-        )[0]
+        result = solve_script(source)[0]
         # nand2 is `and`, so p and q must both hold.
         assert result.answer == "sat"
         assert result.model["q"] is TRUE
-        assert_model_satisfies(result)
+        assert_model_satisfies(result, source)
 
     def test_let_shadows_definition(self):
         result = solve_script(
@@ -380,6 +419,116 @@ class TestDefinitions:
             """
         )
         assert [r.answer for r in answers] == ["sat", "sat"]
+
+
+    def test_unused_quantified_definition_keeps_sat(self):
+        # Validation evaluates a nullary definition only where it is
+        # referenced, and nothing references q.
+        result = solve_script(
+            """
+            (declare-const x Int)
+            (define-fun q () Bool (forall ((y Int)) (> y x)))
+            (assert (> x 0))
+            (check-sat)
+            """
+        )[0]
+        assert result.answer == "sat"
+
+    def test_let_does_not_capture_a_definition_body(self):
+        # c's body names the declared x, not the x the let binds.
+        result = run_script(
+            """
+            (declare-const x Int)
+            (define-fun c () Int x)
+            (assert (let ((x 5)) (and (= c 3) (= x 5))))
+            (check-sat)
+            (get-value (c x))
+            """
+        )
+        assert result.output == ["sat", "((c 3) (x 3))"]
+
+
+class TestValidation:
+    """A ``sat`` model is validated against the terms as asserted, so a
+    fault in preparation or in the simplifier demotes the answer."""
+
+    def test_planted_preparation_fault_is_caught(self, monkeypatch):
+        bounds = context._bounds
+
+        def upper_bound_only(args):
+            pair = bounds(args)
+            return None if pair is None else pair.args[0]
+
+        monkeypatch.setattr(context, "_bounds", upper_bound_only)
+        result = solve_script("(declare-const x Int) (assert (= x 5)) (check-sat)")[0]
+        assert (result.answer, result.reason) == ("unknown", "model-validation-failed")
+
+    def test_planted_simplifier_fault_is_caught(self, monkeypatch):
+        rules = importlib.import_module("repro.smtlib.simplify")._RULES
+        monkeypatch.setitem(rules, "<", lambda node: TRUE)
+        result = solve_script(
+            "(declare-const x Int) (assert (< x 0)) (assert (< 0 x)) (check-sat)"
+        )[0]
+        assert (result.answer, result.reason) == ("unknown", "model-validation-failed")
+
+    @pytest.mark.parametrize(
+        "assertion",
+        [
+            "(assert (let ((v (div x 0))) (> x 1)))",
+            "(assert (let ((q (forall ((y Int)) (> y x)))) (> x 1)))",
+            "(define-fun k ((a Int)) Int 0) (assert (= (k (div x 0)) x))",
+        ],
+    )
+    def test_unused_binding_that_cannot_be_evaluated_keeps_sat(self, assertion):
+        # Preparation drops the binding; validation reads the asserted
+        # term, where the binding fails only if something reads it.
+        result = solve_script(f"(declare-const x Int) {assertion} (check-sat)")[0]
+        assert result.answer == "sat", result.reason
+
+    def test_shared_let_in_a_definition_chain_validates_in_linear_time(self):
+        # Each g_k reads one let node twice (2**40 reads of g0 as a tree);
+        # validation, like preparation, evaluates it once per scope.
+        lines = ["(declare-const p Bool) (define-fun g0 ((b Bool)) Bool b)"]
+        for k in range(1, 41):
+            call = f"(let ((a true)) (g{k - 1} b))"
+            lines.append(f"(define-fun g{k} ((b Bool)) Bool (and {call} {call}))")
+        result = run_script(" ".join(lines) + " (assert (g40 p)) (check-sat) (get-value (p))")
+        assert result.output == ["sat", "((p true))"]
+
+    def test_model_building_walks_no_assertion(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an assertion was walked again")
+
+        monkeypatch.setattr(Term, "dag_walk", refuse)
+        monkeypatch.setattr(Term, "free_symbols", refuse)
+        for source in (
+            "(declare-sort U 0) (declare-fun g (U) U) (declare-const a U) (declare-const b U)"
+            " (declare-const x Int) (declare-const p Bool)"
+            " (assert (or p (distinct (g a) b))) (assert (> x 2)) (check-sat)",
+            "(declare-sort U 0) (declare-const a (Array U U)) (declare-const i U) (declare-const v U)"
+            " (assert (= (select (store a i v) i) v)) (assert (distinct (select a i) v)) (check-sat)",
+        ):
+            assert solve_script(source)[0].answer == "sat", source
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(declare-const a (Array Int Int)) (declare-const i Int)"
+            " (assert (= (select a i) (select a i)))",
+            "(declare-const a (Array Int Int))"
+            " (define-fun r ((b (Array Int Int))) Int (select b 0))"
+            " (assert (= (r a) (r a)))",
+        ],
+    )
+    def test_read_that_simplifies_away_still_has_a_model(self, source):
+        # The only select read sits in a trivial atom, so no theory sees
+        # it; the walk recorded its sort, and the model backs it.
+        script = parse_script(source + " (check-sat)")
+        result = solve_script(script)[0]
+        assert result.answer == "sat", result.reason
+        ((terms, definitions),) = live_checks(script)
+        for term in terms:
+            assert evaluate(term, result.model, result.fun_interps, definitions) is TRUE
 
 
 class TestModelQueries:

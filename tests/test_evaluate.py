@@ -7,9 +7,17 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import EvaluationError
-from repro.smtlib import DeclarationContext, evaluate, evaluate_value, parse_term, simplify
+from repro.smtlib import (
+    DeclarationContext,
+    DefineFun,
+    evaluate,
+    evaluate_value,
+    parse_script,
+    parse_term,
+    simplify,
+)
 from repro.smtlib.sorts import BOOL, INT
-from repro.smtlib.terms import Apply, Constant, Let, Symbol, int_const
+from repro.smtlib.terms import FALSE, TRUE, Apply, Constant, Let, Symbol, int_const
 
 
 def ev(text, bindings=None):
@@ -207,6 +215,95 @@ def test_shared_subterms_evaluate_once_per_scope():
     # shadowing x must not reuse the outer scope's result.
     shadowed = Let((("x", int_const(1)),), Apply("-", (term, Symbol("x", INT)), INT))
     assert evaluate(Apply("-", (term, shadowed), INT), {"x": int_const(0)}).value == 1 - 2**64
+
+
+def test_shared_let_terms_evaluate_once_per_scope():
+    # Each level reads one let node twice: 2**64 body evaluations as a tree.
+    term = Symbol("x", INT)
+    for _ in range(64):
+        shared = Let((("y", int_const(1)),), Apply("+", (term, Symbol("y", INT)), INT))
+        term = Apply("+", (shared, shared), INT)
+    assert evaluate(term, {"x": int_const(0)}).value == 2**65 - 2
+
+
+# -- Definitions -------------------------------------------------------------
+
+
+def defined(source):
+    """The last assertion of ``source`` (declaring ``x``) and the
+    script's definitions, by name."""
+    script = parse_script("(declare-const x Int) " + source)
+    definitions = {c.name: c for c in script.commands if isinstance(c, DefineFun)}
+    return script.assertions()[-1], definitions
+
+
+def test_definition_application_binds_its_parameters():
+    term, definitions = defined(
+        "(define-fun inc ((a Int)) Int (+ a 1)) (assert (= (inc (inc x)) 7))"
+    )
+    assert evaluate(term, {"x": int_const(5)}, None, definitions) is TRUE
+    assert evaluate(term, {"x": int_const(4)}, None, definitions) is FALSE
+
+
+def test_parameter_shadows_a_declared_name_in_the_body():
+    term, definitions = defined("(define-fun f ((x Int)) Int (+ x 1)) (assert (= (f 3) 4))")
+    assert evaluate(term, {"x": int_const(100)}, None, definitions) is TRUE
+
+
+def test_call_site_let_cannot_capture_a_body_name():
+    # Both bodies read the declared x (1), never the let-bound x (10).
+    term, definitions = defined(
+        "(define-fun addx ((a Int)) Int (+ a x)) (define-fun c () Int x)"
+        " (assert (let ((x 10)) (and (= (addx x) 11) (= c 1))))"
+    )
+    assert evaluate(term, {"x": int_const(1)}, None, definitions) is TRUE
+
+
+def test_let_binder_shadows_a_nullary_definition():
+    term, definitions = defined("(define-fun c () Int 5) (assert (let ((c x)) (= c 1)))")
+    assert evaluate(term, {"x": int_const(1)}, None, definitions) is TRUE
+
+
+def test_nullary_definitions_compose():
+    term, definitions = defined(
+        "(define-fun c () Int (+ x 1)) (define-fun d () Int (* c 2)) (assert (= d 6))"
+    )
+    assert evaluate(term, {"x": int_const(2)}, None, definitions) is TRUE
+
+
+def test_nullary_definition_is_evaluated_only_where_referenced():
+    term, definitions = defined(
+        "(define-fun q () Bool (forall ((y Int)) (> y x))) (assert (> x 0))"
+    )
+    assert evaluate(term, {"x": int_const(1)}, None, definitions) is TRUE
+    referenced, _ = defined(
+        "(define-fun q () Bool (forall ((y Int)) (> y x))) (assert (or q (> x 0)))"
+    )
+    with pytest.raises(EvaluationError, match="quantified"):
+        evaluate(referenced, {"x": int_const(1)}, None, definitions)
+
+
+def test_unevaluable_binding_fails_only_where_read():
+    # (div x 0) is unspecified: a let value or an argument bound to it
+    # fails the evaluation only if the body reads it.
+    two = {"x": int_const(2)}
+    unused, definitions = defined(
+        "(define-fun k ((a Int)) Int 0)"
+        " (assert (let ((v (div x 0))) (and (> x 1) (= (k (div x 0)) 0))))"
+    )
+    assert evaluate(unused, two, None, definitions) is TRUE
+    read, _ = defined("(assert (let ((v (div x 0))) (> v 1)))")
+    with pytest.raises(EvaluationError, match="div"):
+        evaluate(read, two)
+    passed, definitions = defined("(define-fun k ((a Int)) Int a) (assert (= (k (div x 0)) 0))")
+    with pytest.raises(EvaluationError, match="div"):
+        evaluate(passed, two, None, definitions)
+
+
+def test_undefined_free_symbol_still_raises():
+    term, definitions = defined("(define-fun c () Int 5) (assert (> x c))")
+    with pytest.raises(EvaluationError, match="free symbol 'x'"):
+        evaluate(term, {}, None, definitions)
 
 
 def test_simplify_and_evaluate_agree_on_ground_terms():

@@ -493,9 +493,9 @@ def incremental_replay_verdicts(script: Script) -> list[str]:
     return result.answers
 
 
-def assert_model_validates(result) -> None:
+def assert_model_validates(result, script: Script) -> None:
     assert result.model is not None, "sat answer must carry a model"
-    for term in result.assertions:
+    for term in (*script.assertions(), *result.assertions):
         value = evaluate(term, result.model, result.fun_interps)
         assert value is TRUE, f"model fails assertion {term}"
 
@@ -516,7 +516,7 @@ def test_differential_lia(seed):
     expected = "sat" if oracle_lia(script, variables) else "unsat"
     assert answer == expected, f"engine {answer} but exhaustive oracle {expected}"
     if answer == "sat":
-        assert_model_validates(result)
+        assert_model_validates(result, script)
     assert_roundtrip_agrees(script, answer)
 
 
@@ -528,7 +528,7 @@ def test_differential_lra(seed):
         f"engine answered {answer} ({result.reason}) on a boxed QF_LRA script"
     )
     if answer == "sat":
-        assert_model_validates(result)
+        assert_model_validates(result, script)
     else:
         assert not oracle_lra_grid(script, variables), (
             "engine unsat but the grid oracle found a rational model"
@@ -546,7 +546,7 @@ def test_differential_uf(seed):
     expected = "sat" if oracle_uf(script, ground_terms) else "unsat"
     assert answer == expected, f"engine {answer} but finite-model oracle {expected}"
     if answer == "sat":
-        assert_model_validates(result)
+        assert_model_validates(result, script)
     assert_roundtrip_agrees(script, answer)
 
 
@@ -560,7 +560,7 @@ def test_differential_bv(seed):
     expected = "sat" if oracle_bv(script, variables) else "unsat"
     assert answer == expected, f"engine {answer} but exhaustive oracle {expected}"
     if answer == "sat":
-        assert_model_validates(result)
+        assert_model_validates(result, script)
     assert_roundtrip_agrees(script, answer)
 
 
@@ -572,7 +572,7 @@ def test_differential_ax(seed):
         f"engine answered {answer} ({result.reason}) on a QF_AX script"
     )
     if answer == "sat":
-        assert_model_validates(result)
+        assert_model_validates(result, script)
     else:
         assert not oracle_ax(script), (
             "engine unsat but the finite-model oracle found an array model"

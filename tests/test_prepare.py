@@ -1,13 +1,16 @@
 """Tests for engine preparation: the one walk that expands ``define-fun``
-and ``let`` binders and splits equalities and comparisons.
+and ``let`` binders, splits equalities and comparisons, and simplifies.
 
 The prepared assertions are what ``CheckSatResult.assertions`` holds, so
 each case pins ``str`` of a prepared term.  The deep cases check that a
 binder chain is expanded in time and memory linear in its length.
 """
 
+import pytest
+
 from repro import Engine, run_script, solve_script
-from repro.smtlib import intern_stats, parse_script
+from repro.proof import check_proof
+from repro.smtlib import TRUE, evaluate, intern_stats, parse_script
 
 INTS = "(declare-const x Int) (declare-const y Int) (declare-const z Int)\n"
 UNINTERPRETED = "(declare-sort U 0) (declare-const a U) (declare-const b U) (declare-const c U)\n"
@@ -55,14 +58,14 @@ def test_parallel_let_swaps():
 
 def test_named_label_inlines_its_term():
     source = INTS + "(assert (! (= x y z) :named e)) (assert (not e))"
-    chain = "(and (and (<= x y) (>= x y)) (and (<= y z) (>= y z)))"
+    chain = "(and (<= x y) (>= x y) (<= y z) (>= y z))"
     assert prepared(source) == [chain, f"(not {chain})"]
 
 
 def test_nary_equality_and_distinct_over_int():
     source = INTS + "(assert (= x y z)) (assert (distinct x y z))"
     assert prepared(source) == [
-        "(and (and (<= x y) (>= x y)) (and (<= y z) (>= y z)))",
+        "(and (<= x y) (>= x y) (<= y z) (>= y z))",
         "(and (not (and (<= x y) (>= x y))) (not (and (<= x z) (>= x z)))"
         " (not (and (<= y z) (>= y z))))",
     ]
@@ -78,6 +81,30 @@ def test_nary_equality_and_distinct_over_uninterpreted_sort():
 
 def test_chained_comparison_splits_into_pairs():
     assert prepared(INTS + "(assert (< x y z))") == ["(and (< x y) (< y z))"]
+
+
+@pytest.mark.parametrize(
+    "assertions, answer",
+    [
+        ("(assert (= (ite true x 1) y)) (assert (> y 3))", "sat"),
+        ("(assert (= (div x 1) y)) (assert (> y 3))", "sat"),
+        ("(assert (= (to_int (to_real x)) y)) (assert (> y 3))", "sat"),
+        ("(assert (= (ite true x 0) y 4))", "sat"),
+        ("(assert (= (ite true x 1) y)) (assert (> y 3)) (assert (< x 2))", "unsat"),
+    ],
+)
+def test_equality_split_sees_simplified_arguments(assertions, answer):
+    # Each side simplifies to a symbol before the linear-equality rule
+    # looks at it, so the equality splits into its bound pair and the
+    # simplex decides it.
+    script = parse_script(INTS + assertions + " (check-sat)")
+    result = solve_script(script, produce_proofs=True)[0]
+    assert result.answer == answer, result.reason
+    if answer == "sat":
+        for term in script.assertions():
+            assert evaluate(term, result.model, result.fun_interps) is TRUE, term
+    else:
+        assert check_proof(result.proof).ok
 
 
 def test_get_value_expands_definitions_lets_and_distinct():

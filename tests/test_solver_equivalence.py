@@ -127,7 +127,7 @@ def test_engine_verdicts_match_reference_core(fragment, seed, monkeypatch):
     for result in (new_result, ref_result):
         for check in result.check_results:
             if check.answer == "sat":
-                fuzz.assert_model_validates(check)
+                fuzz.assert_model_validates(check, script)
             elif check.answer == "unsat":
                 fuzz.assert_certified(check)
 

@@ -24,6 +24,7 @@ from repro.theory import (
     TheoryComposite,
 )
 from repro.theory.arith import _ZERO, _add_scaled, _floor, _is_integral, _lt, _value
+from test_engine import assert_model_satisfies
 
 X = Symbol("x", INT)
 Y = Symbol("y", INT)
@@ -566,12 +567,6 @@ def check_one(text):
     return results[0]
 
 
-def assert_valid_model(result):
-    assert result.model is not None
-    for term in result.assertions:
-        assert evaluate(term, result.model, result.fun_interps) is TRUE
-
-
 def doubling_chain(depth, step, goal):
     """``x_i = step(x_{i-1})`` bound by ``depth`` nested lets, then
     ``goal`` over ``x_depth``: a term of ``2**depth`` leaves as a tree."""
@@ -592,15 +587,15 @@ def doubling_chain(depth, step, goal):
     "goal", ["(= {x} y)", "(distinct {x} y)", "(> {x} 0)"], ids=["eq", "distinct", "gt"]
 )
 def test_doubling_chain_answers_sat(step, goal):
-    result = run_script(doubling_chain(64, step, goal))
+    source = doubling_chain(64, step, goal)
+    result = run_script(source)
     assert result.output == ["sat"]
-    assert_valid_model(result.check_results[0])
+    assert_model_satisfies(result.check_results[0], source)
 
 
 class TestEngineArith:
     def test_lra_sat_with_validated_model(self):
-        result = check_one(
-            """
+        source = """
             (declare-const u Real)
             (declare-const v Real)
             (assert (< (+ u v) 10.0))
@@ -608,9 +603,9 @@ class TestEngineArith:
             (assert (= (+ u (* 3.0 v)) 6.0))
             (check-sat)
             """
-        )
+        result = check_one(source)
         assert result.answer == "sat"
-        assert_valid_model(result)
+        assert_model_satisfies(result, source)
 
     def test_lra_unsat_core_conflict(self):
         result = check_one(
@@ -638,8 +633,7 @@ class TestEngineArith:
         assert result.answer == "unsat"
 
     def test_lia_branch_and_bound_model(self):
-        result = check_one(
-            """
+        source = """
             (declare-const x Int)
             (declare-const y Int)
             (assert (>= x 0))
@@ -647,9 +641,9 @@ class TestEngineArith:
             (assert (= (+ (* 3 x) (* 5 y)) 41))
             (check-sat)
             """
-        )
+        result = check_one(source)
         assert result.answer == "sat"
-        assert_valid_model(result)
+        assert_model_satisfies(result, source)
         x_value = result.model["x"].value
         y_value = result.model["y"].value
         assert 3 * x_value + 5 * y_value == 41
@@ -668,8 +662,7 @@ class TestEngineArith:
         assert result.answer == "unsat"
 
     def test_distinct_over_ints(self):
-        result = check_one(
-            """
+        source = """
             (declare-const x Int)
             (declare-const y Int)
             (declare-const z Int)
@@ -682,9 +675,9 @@ class TestEngineArith:
             (assert (distinct x y z))
             (check-sat)
             """
-        )
+        result = check_one(source)
         assert result.answer == "sat"
-        assert_valid_model(result)
+        assert_model_satisfies(result, source)
         values = {result.model[name].value for name in ("x", "y", "z")}
         assert values == {0, 1, 2}
 
@@ -706,8 +699,7 @@ class TestEngineArith:
         assert result.answer == "unsat"
 
     def test_mixed_sat_merges_models(self):
-        result = check_one(
-            """
+        source = """
             (declare-sort U 0)
             (declare-const a U)
             (declare-const b U)
@@ -717,9 +709,9 @@ class TestEngineArith:
             (assert (<= x 7))
             (check-sat)
             """
-        )
+        result = check_one(source)
         assert result.answer == "sat"
-        assert_valid_model(result)
+        assert_model_satisfies(result, source)
         assert result.model["x"] == int_const(7)
 
     def test_incremental_push_pop_arith(self):
@@ -817,8 +809,7 @@ class TestEngineArith:
         assert "u" in result.output[1]
 
     def test_chained_comparison_expansion(self):
-        result = check_one(
-            """
+        source = """
             (declare-const x Int)
             (declare-const y Int)
             (declare-const z Int)
@@ -827,9 +818,9 @@ class TestEngineArith:
             (assert (<= z 2))
             (check-sat)
             """
-        )
+        result = check_one(source)
         assert result.answer == "sat"
-        assert_valid_model(result)
+        assert_model_satisfies(result, source)
         assert (
             result.model["x"].value
             < result.model["y"].value
@@ -837,16 +828,15 @@ class TestEngineArith:
         )
 
     def test_unbounded_optimum_direction_is_sat(self):
-        result = check_one(
-            """
+        source = """
             (declare-const x Int)
             (declare-const y Int)
             (assert (>= (+ x y) 100))
             (check-sat)
             """
-        )
+        result = check_one(source)
         assert result.answer == "sat"
-        assert_valid_model(result)
+        assert_model_satisfies(result, source)
 
     def test_branch_budget_reason_reaches_the_engine(self, monkeypatch):
         import repro.engine.solve as solve_module

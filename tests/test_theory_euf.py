@@ -467,13 +467,14 @@ class TestEngineEuf:
     def test_random_chains_match_finite_model_enumeration(self, seed):
         rng = random.Random(seed)
         assertions = random_euf_assertions(rng)
-        result = solve_script(script_for(assertions, 1))[0]
+        source = script_for(assertions, 1)
+        result = solve_script(source)[0]
         expected = finite_model_answer(assertions, 1, 3)
-        assert result.answer == expected, script_for(assertions, 1)
+        assert result.answer == expected, source
         if result.answer == "sat":
             from test_engine import assert_model_satisfies
 
-            assert_model_satisfies(result)
+            assert_model_satisfies(result, source)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_two_symbol_instances_match_polarity_enumeration(self, seed):
@@ -521,8 +522,7 @@ class TestEngineEuf:
         assert [r.answer for r in unsat_result] == ["unsat"]
 
     def test_mixed_euf_and_boolean_structure(self):
-        result = solve_script(
-            """
+        source = """
             (set-logic QF_UF)
             (declare-sort U 0)
             (declare-const x U)
@@ -534,11 +534,11 @@ class TestEngineEuf:
             (assert (not (= x y)))
             (check-sat)
             """
-        )[0]
+        result = solve_script(source)[0]
         assert result.answer == "sat"
         from test_engine import assert_model_satisfies
 
-        assert_model_satisfies(result)
+        assert_model_satisfies(result, source)
 
     def test_unowned_atom_still_unknown(self):
         # Non-linear arithmetic belongs to no plugin: the atom stays
@@ -611,5 +611,5 @@ class TestEngineEuf:
         )
         result = Engine().run(script).check_results[0]
         assert result.answer == "sat"
-        for term in result.assertions:
+        for term in (*script.assertions(), *result.assertions):
             assert evaluate(term, result.model, result.fun_interps) is TRUE
