@@ -8,8 +8,11 @@ pipeline end to end:
   refutation with proof logging off and on: the pair bounds the
   logging overhead on a learning-heavy unsat search.
 * ``pigeonhole_check`` — replaying the logged proof through the
-  independent RUP/DRAT checker (counting-based propagation, shared
-  with nothing in the solver): checker throughput on a real proof.
+  independent RUP/DRAT checker (shared with nothing in the solver):
+  checker throughput on a real proof.  The row reports ``hinted``, the
+  learned clauses the checker verified by their hints; verification
+  fails unless that is every learned clause, so a solver that stops
+  emitting hints fails the smoke run instead of only slowing the row.
 * ``random_3sat_logged`` — fixed-seed phase-transition 3-SAT with
   logging on; every unsat instance's proof is checked, so the row
   carries both solve and check time on mixed verdicts.
@@ -115,8 +118,11 @@ def run_pigeonhole(holes: int, verify: bool) -> list[dict]:
     t0 = time.perf_counter()
     verdict = check_proof(proof)
     check_s = time.perf_counter() - t0
+    hinted = verdict.stats["hinted"]
+    learned = solver.stats["learned"]
     if verify:
         assert verdict.ok, verdict.error
+        assert hinted == learned, f"{hinted} of {learned} learned clauses verified by hints"
     counts = proof.counts()
     shape = {
         "steps": len(proof),
@@ -141,6 +147,8 @@ def run_pigeonhole(holes: int, verify: bool) -> list[dict]:
             "workload": "pigeonhole_check",
             "n": holes,
             "answer": "certified" if verdict.ok else "REJECTED",
+            "hinted": hinted,
+            "learned": learned,
             "checker": verdict.stats,
             "seconds": {"check": round(check_s, 6)},
         },

@@ -8,12 +8,16 @@ every live assertion; this package closes the asymmetry for ``unsat``:
   provenance), learned clauses as RUP additions, deletions, and a
   concluding clause per ``unsat`` answer (the empty clause, or the
   negation of the failed-assumption core when the check ran under
-  assumptions).
+  assumptions).  Clauses are numbered by position, and each learned
+  clause carries *hints*: the ids of the clauses its conflict analysis
+  used, in the order they become unit (LRAT-style, after Cruz-Filipe,
+  Heule, Hunt, Kaufmann and Schneider-Kamp, CADE 2017).
 * :mod:`repro.proof.checker` — an **independent** forward RUP/DRAT
   checker that shares no code with the solver's propagation loop: it
-  replays the proof with its own counting-based unit propagation and
-  accepts only when every RUP addition is derivable and the conclusion
-  follows.
+  verifies a hinted step by walking its hints, with no search, and
+  rejects the step if a hint is wrong; a step without hints is checked
+  by its own counting-based unit propagation.  It accepts only when
+  every RUP addition is derivable and the conclusion follows.
 
 The trusted base mirrors the SAT-competition convention: input clauses
 (the Tseitin encoding of the simplified assertions) are axioms, and
@@ -21,7 +25,8 @@ theory lemmas are axioms *recorded with provenance* — each lemma step
 names the plugin whose explanation produced it, so the lemma surface is
 auditable even though the checker does not re-derive theory reasoning.
 Everything else — every learned clause and the final conclusion — must
-pass reverse-unit-propagation over the accumulated formula.
+pass reverse-unit-propagation over the accumulated formula.  Hints are
+not part of the trusted base: they only tell the checker where to look.
 """
 
 from .checker import ProofCheckResult, check_proof

@@ -20,6 +20,25 @@ integer literals, in the order the solver produced them:
   checker deactivates it, so later RUP steps cannot lean on clauses the
   solver no longer had.
 
+**Ids by position.**  ``input``, ``lemma`` and ``rup`` steps each add a
+clause, and a clause's *proof id* is its position among those steps,
+counted from 0 (``delete`` steps take no id).  The id is the checker's
+clause index, so neither side has to store it: the ``log_*`` methods of
+:class:`ProofLog` return it, and the checker numbers clauses as it adds
+them.
+
+**Hints.**  A ``rup`` step may carry ``hints``, the ids of the clauses
+the solver's conflict analysis used to derive it, in the order they
+become unit once every literal of the clause is assumed false: the
+reasons of the literals minimization removed, the reasons resolved on,
+and last the conflicting clause, which is then falsified.  Literals
+fixed at decision level 0 are not hinted; the checker holds them as
+top-level units.  Hints are a claim, not a trusted fact: the checker
+walks them and rejects the step if any is wrong.  ``hints=None`` (the
+concluding steps, and every step of a hand-built proof or of
+:class:`repro.sat.reference.ReferenceSolver`) leaves the checker to find
+the derivation by search.
+
 One :class:`ProofLog` lives for the whole life of a solver — the engine
 is incremental, and a later check's learned clauses may depend on
 earlier checks' derivations — and :meth:`ProofLog.snapshot` freezes the
@@ -39,21 +58,25 @@ RUP = "rup"
 DELETE = "delete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
     """One proof event: a clause plus how it entered (or left) the formula.
 
     ``source`` carries provenance for ``lemma`` steps (the theory plugin
     that produced the explanation) and, occasionally, for ``input`` steps
     the engine wants to annotate (e.g. an assertion that simplified to
-    ``false``)."""
+    ``false``).  ``hints`` are the antecedent ids of a ``rup`` step (see
+    the module docstring), ``None`` when the step carries none."""
 
     kind: str
     lits: tuple[int, ...]
     source: Optional[str] = None
+    hints: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lits", tuple(int(lit) for lit in self.lits))
+        object.__setattr__(self, "lits", tuple(map(int, self.lits)))
+        if self.hints is not None:
+            object.__setattr__(self, "hints", tuple(self.hints))
 
 
 @dataclass(frozen=True)
@@ -117,7 +140,8 @@ class ProofLog:
     """The append-only log a :class:`~repro.sat.Solver` writes into.
 
     ``stats`` mirrors the step counts as plain counters so the engine can
-    absorb them into its metrics registry (``proof.inputs`` ...).
+    absorb them into its metrics registry (``proof.inputs`` ...).  The
+    methods that add a clause return its proof id.
     """
 
     steps: list[ProofStep] = field(default_factory=list)
@@ -131,24 +155,37 @@ class ProofLog:
         }
     )
 
+    #: The proof id the next ``input``, ``lemma`` or ``rup`` step gets.
+    _next_id: int = field(default=0, init=False, repr=False)
+
     def __len__(self) -> int:
         return len(self.steps)
 
-    def log_input(self, lits: Iterable[int], source: Optional[str] = None) -> None:
+    def log_input(self, lits: Iterable[int], source: Optional[str] = None) -> int:
         self.steps.append(ProofStep(INPUT, tuple(lits), source))
         self.stats["inputs"] += 1
+        return self._take_id()
 
-    def log_lemma(self, lits: Iterable[int], source: Optional[str] = None) -> None:
+    def log_lemma(self, lits: Iterable[int], source: Optional[str] = None) -> int:
         self.steps.append(ProofStep(LEMMA, tuple(lits), source))
         self.stats["lemmas"] += 1
+        return self._take_id()
 
-    def log_rup(self, lits: Iterable[int]) -> None:
-        self.steps.append(ProofStep(RUP, tuple(lits)))
+    def log_rup(
+        self, lits: Iterable[int], hints: Optional[tuple[int, ...]] = None
+    ) -> int:
+        self.steps.append(ProofStep(RUP, tuple(lits), None, hints))
         self.stats["rup_steps"] += 1
+        return self._take_id()
 
     def log_delete(self, lits: Iterable[int]) -> None:
         self.steps.append(ProofStep(DELETE, tuple(lits)))
         self.stats["deletions"] += 1
+
+    def _take_id(self) -> int:
+        ident = self._next_id
+        self._next_id = ident + 1
+        return ident
 
     def snapshot(self, conclusion: Iterable[int] = ()) -> Proof:
         """Freeze the current prefix into a :class:`Proof` claiming

@@ -269,14 +269,7 @@ class Solver:
         #: keeps the search loop free of instrumentation beyond one
         #: ``is None`` test per emission site.
         self.events: Optional["EventLog"] = None
-        #: Optional clause-proof log (:class:`repro.proof.ProofLog`).
-        #: When attached *before any clause is added*, the solver records
-        #: every input clause, theory lemma (with provenance), learned
-        #: clause, deletion, and — at each ``unsat`` return — a concluding
-        #: RUP step (the empty clause, or the negated failed-assumption
-        #: core), so ``proof.snapshot(...)`` is independently checkable by
-        #: :func:`repro.proof.check_proof`.
-        self.proof: Optional["ProofLog"] = None
+        self.proof = None  # no log; the property also sets the id map
         #: Why the last :meth:`solve` returned :data:`UNKNOWN` —
         #: ``"conflict-limit"``, ``"timeout"`` or ``"cancelled"``;
         #: ``None`` after a definitive answer.
@@ -300,6 +293,32 @@ class Solver:
         }
         if num_vars:
             self.ensure_vars(num_vars)
+
+    # -- proof logging ------------------------------------------------------
+
+    @property
+    def proof(self) -> Optional["ProofLog"]:
+        """Optional clause-proof log (:class:`repro.proof.ProofLog`).
+
+        When attached *before any clause is added*, the solver records
+        every input clause, theory lemma (with provenance), learned clause
+        with its hints (the proof ids of the clauses its conflict analysis
+        used), deletion, and — at each ``unsat`` return — a concluding RUP
+        step (the empty clause, or the negated failed-assumption core), so
+        ``proof.snapshot(...)`` is independently checkable by
+        :func:`repro.proof.check_proof`.  While a log is attached the
+        solver maps each clause reference to its proof id; attaching or
+        detaching a log resets the map, and a learned clause whose
+        antecedents predate the log is logged without hints."""
+        return self._proof
+
+    @proof.setter
+    def proof(self, log: Optional["ProofLog"]) -> None:
+        self._proof = log
+        #: Clause ref → proof id, kept only while a log is attached: set
+        #: where clauses are allocated, dropped on deletion, remapped by
+        #: :meth:`_collect_garbage`.
+        self._proof_ids: Optional[dict[int, int]] = {} if log is not None else None
 
     # -- variables ----------------------------------------------------------
 
@@ -379,13 +398,17 @@ class Solver:
         base = ref + _HEADER_WORDS
         return tuple(arena[base : base + arena[ref]])
 
-    def _alloc(self, lits: list[int], learned: bool) -> int:
-        """Append a clause block to the arena; returns its reference."""
+    def _alloc(self, lits: list[int], learned: bool, proof_id: int) -> int:
+        """Append a clause block to the arena; returns its reference.
+        ``proof_id`` is the clause's id in the attached proof log, if
+        any."""
         arena = self._arena
         ref = len(arena)
         arena.append(len(lits))
         arena.append(_LEARNED_BIT if learned else 0)
         arena.extend(lits)
+        if self._proof_ids is not None:
+            self._proof_ids[ref] = proof_id
         return ref
 
     def watcher_refs(self, lit: int) -> list[int]:
@@ -426,13 +449,15 @@ class Solver:
         arena = self._arena
         problem = self._clauses
         watches, bwatches = self._watches, self._bwatches
-        proof = self.proof
+        proof = self._proof
+        ids = self._proof_ids
+        proof_id = -1
         for lits in batch:
             if proof is not None:
                 # Log the clause as shipped, before level-0 simplification:
                 # the checker holds the original plus every logged unit,
                 # which together subsume whatever simplified form attaches.
-                proof.log_input(lits)
+                proof_id = proof.log_input(lits)
             size = len(lits)
             if size == 1:
                 out = [lits[0]]
@@ -445,6 +470,8 @@ class Solver:
                     ref = len(arena)
                     arena.extend((2, 0, a, b))
                     problem.append(ref)
+                    if ids is not None:
+                        ids[ref] = proof_id
                     bwatches[a].append((ref, b))
                     bwatches[b].append((ref, a))
                     continue
@@ -464,6 +491,8 @@ class Solver:
                     ref = len(arena)
                     arena.extend((3, 0, a, b, c))
                     problem.append(ref)
+                    if ids is not None:
+                        ids[ref] = proof_id
                     watches[a].append((ref, b))
                     watches[b].append((ref, a))
                     continue
@@ -507,6 +536,8 @@ class Solver:
                     arena.append(0)
                     arena.extend(kept)
                     problem.append(ref)
+                    if ids is not None:
+                        ids[ref] = proof_id
                     first, second = kept[0], kept[1]
                     lists = bwatches if size == 2 else watches
                     lists[first].append((ref, second))
@@ -798,11 +829,23 @@ class Solver:
 
     # -- conflict analysis --------------------------------------------------
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+    def _analyze(
+        self, conflict: int
+    ) -> tuple[list[int], int, Optional[tuple[int, ...]]]:
         """First-UIP conflict analysis.  Returns the learnt (asserting)
         clause — asserting literal first, a highest-level literal second —
-        and the backtrack level."""
+        the backtrack level, and, while a proof log is attached, the
+        clause's hints (else ``None``).
+
+        The hints are the proof ids of the clauses that become unit, in
+        order, once every literal of the learnt clause is false: the
+        reasons of the literals minimization removed (each after those it
+        rests on), the reasons resolved on (in trail order), and last the
+        conflicting clause.  Level-0 literals take part in none of them:
+        the checker already holds them as top-level units."""
         learnt: list[int] = [0]
+        ids = self._proof_ids
+        resolved: list[int] = []  # reasons resolved on, latest first
         seen = self._seen
         levels = self._levels
         trail = self._trail
@@ -848,6 +891,8 @@ class Solver:
                 break
             reason = self._reasons[var]
             assert reason != NO_CLAUSE, "UIP literal must have a reason"
+            if ids is not None:
+                resolved.append(reason)
             if arena[reason + 1] & _LEARNED_BIT:
                 self._bump_clause(reason)
             reason_base = reason + _HEADER_WORDS
@@ -863,6 +908,7 @@ class Solver:
         # resolution step, so it stays RUP for the proof log.
         reasons = self._reasons
         kept = [learnt[0]]
+        minimized: list[int] = []
         for q in learnt[1:]:
             qvar = q if q > 0 else -q
             reason = reasons[qvar]
@@ -876,30 +922,74 @@ class Solver:
                         break
             if redundant:
                 self.stats["minimized"] += 1
+                if ids is not None:
+                    minimized.append(qvar)
             else:
                 kept.append(q)
         for q in learnt[1:]:
             seen[q if q > 0 else -q] = 0
         learnt = kept
 
+        hints: Optional[tuple[int, ...]] = None
+        if ids is not None:
+            refs = self._minimized_reasons(minimized) if minimized else []
+            refs.extend(reversed(resolved))
+            refs.append(conflict)
+            try:
+                hints = tuple(map(ids.__getitem__, refs))
+            except KeyError:
+                pass  # an antecedent predates the log: the checker searches
         if len(learnt) == 1:
-            return learnt, 0
+            return learnt, 0, hints
         max_i = 1
         for i in range(2, len(learnt)):
             if levels[abs(learnt[i])] > levels[abs(learnt[max_i])]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, levels[abs(learnt[1])]
+        return learnt, levels[abs(learnt[1])], hints
 
-    def _record(self, lits: list[int]) -> None:
+    def _minimized_reasons(self, minimized: list[int]) -> list[int]:
+        """The reasons of the minimized variables, each after the reasons
+        of the minimized variables its own reason mentions, so that every
+        one is unit when the checker reaches it.  Reasons only mention
+        earlier assignments, so the order exists; a depth-first walk finds
+        it without trail positions."""
+        reasons = self._reasons
+        arena = self._arena
+        pending = set(minimized)
+        order: list[int] = []
+        for root in minimized:
+            stack = [root]
+            while stack:
+                var = stack[-1]
+                if var not in pending:
+                    stack.pop()
+                    continue
+                reason = reasons[var]
+                base = reason + _HEADER_WORDS
+                before = [
+                    rvar
+                    for rvar in map(abs, arena[base : base + arena[reason]])
+                    if rvar != var and rvar in pending
+                ]
+                if before:
+                    stack.extend(before)
+                else:
+                    pending.discard(var)
+                    order.append(reason)
+                    stack.pop()
+        return order
+
+    def _record(self, lits: list[int], hints: Optional[tuple[int, ...]]) -> None:
         """Attach a learnt clause and assert its first literal."""
         self.stats["learned"] += 1
-        if self.proof is not None:
-            self.proof.log_rup(lits)
+        proof_id = -1
+        if self._proof is not None:
+            proof_id = self._proof.log_rup(lits, hints)
         if len(lits) == 1:
             self._assign(lits[0], NO_CLAUSE)
             return
-        ref = self._alloc(lits, learned=True)
+        ref = self._alloc(lits, learned=True, proof_id=proof_id)
         self._cla_activity[ref] = self._cla_inc
         self._learnts.append(ref)
         self._attach(ref)
@@ -939,8 +1029,8 @@ class Solver:
         """Log the concluding RUP step of an ``unsat`` answer: the empty
         clause, or the negation of the failed-assumption core (RUP because
         the core's reason-graph derivation is a unit-propagation chain)."""
-        if self.proof is not None:
-            self.proof.log_rup(tuple(-lit for lit in core))
+        if self._proof is not None:
+            self._proof.log_rup(tuple(-lit for lit in core))
 
     # -- theory lemmas ------------------------------------------------------
 
@@ -954,11 +1044,12 @@ class Solver:
         for lits in self.theory.on_check(self, final):
             self.stats["theory_lemmas"] += 1
             lemma = [int(lit) for lit in lits]
-            if self.proof is not None:
-                self.proof.log_lemma(lemma, getattr(lits, "source", None))
+            proof_id = -1
+            if self._proof is not None:
+                proof_id = self._proof.log_lemma(lemma, getattr(lits, "source", None))
             if self.events is not None:
                 self.events.emit("theory-lemma", size=len(lemma), final=final)
-            conflict = self._integrate_lemma(lemma)
+            conflict = self._integrate_lemma(lemma, proof_id)
             if self._unsat:
                 return NO_CLAUSE
             if conflict != NO_CLAUSE:
@@ -968,7 +1059,7 @@ class Solver:
                 return conflict
         return NO_CLAUSE
 
-    def _integrate_lemma(self, lits: list[int]) -> int:
+    def _integrate_lemma(self, lits: list[int], proof_id: int) -> int:
         """Attach a theory lemma mid-search, backjumping as needed.
 
         The lemma joins the problem clauses (theory lemmas are valid, so
@@ -1009,7 +1100,7 @@ class Solver:
         )
         non_false = [lit for lit in out if self._values[lit] != -1]
         if len(non_false) >= 2:
-            ref = self._alloc(non_false + false_lits, learned=False)
+            ref = self._alloc(non_false + false_lits, learned=False, proof_id=proof_id)
             self._clauses.append(ref)
             self._attach(ref)
             return NO_CLAUSE
@@ -1018,7 +1109,7 @@ class Solver:
             backjump = self._levels[abs(false_lits[0])]
             if not (self._values[unit] == 1 and self._levels[abs(unit)] <= backjump):
                 self._cancel_until(backjump)
-            ref = self._alloc([unit] + false_lits, learned=False)
+            ref = self._alloc([unit] + false_lits, learned=False, proof_id=proof_id)
             self._clauses.append(ref)
             self._attach(ref)
             if self._values[unit] == 0:
@@ -1030,7 +1121,7 @@ class Solver:
             self._unsat = True
             return NO_CLAUSE
         self._cancel_until(backjump)
-        ref = self._alloc(false_lits, learned=False)
+        ref = self._alloc(false_lits, learned=False, proof_id=proof_id)
         self._clauses.append(ref)
         self._attach(ref)
         return ref
@@ -1122,8 +1213,10 @@ class Solver:
     def _delete_clause(self, ref: int) -> None:
         """Detach a learned clause and mark its arena block as garbage."""
         self._detach(ref)
-        if self.proof is not None:
-            self.proof.log_delete(self.clause_lits(ref))
+        if self._proof is not None:
+            self._proof.log_delete(self.clause_lits(ref))
+        if self._proof_ids is not None:
+            self._proof_ids.pop(ref, None)
         self._arena[ref + 1] |= _DELETED_BIT
         self._garbage_words += self._arena[ref] + _HEADER_WORDS
         self._cla_activity.pop(ref, None)
@@ -1149,6 +1242,10 @@ class Solver:
             remap[ref]: activity for ref, activity in self._cla_activity.items()
         }
         self._reasons = [remap[ref] for ref in self._reasons]
+        if self._proof_ids is not None:
+            self._proof_ids = {
+                remap[ref]: proof_id for ref, proof_id in self._proof_ids.items()
+            }
         for watch_lists in (self._watches, self._bwatches):
             for watchers in watch_lists:
                 for i, entry in enumerate(watchers):
@@ -1267,7 +1364,7 @@ class Solver:
                     self._failed_assumptions = ()
                     self._proof_conclude(())
                     return UNSAT
-                learnt, backtrack_level = self._analyze(conflict)
+                learnt, backtrack_level, hints = self._analyze(conflict)
                 if self.events is not None:
                     # LBD (literal block distance): distinct decision levels
                     # in the learnt clause, read out before the backjump
@@ -1279,7 +1376,7 @@ class Solver:
                         "learn", size=len(learnt), lbd=lbd, backjump=backtrack_level
                     )
                 self._cancel_until(backtrack_level)
-                self._record(learnt)
+                self._record(learnt, hints)
                 self._var_inc *= self._var_decay_mult
                 self._cla_inc *= _CLA_DECAY
                 if conflict_limit is not None and conflicts >= conflict_limit:
