@@ -8,7 +8,7 @@ Three classic workload families, all deterministic:
 * ``random_3sat`` — uniform 3-SAT at the phase-transition ratio m/n = 4.26
   (fixed seeds): the classic mixed sat/unsat stress test.
 * ``xor_chain_sat`` / ``xor_chain_unsat`` — chained parity constraints
-  built as *terms* and lowered through ``to_nnf`` + Tseitin, so this family
+  built as *terms* and lowered by the Tseitin encoder, so this family
   measures the whole cnf pipeline, not just the solver.
 
 Per workload the harness reports CNF size (vars/clauses), the answer,
@@ -35,11 +35,9 @@ import json
 import os
 import random
 import sys
-import threading
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-sys.setrecursionlimit(1_000_000)
 
 from repro.obs import MetricsRegistry, Tracer, phase_seconds  # noqa: E402
 from repro.sat import Solver  # noqa: E402
@@ -49,7 +47,6 @@ from repro.smtlib import (  # noqa: E402
     Symbol,
     TseitinEncoder,
     bool_const,
-    to_nnf,
 )
 
 PHASE_TRANSITION_RATIO = 4.26
@@ -94,7 +91,7 @@ def random_3sat_clauses(num_vars: int, seed: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Term-level generators (exercise to_nnf + Tseitin).
+# Term-level generators (exercise the Tseitin encoder).
 # ---------------------------------------------------------------------------
 
 
@@ -158,7 +155,7 @@ def run_term_workload(name: str, n: int, assertions, expected, verify):
     with tracer.span("encode"):
         encoder = TseitinEncoder()
         for term in assertions:
-            encoder.assert_term(to_nnf(term))
+            encoder.assert_term(term)
         formula = encoder.formula
         solver = Solver(formula.num_vars)
         solver.add_clauses(formula.clauses)
@@ -305,14 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         args.mode = "smoke"
-    # Deep xor chains recurse through to_nnf/Tseitin; run in a worker
-    # thread with a large stack, mirroring bench_simplify.
-    outcome: list = []
-    threading.stack_size(512 * 1024 * 1024)
-    worker = threading.Thread(target=lambda: outcome.append(_run(args)))
-    worker.start()
-    worker.join()
-    return outcome[0] if outcome else 1
+    return _run(args)
 
 
 if __name__ == "__main__":

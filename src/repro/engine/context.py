@@ -32,8 +32,8 @@ Preparation is the only walk between an asserted term and the encoder:
      sees binary equality atoms.  Boolean ``=``/``distinct`` are CNF
      connectives and stay as-is.
   2. A binary ``=`` whose difference is linear over Int/Real symbols
-     becomes ``(and (<= a b) (>= a b))`` (NNF turns its negation into a
-     disjunction of strict inequalities, so the SAT core case-splits
+     becomes ``(and (<= a b) (>= a b))`` (its negation is a disjunction
+     of strict inequalities, so the SAT core case-splits
      disequalities for the convex simplex; other equalities are left
      for EUF), and a chained comparison ``(< a b c)`` becomes the
      conjunction of its adjacent binary pairs.  Every binary equality

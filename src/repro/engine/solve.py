@@ -96,7 +96,6 @@ from ..smtlib.script import (
     SetInfo,
     SetOption,
 )
-from ..smtlib.simplify import to_nnf
 from ..smtlib.sorts import BOOL, Sort, is_bitvec
 from ..smtlib.terms import (
     FALSE,
@@ -533,18 +532,21 @@ class Engine:
         ``engine.encoded_assertions``, ``engine.tseitin_new_vars`` and
         ``engine.tseitin_new_clauses``.
 
-        Only the boolean skeleton of an assertion is Tseitin-encoded: its
-        bit-vector atoms are lowered first (inside the ``blast`` span),
-        each bound to its circuit literal in the encoder memo, and stay
-        out of ``frame.atom_lists``.  Each assertion contributes its
+        Each assertion is encoded by one encoder walk
+        (:meth:`~repro.smtlib.cnf.TseitinEncoder.clausify`), which returns
+        its root clauses and its theory atoms for ``frame.atom_lists``.
+        Only the boolean skeleton is Tseitin-encoded: the walk hands each
+        atom to :meth:`~repro.theory.bv.BvBlaster.lower`, which binds a
+        bit-vector atom to its circuit literal in the encoder memo, so it
+        stays out of ``frame.atom_lists``.  Each assertion contributes its
         drained gate clauses (circuit and Tseitin gates) and its root
-        clauses (see :meth:`~repro.smtlib.cnf.TseitinEncoder.root_clauses`);
-        the whole check ships in one :meth:`~repro.sat.Solver.add_clauses`
-        batch.  The base frame can never be popped, so it gets no
-        selector: its unnamed assertions ship their root clauses bare, as
-        permanent facts.  A pushed frame's root clauses carry ``¬sel`` and
-        a named assertion's carry its own ``¬named_sel``;
-        ``engine.guard_clauses`` counts those guarded root clauses.  ``tseitin_new_clauses`` counts only the
+        clauses; the whole check ships in one
+        :meth:`~repro.sat.Solver.add_clauses` batch.  The base frame can
+        never be popped, so it gets no selector: its unnamed assertions
+        ship their root clauses bare, as permanent facts.  A pushed
+        frame's root clauses carry ``¬sel`` and a named assertion's carry
+        its own ``¬named_sel``; ``engine.guard_clauses`` counts those
+        guarded root clauses.  ``tseitin_new_clauses`` counts only the
         drained gate clauses.
         """
         vars_before = self._encoder.formula.num_vars
@@ -561,10 +563,7 @@ class Engine:
                     # _check_sat before the solver ever runs.
                     frame.atom_lists.append(())
                     continue
-                nnf = to_nnf(term)
-                with trace_span("blast", merge=True):
-                    atoms = self._bv.lower_skeleton(nnf)
-                roots = self._encoder.root_clauses(nnf)
+                roots, atoms = self._encoder.clausify(term, self._bv.lower)
                 frame.atom_lists.append(tuple(atoms))
                 self._encoded_assertions += 1
                 gates = self._drain_clauses()
@@ -600,9 +599,10 @@ class Engine:
         """The literal of an atom a theory lemma introduced mid-search.
         Lemma atoms are always leaves (equalities, predicate
         applications): one the engine has not seen allocates a variable
-        and no gate clauses; the assertion guards that invariant.  A
-        lowered bit-vector atom never gets here: it is already bound to
-        its circuit literal."""
+        and no gate clauses; the assertion guards that invariant.  So
+        the walk gets no lowering hook: a bit-vector equality between
+        array indices stays a plain variable, and an atom an assertion
+        lowered keeps its bound circuit literal."""
         lit = self._encoder.encode(atom)
         gates = self._drain_clauses()
         assert not gates, "theory lemmas must range over atomic literals"

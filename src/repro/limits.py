@@ -1,9 +1,11 @@
 """Process-level resource guards shared by every entry point.
 
-The term pipeline (parse → typecheck → prepare → NNF → Tseitin) is
-recursive over term depth, and generated scripts nest deeply — a 4000-long
-xor chain recurses tens of thousands of frames through ``to_nnf``.  The
-CLI used to band-aid this with ``sys.setrecursionlimit(1_000_000)``, which
+Most of the term pipeline — the parser's term interpretation, engine
+preparation and the simplifier, the evaluator, the printer — is recursive
+over term depth, and generated scripts nest deeply: the parser recurses
+at least once per level of a ``(not … (not p))`` chain.  (The CNF encoder
+does not recurse: its walks run on explicit stacks.)  The CLI used to
+band-aid this with ``sys.setrecursionlimit(1_000_000)``, which
 left library callers (and portfolio worker processes) to crash with
 ``RecursionError`` on the very same scripts, while a million frames is
 deep enough to exhaust the C stack and hard-crash CPython outright on

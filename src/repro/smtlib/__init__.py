@@ -15,12 +15,12 @@ This module re-exports the surface the engine, the CLI and the benchmarks
 program against.
 """
 
-from .cnf import CnfFormula, TseitinEncoder, is_connective, skeleton_atoms, tseitin
+from .cnf import CnfFormula, TseitinEncoder, is_connective, tseitin
 from .evaluate import FunctionInterpretation, evaluate, evaluate_value, fold_apply
 from .lexer import RESERVED_WORDS, Token, TokenKind, is_simple_symbol, position, tokenize
 from .linarith import LinearForm, difference_form, linear_form
 from .parser import parse_script, parse_sort, parse_term
-from .simplify import simplify, simplify_script, to_nnf
+from .simplify import simplify, simplify_script
 from .printer import (
     command_to_smtlib,
     constant_to_smtlib,
@@ -177,13 +177,11 @@ __all__ = [
     # simplify
     "simplify",
     "simplify_script",
-    "to_nnf",
     # cnf
     "CnfFormula",
     "TseitinEncoder",
     "tseitin",
     "is_connective",
-    "skeleton_atoms",
     # evaluate
     "evaluate",
     "evaluate_value",

@@ -7,7 +7,8 @@ a quantified subterm — gets a propositional variable, and every internal
 connective node gets an *auxiliary* variable constrained to be equivalent
 to the connective applied to its children's literals (the full,
 both-direction Tseitin encoding, so the result does not depend on the
-polarity at which a node occurs).
+polarity at which a node occurs: ``not`` is a sign flip, ``=>`` encodes
+as its ``or`` form).
 
 Two invariants the rest of the solving layer builds on:
 
@@ -18,35 +19,59 @@ Two invariants the rest of the solving layer builds on:
   of the clauses.  The encoding is linear: O(1) clauses per connective
   node, never the exponential distribution-based CNF.
 * **Shared nodes share variables** — terms are hash-consed, and the
-  encoder memoizes node → literal, so a subterm shared by many parents is
-  encoded once and contributes one auxiliary variable no matter how often
-  it occurs.  Feeding the encoder :func:`repro.smtlib.simplify.to_nnf`
-  output keeps this sharp: NNF re-shares negations instead of duplicating
-  DAG nodes.
+  encoder memoizes node → literal for its whole life, so a subterm shared
+  by many parents or assertions is encoded once and contributes one
+  auxiliary variable no matter how often, or under which polarity, it
+  occurs.
 
-The encoder accepts any boolean skeleton, NNF or not (``not`` simply flips
-the child literal and ``=>`` encodes as its ``or`` form).
+An assertion is encoded by one walk, :meth:`TseitinEncoder.clausify`,
+which returns its *root clauses* and its *theory atoms*.  At the root the
+walk tracks polarity: ``not`` flips it; ``and``, a negated ``or`` and a
+negated ``=>`` split into conjuncts; an ``or``, a negated ``and`` and an
+``=>`` become one clause over their children's literals; a boolean ``=``
+or a negated binary ``distinct`` becomes two implication clauses per
+adjacent pair of arguments, and a negated boolean ``=`` one clause over
+its adjacent pairs' negated equalities; anything else becomes the unit
+clause of its signed literal.  Only the structure *below* those clauses
+gets auxiliary variables, so a script that is already CNF reaches the
+SAT core as exactly its own clauses.
 
-An asserted *root* is clausified rather than Tseitin-encoded
-(:meth:`TseitinEncoder.root_clauses`): a root ``and`` splits into its
-distinct conjuncts, an ``or`` conjunct ships as one clause over its
-children's literals, a binary boolean ``=`` as its two implication
-clauses, and anything else as the unit clause of its literal.  Only the
-structure *below* those clauses gets auxiliary variables, so a script
-that is already CNF reaches the SAT core as exactly its own clauses.
+Below the root, one post-order pass gives every node its literal.  It
+reports each atom once per walk, in first-occurrence order, also below
+nodes an earlier walk encoded, and first hands it to the walk's optional
+:data:`Lowering` hook: the engine's bit-blaster binds a bit-vector atom
+to its circuit literal there and answers the theory atoms the circuit
+left (those inside a bit-vector ``ite`` condition), which are reported
+in the atom's place.  ``true``/``false`` are not atoms.  Neither the root
+walk nor the pass below it recurses: both run on explicit stacks, so a
+skeleton's depth is bounded by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 from .sorts import BOOL
-from .terms import FALSE, TRUE, Apply, Constant, Term
+from .terms import FALSE, TRUE, Apply, Term
 
 #: Connective operators the encoder interprets structurally; every other
 #: boolean term is an atom.  ``=``/``distinct`` count only when their
 #: arguments are boolean, ``ite`` only when its result is.
 CONNECTIVES = frozenset({"not", "and", "or", "xor", "=>", "=", "distinct", "ite"})
+
+Clause = tuple[int, ...]
+
+#: The lowering hook of a walk, called once per walk on each atom before
+#: the atom gets a literal.  It returns None to keep the atom a theory
+#: atom, or — having bound the atom's literal with
+#: :meth:`TseitinEncoder.bind` — the theory atoms to report in its place.
+Lowering = Callable[[Term], Optional[Sequence[Term]]]
+
+#: Stack marker of the post-order pass: the node below it has its
+#: children's literals and gets its own.
+_EXIT = object()
 
 
 def is_connective(term: Term) -> bool:
@@ -59,29 +84,6 @@ def is_connective(term: Term) -> bool:
     return True
 
 
-def skeleton_atoms(term: Term) -> list[Term]:
-    """The atoms of ``term``'s boolean skeleton, in first-occurrence order.
-
-    Descends through connectives only; each distinct atom is reported once
-    (hash-consing makes the dedup an identity check).  ``true``/``false``
-    are not reported — they denote no model choice, and matching
-    :attr:`CnfFormula.atom_vars` never assigns them a variable either.
-    """
-    atoms: list[Term] = []
-    seen: set[Term] = set()
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if is_connective(node):
-            stack.extend(reversed(node.children()))
-        elif node is not TRUE and node is not FALSE:
-            atoms.append(node)
-    return atoms
-
-
 @dataclass
 class CnfFormula:
     """The output of Tseitin encoding.
@@ -92,7 +94,7 @@ class CnfFormula:
     """
 
     num_vars: int = 0
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
+    clauses: list[Clause] = field(default_factory=list)
     atom_vars: dict[Term, int] = field(default_factory=dict)
 
     @property
@@ -106,9 +108,9 @@ class CnfFormula:
 
 
 class TseitinEncoder:
-    """Stateful encoder; feed it terms with :meth:`assert_term` (or get a
-    term's literal with :meth:`encode`, its root clauses with
-    :meth:`root_clauses`) and read the result via :attr:`formula`.
+    """Stateful encoder; feed it terms with :meth:`assert_term` (or get an
+    assertion's root clauses and atoms with :meth:`clausify`, a term's
+    literal with :meth:`encode`) and read the result via :attr:`formula`.
     Asserting several terms encodes their conjunction."""
 
     def __init__(self) -> None:
@@ -120,42 +122,87 @@ class TseitinEncoder:
 
     def assert_term(self, term: Term) -> None:
         """Constrain ``term`` to hold: add its root clauses."""
-        self.formula.clauses.extend(self.root_clauses(term))
+        self.formula.clauses.extend(self.clausify(term)[0])
 
-    def root_clauses(self, term: Term) -> list[tuple[int, ...]]:
-        """Clauses whose conjunction is equivalent to ``term`` over the
-        literals of its root's children.
+    def clausify(
+        self, term: Term, lower: Optional[Lowering] = None
+    ) -> tuple[list[Clause], list[Term]]:
+        """The root clauses of ``term`` and its theory atoms, in one walk.
 
-        The root ``and`` (nested ``and``s included) splits into its
-        distinct conjuncts; an ``or`` conjunct is one clause over its
-        children's literals, a binary boolean ``=`` the two clauses
-        ``(¬a ∨ b)``, ``(a ∨ ¬b)``, and any other conjunct the unit clause
-        of its literal.  Gate clauses for the children go to
+        The clauses' conjunction is equivalent to ``term`` over the
+        literals of the root's children (the shapes are in the module
+        docstring).  Gate clauses for the nodes below go to
         :attr:`formula` as usual; the returned clauses do not, so the
-        caller can guard them.  The flatten walks each hash-consed node
-        once, so a shared ``and`` DAG costs its size, not its paths.
+        caller can guard them.  The atoms come in first-occurrence order,
+        each once, after ``lower``.  The root walk visits each hash-consed
+        node once per polarity, so a shared ``and`` DAG costs its size,
+        not its paths.
         """
-        clauses: list[tuple[int, ...]] = []
+        if term.sort != BOOL:
+            raise ValueError(f"cannot CNF-encode a term of sort {term.sort}")
+        clauses: list[Clause] = []
+        atoms: list[Term] = []
         seen: set[Term] = set()
-        stack = [term]
+        walk = self._walk
+        # Root nodes already clausified, under negative and positive polarity.
+        done: tuple[set[Term], set[Term]] = (set(), set())
+        op: Optional[str]
+        args: tuple[Term, ...]
+        stack = [(term, True)]
         while stack:
-            node = stack.pop()
-            if node in seen:
+            node, positive = stack.pop()
+            op, args = (node.op, node.args) if isinstance(node, Apply) else (None, ())
+            if op == "not":
+                stack.append((args[0], not positive))
                 continue
-            seen.add(node)
-            if not isinstance(node, Apply):
-                clauses.append((self.encode(node),))
-            elif node.op == "and":
-                stack.extend(reversed(node.args))
-            elif node.op == "or":
-                clauses.append(tuple([self.encode(arg) for arg in node.args]))
-            elif node.op == "=" and len(node.args) == 2 and node.args[0].sort == BOOL:
-                a, b = self.encode(node.args[0]), self.encode(node.args[1])
-                clauses.append((-a, b))
-                clauses.append((a, -b))
+            visited = done[positive]
+            if node in visited:
+                continue
+            visited.add(node)
+            if op == ("and" if positive else "or"):
+                stack.extend([(arg, positive) for arg in reversed(args)])
+            elif op == "=>" and not positive:
+                stack.append((args[-1], False))
+                stack.extend([(arg, True) for arg in reversed(args[:-1])])
+            elif op == ("or" if positive else "and"):
+                if positive:
+                    clauses.append(tuple([walk(arg, lower, atoms, seen) for arg in args]))
+                else:
+                    clauses.append(tuple([-walk(arg, lower, atoms, seen) for arg in args]))
+            elif op == "=>":
+                lits = [-walk(arg, lower, atoms, seen) for arg in args]
+                lits[-1] = -lits[-1]
+                clauses.append(tuple(lits))
+            elif (op == "=" if positive else op == "distinct" and len(args) == 2) and is_connective(node):
+                lits = [walk(arg, lower, atoms, seen) for arg in args]
+                for a, b in zip(lits, lits[1:]):
+                    clauses.append((-a, b))
+                    clauses.append((a, -b))
+            elif op == "=" and is_connective(node):
+                # Negated: some adjacent pair differs.
+                pairs = [Apply("=", pair, BOOL) for pair in zip(args, args[1:])]
+                clauses.append(tuple([-walk(pair, lower, atoms, seen) for pair in pairs]))
             else:
-                clauses.append((self.encode(node),))
-        return clauses
+                lit = walk(node, lower, atoms, seen)
+                clauses.append((lit if positive else -lit,))
+        return clauses, atoms
+
+    def encode(
+        self,
+        term: Term,
+        lower: Optional[Lowering] = None,
+        atoms: Optional[list[Term]] = None,
+    ) -> int:
+        """The literal equivalent to ``term`` (memoized per DAG node).
+
+        The walk hands each atom below ``term`` to ``lower`` first, as
+        :meth:`clausify` does, and appends the theory atoms to ``atoms``
+        when a list is given.  Without ``lower`` no atom is lowered: an
+        atom gets a plain variable unless one is already bound to it.
+        """
+        if term.sort != BOOL:
+            raise ValueError(f"cannot CNF-encode a term of sort {term.sort}")
+        return self._walk(term, lower, [] if atoms is None else atoms, set())
 
     def new_var(self) -> int:
         """Allocate a fresh non-atom variable in the encoder's space.
@@ -179,25 +226,64 @@ class TseitinEncoder:
         return self._literals
 
     def bind(self, term: Term, literal: int) -> None:
-        """Make ``literal`` the encoding of ``term``, so every later
-        :meth:`encode` of it returns that literal.  A term already encoded
-        under another literal is tied to it by two equivalence clauses."""
+        """Make ``literal`` the encoding of ``term``, so every later walk
+        reaching it uses that literal.  A term already encoded under
+        another literal is tied to it by two equivalence clauses."""
         current = self._literals.get(term)
         if current is None:
             self._literals[term] = literal
         elif current != literal:
             self.formula.clauses.extend(((-current, literal), (current, -literal)))
 
-    def encode(self, term: Term) -> int:
-        """The literal equivalent to ``term`` (memoized per DAG node)."""
-        if term.sort != BOOL:
-            raise ValueError(f"cannot CNF-encode a term of sort {term.sort}")
-        cached = self._literals.get(term)
-        if cached is not None:
-            return cached
-        literal = self._encode_node(term)
-        self._literals[term] = literal
-        return literal
+    # -- the walk below the root ---------------------------------------------
+
+    def _walk(
+        self, term: Term, lower: Optional[Lowering], atoms: list[Term], seen: set[Term]
+    ) -> int:
+        """The literal of ``term``, by a post-order pass over an explicit
+        stack.  ``seen`` holds the nodes this walk has finished (their
+        atoms are in ``atoms``); a node the memo already knows is still
+        descended once per walk, for its atoms, but gets no new gate."""
+        literals = self._literals
+        if term in seen:
+            return literals[term]
+        stack: list = [term]
+        while stack:
+            node = stack.pop()
+            if node is _EXIT:
+                node = stack.pop()
+                seen.add(node)
+                if node not in literals:
+                    literals[node] = self._gate(node)
+            elif node in seen:
+                continue
+            elif is_connective(node):
+                stack.append(node)
+                stack.append(_EXIT)
+                args = node.args
+                if node.op != "distinct" or len(args) <= 2:
+                    stack.extend([arg for arg in reversed(args) if arg not in seen])
+            else:
+                seen.add(node)
+                self._leaf(node, lower, atoms)
+        return literals[term]
+
+    def _leaf(self, term: Term, lower: Optional[Lowering], atoms: list[Term]) -> None:
+        """Give a non-connective its literal (the hook's binding, an
+        earlier one, or a fresh atom variable) and report its atoms."""
+        literals = self._literals
+        if term is TRUE or term is FALSE:
+            if term not in literals:
+                true = self.true_literal()
+                literals[term] = true if term is TRUE else -true
+            return
+        inner = None if lower is None else lower(term)
+        if term not in literals:
+            literals[term] = self._atom(term)
+        if inner is None:
+            atoms.append(term)
+        else:
+            atoms.extend(inner)
 
     # -- gates --------------------------------------------------------------
 
@@ -210,20 +296,16 @@ class TseitinEncoder:
         self.formula.atom_vars[term] = var
         return var
 
-    def _encode_node(self, term: Term) -> int:
-        if isinstance(term, Constant):
-            if term is TRUE:
-                return self.true_literal()
-            if term is FALSE:
-                return -self.true_literal()
-            return self._atom(term)  # qualified boolean constant: opaque
-        if not is_connective(term):
-            return self._atom(term)
-        assert isinstance(term, Apply)
+    def _gate(self, term: Apply) -> int:
+        """The literal of a connective whose children all have literals."""
         op = term.op
+        literals = self._literals
         if op == "not":
-            return -self.encode(term.args[0])
-        lits = [self.encode(arg) for arg in term.args]
+            return -literals[term.args[0]]
+        if op == "distinct" and len(term.args) > 2:
+            # No three booleans are pairwise distinct.
+            return -self.true_literal()
+        lits = [literals[arg] for arg in term.args]
         if op == "and":
             return self._and_gate(lits)
         if op == "or":
@@ -238,9 +320,6 @@ class TseitinEncoder:
             pairs = [self._iff_gate(a, b) for a, b in zip(lits, lits[1:])]
             return self._and_gate(pairs)
         if op == "distinct":
-            if len(lits) > 2:
-                # No three booleans are pairwise distinct.
-                return -self.true_literal()
             return self._xor_gate(lits[0], lits[1])
         if op == "ite":
             return self._ite_gate(lits[0], lits[1], lits[2])
@@ -312,8 +391,8 @@ def tseitin(term: Term) -> CnfFormula:
 __all__ = [
     "CONNECTIVES",
     "CnfFormula",
+    "Lowering",
     "TseitinEncoder",
     "tseitin",
     "is_connective",
-    "skeleton_atoms",
 ]

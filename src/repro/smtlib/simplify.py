@@ -62,7 +62,6 @@ from .terms import (
     Symbol,
     Term,
     bool_const,
-    negate,
     substitute,
 )
 
@@ -649,130 +648,4 @@ _RULES: dict[str, Callable[[Apply], Term]] = {
 _RULES.update({op: _rule_compare for op in _REFLEXIVE_COMPARE})
 
 
-# ---------------------------------------------------------------------------
-# Negation normal form.
-# ---------------------------------------------------------------------------
-
-_DUAL_QUANTIFIER = {"forall": "exists", "exists": "forall"}
-
-
-def to_nnf(term: Term) -> Term:
-    """Negation normal form: push ``not`` down to the atoms of a boolean
-    skeleton, tracking polarity.
-
-    After the pass, ``not`` appears only directly above *atoms* (boolean
-    symbols, theory applications, quantified subterms).  ``and``/``or`` are
-    dualised by De Morgan, ``=>`` expands to its ``or`` form, and the
-    parity-style connectives absorb negation into themselves instead of
-    expanding: a negated ``xor`` flips the polarity of its last argument, a
-    negated boolean ``=`` (iff) becomes ``xor`` (and vice versa for boolean
-    ``distinct``), and a negated ``ite`` negates both branches.  Quantifiers
-    dualise (``not forall`` → ``exists not``); ``let`` pushes the negation
-    into the body only, leaving bound values untouched (their occurrences'
-    polarity is not determined by the binder).
-
-    The rewrite is memoized per ``(node, polarity)`` pair over the
-    hash-consed DAG, so a subterm shared by many parents is converted once
-    per polarity and the result is again a maximally shared DAG — the
-    Tseitin encoder relies on this to give shared subterms one auxiliary
-    variable.  Sort-preserving; semantics-preserving for every ``Bool``
-    term (non-boolean subterms are never entered).
-    """
-    if term.sort != BOOL:
-        raise ValueError(f"to_nnf expects a Bool term, got sort {term.sort}")
-    return _nnf(term, True, {})
-
-
-def _nnf(term: Term, positive: bool, memo: dict[tuple[Term, bool], Term]) -> Term:
-    key = (term, positive)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = _nnf_node(term, positive, memo)
-    memo[key] = result
-    return result
-
-
-def _nnf_node(term: Term, positive: bool, memo: dict[tuple[Term, bool], Term]) -> Term:
-    if isinstance(term, Constant):
-        if term is TRUE or term is FALSE:
-            return term if positive else negate(term)
-        return term if positive else Apply("not", (term,), BOOL)
-    if isinstance(term, Symbol):
-        return term if positive else Apply("not", (term,), BOOL)
-    if isinstance(term, Quantifier):
-        kind = term.kind if positive else _DUAL_QUANTIFIER[term.kind]
-        body = _nnf(term.body, positive, memo)
-        if body is term.body and kind == term.kind:
-            return term
-        return Quantifier(kind, term.bindings, body)
-    if isinstance(term, Let):
-        body = _nnf(term.body, positive, memo)
-        if body is term.body:
-            return term
-        return Let(term.bindings, body)
-    if isinstance(term, Apply):
-        op = term.op
-        args = term.args
-        if op == "not":
-            return _nnf(args[0], not positive, memo)
-        if op in ("and", "or"):
-            if not positive:
-                op = "or" if op == "and" else "and"
-            rewritten = []
-            for arg in args:
-                rewritten.append(_nnf(arg, positive, memo))
-            new_args = tuple(rewritten)
-            if positive and new_args == args:
-                return term
-            return Apply(op, new_args, BOOL)
-        if op == "=>":
-            # (=> a1 ... an b) == (or (not a1) ... (not an) b); the negation
-            # is the dual conjunction.
-            premises = tuple(_nnf(a, not positive, memo) for a in args[:-1])
-            conclusion = _nnf(args[-1], positive, memo)
-            return Apply("or" if positive else "and", premises + (conclusion,), BOOL)
-        if op == "xor":
-            # Negating a parity constraint flips the polarity of exactly one
-            # argument; the last is as good as any.
-            head = tuple(_nnf(a, True, memo) for a in args[:-1])
-            tail = _nnf(args[-1], positive, memo)
-            new_args = head + (tail,)
-            if positive and new_args == args:
-                return term
-            return Apply("xor", new_args, BOOL)
-        if op == "=" and args and args[0].sort == BOOL:
-            return _nnf_iff(term, positive, memo)
-        if op == "distinct" and args and args[0].sort == BOOL:
-            if len(args) > 2:
-                # No three booleans are pairwise distinct.
-                return FALSE if positive else TRUE
-            pair = tuple(_nnf(a, True, memo) for a in args)
-            return Apply("xor" if positive else "=", pair, BOOL)
-        if op == "ite" and term.sort == BOOL:
-            condition = _nnf(args[0], True, memo)
-            then = _nnf(args[1], positive, memo)
-            other = _nnf(args[2], positive, memo)
-            new_args = (condition, then, other)
-            if positive and new_args == args:
-                return term
-            return Apply("ite", new_args, BOOL)
-        # Theory atom (comparison, uninterpreted application ...): opaque.
-        return term if positive else Apply("not", (term,), BOOL)
-    raise TypeError(f"unknown term node: {term!r}")
-
-
-def _nnf_iff(term: Apply, positive: bool, memo: dict[tuple[Term, bool], Term]) -> Term:
-    args = tuple(_nnf(a, True, memo) for a in term.args)
-    if len(args) == 2:
-        if positive:
-            return term if args == term.args else Apply("=", args, BOOL)
-        return Apply("xor", args, BOOL)
-    # Chained boolean equality is the conjunction of adjacent iffs; its
-    # negation is the disjunction of adjacent xors.
-    inner_op = "=" if positive else "xor"
-    pairs = tuple(Apply(inner_op, (a, b), BOOL) for a, b in zip(args, args[1:]))
-    return Apply("and" if positive else "or", pairs, BOOL)
-
-
-__all__ = ["simplify", "simplify_script", "simplify_with", "to_nnf", "FLATTEN_LIMIT"]
+__all__ = ["simplify", "simplify_script", "simplify_with", "FLATTEN_LIMIT"]

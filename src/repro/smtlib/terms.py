@@ -495,8 +495,8 @@ def negate(term: Term) -> Term:
     """Logical negation of a ``Bool`` term, without stacking ``not`` nodes.
 
     ``true``/``false`` flip, ``(not t)`` unwraps to ``t``, and anything else
-    gains a single ``not``.  The NNF and CNF layers use this so negative
-    polarity never produces double negation.
+    gains a single ``not``.  Engine preparation uses this so a negated
+    equality never stacks ``not`` nodes.
     """
     if term is TRUE:
         return FALSE

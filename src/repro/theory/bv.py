@@ -2,16 +2,17 @@
 
 Unlike the lazy plugins (:class:`~repro.theory.arith.ArithTheory`,
 :class:`~repro.theory.euf.EufTheory`), bit-vector reasoning is handled
-*eagerly*: while the engine encodes an assertion, :class:`BvBlaster`
-lowers each supported bit-vector atom of its boolean skeleton to one
-literal of the engine's :class:`~repro.smtlib.cnf.TseitinEncoder` and
-binds it in the encoder memo, so only the skeleton is Tseitin-encoded.
+*eagerly*: the engine's :class:`~repro.smtlib.cnf.TseitinEncoder` walk
+hands every atom of an assertion's boolean skeleton to
+:meth:`BvBlaster.lower`, which lowers each supported bit-vector atom to
+one encoder literal and binds it in the encoder memo, so only the
+skeleton is Tseitin-encoded.
 There are no bit symbols: each bit of a bit-vector symbol is an encoder
 variable keyed by the declared :class:`Symbol` term (name *and* sort), so
 generated names cannot collide with script identifiers and there is one
 variable numbering.  Gates are and/xor/ite over integer literals whose
 clauses go straight into the encoder's clause list; a circuit never
-becomes a :class:`Term`, so it skips interning, NNF and Tseitin.  Gates
+becomes a :class:`Term`, so it skips interning and Tseitin.  Gates
 are structurally hashed in the style of an and-inverter graph: negation
 is a sign flip, ``or`` is ``¬and(¬a, ¬b)``, commutative inputs are sorted
 (``xor`` and ``ite`` also move input signs to the output), and every
@@ -37,15 +38,16 @@ Atoms whose bit-vector leaves are not plain symbols or constants (an
 uninterpreted application, an array ``select`` ...) are not lowered; they
 stay ordinary atoms for the lazy plugins or remain abstracted, which
 keeps every answer sound.  The atoms inside a bit-vector ``ite``
-condition that are not lowered themselves are reported with the
-skeleton's, so theory dispatch and model building still see them.
+condition that are not lowered themselves are reported in the lowered
+atom's place, so theory dispatch and model building still see them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ..smtlib.cnf import TseitinEncoder, is_connective, skeleton_atoms
+from ..obs.spans import trace_span
+from ..smtlib.cnf import TseitinEncoder
 from ..smtlib.sorts import is_bitvec
 from ..smtlib.terms import Apply, Constant, Symbol, Term, bitvec_const
 
@@ -64,6 +66,17 @@ _SIGNED_CMP = frozenset({"bvslt", "bvsle", "bvsgt", "bvsge"})
 
 class _Unsupported(Exception):
     """Internal control flow: the atom leaves the supported fragment."""
+
+
+def _bitvec_atom(atom: Term) -> bool:
+    """True when ``atom`` is a non-indexed application over bit-vectors,
+    the only shape the blaster tries to lower."""
+    return (
+        isinstance(atom, Apply)
+        and not atom.indices
+        and bool(atom.args)
+        and is_bitvec(atom.args[0].sort)
+    )
 
 
 class BvBlaster:
@@ -106,18 +119,18 @@ class BvBlaster:
 
     # -- public surface -----------------------------------------------------
 
-    def lower_skeleton(self, term: Term) -> list[Term]:
-        """Lower every supported bit-vector atom of a boolean skeleton,
-        binding its literal in the encoder memo, and return the atoms left
-        for theory dispatch: the skeleton atoms that were not lowered plus
-        those inside the ``ite`` conditions of the lowered ones."""
-        atoms: list[Term] = []
-        for atom in skeleton_atoms(term):
-            if self._atom_literal(atom) is None:
-                atoms.append(atom)
-            else:
-                atoms.extend(self._atom_inner.get(atom, ()))
-        return atoms
+    def lower(self, atom: Term) -> Optional[tuple[Term, ...]]:
+        """The encoder walk's lowering hook
+        (:data:`~repro.smtlib.cnf.Lowering`): lower a supported bit-vector
+        atom, binding its literal in the encoder memo, and return the
+        theory atoms inside its ``ite`` conditions; None when the atom is
+        not lowered.  Blasting a new atom runs in the ``blast`` span."""
+        if not _bitvec_atom(atom):
+            return None
+        if atom in self._atoms:
+            return self._lower(atom)
+        with trace_span("blast", merge=True):
+            return self._lower(atom)
 
     def symbol_bits(self, symbol: Symbol) -> tuple[int, ...]:
         """The bit variables of a blasted symbol, least significant first
@@ -143,6 +156,11 @@ class BvBlaster:
 
     # -- atom lowering ------------------------------------------------------
 
+    def _lower(self, atom: Term) -> Optional[tuple[Term, ...]]:
+        if self._atom_literal(atom) is None:
+            return None
+        return self._atom_inner.get(atom, ())
+
     def _atom_literal(self, atom: Term) -> Optional[int]:
         """The atom's circuit literal (memoized), or None when the atom is
         not a supported bit-vector atom.  A fresh literal is bound in the
@@ -167,11 +185,10 @@ class BvBlaster:
         return lit
 
     def _try_blast(self, atom: Term) -> Optional[int]:
-        if not isinstance(atom, Apply) or atom.indices or not atom.args:
+        if not _bitvec_atom(atom):
             return None
+        assert isinstance(atom, Apply)
         op, args = atom.op, atom.args
-        if not is_bitvec(args[0].sort):
-            return None
         try:
             if op == "=" and len(args) >= 2:
                 words = [self._bits(arg) for arg in args]
@@ -191,19 +208,13 @@ class BvBlaster:
         return None
 
     def _condition(self, cond: Term) -> int:
-        """The literal of a bit-vector ``ite`` condition.  Its bit-vector
-        atoms are lowered, the rest are recorded for theory dispatch, and
-        any boolean structure goes through the encoder."""
-        for atom in skeleton_atoms(cond):
-            if self._atom_literal(atom) is None:
-                self._inner.append(atom)
-            else:
-                self._inner.extend(self._atom_inner.get(atom, ()))
-        if not is_connective(cond):
-            lit = self._atoms.get(cond)
-            if lit is not None:
-                return lit
-        return self._encoder.encode(cond)
+        """The literal of a bit-vector ``ite`` condition, by the encoder
+        walk: it lowers the condition's bit-vector atoms and records the
+        theory atoms for dispatch.  A lowered atom as the whole condition
+        answers its circuit literal, so a constant one still folds."""
+        lit = self._encoder.encode(cond, self._lower, self._inner)
+        circuit = self._atoms.get(cond)
+        return lit if circuit is None else circuit
 
     def _unsigned_cmp(self, op: str, lhs: Term, rhs: Term) -> int:
         xs, ys = self._bits(lhs), self._bits(rhs)

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
+from repro import run_script
 from repro.sat import SAT, Solver, UNSAT, from_dimacs, to_dimacs
 from repro.smtlib import (
     BOOL,
@@ -18,14 +20,30 @@ from repro.smtlib import (
     evaluate,
     int_const,
     is_connective,
-    skeleton_atoms,
-    to_nnf,
     tseitin,
 )
-from test_nnf import random_bool_term
 
 A, B, C, D = (Symbol(name, BOOL) for name in "abcd")
 X = Symbol("x", INT)
+
+
+def random_bool_term(rng, depth, atoms):
+    """A random boolean skeleton over ``atoms`` using every connective."""
+    if depth == 0 or rng.random() < 0.2:
+        choice = rng.random()
+        if choice < 0.1:
+            return bool_const(rng.random() < 0.5)
+        return rng.choice(atoms)
+    op = rng.choice(["not", "and", "or", "xor", "=>", "=", "distinct", "ite"])
+    sub = lambda: random_bool_term(rng, depth - 1, atoms)
+    if op == "not":
+        return Apply("not", (sub(),), BOOL)
+    if op == "ite":
+        return Apply("ite", (sub(), sub(), sub()), BOOL)
+    if op in ("=", "distinct"):
+        return Apply(op, (sub(), sub()), BOOL)
+    width = rng.randint(2, 3)
+    return Apply(op, tuple(sub() for _ in range(width)), BOOL)
 
 
 def brute_force_satisfiable(term, atoms):
@@ -62,21 +80,58 @@ class TestConnectiveClassification:
         assert not is_connective(TRUE)
 
 
+def atoms_of(term):
+    """The theory atoms one :meth:`TseitinEncoder.clausify` walk reports."""
+    return TseitinEncoder().clausify(term)[1]
+
+
 class TestSkeletonAtoms:
     def test_collects_distinct_atoms_in_order(self):
         lt = Apply("<", (X, int_const(0)), BOOL)
         term = Apply("and", (A, Apply("or", (lt, A, B), BOOL), lt), BOOL)
-        assert skeleton_atoms(term) == [A, lt, B]
+        assert atoms_of(term) == [A, lt, B]
 
     def test_does_not_descend_into_atoms(self):
         eq = Apply("=", (X, X), BOOL)
-        assert skeleton_atoms(Apply("not", (eq,), BOOL)) == [eq]
+        assert atoms_of(Apply("not", (eq,), BOOL)) == [eq]
 
     def test_boolean_constants_are_not_atoms(self):
         # Mirrors TseitinEncoder.atom_vars, which never assigns them a var.
         term = Apply("and", (A, TRUE, Apply("or", (FALSE, B), BOOL)), BOOL)
-        assert skeleton_atoms(term) == [A, B]
+        assert atoms_of(term) == [A, B]
         assert set(tseitin(term).atom_vars) == {A, B}
+
+    def test_atoms_below_memo_hits_are_reported_per_walk(self):
+        # The second walk finds the `or` gate in the run-long memo, yet its
+        # atoms are still this assertion's atoms.
+        encoder = TseitinEncoder()
+        inner = Apply("or", (A, Apply("and", (B, C), BOOL)), BOOL)
+        encoder.encode(inner)
+        vars_before = encoder.formula.num_vars
+        _, atoms = encoder.clausify(Apply("xor", (inner, D), BOOL))
+        assert atoms == [A, B, C, D]
+        assert encoder.formula.num_vars == vars_before + 2  # d and the xor gate
+
+    def test_lowering_hook_sees_each_atom_once_per_walk(self):
+        encoder = TseitinEncoder()
+        lowered = Apply("<", (X, int_const(0)), BOOL)
+        inner = Apply("=", (X, int_const(2)), BOOL)
+        calls = []
+
+        def lower(atom):
+            calls.append(atom)
+            if atom is not lowered:
+                return None
+            encoder.bind(atom, -encoder.new_var())
+            return (inner,)
+
+        term = Apply("and", (A, Apply("or", (lowered, A), BOOL), lowered), BOOL)
+        clauses, atoms = encoder.clausify(term, lower)
+        assert calls == [A, lowered]
+        # A lowered atom reports what its hook answered, in its place.
+        assert atoms == [A, inner]
+        assert lowered not in encoder.formula.atom_vars
+        assert clauses == [(1,), (-2, 1), (-2,)]
 
 
 class TestEquisatisfiability:
@@ -85,7 +140,7 @@ class TestEquisatisfiability:
         rng = random.Random(seed)
         atoms = [A, B, C, D]
         term = random_bool_term(rng, 4, atoms)
-        formula = tseitin(to_nnf(term))
+        formula = tseitin(term)
         solver, answer = solve_formula(formula)
         expected = brute_force_satisfiable(term, atoms)
         assert answer == (SAT if expected else UNSAT), term
@@ -119,11 +174,12 @@ class TestSharing:
     def test_shared_subterm_gets_one_aux_variable(self):
         shared = Apply("and", (A, B), BOOL)
         inner = Apply("or", (shared, Apply("not", (shared,), BOOL)), BOOL)
-        # Under a root `not` the `or` is a subterm, so it gets a gate too.
-        formula = tseitin(Apply("not", (inner,), BOOL))
+        # As a subterm's literal the `or` gets a gate too.
+        encoder = TseitinEncoder()
+        encoder.encode(inner)
         # Atoms a, b plus exactly two gates: the shared `and`, the `or`.
-        assert formula.num_atoms == 2
-        assert formula.num_aux == 2
+        assert encoder.formula.num_atoms == 2
+        assert encoder.formula.num_aux == 2
 
     def test_not_introduces_no_variable(self):
         formula = tseitin(Apply("not", (A,), BOOL))
@@ -139,10 +195,26 @@ class TestSharing:
 
     def test_encoding_is_linear_in_connectives(self):
         wide = Apply("or", tuple(Symbol(f"v{i}", BOOL) for i in range(50)), BOOL)
-        # Under a root `not` the wide `or` is a subterm with a full gate.
-        formula = tseitin(Apply("not", (wide,), BOOL))
-        assert formula.num_vars == 51
-        assert len(formula.clauses) == 50 + 1 + 1  # gate + long clause + root unit
+        # As a subterm's literal the wide `or` gets a full gate.
+        encoder = TseitinEncoder()
+        encoder.encode(wide)
+        assert encoder.formula.num_vars == 51
+        assert len(encoder.formula.clauses) == 50 + 1  # binary clauses + long clause
+
+    def test_subterm_under_both_polarities_gets_one_gate(self):
+        # `(and p q)` occurs positively in one assertion and negated in
+        # another; it is one node, so one gate of three clauses.
+        result = run_script(
+            "(declare-const p Bool)(declare-const q Bool)"
+            "(declare-const r Bool)(declare-const s Bool)"
+            "(assert (or (and p q) r))"
+            "(assert (or (not (and p q)) s))"
+            "(check-sat)"
+        )
+        [check] = result.check_results
+        assert check.answer == "sat"
+        assert check.metrics["engine.tseitin_new_clauses"] == 3
+        assert check.metrics["engine.tseitin_new_vars"] == 5
 
 
 class TestBind:
@@ -151,7 +223,7 @@ class TestBind:
         var = encoder.new_var()
         encoder.bind(A, -var)
         assert encoder.encode(A) == -var
-        assert encoder.root_clauses(Apply("or", (A, B), BOOL)) == [(-var, 2)]
+        assert encoder.clausify(Apply("or", (A, B), BOOL)) == ([(-var, 2)], [A, B])
         assert encoder.formula.clauses == []
 
     def test_binding_an_encoded_term_ties_the_literals(self):
@@ -214,17 +286,83 @@ class TestRootClauses:
     def test_root_clauses_leave_gates_to_the_formula(self):
         encoder = TseitinEncoder()
         inner = Apply("and", (A, B), BOOL)
-        roots = encoder.root_clauses(Apply("or", (inner, C), BOOL))
+        roots, _ = encoder.clausify(Apply("or", (inner, C), BOOL))
         assert roots == [(3, 4)]
         # The returned clauses are the caller's to guard; only the gate
         # of the nested `and` went to the formula.
         assert encoder.formula.clauses == [(-3, 1), (-3, 2), (3, -1, -2)]
+
+    # The root walk tracks polarity, so the shapes a negation normal form
+    # would clausify cost no auxiliary variable either.
+
+    def _roots(self, term):
+        formula = tseitin(term)
+        assert formula.num_aux == 0
+        return formula.clauses
+
+    def test_negated_or_is_units(self):
+        assert self._roots(Apply("not", (Apply("or", (A, B), BOOL),), BOOL)) == [(-1,), (-2,)]
+
+    def test_negated_and_is_one_clause(self):
+        assert self._roots(Apply("not", (Apply("and", (A, B), BOOL),), BOOL)) == [(-1, -2)]
+
+    def test_implication_is_one_clause(self):
+        assert self._roots(Apply("=>", (A, B), BOOL)) == [(-1, 2)]
+
+    def test_negated_implication_is_units(self):
+        assert self._roots(Apply("not", (Apply("=>", (A, B), BOOL),), BOOL)) == [(1,), (-2,)]
+
+    def test_negated_distinct_is_two_clauses(self):
+        term = Apply("not", (Apply("distinct", (A, B), BOOL),), BOOL)
+        assert self._roots(term) == [(-1, 2), (1, -2)]
+
+    def test_chained_boolean_equality_is_two_clauses_per_pair(self):
+        term = Apply("=", (A, B, C), BOOL)
+        assert self._roots(term) == [(-1, 2), (1, -2), (-2, 3), (2, -3)]
+
+    def test_negated_chained_equality_is_one_clause_over_the_pairs(self):
+        formula = tseitin(Apply("not", (Apply("=", (A, B, C), BOOL),), BOOL))
+        # One gate per adjacent pair, as the pairs' xors cost under NNF.
+        assert formula.num_aux == 2
+        assert formula.clauses[-1] == (-3, -5)
+        assert len(formula.clauses) == 4 + 4 + 1
 
 
 class TestEncoderErrors:
     def test_rejects_non_boolean_terms(self):
         with pytest.raises(ValueError):
             TseitinEncoder().encode(X)
+        with pytest.raises(ValueError):
+            TseitinEncoder().clausify(X)
+
+
+class TestDeepSkeletons:
+    def test_deep_alternating_skeleton_encodes_without_recursion(self):
+        # 100,000 levels of and/or/not: neither the root walk nor the pass
+        # below it may recurse per level.
+        depth = 100_000
+        ops = ("and", "or", "not")
+        term = A
+        for level in range(depth):
+            op = ops[level % 3]
+            if op == "not":
+                term = Apply("not", (term,), BOOL)
+            else:
+                term = Apply(op, (term, B if level % 2 else C), BOOL)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            encoder = TseitinEncoder()
+            clauses, atoms = encoder.clausify(term)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert atoms == [A, C, B]
+        # The root walk clausifies the top four levels (`and`, `not`, a
+        # negated `or` that splits, a negated `and` that is one clause);
+        # below them every `and`/`or` is one gate and `not` costs nothing.
+        assert len(clauses) == 3
+        gates = sum(1 for level in range(depth - 4) if ops[level % 3] != "not")
+        assert encoder.formula.num_aux == gates
 
 
 class TestDimacs:
@@ -235,7 +373,7 @@ class TestDimacs:
         assert from_dimacs(text) == (3, clauses)
 
     def test_round_trip_of_encoded_formula(self):
-        formula = tseitin(to_nnf(Apply("=>", (A, Apply("xor", (B, C), BOOL)), BOOL)))
+        formula = tseitin(Apply("=>", (A, Apply("xor", (B, C), BOOL)), BOOL))
         text = to_dimacs(formula.num_vars, formula.clauses)
         num_vars, clauses = from_dimacs(text)
         assert num_vars == formula.num_vars

@@ -42,7 +42,7 @@ from repro.smtlib import (
     parse_script,
     script_to_smtlib,
 )
-from test_nnf import random_bool_term
+from test_cnf import random_bool_term
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.smt2"))
 

@@ -23,7 +23,7 @@ from repro.proof.log import INPUT
 from repro.sat import SAT, UNSAT, Solver, TheoryHook
 from repro.smtlib import BOOL, Apply, Assert, CheckSat, Pop, Push, Script, Symbol
 from test_engine import assert_model_satisfies, brute_force
-from test_nnf import random_bool_term
+from test_cnf import random_bool_term
 from test_sat import pigeonhole
 
 

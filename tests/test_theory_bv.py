@@ -44,12 +44,18 @@ def bv_sym(name: str, width: int) -> Symbol:
     return Symbol(name, bitvec_sort(width))
 
 
+def lowered_atoms(encoder, blaster, term):
+    """The theory atoms the encoder walk over ``term`` leaves after
+    handing each of its atoms to ``blaster``."""
+    return encoder.clausify(term, blaster.lower)[1]
+
+
 def blast(atoms):
     """Lower ``atoms`` with a fresh blaster; returns (encoder, blaster)."""
     encoder = TseitinEncoder()
     blaster = BvBlaster(encoder)
     for atom in atoms:
-        assert blaster.lower_skeleton(atom) == [], f"{atom} was not lowered"
+        assert lowered_atoms(encoder, blaster, atom) == [], f"{atom} was not lowered"
     return encoder, blaster
 
 
@@ -267,9 +273,11 @@ def test_unsupported_leaves_stay_abstracted():
     w = bitvec_sort(4)
     ux = Apply("f", (bv_sym("x", 4),), w)  # uninterpreted application
     atom = Apply("=", (ux, bitvec_const(0, 4)), BOOL)
-    assert blaster.lower_skeleton(atom) == [atom]
-    assert atom not in encoder.literals
+    assert lowered_atoms(encoder, blaster, atom) == [atom]
+    # Not bound to a circuit: the atom has a plain variable of its own.
+    assert encoder.literals[atom] == encoder.formula.atom_vars[atom]
     assert blaster.stats["atoms_skipped"] == 1
+    assert blaster.stats["gates"] == 0
 
 
 def test_atoms_skipped_counts_only_bitvector_atoms():
@@ -279,7 +287,7 @@ def test_atoms_skipped_counts_only_bitvector_atoms():
     blaster = BvBlaster(encoder)
     size = Apply("g", (bv_sym("x", 4),), INT)  # uninterpreted BV → Int
     atom = Apply("<", (size, int_const(3)), BOOL)
-    assert blaster.lower_skeleton(atom) == [atom]
+    assert lowered_atoms(encoder, blaster, atom) == [atom]
     assert blaster.stats["atoms_skipped"] == 0
 
 
@@ -311,10 +319,10 @@ def test_structural_hashing_shares_commuted_adders():
     blaster = BvBlaster(encoder)
     first = Apply("=", (Apply("bvadd", (x, y), sort), z), BOOL)
     second = Apply("=", (Apply("bvadd", (y, x), sort), z), BOOL)
-    blaster.lower_skeleton(first)
+    lowered_atoms(encoder, blaster, first)
     gates, clauses = blaster.stats["gates"], len(encoder.formula.clauses)
     assert gates > 0
-    blaster.lower_skeleton(second)
+    lowered_atoms(encoder, blaster, second)
     assert blaster.stats["atoms_blasted"] == 2
     assert blaster.stats["gates"] == gates
     assert len(encoder.formula.clauses) == clauses
@@ -568,6 +576,19 @@ class TestEngine:
         )
         assert [c.answer for c in checks] == ["unsat"]
         assert check_proof(checks[0].proof).ok
+
+    def test_unlowered_index_equality_in_array_lemmas(self):
+        # No assertion mentions (= i j), so the array lemma introduces it
+        # mid-search: it gets a plain variable, not a circuit whose gate
+        # clauses a lemma could not carry.
+        assert answers(
+            "(declare-const a (Array (_ BitVec 4) Int))"
+            "(declare-const i (_ BitVec 4))"
+            "(declare-const j (_ BitVec 4))"
+            "(assert (= (select (store a i 5) j) 7))"
+            "(assert (bvult i #x3))"
+            "(check-sat)"
+        ) == ["sat"]
 
     def test_ite_condition_atoms_reach_theories(self):
         # Non-BV atoms inside a BV ite condition still reach theory
