@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark harness for the linear-arithmetic theory: simplex shapes
+"""Benchmark suite for the linear-arithmetic theory: simplex shapes
 and branch-and-bound depth, driven through the full engine.
 
 Four deterministic workload families:
@@ -22,14 +22,9 @@ Four deterministic workload families:
   with bound explanations — the lazy-SMT search/theory ping-pong for
   arithmetic.
 
-Results are printed as a table and written as JSON
-(``BENCH_arith.json``), the same shape as the other suites, so
-``check_regression.py`` auto-gates them against
-``benchmarks/baselines/BENCH_arith.json``.  Three tiers share the
-workload families: ``--mode=smoke`` (milliseconds, verified — CI's
-per-push gate), ``--mode=full`` (the default), and ``--mode=heavy``
-(seconds-scale simplex instances for trustworthy timing).  ``--smoke``
-remains as an alias for ``--mode=smoke``.
+Three modes share the families: ``smoke`` (milliseconds, CI's per-push
+gate), ``full`` (the default) and ``heavy`` (seconds-scale simplex
+instances for trustworthy timing).
 
 Usage::
 
@@ -38,35 +33,15 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import threading
-import time
+from fractions import Fraction
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-sys.setrecursionlimit(1_000_000)
-
-from repro import Engine  # noqa: E402
-from repro.obs import Observability, phase_seconds  # noqa: E402
-from repro.smtlib import (  # noqa: E402
-    BOOL,
-    INT,
-    REAL,
-    Apply,
-    Assert,
-    CheckSat,
-    Script,
-    Symbol,
-)
-from repro.smtlib.terms import Constant, int_const  # noqa: E402
-from fractions import Fraction  # noqa: E402
-
+from _harness import engine_workload, main  # also puts src/ on sys.path
+from repro.smtlib import BOOL, INT, REAL, Apply, Assert, CheckSat, Pop, Push, Symbol
+from repro.smtlib.terms import Constant, int_const
 
 # Workload sizes per tier:
 # (dense n, sparse n, bb box, bb targets, diamond layers).
-MODE_SIZES = {
+MODES = {
     "smoke": (20, 40, 6, (29, 1, 41, 2), 8),
     "full": (60, 160, 10, (29, 1, 41, 2, 71, 4, 97, 101, 2, 139), 14),
     "heavy": (220, 700, 13, (29, 1, 41, 2, 71, 4, 97, 101, 2, 139, 163, 3), 600),
@@ -144,8 +119,6 @@ def branch_bound_commands(box, targets):
         [scaled(3, x, INT), scaled(5, y, INT), scaled(7, z, INT)], INT
     )
     expected = []
-    from repro.smtlib import Pop, Push
-
     for target in targets:
         commands.append(Push(1))
         commands.append(Assert(ge(combo, int_const(target))))
@@ -182,120 +155,17 @@ def diamond_lra_commands(layers, window):
     return tuple(commands), [expected]
 
 
-# ---------------------------------------------------------------------------
-# Runner.
-# ---------------------------------------------------------------------------
-
-
-def run_workload(name, n, commands, expected, verify):
-    obs = Observability.tracing()
-    engine = Engine(obs=obs)
-    t0 = time.perf_counter()
-    result = engine.run(Script(tuple(commands)))
-    elapsed = time.perf_counter() - t0
-    answers = result.answers
-    if verify and expected is not None:
-        assert answers == expected, (name, answers, expected)
-    totals = {
-        key: sum(r.metrics.get(metric, 0) for r in result.check_results)
-        for key, metric in (
-            ("conflicts", "sat.conflicts"),
-            ("theory_lemmas", "sat.theory_lemmas"),
-            ("arith_pivots", "theory.arith.pivots"),
-            ("arith_branches", "theory.arith.branches"),
-        )
-    }
-    metrics = engine.metrics.snapshot()
-    return {
-        "workload": name,
-        "n": n,
-        "nodes": {
-            "vars": metrics["engine.vars"],
-            "clauses": metrics["engine.clauses_shipped"],
-            "atoms": metrics["engine.atoms"],
-        },
-        "answer": ",".join(answers),
-        "solver": totals,
-        "seconds": {"solve": round(elapsed, 6)},
-        "phases": phase_seconds(obs.tracer),
-        "metrics": metrics,
-    }
-
-
-def _run(args: argparse.Namespace) -> int:
-    verify = args.check or args.mode == "smoke"
-    dense_n, sparse_n, bb_box, bb_targets, diamond_layers = MODE_SIZES[args.mode]
-    bb_targets = list(bb_targets)
-
-    results = [
-        run_workload(
-            "dense_simplex", dense_n, *dense_simplex_commands(dense_n), verify
-        ),
-        run_workload(
-            "sparse_simplex", sparse_n, *sparse_simplex_commands(sparse_n), verify
-        ),
-        run_workload(
-            "branch_bound", bb_box, *branch_bound_commands(bb_box, bb_targets), verify
-        ),
-        run_workload(
-            "diamond_lra",
-            diamond_layers,
-            *diamond_lra_commands(diamond_layers, (diamond_layers + 1, 2 * diamond_layers)),
-            verify,
-        ),
-    ]
-
-    header = (
-        f"{'workload':<16} {'n':>5} {'vars':>7} {'atoms':>6} {'answer':>24} "
-        f"{'pivots':>8} {'branches':>9} {'seconds':>10}"
+def workloads(sizes):
+    dense_n, sparse_n, bb_box, bb_targets, layers = sizes
+    yield engine_workload("dense_simplex", dense_n, *dense_simplex_commands(dense_n))
+    yield engine_workload("sparse_simplex", sparse_n, *sparse_simplex_commands(sparse_n))
+    yield engine_workload("branch_bound", bb_box, *branch_bound_commands(bb_box, bb_targets))
+    yield engine_workload(
+        "diamond_lra", layers, *diamond_lra_commands(layers, (layers + 1, 2 * layers))
     )
-    print(header)
-    print("-" * len(header))
-    for row in results:
-        answer = row["answer"] if len(row["answer"]) <= 24 else row["answer"][:21] + "..."
-        print(
-            f"{row['workload']:<16} {row['n']:>5} {row['nodes']['vars']:>7} "
-            f"{row['nodes']['atoms']:>6} {answer:>24} "
-            f"{row['solver']['arith_pivots']:>8} {row['solver']['arith_branches']:>9} "
-            f"{row['seconds']['solve']:>10.4f}"
-        )
-
-    payload = {
-        "bench": "arith",
-        "mode": args.mode,
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--mode",
-        choices=sorted(MODE_SIZES),
-        default="full",
-        help="workload tier: smoke (ms, verified), full (sub-second), heavy (seconds)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true", help="alias for --mode=smoke (small sizes + verification)"
-    )
-    parser.add_argument("--check", action="store_true", help="verify answers")
-    parser.add_argument("--out", default="BENCH_arith.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.mode = "smoke"
-    outcome: list = []
-    threading.stack_size(512 * 1024 * 1024)
-    worker = threading.Thread(target=lambda: outcome.append(_run(args)))
-    worker.start()
-    worker.join()
-    return outcome[0] if outcome else 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        main("arith", MODES, workloads, columns=("theory.arith.pivots", "theory.arith.branches"))
+    )

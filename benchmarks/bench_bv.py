@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark harness for the eager bit-blasting path: circuit CNF size
+"""Benchmark suite for the eager bit-blasting path: circuit CNF size
 and SAT search over blasted word-level structure, driven through the
 full engine.
 
@@ -21,41 +21,22 @@ Four deterministic workload families:
   link, so the solver walks the comparison circuits' propagations hard
   before finding the single ascending ribbon.
 
-Results are printed as a table and written as JSON (``BENCH_bv.json``),
-the same shape as the other suites, so ``check_regression.py``
-auto-gates them against ``benchmarks/baselines/BENCH_bv.json``.
-
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_bv.py [--smoke] [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_bv.py [--mode {smoke,full}] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import threading
-import time
+from _harness import engine_workload, main  # also puts src/ on sys.path
+from repro.smtlib import BOOL, Apply, Assert, CheckSat, Pop, Push, Symbol, bitvec_const, bitvec_sort
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-sys.setrecursionlimit(1_000_000)
-
-from repro import Engine  # noqa: E402
-from repro.obs import Observability, phase_seconds  # noqa: E402
-from repro.smtlib import (  # noqa: E402
-    BOOL,
-    Apply,
-    Assert,
-    CheckSat,
-    Pop,
-    Push,
-    Script,
-    Symbol,
-    bitvec_const,
-    bitvec_sort,
-)
+# Workload sizes per tier: (adder width, multiplier width, factoring
+# widths, (ladder width, ladder length)).
+MODES = {
+    "smoke": (12, 4, (6, 8), (4, 12)),
+    "full": (24, 5, (6, 8, 10, 12), (5, 28)),
+}
 
 
 def bv(name, width):
@@ -134,114 +115,17 @@ def ult_ladder_commands(width, length):
     return tuple(commands), ["sat"]
 
 
-# ---------------------------------------------------------------------------
-# Runner.
-# ---------------------------------------------------------------------------
-
-
-def run_workload(name, n, commands, expected, verify):
-    obs = Observability.tracing()
-    engine = Engine(obs=obs)
-    t0 = time.perf_counter()
-    result = engine.run(Script(tuple(commands)))
-    elapsed = time.perf_counter() - t0
-    answers = result.answers
-    if verify and expected is not None:
-        assert answers == expected, (name, answers, expected)
-    totals = {
-        key: sum(r.metrics.get(metric, 0) for r in result.check_results)
-        for key, metric in (
-            ("conflicts", "sat.conflicts"),
-            ("decisions", "sat.decisions"),
-            ("bv_atoms_blasted", "theory.bv.atoms_blasted"),
-            ("bv_gates", "theory.bv.gates"),
-            ("bv_bits", "theory.bv.bits"),
-        )
-    }
-    metrics = engine.metrics.snapshot()
-    return {
-        "workload": name,
-        "n": n,
-        "nodes": {
-            "vars": metrics["engine.vars"],
-            "clauses": metrics["engine.clauses_shipped"],
-            "atoms": metrics["engine.atoms"],
-        },
-        "answer": ",".join(answers),
-        "solver": totals,
-        "seconds": {"solve": round(elapsed, 6)},
-        "phases": phase_seconds(obs.tracer),
-        "metrics": metrics,
-    }
-
-
-def _run(args: argparse.Namespace) -> int:
-    verify = args.check or args.smoke
-    adder_width = 12 if args.smoke else 24
-    mul_width = 4 if args.smoke else 5
-    sweep_widths = (6, 8) if args.smoke else (6, 8, 10, 12)
-    ladder_width, ladder_length = (4, 12) if args.smoke else (5, 28)
-
-    results = [
-        run_workload(
-            "adder_equiv", adder_width, *adder_equiv_commands(adder_width), verify
-        ),
-        run_workload("mul_equiv", mul_width, *mul_equiv_commands(mul_width), verify),
-        run_workload(
-            "factor_sweep",
-            sweep_widths[-1],
-            *factor_sweep_commands(sweep_widths),
-            verify,
-        ),
-        run_workload(
-            "ult_ladder",
-            ladder_length,
-            *ult_ladder_commands(ladder_width, ladder_length),
-            verify,
-        ),
-    ]
-
-    header = (
-        f"{'workload':<14} {'n':>4} {'vars':>7} {'clauses':>8} {'answer':>16} "
-        f"{'blasted':>8} {'gates':>8} {'conflicts':>10} {'seconds':>10}"
+def workloads(sizes):
+    adder_width, mul_width, sweep_widths, (ladder_width, ladder_length) = sizes
+    yield engine_workload("adder_equiv", adder_width, *adder_equiv_commands(adder_width))
+    yield engine_workload("mul_equiv", mul_width, *mul_equiv_commands(mul_width))
+    yield engine_workload("factor_sweep", sweep_widths[-1], *factor_sweep_commands(sweep_widths))
+    yield engine_workload(
+        "ult_ladder", ladder_length, *ult_ladder_commands(ladder_width, ladder_length)
     )
-    print(header)
-    print("-" * len(header))
-    for row in results:
-        answer = row["answer"] if len(row["answer"]) <= 16 else row["answer"][:13] + "..."
-        print(
-            f"{row['workload']:<14} {row['n']:>4} {row['nodes']['vars']:>7} "
-            f"{row['nodes']['clauses']:>8} {answer:>16} "
-            f"{row['solver']['bv_atoms_blasted']:>8} {row['solver']['bv_gates']:>8} "
-            f"{row['solver']['conflicts']:>10} {row['seconds']['solve']:>10.4f}"
-        )
-
-    payload = {
-        "bench": "bv",
-        "mode": "smoke" if args.smoke else "full",
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="small sizes + full verification")
-    parser.add_argument("--check", action="store_true", help="verify answers")
-    parser.add_argument("--out", default="BENCH_bv.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    outcome: list = []
-    threading.stack_size(512 * 1024 * 1024)
-    worker = threading.Thread(target=lambda: outcome.append(_run(args)))
-    worker.start()
-    worker.join()
-    return outcome[0] if outcome else 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        main("bv", MODES, workloads, columns=("theory.bv.gates", "sat.conflicts"))
+    )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark harness for the CNF pipeline and the CDCL solver.
+"""Benchmark suite for the CNF pipeline and the CDCL solver.
 
 Three classic workload families, all deterministic:
 
@@ -11,17 +11,12 @@ Three classic workload families, all deterministic:
   built as *terms* and lowered by the Tseitin encoder, so this family
   measures the whole cnf pipeline, not just the solver.
 
-Per workload the harness reports CNF size (vars/clauses), the answer,
-solver statistics and wall-clock split into encode and solve phases.
-Results are printed as a table and written as JSON (``BENCH_sat.json``),
-the same shape as ``BENCH_simplify.json``, so CI can archive and
-regression-gate them.  Three tiers share the workload families and only
-differ in size: ``--mode=smoke`` (milliseconds, verifies every expected
-answer — what CI runs on every push), ``--mode=full`` (sub-second, the
-default), and ``--mode=heavy`` (seconds-scale instances — pigeonhole 8,
-random 3-SAT at n=200, deep xor chains — where a real speedup is
-distinguishable from timer noise).  ``--smoke`` remains as an alias for
-``--mode=smoke``.
+Each row times the ``encode`` and ``solve`` spans and counts the CNF
+(``encode.vars``, ``encode.clauses``) and the search (``sat.*``); every
+``sat`` answer's model is checked against the clauses or terms.  The
+three modes share the families and differ only in size: ``heavy`` runs
+seconds-scale instances (pigeonhole 8, random 3-SAT at n=200, deep xor
+chains), where a real speedup is distinguishable from timer noise.
 
 Usage::
 
@@ -30,30 +25,18 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import random
-import sys
-import time
+from functools import partial
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
-from repro.obs import MetricsRegistry, Tracer, phase_seconds  # noqa: E402
-from repro.sat import Solver  # noqa: E402
-from repro.smtlib import (  # noqa: E402
-    BOOL,
-    Apply,
-    Symbol,
-    TseitinEncoder,
-    bool_const,
-)
+from _harness import Outcome, Workload, main, prefixed  # also puts src/ on sys.path
+from repro.sat import Solver
+from repro.smtlib import BOOL, TRUE, Apply, Symbol, TseitinEncoder, bool_const, evaluate
 
 PHASE_TRANSITION_RATIO = 4.26
 RANDOM_3SAT_SEEDS = (0, 1, 2)
 
 # Workload sizes per tier: (pigeonhole holes, random-3sat vars, xor length).
-MODE_SIZES = {
+MODES = {
     "smoke": (4, 30, 60),
     "full": (7, 150, 1200),
     "heavy": (8, 200, 4000),
@@ -120,38 +103,31 @@ def xor_chain_terms(length: int, satisfiable: bool):
 # ---------------------------------------------------------------------------
 
 
-def _solver_metrics(solver: Solver) -> dict[str, int]:
-    """The solver counters through the unified registry namespace."""
-    registry = MetricsRegistry()
-    registry.register_source("sat", lambda: solver.stats)
-    return registry.snapshot()
-
-
-def run_clause_workload(name: str, n: int, clauses: list[list[int]], expected, verify):
-    num_vars = max(abs(lit) for clause in clauses for lit in clause)
-    solver = Solver(num_vars)
-    tracer = Tracer()
-    t0 = time.perf_counter()
-    with tracer.span("encode"):
-        solver.add_clauses(clauses)
-    encode_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    with tracer.span("solve"):
-        answer = solver.solve()
-    solve_s = time.perf_counter() - t0
-    if verify and expected is not None:
-        assert answer == expected, (name, answer, expected)
-    if verify and answer == "sat":
-        model = solver.model
-        assert all(any((lit > 0) == model[abs(lit)] for lit in c) for c in clauses), name
-    return _row(
-        name, n, num_vars, len(clauses), answer, solver, encode_s, solve_s, tracer
+def run_clauses(num_vars: int, instances: list[list[list[int]]], tracer) -> Outcome:
+    """Solve each clause list on a fresh solver; the row sums the search
+    counts over the instances (each is ``num_vars`` variables and the
+    same number of clauses) and joins their answers."""
+    answers = []
+    metrics: dict[str, int] = {}
+    for clauses in instances:
+        solver = Solver(num_vars)
+        with tracer.span("encode", merge=True):
+            solver.add_clauses(clauses)
+        with tracer.span("solve", merge=True):
+            answer = solver.solve()
+        if answer == "sat":
+            model = solver.model
+            assert all(any((lit > 0) == model[abs(lit)] for lit in c) for c in clauses)
+        answers.append(answer)
+        for key, value in prefixed("sat", solver.stats).items():
+            metrics[key] = metrics.get(key, 0) + value
+    return Outcome(
+        ",".join(answers),
+        {"encode.vars": num_vars, "encode.clauses": len(instances[-1]), **metrics},
     )
 
 
-def run_term_workload(name: str, n: int, assertions, expected, verify):
-    tracer = Tracer()
-    t0 = time.perf_counter()
+def run_terms(assertions, tracer) -> Outcome:
     with tracer.span("encode"):
         encoder = TseitinEncoder()
         for term in assertions:
@@ -159,151 +135,36 @@ def run_term_workload(name: str, n: int, assertions, expected, verify):
         formula = encoder.formula
         solver = Solver(formula.num_vars)
         solver.add_clauses(formula.clauses)
-    encode_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
     with tracer.span("solve"):
         answer = solver.solve()
-    solve_s = time.perf_counter() - t0
-    if verify and expected is not None:
-        assert answer == expected, (name, answer, expected)
-    if verify and answer == "sat":
-        from repro.smtlib import TRUE, evaluate
-
+    if answer == "sat":
         model = solver.model
         env = {atom.name: bool_const(model[var]) for atom, var in formula.atom_vars.items()}
-        assert all(evaluate(term, env) is TRUE for term in assertions), name
-    return _row(
-        name,
-        n,
-        formula.num_vars,
-        len(formula.clauses),
+        assert all(evaluate(term, env) is TRUE for term in assertions)
+    return Outcome(
         answer,
-        solver,
-        encode_s,
-        solve_s,
-        tracer,
-    )
-
-
-def _row(name, n, num_vars, num_clauses, answer, solver, encode_s, solve_s, tracer):
-    return {
-        "workload": name,
-        "n": n,
-        "nodes": {"vars": num_vars, "clauses": num_clauses},
-        "answer": answer,
-        "solver": {
-            key: solver.stats[key]
-            for key in ("conflicts", "decisions", "propagations", "restarts", "learned")
+        {
+            "encode.vars": formula.num_vars,
+            "encode.clauses": len(formula.clauses),
+            **prefixed("sat", solver.stats),
         },
-        "seconds": {"encode": round(encode_s, 6), "solve": round(solve_s, 6)},
-        "phases": phase_seconds(tracer),
-        "metrics": _solver_metrics(solver),
-    }
-
-
-def run_random_3sat(n: int, verify: bool):
-    """Aggregate the fixed-seed instances into one row (answers vary by
-    seed, so the row records the answer multiset)."""
-    total_encode = total_solve = 0.0
-    answers = []
-    stats = {"conflicts": 0, "decisions": 0, "propagations": 0, "restarts": 0, "learned": 0}
-    metrics: dict[str, int] = {}
-    num_vars = num_clauses = 0
-    tracer = Tracer()
-    for seed in RANDOM_3SAT_SEEDS:
-        clauses = random_3sat_clauses(n, seed)
-        solver = Solver(n)
-        t0 = time.perf_counter()
-        with tracer.span("encode", merge=True):
-            solver.add_clauses(clauses)
-        total_encode += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        with tracer.span("solve", merge=True):
-            answer = solver.solve()
-        total_solve += time.perf_counter() - t0
-        answers.append(answer)
-        if verify and answer == "sat":
-            model = solver.model
-            assert all(any((lit > 0) == model[abs(lit)] for lit in c) for c in clauses)
-        for key in stats:
-            stats[key] += solver.stats[key]
-        for key, value in _solver_metrics(solver).items():
-            metrics[key] = metrics.get(key, 0) + value
-        num_vars, num_clauses = n, len(clauses)
-    return {
-        "workload": "random_3sat",
-        "n": n,
-        "nodes": {"vars": num_vars, "clauses": num_clauses},
-        "answer": ",".join(answers),
-        "solver": stats,
-        "seconds": {"encode": round(total_encode, 6), "solve": round(total_solve, 6)},
-        "phases": phase_seconds(tracer),
-        "metrics": metrics,
-    }
-
-
-def _run(args: argparse.Namespace) -> int:
-    verify = args.check or args.mode == "smoke"
-    php_n, sat3_n, xor_n = MODE_SIZES[args.mode]
-
-    results = [
-        run_clause_workload(
-            "pigeonhole", php_n, pigeonhole_clauses(php_n), "unsat", verify
-        ),
-        run_random_3sat(sat3_n, verify),
-        run_term_workload(
-            "xor_chain_sat", xor_n, xor_chain_terms(xor_n, True), "sat", verify
-        ),
-        run_term_workload(
-            "xor_chain_unsat", xor_n, xor_chain_terms(xor_n, False), "unsat", verify
-        ),
-    ]
-
-    header = (
-        f"{'workload':<16} {'n':>6} {'vars':>7} {'clauses':>8} {'answer':>12} "
-        f"{'conflicts':>10} {'encode_s':>9} {'solve_s':>9}"
     )
-    print(header)
-    print("-" * len(header))
-    for row in results:
-        print(
-            f"{row['workload']:<16} {row['n']:>6} {row['nodes']['vars']:>7} "
-            f"{row['nodes']['clauses']:>8} {row['answer']:>12} "
-            f"{row['solver']['conflicts']:>10} {row['seconds']['encode']:>9.4f} "
-            f"{row['seconds']['solve']:>9.4f}"
-        )
-
-    payload = {
-        "bench": "sat",
-        "mode": args.mode,
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"\nwrote {args.out}")
-    return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--mode",
-        choices=sorted(MODE_SIZES),
-        default="full",
-        help="workload tier: smoke (ms, verified), full (sub-second), heavy (seconds)",
+def workloads(sizes):
+    php_n, sat3_n, xor_n = sizes
+    php_vars = php_n * (php_n + 1)
+    yield Workload(
+        "pigeonhole", php_n, partial(run_clauses, php_vars, [pigeonhole_clauses(php_n)]), "unsat"
     )
-    parser.add_argument(
-        "--smoke", action="store_true", help="alias for --mode=smoke (small sizes + verification)"
+    # Answers vary by seed, so the row's answer is not known in advance.
+    instances = [random_3sat_clauses(sat3_n, seed) for seed in RANDOM_3SAT_SEEDS]
+    yield Workload("random_3sat", sat3_n, partial(run_clauses, sat3_n, instances))
+    yield Workload("xor_chain_sat", xor_n, partial(run_terms, xor_chain_terms(xor_n, True)), "sat")
+    yield Workload(
+        "xor_chain_unsat", xor_n, partial(run_terms, xor_chain_terms(xor_n, False)), "unsat"
     )
-    parser.add_argument("--check", action="store_true", help="verify answers and models")
-    parser.add_argument("--out", default="BENCH_sat.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.mode = "smoke"
-    return _run(args)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("sat", MODES, workloads, columns=("encode.clauses", "sat.conflicts")))

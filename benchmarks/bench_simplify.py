@@ -1,40 +1,35 @@
 #!/usr/bin/env python3
-"""Benchmark harness for the hash-consed term core and the simplifier.
+"""Benchmark suite for the hash-consed term core and the simplifier.
 
-Generates deterministic deep/wide/shared term workloads, runs
-construction, simplification and (where ground) evaluation over them, and
-reports per-workload:
+Generates deterministic deep/wide/shared term workloads, then builds,
+simplifies and (where ground) evaluates each one, plus a corpus-reparse
+workload.  Each row times the ``build`` (``parse``), ``simplify`` and
+``evaluate`` spans and counts:
 
-* tree node count and DAG node count before/after simplification,
-* intern-table hit/miss counts and hit rate for the construction phase,
-* wall-clock for build / simplify / evaluate.
+* tree and DAG node counts before and after simplification
+  (``nodes.*``; tree sizes only where the tree is tractable),
+* the intern-table hits, misses and hit rate of the construction phase
+  (``build.*``, or ``parse.*`` for the corpus's second parse),
+* the intern table's counters at the end of the row (``intern.*``).
 
-Results are printed as a table and written as JSON (``BENCH_simplify.json``
-by default) so CI can archive them.  ``--smoke`` shrinks every workload for
-a fast correctness-oriented pass; ``--check`` (implied by ``--smoke``)
-re-typechecks every simplified term at its original sort and asserts the
-simplify fixpoint.
+Every row is verified after its spans: a simplified term keeps its sort,
+is a simplify fixpoint and re-typechecks, and a ground term's value
+equals its simplified form; the corpus's simplified scripts print,
+reparse and print identically.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_simplify.py [--smoke] [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_simplify.py [--mode {smoke,full}] [--out PATH] [--corpus DIR]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
+from functools import partial
 from pathlib import Path
-import threading
-import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-sys.setrecursionlimit(1_000_000)
-
-from repro.obs import MetricsRegistry, Tracer, phase_seconds  # noqa: E402
-from repro.smtlib import (  # noqa: E402
+from _harness import Outcome, Workload, main, prefixed  # also puts src/ on sys.path
+from repro.smtlib import (
     BOOL,
     INT,
     STRING,
@@ -58,6 +53,7 @@ from repro.smtlib import (  # noqa: E402
 )
 
 BV8 = bitvec_sort(8)
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "corpus")
 
 
 # ---------------------------------------------------------------------------
@@ -150,185 +146,122 @@ def shared_doubling(n: int) -> Term:
     return term
 
 
-WORKLOADS = {
-    "deep_ground_add": (deep_ground_add, 20_000, 200),
-    "deep_mixed_add": (deep_mixed_add, 20_000, 200),
-    "wide_and": (wide_and, 50_000, 500),
-    "bv_mix": (bv_mix, 10_000, 200),
-    "string_runs": (string_runs, 20_000, 200),
-    "ite_chain": (ite_chain, 10_000, 200),
-    "nested_lets": (nested_lets, 10_000, 200),
-    "shared_doubling": (shared_doubling, 400, 40),
+# Workload sizes per tier, by generator.
+MODES = {
+    "smoke": {
+        deep_ground_add: 200,
+        deep_mixed_add: 200,
+        wide_and: 500,
+        bv_mix: 200,
+        string_runs: 200,
+        ite_chain: 200,
+        nested_lets: 200,
+        shared_doubling: 40,
+    },
+    "full": {
+        deep_ground_add: 20_000,
+        deep_mixed_add: 20_000,
+        wide_and: 50_000,
+        bv_mix: 10_000,
+        string_runs: 20_000,
+        ite_chain: 10_000,
+        nested_lets: 10_000,
+        shared_doubling: 400,
+    },
 }
 
 
-def _intern_metrics() -> dict[str, int]:
-    """The intern-table counters through the unified registry namespace."""
-    registry = MetricsRegistry()
-    registry.register_source("intern", intern_stats, gauges=("live",))
-    return registry.snapshot()
+# ---------------------------------------------------------------------------
+# Runners.
+# ---------------------------------------------------------------------------
 
 
-def run_workload(name: str, n: int, verify: bool) -> dict:
-    build_fn = WORKLOADS[name][0]
-    tracer = Tracer()
-    reset_intern_stats()
-    t0 = time.perf_counter()
-    with tracer.span("build"):
-        term = build_fn(n)
-    build_s = time.perf_counter() - t0
-    stats = intern_stats()
+def _intern_counts(phase: str, stats: dict[str, int]) -> dict[str, float]:
+    """One phase's intern-table counters and its hit rate."""
     hit_rate = stats["hits"] / max(1, stats["hits"] + stats["misses"])
+    return {**prefixed(phase, stats), f"{phase}.hit_rate": round(hit_rate, 4)}
 
-    # Tree size is exponential for the shared workloads; report DAG size
-    # always and tree size only when it is tractable.
-    dag_before = term.dag_size()
-    tree_before = term.size() if name != "shared_doubling" else None
 
-    t0 = time.perf_counter()
+def _node_counts(before: list[Term], after: list[Term], trees: bool) -> dict[str, int]:
+    counts = {
+        "nodes.dag_before": sum(t.dag_size() for t in before),
+        "nodes.dag_after": sum(t.dag_size() for t in after),
+    }
+    if trees:
+        counts["nodes.tree_before"] = sum(t.size() for t in before)
+        counts["nodes.tree_after"] = sum(t.size() for t in after)
+    return counts
+
+
+def run_term(build, n: int, tracer) -> Outcome:
+    reset_intern_stats()
+    with tracer.span("build"):
+        term = build(n)
+    built = intern_stats()
     with tracer.span("simplify"):
         simplified = simplify(term)
-    simplify_s = time.perf_counter() - t0
-
-    dag_after = simplified.dag_size()
-    tree_after = simplified.size() if name != "shared_doubling" else None
-
-    evaluate_s = None
     if not term.free_symbols():
-        t0 = time.perf_counter()
         with tracer.span("evaluate"):
             value = evaluate(term)
-        evaluate_s = time.perf_counter() - t0
-        assert simplified is value or simplified == value, name
-
-    if verify:
-        assert simplified.sort == term.sort, name
-        assert simplify(simplified) is simplified, name
-        check(simplified)
-
-    return {
-        "workload": name,
-        "n": n,
-        "nodes": {
-            "dag_before": dag_before,
-            "dag_after": dag_after,
-            "tree_before": tree_before,
-            "tree_after": tree_after,
+        assert simplified is value or simplified == value
+    assert simplified.sort == term.sort
+    assert simplify(simplified) is simplified
+    check(simplified)
+    return Outcome(
+        "fixpoint",
+        {
+            # The doubling workload's tree size is exponential in n.
+            **_node_counts([term], [simplified], trees=build is not shared_doubling),
+            **_intern_counts("build", built),
+            **prefixed("intern", intern_stats()),
         },
-        "intern": {**stats, "hit_rate": round(hit_rate, 4)},
-        "seconds": {
-            "build": round(build_s, 6),
-            "simplify": round(simplify_s, 6),
-            "evaluate": round(evaluate_s, 6) if evaluate_s is not None else None,
-        },
-        "phases": phase_seconds(tracer),
-        "metrics": _intern_metrics(),
-    }
+    )
 
 
-def run_corpus(corpus_dir: str, verify: bool) -> dict:
+def run_corpus(paths: list[str], tracer) -> Outcome:
     """Parse every corpus script twice (measuring intern hits on the second
     pass), then simplify and round-trip print each one."""
-    paths = sorted(
-        os.path.join(corpus_dir, f)
-        for f in os.listdir(corpus_dir)
-        if f.endswith(".smt2")
-    )
     texts = [Path(p).read_text(encoding="utf-8") for p in paths]
-    tracer = Tracer()
-    t0 = time.perf_counter()
     with tracer.span("parse"):
         first = [parse_script(text) for text in texts]
         reset_intern_stats()
         second = [parse_script(text) for text in texts]
-    parse_s = time.perf_counter() - t0
-    stats = intern_stats()
+    parsed = intern_stats()
+    with tracer.span("simplify"):
+        simplified = [simplify_script(script) for script in second]
     for a, b in zip(first, second):
         for ta, tb in zip(a.assertions(), b.assertions()):
             assert ta is tb, "double parse must yield identical object graphs"
-
-    t0 = time.perf_counter()
-    with tracer.span("simplify"):
-        simplified = [simplify_script(script) for script in second]
-    simplify_s = time.perf_counter() - t0
-    if verify:
-        for script in simplified:
-            reparsed = parse_script(script_to_smtlib(script))
-            assert script_to_smtlib(reparsed) == script_to_smtlib(script)
-    hit_rate = stats["hits"] / max(1, stats["hits"] + stats["misses"])
-    return {
-        "workload": "corpus_reparse",
-        "n": len(paths),
-        "nodes": {
-            "dag_before": sum(t.dag_size() for s in second for t in s.assertions()),
-            "dag_after": sum(t.dag_size() for s in simplified for t in s.assertions()),
-            "tree_before": sum(t.size() for s in second for t in s.assertions()),
-            "tree_after": sum(t.size() for s in simplified for t in s.assertions()),
+    for script in simplified:
+        reparsed = parse_script(script_to_smtlib(script))
+        assert script_to_smtlib(reparsed) == script_to_smtlib(script)
+    before = [t for s in second for t in s.assertions()]
+    after = [t for s in simplified for t in s.assertions()]
+    return Outcome(
+        "round-trip",
+        {
+            **_node_counts(before, after, trees=True),
+            **_intern_counts("parse", parsed),
+            **prefixed("intern", intern_stats()),
         },
-        "intern": {**stats, "hit_rate": round(hit_rate, 4)},
-        "seconds": {"build": round(parse_s, 6), "simplify": round(simplify_s, 6), "evaluate": None},
-        "phases": phase_seconds(tracer),
-        "metrics": _intern_metrics(),
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="small sizes + full verification")
-    parser.add_argument("--check", action="store_true", help="verify sorts and fixpoint")
-    parser.add_argument("--out", default="BENCH_simplify.json", help="JSON output path")
-    parser.add_argument(
-        "--corpus",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "corpus"),
-        help="corpus directory for the reparse workload",
     )
-    args = parser.parse_args(argv)
-    # The pipeline is recursive over term depth; full-size deep workloads
-    # need far more C stack than the default 8 MiB, so all measurement runs
-    # in a worker thread with a large explicit stack.
-    outcome: list = []
-    threading.stack_size(512 * 1024 * 1024)
-    worker = threading.Thread(target=lambda: outcome.append(_run(args)))
-    worker.start()
-    worker.join()
-    return outcome[0] if outcome else 1
 
 
-def _run(args: argparse.Namespace) -> int:
-    verify = args.check or args.smoke
-
-    results = []
-    for name, (_, full_n, smoke_n) in WORKLOADS.items():
-        n = smoke_n if args.smoke else full_n
-        results.append(run_workload(name, n, verify))
-    if os.path.isdir(args.corpus):
-        results.append(run_corpus(args.corpus, verify))
-
-    header = (
-        f"{'workload':<18} {'n':>7} {'dag_in':>8} {'dag_out':>8} "
-        f"{'hit_rate':>8} {'build_s':>9} {'simp_s':>9}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in results:
-        print(
-            f"{row['workload']:<18} {row['n']:>7} {row['nodes']['dag_before']:>8} "
-            f"{row['nodes']['dag_after']:>8} {row['intern']['hit_rate']:>8.3f} "
-            f"{row['seconds']['build']:>9.4f} {row['seconds']['simplify']:>9.4f}"
-        )
-
-    payload = {
-        "bench": "simplify",
-        "mode": "smoke" if args.smoke else "full",
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"\nwrote {args.out}")
-    return 0
+def workloads(sizes, corpus: str):
+    for build, n in sizes.items():
+        yield Workload(build.__name__, n, partial(run_term, build, n))
+    if os.path.isdir(corpus):
+        paths = sorted(os.path.join(corpus, f) for f in os.listdir(corpus) if f.endswith(".smt2"))
+        yield Workload("corpus_reparse", len(paths), partial(run_corpus, paths))
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        main(
+            "simplify",
+            MODES,
+            workloads,
+            columns=("nodes.dag_before", "nodes.dag_after"),
+            options=(("--corpus", CORPUS, "corpus directory for the reparse workload"),),
+        )
+    )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark harness for the DPLL(T) engine: EUF workloads and
+"""Benchmark suite for the DPLL(T) engine: EUF workloads and
 incremental push/pop solving.
 
 Four deterministic workload families, all driven through the full
@@ -16,37 +16,26 @@ engine (parse-free: scripts are built as command tuples):
   measures closure plus model construction and in-engine validation.
 * ``incremental`` — a shared boolean core (xor chain) plus ``rounds``
   push/assert/check/pop deltas, solved twice: once through ONE persistent
-  engine (the PR-4 path: selector-literal frames, retained learned
-  clauses, zero re-encoding of the core) and once from scratch with a
-  fresh engine per query.  The row reports both times and their ratio;
-  with ``--check``/``--smoke`` the harness asserts the persistent path
-  is at least 2x faster (the acceptance criterion) and that both paths
-  agree on every answer.
-
-Results are printed as a table and written as JSON (``BENCH_smt.json``),
-the same shape as the other suites, so ``check_regression.py``
-auto-gates them against ``benchmarks/baselines/BENCH_smt.json``.
+  engine (selector-literal frames, retained learned clauses, zero
+  re-encoding of the core; the ``incremental`` span) and once from
+  scratch with a fresh engine per query (the ``scratch`` span).  The
+  row reports their ratio as ``incremental.speedup``, and the run
+  asserts that both paths agree on every answer and that the
+  persistent path is at least 2x faster (the acceptance criterion).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_smt.py [--smoke] [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_smt.py [--mode {smoke,full}] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import threading
-import time
+from functools import partial
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-sys.setrecursionlimit(1_000_000)
-
-from repro import Engine  # noqa: E402
-from repro.obs import Observability, phase_seconds  # noqa: E402
-from repro.smtlib import (  # noqa: E402
+from _harness import Outcome, Workload, engine_workload, main  # also puts src/ on sys.path
+from repro import Engine
+from repro.obs import Observability
+from repro.smtlib import (
     BOOL,
     Apply,
     Assert,
@@ -58,6 +47,13 @@ from repro.smtlib import (  # noqa: E402
     Symbol,
     uninterpreted_sort,
 )
+
+# Workload sizes per tier: (orbit length, pigeonhole holes, model web
+# size, incremental chain length, incremental rounds).
+MODES = {
+    "smoke": (60, 4, 80, 120, 6),
+    "full": (400, 6, 600, 500, 14),
+}
 
 U = uninterpreted_sort("U")
 
@@ -185,176 +181,59 @@ def incremental_workload(length, rounds):
 # ---------------------------------------------------------------------------
 
 
-def _nodes(metrics):
-    """Encoding size after a run: variables, clauses shipped to the SAT
-    core and the last check's atoms."""
-    return {
-        "vars": metrics["engine.vars"],
-        "clauses": metrics["engine.clauses_shipped"],
-        "atoms": metrics["engine.atoms"],
-    }
-
-
-def run_script_workload(name, n, commands, expected, verify):
-    obs = Observability.tracing()
-    engine = Engine(obs=obs)
-    t0 = time.perf_counter()
-    result = engine.run(Script(tuple(commands)))
-    elapsed = time.perf_counter() - t0
-    answers = result.answers
-    if verify and expected is not None:
-        assert answers == expected, (name, answers, expected)
-    metrics = engine.metrics.snapshot()
-    return {
-        "workload": name,
-        "n": n,
-        "nodes": _nodes(metrics),
-        "answer": ",".join(answers),
-        "solver": {
-            key: sum(r.metrics.get(metric, 0) for r in result.check_results)
-            for key, metric in (
-                ("conflicts", "sat.conflicts"),
-                ("propagations", "sat.propagations"),
-                ("theory_lemmas", "sat.theory_lemmas"),
-                ("euf_merges", "theory.euf.merges"),
-            )
-        },
-        "seconds": {"solve": round(elapsed, 6)},
-        "phases": phase_seconds(obs.tracer),
-        "metrics": metrics,
-    }
-
-
-def run_incremental_workload(length, rounds, verify):
-    script, flattened, expected = incremental_workload(length, rounds)
-
-    obs = Observability.tracing()
-    t0 = time.perf_counter()
-    engine = Engine(obs=obs)
-    incremental_result = engine.run(script)
-    incremental_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    scratch_answers = []
-    for reference in flattened:
-        scratch_answers.append(Engine().run(reference).answers[0])
-    scratch_s = time.perf_counter() - t0
-
-    answers = incremental_result.answers
+def run_incremental(script, flattened, rounds, tracer) -> Outcome:
+    with tracer.span("incremental") as incremental:
+        engine = Engine(obs=Observability(tracer=tracer))
+        result = engine.run(script)
+    with tracer.span("scratch") as scratch:
+        scratch_answers = [Engine().run(reference).answers[0] for reference in flattened]
+    incremental_s = incremental.span.total_ns / 1e9
+    scratch_s = scratch.span.total_ns / 1e9
     speedup = scratch_s / incremental_s if incremental_s > 0 else float("inf")
-    if verify:
-        assert answers == expected, (answers, expected)
-        assert scratch_answers == expected, (scratch_answers, expected)
-        later = incremental_result.check_results[1:]
-        # The core is never re-encoded after the first check ...
-        assert all(
-            r.metrics["engine.tseitin_new_vars"] < 50 for r in later
-        ), "core re-encoded"
-        # ... and the acceptance criterion: >= 2x over from-scratch.  The
-        # full bar applies only above a timing floor (mirroring
-        # check_regression's clamp) so scheduler noise on CI-sized smoke
-        # runs cannot flake the build; smoke still sanity-checks >= 1.2x
-        # against a locally-measured ~3x.
-        if scratch_s >= 0.25:
-            assert speedup >= 2.0, f"incremental speedup only {speedup:.2f}x"
-        else:
-            assert speedup >= 1.2, f"incremental speedup only {speedup:.2f}x"
-    metrics = engine.metrics.snapshot()
-    return {
-        "workload": "incremental",
-        "n": length,
-        "rounds": rounds,
-        "nodes": _nodes(metrics),
-        "answer": ",".join(answers),
-        "speedup": round(speedup, 2),
-        "solver": {
-            "conflicts": sum(
-                r.metrics.get("sat.conflicts", 0)
-                for r in incremental_result.check_results
-            ),
-            "learned_db": incremental_result.check_results[-1].metrics[
-                "engine.learned_db"
-            ],
+    assert scratch_answers == result.answers, (scratch_answers, result.answers)
+    # The core is never re-encoded after the first check ...
+    assert all(
+        r.metrics["engine.tseitin_new_vars"] < 50 for r in result.check_results[1:]
+    ), "core re-encoded"
+    # ... and the acceptance criterion: >= 2x over from-scratch.  The
+    # full bar applies only above a timing floor (mirroring
+    # check_regression's clamp) so scheduler noise on CI-sized smoke
+    # runs cannot flake the build; smoke still sanity-checks >= 1.2x
+    # against a locally-measured ~3x.
+    if scratch_s >= 0.25:
+        assert speedup >= 2.0, f"incremental speedup only {speedup:.2f}x"
+    else:
+        assert speedup >= 1.2, f"incremental speedup only {speedup:.2f}x"
+    return Outcome(
+        ",".join(result.answers),
+        {
+            **engine.metrics.snapshot(),
+            "incremental.rounds": rounds,
+            "incremental.speedup": round(speedup, 2),
         },
-        "seconds": {
-            "incremental": round(incremental_s, 6),
-            "scratch": round(scratch_s, 6),
-        },
-        "phases": phase_seconds(obs.tracer),
-        "metrics": metrics,
-    }
-
-
-def _run(args: argparse.Namespace) -> int:
-    verify = args.check or args.smoke
-    orbit_n = 60 if args.smoke else 400
-    php_n = 4 if args.smoke else 6
-    model_n = 80 if args.smoke else 600
-    chain_n = 120 if args.smoke else 500
-    rounds = 6 if args.smoke else 14
-
-    results = [
-        run_script_workload(
-            "euf_orbit", orbit_n, orbit_commands(orbit_n), ["unsat"], verify
-        ),
-        run_script_workload(
-            "euf_pigeonhole",
-            php_n,
-            euf_pigeonhole_commands(php_n),
-            ["unsat"],
-            verify,
-        ),
-        run_script_workload(
-            "euf_model", model_n, euf_model_commands(model_n), ["sat"], verify
-        ),
-        run_incremental_workload(chain_n, rounds, verify),
-    ]
-
-    header = (
-        f"{'workload':<16} {'n':>6} {'vars':>7} {'clauses':>8} {'answer':>22} "
-        f"{'conflicts':>10} {'seconds':>18}"
     )
-    print(header)
-    print("-" * len(header))
-    for row in results:
-        seconds = " ".join(f"{k}={v:.4f}" for k, v in row["seconds"].items())
-        answer = row["answer"] if len(row["answer"]) <= 22 else row["answer"][:19] + "..."
-        print(
-            f"{row['workload']:<16} {row['n']:>6} {row['nodes']['vars']:>7} "
-            f"{row['nodes']['clauses']:>8} {answer:>22} "
-            f"{row['solver']['conflicts']:>10} {seconds:>18}"
-        )
-    incremental = next(r for r in results if r["workload"] == "incremental")
-    print(f"\nincremental speedup vs from-scratch: {incremental['speedup']:.2f}x")
-
-    payload = {
-        "bench": "smt",
-        "mode": "smoke" if args.smoke else "full",
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-    return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="small sizes + full verification")
-    parser.add_argument("--check", action="store_true", help="verify answers and speedup")
-    parser.add_argument("--out", default="BENCH_smt.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    # Deep chains recurse through simplify/NNF/Tseitin; run in a worker
-    # thread with a large stack, mirroring the other benchmark harnesses.
-    outcome: list = []
-    threading.stack_size(512 * 1024 * 1024)
-    worker = threading.Thread(target=lambda: outcome.append(_run(args)))
-    worker.start()
-    worker.join()
-    return outcome[0] if outcome else 1
+def workloads(sizes):
+    orbit_n, php_n, model_n, chain_n, rounds = sizes
+    yield engine_workload("euf_orbit", orbit_n, orbit_commands(orbit_n), ["unsat"])
+    yield engine_workload("euf_pigeonhole", php_n, euf_pigeonhole_commands(php_n), ["unsat"])
+    yield engine_workload("euf_model", model_n, euf_model_commands(model_n), ["sat"])
+    script, flattened, expected = incremental_workload(chain_n, rounds)
+    yield Workload(
+        "incremental",
+        chain_n,
+        partial(run_incremental, script, flattened, rounds),
+        ",".join(expected),
+    )
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        main(
+            "smt",
+            MODES,
+            workloads,
+            columns=("sat.conflicts", "engine.clauses_shipped", "incremental.speedup"),
+        )
+    )

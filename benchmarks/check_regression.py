@@ -3,7 +3,8 @@
 
 For every fresh result file given on the command line, the matching
 baseline (same file name) is loaded from ``--baseline-dir`` and each
-workload's total wall-clock is compared.  With **no** positional
+workload's ``seconds.total`` (the wall-clock of its timed spans, see
+``_harness.py``) is compared.  With **no** positional
 arguments the gate auto-discovers every ``--baseline-dir``/``*.json``
 and expects the matching fresh file in the current directory — so a new
 benchmark suite is gated the moment its baseline is committed, with no
@@ -32,18 +33,17 @@ gate; the flag makes a perf win visible in CI output and nudges the
 author to refresh the committed baseline so the gate keeps teeth.
 
 Besides the wall-clock gate, the script prints an **informational**
-counter-drift report: the deterministic search counters (``solver`` and
-``intern`` blocks of each workload row) are compared against the
-baseline and any counter that moved by more than ``--drift-threshold``×
-(default 1.5×, both sides above a small noise floor) is listed.  Counter
-drift never fails the gate — timings vary with the machine, but counter
-movement on identical inputs means the search *behavior* changed, which
-is exactly what a reviewer wants surfaced next to a timing diff.
+counter-drift report: the integer ``metrics`` of each workload row are
+compared against the baseline and any counter that moved by more than
+``--drift-threshold``× (default 1.5×, both sides above a small noise
+floor) is listed.  Counter drift never fails the gate — timings vary
+with the machine, but counter movement on identical inputs means the
+search *behavior* changed, which belongs next to a timing diff.
 
 Usage::
 
     python benchmarks/check_regression.py [BENCH_simplify.json ...] \
-        [--baseline-dir benchmarks/baselines] [--threshold 2.5] [--floor 0.02]
+        [--baseline-dir benchmarks/baselines] [--threshold 2.5] [--floor 0.05]
 """
 
 from __future__ import annotations
@@ -61,28 +61,19 @@ def payload_mode(path: str):
 
 
 def workload_seconds(payload: dict) -> dict[str, float]:
-    """Total wall-clock per workload: the sum of its non-null phase timings."""
-    totals: dict[str, float] = {}
-    for row in payload.get("results", []):
-        seconds = row.get("seconds", {})
-        totals[row["workload"]] = sum(v for v in seconds.values() if v is not None)
-    return totals
+    """Total wall-clock per workload: its ``seconds.total``."""
+    return {row["workload"]: row["seconds"]["total"] for row in payload.get("results", [])}
 
 
 def workload_counters(payload: dict) -> dict[str, dict[str, int]]:
-    """Per-workload deterministic counters: the ``solver`` block plus the
-    integer ``intern`` entries (hit_rate and other floats are derived)."""
-    out: dict[str, dict[str, int]] = {}
-    for row in payload.get("results", []):
-        counters: dict[str, int] = {}
-        for key, value in (row.get("solver") or {}).items():
-            if isinstance(value, int):
-                counters[key] = value
-        for key, value in (row.get("intern") or {}).items():
-            if isinstance(value, int):
-                counters[f"intern.{key}"] = value
-        out[row["workload"]] = counters
-    return out
+    """Per-workload counters: the integer ``metrics`` (rates and other
+    floats are derived)."""
+    return {
+        row["workload"]: {
+            key: value for key, value in row["metrics"].items() if isinstance(value, int)
+        }
+        for row in payload.get("results", [])
+    }
 
 
 def counter_drift(

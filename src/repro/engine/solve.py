@@ -71,7 +71,7 @@ from ..proof.log import INPUT, Proof, ProofLog, ProofStep
 from ..sat import SAT, UNKNOWN, UNSAT, Solver, SolverConfig, TheoryHook, TheoryLemma
 from ..sat.dimacs import to_dimacs
 from ..smtlib.cnf import TseitinEncoder
-from ..smtlib.evaluate import FunctionInterpretation, evaluate
+from ..smtlib.evaluate import Evaluator, FunctionInterpretation
 from ..smtlib.parser import parse_script
 from ..smtlib.printer import (
     constant_to_smtlib,
@@ -774,11 +774,12 @@ class Engine:
         if model is None:
             failure = "model-construction-failed"
         else:
-            definitions = self._definitions()  # validate the terms as asserted
+            # Validate the terms as asserted, through one evaluator.
+            evaluator = Evaluator(model, fun_interps, self._definitions())
             with trace_span("validate"):
                 try:
                     if not all(
-                        evaluate(term, model, fun_interps, definitions) is TRUE
+                        evaluator(term) is TRUE
                         for frame in self._frames
                         for term in frame.assertions
                     ):
@@ -974,11 +975,13 @@ class Engine:
     def _get_value(self, terms: tuple[Term, ...]) -> str:
         if self._last is None or self._last.model is None:
             return '(error "no model available: last check-sat was not sat")'
-        definitions = self._definitions()
+        evaluator = Evaluator(
+            self._last.model, self._last.fun_interps or {}, self._definitions()
+        )
         pairs = []
         for term in terms:
             try:
-                value = evaluate(term, self._last.model, self._last.fun_interps, definitions)
+                value = evaluator(term)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                 return f'(error "cannot evaluate {term_to_smtlib(term)}: {exc}")'
             pairs.append(f"({term_to_smtlib(term)} {constant_to_smtlib(value)})")

@@ -16,11 +16,14 @@ points where the recursion starts: :func:`repro.smtlib.parse_script`
 (every text input, API or CLI, goes through it; reading the text into
 lists is iterative, interpreting each term recurses over its depth),
 :meth:`repro.engine.Engine.run` (every solve path, including scripts
-built in code) and :func:`repro.portfolio.solve_portfolio` (which renders
-a built script back to text).  It only ever *raises* the limit — a caller
-that installed a higher one keeps it — and it is bounded: 100k Python frames
-live on the heap (cheap in CPython ≥ 3.11) and cover every workload in
-the corpus and benchmark suites with an order of magnitude to spare.
+built in code), :func:`repro.portfolio.solve_portfolio` (which renders
+a built script back to text) and the public walks a library caller
+reaches directly: ``simplify``, ``simplify_script``, ``evaluate``,
+``term_to_smtlib``, ``check`` and ``check_script``.  It only ever
+*raises* the limit — a caller that installed a higher one keeps it —
+and it is bounded: 100k Python frames live on the heap (cheap in
+CPython ≥ 3.11) and cover every workload in the corpus and benchmark
+suites with an order of magnitude to spare.
 The guard counts Python frames only.  A pass whose recursion runs
 through C — a generator expression around the recursive call, or
 pickling — also spends C stack per level, which can crash the

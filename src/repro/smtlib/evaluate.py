@@ -19,7 +19,9 @@ Two entry points:
   the top-level bindings plus its parameters (a call-site ``let`` cannot
   capture a body name).  A nullary definition is evaluated where it is
   read, and a ``let`` value or an argument that cannot be evaluated
-  fails only where it is read, so an unused one costs nothing.
+  fails only where it is read, so an unused one costs nothing.  An
+  :class:`Evaluator` evaluates many terms against one model and shares
+  their subterms' values.
 
 Semantics follow the SMT-LIB standard: ``div``/``mod`` are Euclidean,
 ``bvudiv x 0`` is all-ones, ``bvurem x 0`` is ``x``, ``str.substr`` is
@@ -33,6 +35,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
 from ..errors import EvaluationError
+from ..limits import ensure_recursion_limit
 from .script import DefineFun
 from .sorts import (
     INT,
@@ -616,7 +619,7 @@ def evaluate(
     :class:`~repro.errors.EvaluationError` for quantified terms, uncovered
     free symbols, or unfoldable applications.
     """
-    return _evaluate(term, {}, _Model(bindings or {}, funs or {}, definitions or {}), {})
+    return Evaluator(bindings or {}, funs or {}, definitions or {})(term)
 
 
 def evaluate_value(
@@ -629,13 +632,25 @@ def evaluate_value(
 
 
 @dataclass
-class _Model:
-    """What a term is evaluated against besides its binders."""
+class Evaluator:
+    """Evaluates closed terms against one model, as :func:`evaluate` does
+    with the same arguments.
+
+    It remembers the value of every nullary definition, application and
+    ``let`` term it evaluates outside any binder, so the terms evaluated
+    through one evaluator share those values: model validation evaluates
+    every asserted term of a check through one."""
 
     bindings: Mapping[str, Constant]
     funs: Mapping[str, FunctionInterpretation]
     definitions: Mapping[str, DefineFun]
     values: dict[str, Constant] = field(default_factory=dict)
+    memo: dict[Term, Constant] = field(default_factory=dict)
+
+    def __call__(self, term: Term) -> Constant:
+        """The value of ``term``; raises as :func:`evaluate` does."""
+        ensure_recursion_limit()  # the evaluator recurses over term depth
+        return _evaluate(term, {}, self, self.memo)
 
     def free(self, name: str) -> Constant:
         """A name no binder binds: its binding, or its nullary definition's value."""
@@ -644,7 +659,8 @@ class _Model:
             definition = self.definitions.get(name)
             if definition is None or definition.params:
                 raise EvaluationError(f"cannot evaluate free symbol {name!r}")
-            value = self.values[name] = _evaluate(definition.body, {}, self, {})
+            # The body sees the same names as a term outside any binder.
+            value = self.values[name] = _evaluate(definition.body, {}, self, self.memo)
         return value
 
 
@@ -655,7 +671,7 @@ _Value = Union[Constant, EvaluationError]
 def _evaluate(
     term: Term,
     env: dict[str, _Value],
-    model: _Model,
+    model: Evaluator,
     memo: dict[Term, Constant],
 ) -> Constant:
     # ``env`` binds the names in scope (a definition's parameters and the
@@ -730,7 +746,7 @@ def _evaluate(
     raise EvaluationError(f"unknown term node: {term!r}")
 
 
-def _bound(term: Term, env: dict[str, _Value], model: _Model, memo: dict[Term, Constant]) -> _Value:
+def _bound(term: Term, env: dict[str, _Value], model: Evaluator, memo: dict[Term, Constant]) -> _Value:
     """What a ``let`` binder or a parameter binds: ``term``'s value, or the
     error evaluating it raised, raised again only where the name is read."""
     try:
@@ -768,6 +784,7 @@ __all__ = [
     "fold_apply",
     "evaluate",
     "evaluate_value",
+    "Evaluator",
     "euclidean_div",
     "euclidean_mod",
     "ArrayValue",

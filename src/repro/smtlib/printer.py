@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..limits import ensure_recursion_limit
 from .evaluate import ArrayValue
 from .lexer import quote_identifier
 from .sorts import BOOL, INT, REAL, STRING, Sort, is_bitvec
@@ -114,6 +115,7 @@ def term_to_smtlib(term: Term) -> str:
     with hash-consed terms, a subterm shared by many parents is rendered
     once per call no matter how often it occurs.
     """
+    ensure_recursion_limit()  # rendering recurses over term depth
     return _term_text(term, {})
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 from itertools import combinations, pairwise
 from typing import Callable, Iterable, Optional
 
+from ..limits import ensure_recursion_limit
 from .evaluate import fold_apply
 from .linarith import is_numeric_term, linear_form
 from .script import Script
@@ -75,6 +76,7 @@ FLATTEN_LIMIT = 128
 
 def simplify(term: Term) -> Term:
     """Simplify ``term`` to a rewrite fixpoint.  Sort-preserving."""
+    ensure_recursion_limit()  # the simplifier recurses over term depth
     return simplify_with(term, {}, {})
 
 
@@ -85,6 +87,7 @@ def simplify_script(script: Script) -> Script:
     as-is; all assertions share one memo table so common subterms across
     assertions are simplified once.
     """
+    ensure_recursion_limit()  # the simplifier recurses over term depth
     memo: dict[Term, Term] = {}
     free: dict[Term, frozenset[str]] = {}
     return script.map_assertions(lambda term: simplify_with(term, memo, free))

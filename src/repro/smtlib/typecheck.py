@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from ..errors import TypeCheckError, UnknownSymbolError
+from ..limits import ensure_recursion_limit
 from .script import DeclarationContext
 from .sorts import (
     BOOL,
@@ -738,6 +739,7 @@ def check(term: Term, context: Optional[DeclarationContext] = None) -> Sort:
     is linear in DAG size; the bound-variable dict is mutated and restored
     around binders, so deep binder chains are linear too.
     """
+    ensure_recursion_limit()  # the checker recurses over term depth
     return _check(term, context, {}, {})
 
 
@@ -861,6 +863,7 @@ def check_script(script) -> None:
     from ..obs.spans import trace_span
     from .script import Assert, DefineFun, apply_command
 
+    ensure_recursion_limit()  # the checker recurses over term depth
     with trace_span("typecheck"):
         context = DeclarationContext()
         for command in script.commands:

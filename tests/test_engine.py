@@ -29,6 +29,7 @@ from repro.smtlib import (
     CheckSat,
     DefineFun,
     Exit,
+    FunctionInterpretation,
     GetValue,
     Pop,
     Push,
@@ -494,6 +495,26 @@ class TestValidation:
             lines.append(f"(define-fun g{k} ((b Bool)) Bool (and {call} {call}))")
         result = run_script(" ".join(lines) + " (assert (g40 p)) (check-sat) (get-value (p))")
         assert result.output == ["sat", "((p true))"]
+
+    def test_a_shared_definition_is_evaluated_once_per_check(self, monkeypatch):
+        # Both assertions read the nullary c, whose body reads f once.
+        # Validation evaluates every asserted term through one evaluator,
+        # so f's graph is consulted once per check, not once per assertion.
+        calls = []
+        lookup = FunctionInterpretation.__call__
+
+        def counting(self, args):
+            calls.append(args)
+            return lookup(self, args)
+
+        monkeypatch.setattr(FunctionInterpretation, "__call__", counting)
+        result = run_script(
+            "(declare-sort U 0) (declare-fun f (U) U) (declare-const a U) (declare-const b U)"
+            " (define-fun c () U (f a)) (assert (= c b)) (assert (distinct c a))"
+            " (check-sat) (check-sat)"
+        )
+        assert result.answers == ["sat", "sat"]
+        assert len(calls) == 2
 
     def test_model_building_walks_no_assertion(self, monkeypatch):
         def refuse(self):
