@@ -38,7 +38,9 @@ compared against the baseline and any counter that moved by more than
 ``--drift-threshold``× (default 1.5×, both sides above a small noise
 floor) is listed.  Counter drift never fails the gate — timings vary
 with the machine, but counter movement on identical inputs means the
-search *behavior* changed, which belongs next to a timing diff.
+search *behavior* changed, which belongs next to a timing diff.  The
+intern table's ``intern.*`` counters are left out: they count the whole
+process, so they move with what earlier workloads left alive.
 
 Usage::
 
@@ -67,10 +69,14 @@ def workload_seconds(payload: dict) -> dict[str, float]:
 
 def workload_counters(payload: dict) -> dict[str, dict[str, int]]:
     """Per-workload counters: the integer ``metrics`` (rates and other
-    floats are derived)."""
+    floats are derived), without the intern table's ``intern.*``, which
+    count the whole process and move with what earlier workloads left
+    alive."""
     return {
         row["workload"]: {
-            key: value for key, value in row["metrics"].items() if isinstance(value, int)
+            key: value
+            for key, value in row["metrics"].items()
+            if isinstance(value, int) and not key.startswith("intern.")
         }
         for row in payload.get("results", [])
     }

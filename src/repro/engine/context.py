@@ -38,11 +38,11 @@ Preparation is the only walk between an asserted term and the encoder:
      for EUF), and a chained comparison ``(< a b c)`` becomes the
      conjunction of its adjacent binary pairs.  Every binary equality
      rule 1 makes goes through this rule too.
-* **Simplification.**  Then each application, and each quantifier once
-  its body is prepared, goes through the simplifier's node rules to
-  fixpoint (:func:`~repro.smtlib.simplify.simplify_with`, one memo per
-  round), so the rules see simplified arguments: ``(= (ite true x 1) y)``
-  splits like ``(= x y)``.
+* **Simplification.**  Then each application takes the simplifier's node
+  step (:func:`~repro.smtlib.simplify.simplify_node`, one memo per round),
+  and the structure the rules above build and each prepared quantifier
+  the full driver, so the rules see simplified arguments:
+  ``(= (ite true x 1) y)`` splits like ``(= x y)``.
 * **Records.**  The walk records into its frame the free symbols it
   passes and the sort of the first ``select`` read (before simplification
   can drop it), so building a model walks no assertion; a memo hit skips
@@ -55,7 +55,7 @@ from typing import Optional
 
 from ..smtlib.linarith import linear_form
 from ..smtlib.script import DefineFun, FunSignature
-from ..smtlib.simplify import simplify_with
+from ..smtlib.simplify import simplify_node, simplify_with
 from ..smtlib.sorts import BOOL, INT, REAL, Sort
 from ..smtlib.terms import (
     Apply,
@@ -162,8 +162,11 @@ class Preparation:
             if definition is not None and not term.indices and term.op not in env:
                 params = {name: arg for (name, _), arg in zip(definition.params, args)}
                 result = self._walk(definition.body, params, {})
+            elif (node := _rewrite(term, args)) is not None:
+                result = simplify_with(node, self._simplified, self._free)
             else:
-                result = simplify_with(_rewrite(term, args), self._simplified, self._free)
+                node = term if args == term.args else Apply(term.op, args, term.sort, term.indices)
+                result = simplify_node(node, self._simplified, self._free)
         elif isinstance(term, Quantifier):
             saved = push_scope(env, [(name, Symbol(name, sort)) for name, sort in term.bindings])
             body = self._walk(term.body, env, {})
@@ -183,8 +186,9 @@ class Preparation:
         return result
 
 
-def _rewrite(term: Apply, args: tuple[Term, ...]) -> Term:
-    """The two rules on an application whose arguments are prepared."""
+def _rewrite(term: Apply, args: tuple[Term, ...]) -> Optional[Term]:
+    """The two rules on an application whose arguments are prepared: the
+    new structure they build, or ``None`` when neither applies."""
     op = term.op
     if (op == "=" or op == "distinct") and args and args[0].sort != BOOL:
         if op == "distinct":
@@ -201,7 +205,7 @@ def _rewrite(term: Apply, args: tuple[Term, ...]) -> Term:
             return bounds
     elif op in ("<", "<=", ">", ">=") and len(args) > 2:
         return Apply("and", tuple([Apply(op, pair, BOOL) for pair in zip(args, args[1:])]), BOOL)
-    return term if args == term.args else Apply(op, args, term.sort, term.indices)
+    return None
 
 
 def _equality(args: tuple[Term, Term]) -> Term:

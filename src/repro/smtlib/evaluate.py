@@ -489,10 +489,10 @@ def _array_equal(
         return None
     # Outside the finite key set below both rows read the graph default,
     # so comparing on it decides extensional equality exactly.
-    keys = set(updates_l) | set(updates_r)
+    keys = dict.fromkeys([*updates_l, *updates_r])
     for entry in interpretation.entries:
         if len(entry) == 2 and (entry[0] is base_l or entry[0] is base_r):
-            keys.add(entry[1])
+            keys[entry[1]] = None
     for key in keys:
         row_l = updates_l.get(key)
         if row_l is None:

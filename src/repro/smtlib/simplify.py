@@ -155,8 +155,7 @@ def simplify_with(
             simplified.append(simplify_with(arg, memo, free))
         args = tuple(simplified)
         node = term if args == term.args else Apply(term.op, args, term.sort, term.indices)
-        rewritten = _apply_rules(node)
-        result = node if rewritten is node else simplify_with(rewritten, memo, free)
+        result = simplify_node(node, memo, free)
     elif isinstance(term, Quantifier):
         body = simplify_with(term.body, memo, free)
         used = _free_names(body, free)
@@ -172,6 +171,22 @@ def simplify_with(
     memo[term] = result
     memo[result] = result
     return result
+
+
+def simplify_node(
+    node: Apply,
+    memo: dict[Term, Term],
+    free: dict[Term, frozenset[str]],
+) -> Term:
+    """The driver's step on an application over simplified arguments: the
+    node rules, then the fixpoint of a rewritten node, both memoized."""
+    cached = memo.get(node)
+    if cached is None:
+        rewritten = _apply_rules(node)
+        cached = node if rewritten is node else simplify_with(rewritten, memo, free)
+        memo[node] = cached
+        memo[cached] = cached
+    return cached
 
 
 def _simplify_let(
@@ -651,4 +666,4 @@ _RULES: dict[str, Callable[[Apply], Term]] = {
 _RULES.update({op: _rule_compare for op in _REFLEXIVE_COMPARE})
 
 
-__all__ = ["simplify", "simplify_script", "simplify_with", "FLATTEN_LIMIT"]
+__all__ = ["simplify", "simplify_script", "simplify_with", "simplify_node", "FLATTEN_LIMIT"]

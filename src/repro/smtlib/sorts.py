@@ -5,6 +5,12 @@ indices* (for indexed sorts such as ``(_ BitVec 8)`` and
 ``(_ FiniteField 3)``) and optional *sort arguments* (for parametric sorts
 such as ``(Seq Int)`` and ``(Array Int Bool)``).
 
+Sorts are hash-consed like terms: one object per distinct ``(name, args,
+indices)`` in a dict of keyed weak references, so ``==`` is ``is``, a sort
+hashes by identity and dies with its last user.  Hash values, and so the
+order of a set of sorts, differ between runs and processes; no code may
+depend on them.  Pickling and copying re-intern through the constructor.
+
 The module also provides the standard sorts used throughout the library and
 helper constructors for the parametric ones, including the solver-specific
 extensions exercised by the paper (sequences, sets, relations, bags and
@@ -13,31 +19,67 @@ finite fields in cvc5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from _weakref import _remove_dead_weakref  # type: ignore[attr-defined]
 from typing import Iterable
 
 from .lexer import quote_identifier
 
 
-@dataclass(frozen=True)
+class _KeyedRef(weakref.ref):
+    """An intern-table entry: a weak reference that carries its key."""
+
+    __slots__ = ("key",)
+
+    key: tuple
+
+
+_SORT_TABLE: dict[tuple, _KeyedRef] = {}
+
+
+def _drop_dead_sort(ref: _KeyedRef) -> None:
+    """Remove a dead sort's entry, unless a live sort has taken its key."""
+    _remove_dead_weakref(_SORT_TABLE, ref.key)
+
+
 class Sort:
     """An SMT-LIB sort such as ``Int``, ``(_ BitVec 8)`` or ``(Seq Int)``."""
 
+    __slots__ = ("name", "args", "indices", "__weakref__")
+
     name: str
-    args: tuple["Sort", ...] = ()
-    indices: tuple[int, ...] = ()
+    args: tuple["Sort", ...]
+    indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        # Cache the structural hash: the hash-consed term layer hashes sorts
-        # on every construction, so sort hashing must be O(1) after this.
-        object.__setattr__(
-            self, "_hash", hash((self.name, self.args, self.indices))
-        )
+    def __new__(cls, name: str, args: Iterable["Sort"] = (), indices: Iterable[int] = ()) -> "Sort":
+        args = tuple(args)
+        indices = tuple([int(i) for i in indices]) if indices else ()
+        key = (name, args, indices)
+        ref = _SORT_TABLE.get(key)
+        if ref is not None:
+            existing = ref()
+            if existing is not None:
+                return existing
+        sort = object.__new__(cls)
+        object.__setattr__(sort, "name", name)
+        object.__setattr__(sort, "args", args)
+        object.__setattr__(sort, "indices", indices)
+        ref = _KeyedRef(sort, _drop_dead_sort)
+        ref.key = key
+        _SORT_TABLE[key] = ref
+        return sort
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"sorts are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"sorts are immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Sort(name={self.name!r}, args={self.args!r}, indices={self.indices!r})"
+
+    def __reduce__(self):
+        return (Sort, (self.name, self.args, self.indices))
 
     # -- structural queries -------------------------------------------------
 

@@ -19,16 +19,19 @@ Hash-consing gives three guarantees the rest of the pipeline builds on:
 
 * **O(1) equality** — structural equality coincides with object identity
   (``==`` is ``is``), so comparing two terms never walks their trees.
-* **O(1) hashing** — every node stores its structural hash, computed once
-  at construction from the (already O(1)) hashes of its children.
-* **Cached sort** — every node stores its :class:`~repro.smtlib.sorts.Sort`
-  at construction; ``Quantifier`` caches ``Bool`` and ``Let`` caches its
-  body's sort, so ``term.sort`` never recomputes anything.
+* **Identity hashing** — a node hashes by identity, in C, which interning
+  makes consistent with ``==``.  Hash values, and so the iteration order
+  of a set of terms, differ between runs and even between two executions
+  in one process: no code may depend on them (iterate a list or a dict).
+* **Fields are slots** — ``sort``, ``op``, ``args`` and every other field
+  is a slot set once at construction; ``Quantifier`` stores ``Bool`` and
+  ``Let`` its body's sort, so ``term.sort`` never recomputes anything.
 
-The intern table is a :class:`weakref.WeakValueDictionary`, so terms that
-become unreachable are collected normally; :func:`intern_stats` reports
-hit/miss counters and the live-node count for the benchmark harness.  The
-table is process-global and not synchronised — the library is
+The intern table is a plain dict of keyed weak references: a node dies
+with its last reference and its entry leaves with it, so the table is
+not a cache that outlives a script.  :func:`intern_stats` reports
+hit/miss counters and the live-node count for the benchmark harness.
+The table is process-global and not synchronised — the library is
 single-threaded by design.
 
 Every class constructor *is* the interning constructor (interning happens
@@ -39,22 +42,28 @@ well-sortedness; use :mod:`repro.smtlib.typecheck` for that.
 
 from __future__ import annotations
 
-import weakref
+from _weakref import _remove_dead_weakref  # type: ignore[attr-defined]
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, TypeVar, Union
 
-from .sorts import BOOL, INT, REAL, STRING, Sort
+from .sorts import BOOL, INT, REAL, STRING, Sort, _KeyedRef
 
 ConstantValue = Union[bool, int, Fraction, str]
+_T = TypeVar("_T", bound="Term")
 
 
 # ---------------------------------------------------------------------------
 # The intern table.
 # ---------------------------------------------------------------------------
 
-_INTERN_TABLE: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
+_INTERN_TABLE: dict[tuple, _KeyedRef] = {}
 _HITS = 0
 _MISSES = 0
+
+
+def _drop_dead(ref: _KeyedRef) -> None:
+    """Remove a dead node's entry, unless a live node has taken its key."""
+    _remove_dead_weakref(_INTERN_TABLE, ref.key)
 
 
 def intern_stats() -> dict[str, int]:
@@ -80,30 +89,30 @@ class Term:
 
     # ``_linear`` stays unset until :func:`repro.smtlib.linarith.linear_form`
     # caches the node's linear form (or ``None``) there.
-    __slots__ = ("_sort", "_hash", "_linear", "__weakref__")
+    __slots__ = ("sort", "_linear", "__weakref__")
 
-    _sort: Sort
-    _hash: int
+    sort: Sort
 
     @classmethod
-    def _intern(cls, key: tuple, sort: Sort, attrs: tuple) -> "Term":
-        """Return the canonical node for ``key``, allocating on first use.
-
-        ``attrs`` are (slot-name, value) pairs set on a fresh instance.
-        """
+    def _intern(cls: type[_T], key: tuple, sort: Sort, *fields: object) -> _T:
+        """Return the canonical node for ``key``, allocating on first use;
+        a new node's ``fields`` fill its class's own ``__slots__`` in order."""
         global _HITS, _MISSES
-        existing = _INTERN_TABLE.get(key)
-        if existing is not None:
-            _HITS += 1
-            return existing
+        ref = _INTERN_TABLE.get(key)
+        if ref is not None:
+            existing = ref()
+            if existing is not None:
+                _HITS += 1
+                return existing
         _MISSES += 1
-        self = object.__new__(cls)
-        object.__setattr__(self, "_sort", sort)
-        object.__setattr__(self, "_hash", hash(key))
-        for name, value in attrs:
-            object.__setattr__(self, name, value)
-        _INTERN_TABLE[key] = self
-        return self
+        node = object.__new__(cls)
+        object.__setattr__(node, "sort", sort)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        ref = _KeyedRef(node, _drop_dead)
+        ref.key = key
+        _INTERN_TABLE[key] = ref
+        return node
 
     # -- immutability / identity semantics ----------------------------------
 
@@ -113,22 +122,8 @@ class Term:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"terms are immutable: cannot delete {name!r}")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    # Equality is inherited object identity: interning makes structural
-    # equality and identity coincide, so no __eq__ override is needed.
-
-    def __copy__(self) -> "Term":
-        return self
-
     def __deepcopy__(self, memo: dict) -> "Term":
-        return self
-
-    @property
-    def sort(self) -> Sort:
-        """The term's sort, cached at construction."""
-        return self._sort
+        return self  # immutable: no need to rebuild the DAG through ``__reduce__``
 
     # -- traversal ----------------------------------------------------------
 
@@ -210,63 +205,48 @@ class Constant(Term):
     it is empty for plain literals.
     """
 
-    __slots__ = ("_value", "_qualifier")
+    __slots__ = ("value", "qualifier")
 
-    _value: ConstantValue
-    _qualifier: str
+    value: ConstantValue
+    qualifier: str
 
     def __new__(cls, value: ConstantValue, sort: Sort, qualifier: str = "") -> "Constant":
-        if sort == REAL and isinstance(value, int):
+        if sort is REAL and isinstance(value, int):
             value = Fraction(value)
-        key = ("Constant", type(value).__name__, value, sort, qualifier)
-        attrs = (("_value", value), ("_qualifier", qualifier))
-        return cls._intern(key, sort, attrs)  # type: ignore[return-value]
-
-    @property
-    def value(self) -> ConstantValue:
-        return self._value
-
-    @property
-    def qualifier(self) -> str:
-        return self._qualifier
+        return cls._intern(("Constant", type(value).__name__, value, sort, qualifier), sort, value, qualifier)
 
     def __repr__(self) -> str:
-        return f"Constant(value={self._value!r}, sort={self._sort!r}, qualifier={self._qualifier!r})"
+        return f"Constant(value={self.value!r}, sort={self.sort!r}, qualifier={self.qualifier!r})"
 
     def __reduce__(self):
-        return (Constant, (self._value, self._sort, self._qualifier))
+        return (Constant, (self.value, self.sort, self.qualifier))
 
 
 class Symbol(Term):
     """An occurrence of a zero-arity function or a bound variable."""
 
-    __slots__ = ("_name",)
+    __slots__ = ("name",)
 
-    _name: str
+    name: str
 
     def __new__(cls, name: str, sort: Sort) -> "Symbol":
-        key = ("Symbol", name, sort)
-        return cls._intern(key, sort, (("_name", name),))  # type: ignore[return-value]
-
-    @property
-    def name(self) -> str:
-        return self._name
+        return cls._intern(("Symbol", name, sort), sort, name)
 
     def __repr__(self) -> str:
-        return f"Symbol(name={self._name!r}, sort={self._sort!r})"
+        return f"Symbol(name={self.name!r}, sort={self.sort!r})"
 
     def __reduce__(self):
-        return (Symbol, (self._name, self._sort))
+        return (Symbol, (self.name, self.sort))
 
 
 class Apply(Term):
     """Application ``(op arg1 ... argn)``; ``indices`` for ``(_ op i ...)``."""
 
-    __slots__ = ("_op", "_args", "_indices")
+    __slots__ = ("op", "args", "indices")
 
-    _op: str
-    _args: tuple["Term", ...]
-    _indices: tuple[int, ...]
+    op: str
+    args: tuple["Term", ...]
+    indices: tuple[int, ...]
 
     def __new__(
         cls,
@@ -276,48 +256,33 @@ class Apply(Term):
         indices: Sequence[int] = (),
     ) -> "Apply":
         args = tuple(args)
-        indices = tuple(int(i) for i in indices)
-        key = ("Apply", op, args, sort, indices)
-        return cls._intern(  # type: ignore[return-value]
-            key, sort, (("_op", op), ("_args", args), ("_indices", indices))
-        )
-
-    @property
-    def op(self) -> str:
-        return self._op
-
-    @property
-    def args(self) -> tuple[Term, ...]:
-        return self._args
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return self._indices
+        indices = tuple([int(i) for i in indices]) if indices else ()
+        return cls._intern(("Apply", op, args, sort, indices), sort, op, args, indices)
 
     def children(self) -> tuple[Term, ...]:
-        return self._args
+        return self.args
 
     def __repr__(self) -> str:
         return (
-            f"Apply(op={self._op!r}, args={self._args!r}, "
-            f"sort={self._sort!r}, indices={self._indices!r})"
+            f"Apply(op={self.op!r}, args={self.args!r}, "
+            f"sort={self.sort!r}, indices={self.indices!r})"
         )
 
     def __reduce__(self):
-        return (Apply, (self._op, self._args, self._sort, self._indices))
+        return (Apply, (self.op, self.args, self.sort, self.indices))
 
 
 class Quantifier(Term):
     """A ``forall`` or ``exists`` term; ``bindings`` are (name, sort) pairs.
 
-    The sort is always ``Bool`` and is cached like any other node's.
+    The sort is always ``Bool`` and is stored like any other node's.
     """
 
-    __slots__ = ("_kind", "_bindings", "_body")
+    __slots__ = ("kind", "bindings", "body")
 
-    _kind: str
-    _bindings: tuple[tuple[str, Sort], ...]
-    _body: "Term"
+    kind: str
+    bindings: tuple[tuple[str, Sort], ...]
+    body: "Term"
 
     def __new__(
         cls,
@@ -328,67 +293,41 @@ class Quantifier(Term):
         if kind not in ("forall", "exists"):
             raise ValueError(f"unknown quantifier kind: {kind}")
         bindings = tuple((n, s) for n, s in bindings)
-        key = ("Quantifier", kind, bindings, body)
-        return cls._intern(  # type: ignore[return-value]
-            key, BOOL, (("_kind", kind), ("_bindings", bindings), ("_body", body))
-        )
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def bindings(self) -> tuple[tuple[str, Sort], ...]:
-        return self._bindings
-
-    @property
-    def body(self) -> Term:
-        return self._body
+        return cls._intern(("Quantifier", kind, bindings, body), BOOL, kind, bindings, body)
 
     def children(self) -> tuple[Term, ...]:
-        return (self._body,)
+        return (self.body,)
 
     def __repr__(self) -> str:
-        return f"Quantifier(kind={self._kind!r}, bindings={self._bindings!r}, body={self._body!r})"
+        return f"Quantifier(kind={self.kind!r}, bindings={self.bindings!r}, body={self.body!r})"
 
     def __reduce__(self):
-        return (Quantifier, (self._kind, self._bindings, self._body))
+        return (Quantifier, (self.kind, self.bindings, self.body))
 
 
 class Let(Term):
     """A parallel ``let`` term; ``bindings`` are (name, term) pairs.
 
-    The sort is the body's sort, cached at construction.
+    The sort is the body's sort, stored at construction.
     """
 
-    __slots__ = ("_bindings", "_body")
+    __slots__ = ("bindings", "body")
 
-    _bindings: tuple[tuple[str, "Term"], ...]
-    _body: "Term"
+    bindings: tuple[tuple[str, "Term"], ...]
+    body: "Term"
 
     def __new__(cls, bindings: Sequence[tuple[str, Term]], body: Term) -> "Let":
         bindings = tuple((n, t) for n, t in bindings)
-        key = ("Let", bindings, body)
-        return cls._intern(  # type: ignore[return-value]
-            key, body.sort, (("_bindings", bindings), ("_body", body))
-        )
-
-    @property
-    def bindings(self) -> tuple[tuple[str, Term], ...]:
-        return self._bindings
-
-    @property
-    def body(self) -> Term:
-        return self._body
+        return cls._intern(("Let", bindings, body), body.sort, bindings, body)
 
     def children(self) -> tuple[Term, ...]:
-        return tuple(t for _, t in self._bindings) + (self._body,)
+        return tuple(t for _, t in self.bindings) + (self.body,)
 
     def __repr__(self) -> str:
-        return f"Let(bindings={self._bindings!r}, body={self._body!r})"
+        return f"Let(bindings={self.bindings!r}, body={self.body!r})"
 
     def __reduce__(self):
-        return (Let, (self._bindings, self._body))
+        return (Let, (self.bindings, self.body))
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ class EufTheory(Theory):
             self._save(self._const, term)
             self._const[term] = term
         if isinstance(term, Apply):
-            for rep in {self.find(arg) for arg in term.args}:
+            for rep in dict.fromkeys([self.find(arg) for arg in term.args]):
                 use = self._use.setdefault(rep, [])
                 self._save_len(use)
                 use.append(term)

@@ -93,3 +93,12 @@ def test_counter_drift_is_reported_and_never_fails(gate):
     # Within the drift threshold, and rates are not counters.
     assert "sat.decisions" not in out
     assert "hit_rate" not in out
+
+
+def test_process_wide_intern_counters_are_not_drift(gate):
+    baseline = [("a", 1.0, {"intern.hits": 2552, "sat.propagations": 190})]
+    fresh = [("a", 1.0, {"intern.hits": 132, "sat.propagations": 61})]
+    status, out = gate(baseline, fresh)
+    assert status == 0
+    assert "intern.hits" not in out
+    assert "~ a.sat.propagations: 190 -> 61 (0.32x)" in out

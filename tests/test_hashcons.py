@@ -6,13 +6,24 @@ object graphs."""
 import copy
 import gc
 import pickle
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from repro.smtlib import parse_script
-from repro.smtlib.sorts import BOOL, INT, REAL, seq_sort
+from repro.smtlib import parse_script, sorts, terms
+from repro.smtlib.sorts import (
+    BOOL,
+    INT,
+    REAL,
+    Sort,
+    array_sort,
+    bitvec_sort,
+    seq_sort,
+    set_sort,
+    uninterpreted_sort,
+)
 from repro.smtlib.terms import (
     FALSE,
     TRUE,
@@ -88,6 +99,102 @@ def test_copy_and_pickle_preserve_identity():
     assert copy.copy(t) is t
     assert copy.deepcopy(t) is t
     assert pickle.loads(pickle.dumps(t)) is t
+
+
+NESTED_SORTS = [
+    BOOL,
+    bitvec_sort(8),
+    array_sort(INT, bitvec_sort(8)),
+    seq_sort(set_sort(BOOL)),
+]
+
+
+@pytest.mark.parametrize("sort", NESTED_SORTS, ids=lambda s: s.to_smtlib())
+def test_copy_and_pickle_preserve_sort_identity(sort):
+    assert copy.copy(sort) is sort
+    assert copy.deepcopy(sort) is sort
+    assert pickle.loads(pickle.dumps(sort)) is sort
+    assert Sort(sort.name, list(sort.args), list(sort.indices)) is sort
+    # A term over the sort re-interns with it.
+    array = Symbol("nested_sort_array", array_sort(INT, sort))
+    term = Apply("select", (array, int_const(0)), sort)
+    assert copy.copy(term) is term
+    assert copy.deepcopy(term) is term
+    assert pickle.loads(pickle.dumps(term)) is term
+
+
+def _one_of_each():
+    x = Symbol("x", INT)
+    body = Apply("<", (x, int_const(1)), BOOL)
+    return [
+        (int_const(1), ("sort", "value", "qualifier")),
+        (x, ("sort", "name")),
+        (Apply("bvnot", (Symbol("b", bitvec_sort(4)),), bitvec_sort(4)), ("sort", "op", "args", "indices")),
+        (Quantifier("forall", (("x", INT),), body), ("sort", "kind", "bindings", "body")),
+        (Let((("y", x),), body), ("sort", "bindings", "body")),
+        (array_sort(INT, bitvec_sort(8)), ("name", "args", "indices")),
+    ]
+
+
+@pytest.mark.parametrize(
+    "node,field",
+    [(node, field) for node, fields in _one_of_each() for field in fields],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_every_public_field_is_read_only(node, field):
+    value = getattr(node, field)
+    with pytest.raises(AttributeError):
+        setattr(node, field, value)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    assert getattr(node, field) is value
+
+
+@pytest.mark.parametrize(
+    "table,drop,make",
+    [
+        (terms._INTERN_TABLE, terms._drop_dead, lambda: Symbol("stale_entry", INT)),
+        (sorts._SORT_TABLE, sorts._drop_dead_sort, lambda: uninterpreted_sort("StaleEntry")),
+    ],
+    ids=["terms", "sorts"],
+)
+def test_a_stale_removal_callback_leaves_the_live_entry(table, drop, make):
+    def dead_ref(key):
+        class Gone:
+            pass
+
+        ref = sorts._KeyedRef(Gone())
+        ref.key = key
+        gc.collect()
+        assert ref() is None
+        return ref
+
+    live = make()
+    # Iterate a copy: a collector callback may drop an entry meanwhile.
+    (key,) = [key for key, ref in table.copy().items() if ref() is live]
+    # The entry under ``key`` already holds a live node: the late callback
+    # of a dead node it replaced must not evict it.
+    drop(dead_ref(key))
+    assert table[key]() is live
+    assert make() is live
+    # A callback for an entry that really is dead removes it.
+    probe = dead_ref(("stale-probe",))
+    table[probe.key] = probe
+    drop(probe)
+    assert probe.key not in table
+
+
+def test_unreferenced_sorts_are_collected():
+    sort = array_sort(uninterpreted_sort("Fleeting"), bitvec_sort(3))
+    term = Symbol("fleeting", sort)
+    probe = weakref.ref(sort)
+    del sort
+    gc.collect()
+    assert probe() is term.sort  # the term keeps its sort alive
+    del term
+    gc.collect()
+    assert probe() is None
+    assert not [key for key in sorts._SORT_TABLE.copy() if key[0] == "Fleeting"]
 
 
 def test_intern_stats_count_hits_and_misses():

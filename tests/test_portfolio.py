@@ -39,9 +39,10 @@ from repro.limits import DEFAULT_RECURSION_LIMIT, ensure_recursion_limit
 from repro.portfolio import solve_portfolio
 from repro.proof import check_proof
 from repro.sat import UNKNOWN, UNSAT, Solver, SolverConfig
+from repro.smtlib import parse_script
 from repro.smtlib.script import Assert, CheckSat, DeclareConst, Script, SetLogic
-from repro.smtlib.sorts import BOOL
-from repro.smtlib.terms import Apply, Symbol
+from repro.smtlib.sorts import BOOL, INT, array_sort, bitvec_sort
+from repro.smtlib.terms import Apply, Constant, Symbol
 
 from test_fuzz_differential import _generate
 
@@ -235,6 +236,44 @@ def test_portfolio_via_solve_script_entry_point():
         timeout=60,
     )
     assert [c.answer for c in results] == ["sat"]
+    assert multiprocessing.active_children() == []
+
+
+def test_raced_results_re_intern_their_terms_and_sorts():
+    # A winner's result crosses a process boundary by pickling.  Its model
+    # constants, prepared assertions and their (nested, indexed) sorts must
+    # land as the very objects this process builds for the same text.
+    text = """
+    (declare-sort U 0)
+    (declare-const a (Array U U))
+    (declare-const b (Array U U))
+    (declare-const i U)
+    (declare-const v U)
+    (declare-const m (Array Int (_ BitVec 8)))
+    (declare-const x (_ BitVec 8))
+    (declare-const y (_ BitVec 8))
+    (push 1)
+    (assert (= b (store a i v)))
+    (assert (not (= (select a i) v)))
+    (check-sat)
+    (pop 1)
+    (assert (= (bvadd x y) #x2a))
+    (assert (bvult x y))
+    (check-sat)
+    """
+    raced = run_script(text, portfolio=2, timeout=60)
+    local = run_script(text)
+    assert raced.answers == local.answers == ["sat", "sat"]
+    declared = {c.name: c.sort for c in parse_script(text).commands if isinstance(c, DeclareConst)}
+    assert declared["m"] is array_sort(INT, bitvec_sort(8))
+    for raced_check, local_check in zip(raced.check_results, local.check_results):
+        assert len(raced_check.assertions) == len(local_check.assertions) == 2
+        for mine, theirs in zip(local_check.assertions, raced_check.assertions):
+            assert theirs is mine
+        assert set(raced_check.model) == set(declared)
+        for name, value in raced_check.model.items():
+            assert value.sort is declared[name]
+            assert value is Constant(value.value, declared[name], value.qualifier)
     assert multiprocessing.active_children() == []
 
 
