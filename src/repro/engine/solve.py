@@ -21,17 +21,19 @@ the whole run:
   ``check-sat`` after ``push``/``pop`` re-encodes **nothing** for
   unchanged assertions (the check's ``engine.tseitin_new_vars`` metric
   is 0).
-* Theory reasoning is layered in through :class:`repro.sat.TheoryHook`:
-  the hook keeps a :class:`~repro.theory.TheoryComposite` — linear
-  arithmetic (:class:`~repro.theory.ArithTheory`) routed ahead of
-  congruence closure with arrays (:class:`~repro.theory.EufTheory`) —
-  synchronized with the SAT trail via per-literal checkpoints (``push``
-  on assert, ``pop`` on backtrack) and translates theory conflicts into
-  blocking clauses over the atom variables.  The composite, the hook and
-  the plugins' metrics sources are built once per run; each
-  ``check-sat`` routes its live atoms and pops the theory back to empty,
-  while plugin caches (compiled atoms, the tableau, emitted array
-  lemmas) carry over.
+* Theory reasoning is layered in through one :class:`repro.sat.TheoryHook`
+  that drives the plugin tuple itself — linear arithmetic
+  (:class:`~repro.theory.ArithTheory`) routed ahead of congruence
+  closure with arrays (:class:`~repro.theory.EufTheory`).  It maps each
+  trail literal straight to ``(plugin, atom, polarity)``, takes one
+  checkpoint on every plugin per batch of trail literals it syncs
+  (``push`` per batch, ``pop`` on backtrack) and translates theory
+  conflicts into blocking clauses over the atom variables.  The
+  plugins, the hook and the plugins' metrics sources are built once per
+  run; each ``check-sat`` routes its live atoms (and the live atoms of
+  earlier checks' lemmas) and pops the plugins back to empty, while
+  plugin caches (compiled atoms, the tableau, emitted array lemmas)
+  carry over.
 
 Answer semantics stay *sound*:
 
@@ -112,52 +114,87 @@ from ..theory import (
     EufTheory,
     SortValueAllocator,
     Theory,
-    TheoryComposite,
 )
 from .context import Frame, Preparation
 from .result import CheckSatResult, ScriptResult
 
 
+#: Where a trail literal goes: the plugin owning its atom, the atom, and
+#: the polarity the literal asserts.
+_Route = tuple[Theory, Term, bool]
+
+
 class _TheorySync(TheoryHook):
-    """Keeps a :class:`Theory` synchronized with the SAT trail.
+    """The one adapter between the SAT trail and the theory plugins.
 
-    The hook re-reads the trail at every callback, pops the theory to the
-    longest common prefix with what it asserted last time (per-literal
-    checkpoints make this exact), asserts the new suffix, and converts
-    any :class:`~repro.theory.TheoryConflict` into a blocking clause over
-    the atom literals.
+    ``plugins`` is the priority order: an atom belongs to the first plugin
+    whose ``owns_atom`` accepts it (:meth:`owner`, cached for the run).
+    A route maps a trail literal, by variable *and* sign, straight to
+    ``(plugin, atom, polarity)``.  An atom's literal need not be positive
+    — a lowered bit-vector atom is bound to its circuit literal, and a
+    1-bit ``=`` is a negated ``xor``.
 
-    Trail literals are routed by variable *and* sign: the routes map both
-    literals of an owned atom's variable to ``(atom, polarity)``.  An
-    atom's literal need not be positive — a lowered bit-vector atom is
-    bound to its circuit literal, and a 1-bit ``=`` is a negated ``xor``.
-    One hook serves a whole run; :meth:`restart` begins each check.
+    A callback that finds new trail literals takes one checkpoint on every
+    plugin, records the trail position it took it at, and asserts the
+    batch's routed literals.  After a rewind it first pops every
+    checkpoint whose batch the rewind cut or passed; the literals of a
+    cut batch that are still on the trail are asserted again in the new
+    batch.  A :class:`~repro.theory.TheoryConflict` becomes a blocking
+    clause over the atom literals.  One hook serves a whole run;
+    :meth:`restart` begins each check.
     """
 
     def __init__(
         self,
-        theory: Theory,
+        plugins: tuple[Theory, ...],
         literals: dict[Term, int],
         encode_atom: Callable[[Term], int],
         events: Optional[EventLog] = None,
     ) -> None:
-        self._theory = theory
-        self._routes: dict[int, tuple[Term, bool]] = {}
+        self._plugins = plugins
+        self._owners: dict[Term, Optional[Theory]] = {}
+        self._routes: dict[int, _Route] = {}
         self._literals = literals
         self._encode_atom = encode_atom
         self._events = events
-        self._synced: list[int] = []
+        #: The trail position of each open checkpoint, oldest first.
+        self._marks: list[int] = []
+        #: How many trail literals the plugins have been handed.
+        self._synced = 0
 
-    def restart(self, routes: dict[int, tuple[Term, bool]]) -> None:
-        """Begin a check under ``routes``: pop the theory back to empty, so
-        the first callback re-syncs the whole trail — the state a fresh
-        plugin would start from.  Lemmas still queued go too: a final
+    def owner(self, atom: Term) -> Optional[Theory]:
+        """The first plugin that owns ``atom``, or ``None``; ownership is
+        static, so the answer is cached for the run."""
+        owners = self._owners
+        if atom in owners:
+            return owners[atom]
+        owner = next((plugin for plugin in self._plugins if plugin.owns_atom(atom)), None)
+        owners[atom] = owner
+        return owner
+
+    def route(self, atom: Term, lit: int) -> bool:
+        """Route ``lit`` and ``-lit``, the literals of ``atom``, to the
+        atom's owner; false when no plugin owns it."""
+        plugin = self.owner(atom)
+        if plugin is None:
+            return False
+        self._routes[lit] = (plugin, atom, True)
+        self._routes[-lit] = (plugin, atom, False)
+        return True
+
+    def restart(self) -> None:
+        """Begin a check with no routes: pop the plugins back to empty, so
+        the first callback re-syncs the whole trail — the state fresh
+        plugins would start from.  Lemmas still queued go too: a final
         check that queued lemmas and found a conflict may have ended the
         last search, and its lemmas may mention popped symbols."""
-        self._theory.pop(len(self._synced))
-        self._synced.clear()
-        self._theory.pending_lemmas()
-        self._routes = routes
+        levels = len(self._marks)
+        for plugin in self._plugins:
+            plugin.pop(levels)
+            plugin.pending_lemmas()
+        self._marks.clear()
+        self._synced = 0
+        self._routes = {}
 
     def on_check(self, solver: Solver, final: bool) -> Iterable[Sequence[int]]:
         # One merged span per search: the hook fires at every
@@ -169,28 +206,43 @@ class _TheorySync(TheoryHook):
         self, solver: Solver, final: bool
     ) -> Iterable[Sequence[int]]:
         trail = solver.trail
+        plugins = self._plugins
+        marks = self._marks
         synced = self._synced
-        routes = self._routes
         # The solver's low watermark bounds how far the trail can have
         # been rewound since the last callback, so synchronization costs
         # O(popped + appended), not a prefix rescan per fixpoint.
-        keep = min(len(synced), solver.trail_watermark())
-        if keep < len(synced):
-            self._theory.pop(len(synced) - keep)
-            del synced[keep:]
+        watermark = solver.trail_watermark()
+        if watermark < synced:
+            levels = 0
+            while synced > watermark:
+                synced = marks.pop()
+                levels += 1
+            for plugin in plugins:
+                plugin.pop(levels)
         conflict = None
-        for lit in trail[len(synced) :]:
-            self._theory.push()
-            synced.append(lit)
-            route = routes.get(lit)
-            if route is not None:
-                conflict = self._theory.assert_literal(*route)
+        if synced < len(trail):
+            marks.append(synced)
+            for plugin in plugins:
+                plugin.push()
+            routes = self._routes
+            start, synced = synced, len(trail)
+            for index in range(start, synced):
+                route = routes.get(trail[index])
+                if route is not None:
+                    owner, atom, positive = route
+                    conflict = owner.assert_literal(atom, positive)
+                    if conflict is not None:
+                        synced = index + 1
+                        break
+        self._synced = synced
+        if conflict is None and final:
+            for owner in plugins:
+                conflict = owner.check()
                 if conflict is not None:
                     break
-        if conflict is None and final:
-            conflict = self._theory.check()
-            if conflict is None:
-                # Lazy instantiation: valid clauses the theory wants the
+            else:
+                # Lazy instantiation: valid clauses the plugins want the
                 # SAT core to case-split on (new atoms encode on the fly).
                 return self._lemma_clauses()
         if conflict is None:
@@ -200,39 +252,29 @@ class _TheorySync(TheoryHook):
         for atom, positive in conflict.literals:
             lit = literals[atom]
             clause.append(-lit if positive else lit)
+        source = conflict.source or owner.name
         if self._events is not None:
-            self._events.emit(
-                "theory-conflict",
-                plugin=conflict.source or self._theory.name,
-                size=len(clause),
-            )
+            self._events.emit("theory-conflict", plugin=source, size=len(clause))
         # TheoryLemma tags the clause with its plugin so proof logging
         # records the lemma's provenance (a plain list works identically
         # when no proof log is attached).
-        return (TheoryLemma(clause, source=conflict.source or self._theory.name),)
+        return (TheoryLemma(clause, source=source),)
 
     def _lemma_clauses(self) -> list[TheoryLemma]:
-        lemmas = self._theory.pending_lemmas()
-        if not lemmas:
-            return []
-        routes, literals = self._routes, self._literals
         clauses: list[TheoryLemma] = []
-        for lemma in lemmas:
-            clause = []
-            for atom, positive in lemma.literals:
-                lit = literals.get(atom)
-                if lit is None:
+        routes = self._routes
+        for plugin in self._plugins:
+            for lemma in plugin.pending_lemmas():
+                clause = []
+                for atom, positive in lemma.literals:
                     lit = self._encode_atom(atom)
-                if lit not in routes and self._theory.owns_atom(atom):
-                    # Future syncs must route the atom's trail literals
-                    # back to the theory: a new atom, or a lowered
-                    # bit-vector atom that reached the theory first here.
-                    routes[lit] = (atom, True)
-                    routes[-lit] = (atom, False)
-                clause.append(lit if positive else -lit)
-            clauses.append(
-                TheoryLemma(clause, source=lemma.source or self._theory.name)
-            )
+                    if lit not in routes:
+                        # Future syncs must route the atom's trail literals
+                        # back to its owner: a new atom, or a lowered
+                        # bit-vector atom that reached the theory first here.
+                        self.route(atom, lit)
+                    clause.append(lit if positive else -lit)
+                clauses.append(TheoryLemma(clause, source=lemma.source or plugin.name))
         return clauses
 
 
@@ -303,21 +345,24 @@ class Engine:
         # from the same counter.
         self._encoder = TseitinEncoder()
         self._clause_cursor = 0
-        # The blaster and the theory stack outlive individual checks:
+        # The blaster and the theory plugins outlive individual checks:
         # blasted circuits are memoized on hash-consed terms, and emitted
         # case-split lemmas are permanent clauses that must not re-ship.
         # The blaster draws its bit and gate variables from the encoder,
-        # so there is one variable numbering.  Arithmetic is routed ahead
-        # of congruence closure: a numeric comparison is never
-        # uninterpreted structure.
+        # so there is one variable numbering.  The plugin tuple is the
+        # routing priority: arithmetic ahead of congruence closure, so a
+        # numeric comparison is never uninterpreted structure.
         self._bv = BvBlaster(self._encoder)
-        self._theory = TheoryComposite((ArithTheory(), EufTheory()))
+        self._plugins: tuple[Theory, ...] = (ArithTheory(), EufTheory())
         self._sync = _TheorySync(
-            self._theory,
+            self._plugins,
             self._encoder.literals,
             self._encode_lemma_atom,
             self._obs.events,
         )
+        #: Every atom a theory lemma mentioned, in first-use order, with
+        #: its symbols once a later check needed them (_route_lemma_atoms).
+        self._lemma_atoms: dict[Term, Optional[tuple[Symbol, ...]]] = {}
         self._clauses_shipped = 0
         self._guard_clauses = 0
         self._retired_selectors = 0
@@ -342,7 +387,7 @@ class Engine:
             gauges=("vars", "atoms", "learned_db", "frames"),
         )
         metrics.register_source("theory.bv", lambda: self._bv.stats)
-        for plugin in self._theory.plugins:
+        for plugin in self._plugins:
             metrics.register_source(
                 f"theory.{plugin.name}", lambda plugin=plugin: plugin.stats
             )
@@ -596,18 +641,55 @@ class Engine:
         return fresh
 
     def _encode_lemma_atom(self, atom: Term) -> int:
-        """The literal of an atom a theory lemma introduced mid-search.
+        """The literal of an atom in a theory lemma shipped mid-search,
+        recording the atom for later checks.
         Lemma atoms are always leaves (equalities, predicate
         applications): one the engine has not seen allocates a variable
         and no gate clauses; the assertion guards that invariant.  So
         the walk gets no lowering hook: a bit-vector equality between
         array indices stays a plain variable, and an atom an assertion
         lowered keeps its bound circuit literal."""
-        lit = self._encoder.encode(atom)
-        gates = self._drain_clauses()
-        assert not gates, "theory lemmas must range over atomic literals"
-        self._solver.ensure_vars(self._encoder.formula.num_vars)
+        lit = self._encoder.literals.get(atom)
+        if lit is None:
+            lit = self._encoder.encode(atom)
+            gates = self._drain_clauses()
+            assert not gates, "theory lemmas must range over atomic literals"
+            self._solver.ensure_vars(self._encoder.formula.num_vars)
+        self._lemma_atoms.setdefault(atom, None)
         return lit
+
+    def _route_lemma_atoms(self) -> None:
+        """Route the atoms of earlier checks' theory lemmas whose symbols
+        are all live.  A lemma clause is permanent and its plugin ships it
+        once per run, so an atom no live assertion mentions would
+        otherwise be assigned behind the plugins' backs.  Live means the
+        name *and* sort of a declaration in a live frame or of a symbol
+        free in a live assertion: a popped symbol must not reach the
+        plugins, nor a later ``(get-model)``.  Lemma atoms over
+        extensionality witnesses are never live, so they stay
+        unrouted."""
+        if not self._lemma_atoms:
+            return
+        live = self._live_symbols()
+        literals, lemma_atoms = self._encoder.literals, self._lemma_atoms
+        for atom, symbols in lemma_atoms.items():
+            if symbols is None:
+                symbols = lemma_atoms[atom] = tuple(
+                    node for node in atom.dag_walk() if isinstance(node, Symbol)
+                )
+            if all(live.get(symbol.name) == symbol.sort for symbol in symbols):
+                self._sync.route(atom, literals[atom])
+
+    def _live_symbols(self) -> dict[str, Sort]:
+        """The live symbols, name → sort: free in a live assertion, as the
+        preparation walk recorded them (a script built without
+        declarations may have no others), then declared in a live frame."""
+        live: dict[str, Sort] = {}
+        for frame in self._frames:
+            live.update(frame.symbols)
+        for frame in self._frames:
+            live.update(frame.consts)
+        return live
 
     # -- the check-sat pipeline ---------------------------------------------
 
@@ -676,28 +758,21 @@ class Engine:
                         active_atoms.append(atom)
         self._active_atoms = len(active_atoms)
 
-        # Theory dispatch: the composite routes each atom to the first
-        # plugin owning it; ownership is static, so it is cached per atom.
-        owned: list[Term] = []
-        unowned: list[Term] = []
+        # Theory dispatch: each atom goes to the first plugin owning it.
+        sync = self._sync
+        sync.restart()
+        literals = self._encoder.literals
+        owned = unowned = False
         for atom in active_atoms:
             if isinstance(atom, Symbol) and atom.sort == BOOL:
                 continue  # the SAT core owns plain boolean symbols
-            if self._theory.owns_atom(atom):
-                owned.append(atom)
+            if sync.route(atom, literals[atom]):
+                owned = True
             else:
-                unowned.append(atom)
-        theory: Optional[Theory] = None
+                unowned = True
         if owned:
-            theory = self._theory
-            literals = self._encoder.literals
-            routes: dict[int, tuple[Term, bool]] = {}
-            for atom in owned:
-                lit = literals[atom]
-                routes[lit] = (atom, True)
-                routes[-lit] = (atom, False)
-            self._sync.restart(routes)
-            self._solver.theory = self._sync
+            self._route_lemma_atoms()
+            self._solver.theory = sync
             self._solver.theory_eager = self._theory_eager
         else:
             self._solver.theory = None
@@ -769,7 +844,7 @@ class Engine:
             return outcome("unknown", reason="abstracted-atoms")
 
         with trace_span("model"):
-            model, fun_interps = self._build_model(theory, active_atoms)
+            model, fun_interps = self._build_model(owned, active_atoms)
         failure: Optional[str] = None
         if model is None:
             failure = "model-construction-failed"
@@ -787,10 +862,13 @@ class Engine:
                 except EvaluationError:
                     failure = "model-validation-failed"
         if failure is not None:
-            # An incomplete theory (an exhausted budget) explains a model
+            # An incomplete plugin (an exhausted budget) explains a model
             # that could not be built or did not validate.
-            if theory is not None:
-                failure = theory.incomplete_reason() or failure
+            if owned:
+                failure = next(
+                    filter(None, (plugin.incomplete_reason() for plugin in self._plugins)),
+                    failure,
+                )
             return outcome("unknown", reason=failure)
         return outcome("sat", model=model, fun_interps=fun_interps)
 
@@ -827,15 +905,16 @@ class Engine:
 
     def _build_model(
         self,
-        theory: Optional[Theory],
+        owned: bool,
         active_atoms: list[Term],
     ) -> tuple[Optional[dict[str, Constant]], dict[str, FunctionInterpretation]]:
         """Assemble the script-level model from the SAT assignment, the
-        theory's congruence classes and per-sort default values; ``None``
-        for the model when the theory cannot realize one.  Symbols and
-        functions no assertion constrains get
-        :meth:`~repro.theory.SortValueAllocator.default` values, which may
-        repeat, so the model is total over the live declarations."""
+        plugins' models (when ``owned`` atoms were routed to them) and
+        per-sort default values; ``None`` for the model when a plugin
+        cannot realize one.  Symbols and functions no assertion
+        constrains get :meth:`~repro.theory.SortValueAllocator.default`
+        values, which may repeat, so the model is total over the live
+        declarations."""
         sat_model = self._solver.model
         assert sat_model is not None
         atom_vars = self._encoder.formula.atom_vars
@@ -844,14 +923,7 @@ class Engine:
             if isinstance(atom, Symbol) and atom.sort == BOOL:
                 model[atom.name] = bool_const(sat_model[atom_vars[atom]])
         allocator = SortValueAllocator()
-        # The live symbols: free in a live assertion, as the preparation
-        # walk recorded them (a script built without declarations may have
-        # no others), then declared in a live frame.
-        live: dict[str, Sort] = {}
-        for frame in self._frames:
-            live.update(frame.symbols)
-        for frame in self._frames:
-            live.update(frame.consts)
+        live = self._live_symbols()
         # Decode the words of the live bit-vector symbols from their bit
         # variables before anything defaults them.  Reserving the decoded
         # constants keeps values minted for other symbols of the same sort
@@ -863,12 +935,20 @@ class Engine:
         for value in decoded.values():
             allocator.reserve(value)
         fun_interps: dict[str, FunctionInterpretation] = {}
-        if theory is not None:
-            theory_model = theory.model(allocator)
-            if theory_model is None:
-                return None, {}
-            model.update(theory_model.values)
-            fun_interps = theory_model.functions
+        if owned:
+            # The plugins' models merge in priority order (an earlier
+            # plugin's value wins) through the one allocator, so values
+            # minted by different plugins stay distinct per sort.
+            values: dict[str, Constant] = {}
+            for plugin in self._plugins:
+                partial = plugin.model(allocator)
+                if partial is None:
+                    return None, {}
+                for name, value in partial.values.items():
+                    values.setdefault(name, value)
+                for name, interpretation in partial.functions.items():
+                    fun_interps.setdefault(name, interpretation)
+            model.update(values)
         # Decoded words override any congruence-class value for the same
         # symbol: the bits are hard SAT constraints, and validation will
         # catch a genuine circuit/e-graph disagreement.

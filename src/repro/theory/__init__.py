@@ -25,18 +25,18 @@
   :class:`~repro.theory.bv.BvBlaster` lowers QF_BV atoms to gates over
   the encoder's literals while encoding, so bit-vector reasoning rides
   the plain CDCL/proof pipeline.
-* :class:`~repro.theory.core.TheoryComposite` — the dispatcher: routes
-  each atom to the first plugin owning it (arithmetic before congruence
-  closure), forwards checkpoints to all plugins in lockstep, and merges
-  their models, so the engine keeps talking to exactly one
-  :class:`Theory`.
+* :class:`~repro.theory.core.UndoLogTheory` — the undo log both
+  plugins keep their assignment-dependent state in: ``push`` marks it,
+  ``pop(levels)`` replays it back to a mark in one pass.
 
-The engine builds one composite per run, so plugin caches, emitted
-lemmas and counters outlive individual ``check-sat`` commands.  The SAT
-core (:mod:`repro.sat`) knows nothing about terms and theories; the
-engine (:mod:`repro.engine`) adapts a :class:`Theory` into a
-:class:`repro.sat.TheoryHook` by mapping trail literals back to atoms.
-See ``docs/THEORIES.md`` for the plugin-author contract.
+The engine builds the plugin tuple ``(ArithTheory(), EufTheory())``
+once per run, so plugin caches, emitted lemmas and counters outlive
+individual ``check-sat`` commands, and drives it itself: the SAT core
+(:mod:`repro.sat`) knows nothing about terms and theories, and one
+:class:`repro.sat.TheoryHook` in :mod:`repro.engine` routes each trail
+literal straight to the first plugin that owns its atom, with one
+checkpoint on every plugin per batch of trail literals it syncs.  See
+``docs/THEORIES.md`` for the plugin-author contract.
 """
 
 from .arith import ArithTheory
@@ -45,7 +45,6 @@ from .core import (
     SortValueAllocator,
     Theory,
     TheoryClause,
-    TheoryComposite,
     TheoryConflict,
     TheoryModel,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "TheoryConflict",
     "TheoryClause",
     "TheoryModel",
-    "TheoryComposite",
     "SortValueAllocator",
     "EufTheory",
     "ArithTheory",

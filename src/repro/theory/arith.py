@@ -48,14 +48,15 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
   degrades to ``unknown`` — the theory stays sound, never complete by
   accident.
 * **Backtracking** restores bounds (and the conflict flag) through the
-  same undo-log discipline as EUF.  The tableau, the variable
-  assignment and all slack definitions persist across ``pop`` — rows
-  are definitional identities, and relaxing bounds can never invalidate
-  the non-basic-within-bounds invariant — so backtracking costs
-  O(bounds changed), never a rebuild.  They persist across checks too
-  (the plugin lives for the whole engine run): a variable only atoms of
-  an earlier check mention stays in the tableau, unbounded, and out of
-  the model.
+  undo log EUF uses too (:class:`~repro.theory.core.UndoLogTheory`);
+  branch-and-bound marks the same log for its internal cuts.  The
+  tableau, the variable assignment and all slack definitions persist
+  across ``pop`` — rows are definitional identities, and relaxing bounds
+  can never invalidate the non-basic-within-bounds invariant — so
+  backtracking costs O(bounds changed), never a rebuild.  They persist
+  across checks too (the plugin lives for the whole engine run): a
+  variable only atoms of an earlier check mention stays in the tableau,
+  unbounded, and out of the model.
 
 Equality atoms are deliberately **not** owned: the engine's preparation
 pass splits every pure-arithmetic ``(= a b)`` into
@@ -74,9 +75,7 @@ from ..obs.spans import trace_span
 from ..smtlib.linarith import difference_form, linear_form
 from ..smtlib.sorts import INT, REAL
 from ..smtlib.terms import Apply, Constant, Symbol, Term, int_const
-from .core import SortValueAllocator, Theory, TheoryConflict, TheoryModel
-
-_MISSING = object()
+from .core import SortValueAllocator, TheoryConflict, TheoryModel, UndoLogTheory
 
 #: A bound's provenance: an asserted ``(atom, positive)`` literal, or
 #: ``None`` for the internal cuts branch-and-bound asserts.
@@ -157,7 +156,7 @@ def _normalize_row(row: dict[int, int], den: int) -> int:
     return den
 
 
-class ArithTheory(Theory):
+class ArithTheory(UndoLogTheory):
     """Dual simplex over δ-rationals with branch-and-bound for ``Int``.
 
     ``branch_limit`` caps the number of branch-and-bound nodes explored
@@ -185,11 +184,7 @@ class ArithTheory(Theory):
         self._lower: dict[int, tuple[_Value, _Lit]] = {}
         self._upper: dict[int, tuple[_Value, _Lit]] = {}
         self._compiled: dict[Term, tuple] = {}
-        self._conflict: Optional[TheoryConflict] = None
         self._incomplete = False
-        self._trail: list[tuple] = []
-        self._marks: list[int] = []
-        self._internal_marks: list[int] = []
         self.stats = {
             "literals": 0,
             "conflicts": 0,
@@ -212,36 +207,6 @@ class ArithTheory(Theory):
             and linear_form(atom.args[0]) is not None
             and linear_form(atom.args[1]) is not None
         )
-
-    # -- undo log ------------------------------------------------------------
-
-    def push(self) -> None:
-        self._marks.append(len(self._trail))
-
-    def pop(self, levels: int = 1) -> None:
-        for _ in range(levels):
-            self._undo_to(self._marks.pop())
-
-    def _undo_to(self, mark: int) -> None:
-        trail = self._trail
-        while len(trail) > mark:
-            entry = trail.pop()
-            if entry[0] == "d":
-                _, mapping, key, old = entry
-                if old is _MISSING:
-                    mapping.pop(key, None)
-                else:
-                    mapping[key] = old
-            else:  # "c": conflict flag
-                self._conflict = entry[1]
-
-    def _save(self, mapping: dict, key: int) -> None:
-        self._trail.append(("d", mapping, key, mapping.get(key, _MISSING)))
-
-    def _set_conflict(self, conflict: TheoryConflict) -> None:
-        self._trail.append(("c", self._conflict))
-        self._conflict = conflict
-        self.stats["conflicts"] += 1
 
     # -- variable and slack registration ------------------------------------
 
@@ -540,12 +505,6 @@ class ArithTheory(Theory):
                 return var
         return None
 
-    def _push_internal(self) -> None:
-        self._internal_marks.append(len(self._trail))
-
-    def _pop_internal(self) -> None:
-        self._undo_to(self._internal_marks.pop())
-
     #: Branch-and-bound recursion cap: each node is one Python stack
     #: frame, so the depth must stay well below the *default*
     #: interpreter recursion limit (1000) — library callers do not get
@@ -573,20 +532,19 @@ class ArithTheory(Theory):
         accumulated: dict[tuple[Term, bool], None] = {}
         exhausted = False
         for is_upper, bound in ((True, cut), (False, cut + 1)):
-            self._push_internal()
+            mark = len(self._trail)
             clash = self._assert_bound(var, is_upper, (bound, 0, 1), None)
             if clash is None:
                 verdict, literals = self._branch(budget, depth + 1)
             else:
                 verdict = "unsat"
                 literals = dict.fromkeys(l for l in clash if l is not None)
+            # Undoing the cut keeps the assignment: the internal cuts only
+            # tightened bounds, so relaxing them leaves an integral
+            # assignment feasible.
+            self._undo_to(mark)
             if verdict == "sat":
-                # Keep the integral assignment: the internal cuts only
-                # tightened bounds, so relaxing them on pop leaves the
-                # assignment feasible.
-                self._pop_internal()
                 return "sat", {}
-            self._pop_internal()
             if verdict == "unknown":
                 exhausted = True
             else:

@@ -15,8 +15,10 @@ SAT trail grows.  The engine drives a theory through five operations:
 * :meth:`~Theory.check` — final consistency verdict over everything
   currently asserted; called at full propositional assignments.
 * :meth:`~Theory.push` / :meth:`~Theory.pop` — checkpoint/rollback of the
-  asserted set, called in lockstep with the SAT trail so backtracking
-  never rebuilds theory state from scratch.
+  asserted set.  The engine takes one checkpoint per batch of trail
+  literals it hands over, so backtracking never rebuilds theory state
+  from scratch; :class:`UndoLogTheory` is the undo log both shipped
+  plugins keep their state in.
 * :meth:`~Theory.model` — after a consistent final check: concrete values
   for the theory's symbols and interpretations for its uninterpreted
   functions, buildable into a script-level model.
@@ -24,7 +26,9 @@ SAT trail grows.  The engine drives a theory through five operations:
 The contract mirrors the lazy-SMT architecture of Z3/cvc5-style engines:
 the SAT core enumerates boolean skeletons, theories veto them with
 explanations, and the exchange of lemmas converges on a theory-consistent
-model or propositional unsatisfiability.
+model or propositional unsatisfiability.  The engine drives an ordered
+tuple of plugins itself (``repro.engine.solve``): each atom goes to the
+first plugin that owns it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..smtlib.evaluate import FunctionInterpretation
 from ..smtlib.sorts import (
@@ -143,7 +147,7 @@ class Theory(ABC):
 
     @abstractmethod
     def pop(self, levels: int = 1) -> None:
-        """Roll back to the state ``levels`` checkpoints ago."""
+        """Roll back to the state ``levels`` checkpoints ago (``0``: stay)."""
 
     @abstractmethod
     def model(self, allocator: "SortValueAllocator") -> Optional[TheoryModel]:
@@ -168,106 +172,66 @@ class Theory(ABC):
         return ()
 
 
-class TheoryComposite(Theory):
-    """Routes atoms among several theory plugins (first owner wins).
+_MISSING = object()
 
-    The engine talks to *one* :class:`Theory`; the composite fans the
-    interface out to an ordered plugin list:
 
-    * **Routing** — an atom is decided by the first plugin whose
-      ``owns_atom`` accepts it; ownership is static, so the choice is
-      cached for the composite's lifetime (the whole engine run) and
-      every later ``assert_literal`` is a dictionary hit.  The plugin
-      order is the priority order (arithmetic before EUF, so numeric
-      comparisons are never mistaken for uninterpreted structure).
-    * **Checkpoints** — ``push``/``pop`` forward to every plugin, so the
-      per-literal trail synchronization stays exact regardless of which
-      plugin an individual literal went to.
-    * **Conflicts** — the first plugin reporting a conflict wins; its
-      explanation is already a subset of the asserted literals, so the
-      engine can ship it unchanged.
-    * **Models** — plugin models merge in priority order (earlier
-      plugins' values win), sharing one
-      :class:`SortValueAllocator` so values minted by different plugins
-      stay pairwise distinct per sort.  Any plugin failing to produce a
-      model fails the composite.
-    * **Metrics** — the engine registers each plugin's ``stats`` as its
-      own ``theory.<name>`` source; the composite keeps no counters.
+class UndoLogTheory(Theory):
+    """A plugin whose assignment-dependent state is written through one
+    undo log.
+
+    Every such mutation first logs its inverse: :meth:`_save` the old
+    value (or absence) of a dict key, :meth:`_save_len` the length of a
+    list, and :meth:`_set_conflict` the conflict flag it replaces.
+    :meth:`push` marks the log's length and :meth:`pop` replays the log
+    backward, in one pass, to the mark ``levels`` checkpoints ago.  An
+    internal search can mark the log itself (``len(self._trail)``) and
+    :meth:`_undo_to` that mark, between the engine's checkpoints.
     """
 
-    name = "multi"
-
-    def __init__(self, plugins: Sequence[Theory]) -> None:
-        self._plugins = tuple(plugins)
-        self._route: dict[Term, Optional[Theory]] = {}
-
-    @property
-    def plugins(self) -> tuple[Theory, ...]:
-        return self._plugins
-
-    def owner(self, atom: Term) -> Optional[Theory]:
-        """The plugin that decides ``atom``, or ``None`` (cached)."""
-        cached = self._route.get(atom, _UNROUTED)
-        if cached is not _UNROUTED:
-            return cached  # type: ignore[return-value]
-        owner: Optional[Theory] = None
-        for plugin in self._plugins:
-            if plugin.owns_atom(atom):
-                owner = plugin
-                break
-        self._route[atom] = owner
-        return owner
-
-    def owns_atom(self, atom: Term) -> bool:
-        return self.owner(atom) is not None
-
-    def assert_literal(self, atom: Term, positive: bool) -> Optional[TheoryConflict]:
-        owner = self.owner(atom)
-        assert owner is not None, f"no plugin owns asserted atom: {atom!r}"
-        return owner.assert_literal(atom, positive)
-
-    def check(self) -> Optional[TheoryConflict]:
-        for plugin in self._plugins:
-            conflict = plugin.check()
-            if conflict is not None:
-                return conflict
-        return None
+    def __init__(self) -> None:
+        super().__init__()
+        self._conflict: Optional[TheoryConflict] = None
+        self._trail: list[tuple] = []
+        self._marks: list[int] = []
 
     def push(self) -> None:
-        for plugin in self._plugins:
-            plugin.push()
+        self._marks.append(len(self._trail))
 
     def pop(self, levels: int = 1) -> None:
-        for plugin in self._plugins:
-            plugin.pop(levels)
+        if levels:
+            marks = self._marks
+            mark = marks[-levels]
+            del marks[-levels:]
+            self._undo_to(mark)
 
-    def model(self, allocator: "SortValueAllocator") -> Optional[TheoryModel]:
-        merged = TheoryModel()
-        for plugin in self._plugins:
-            partial = plugin.model(allocator)
-            if partial is None:
-                return None
-            for key, value in partial.values.items():
-                merged.values.setdefault(key, value)
-            for key, interpretation in partial.functions.items():
-                merged.functions.setdefault(key, interpretation)
-        return merged
+    def _undo_to(self, mark: int) -> None:
+        trail = self._trail
+        undone = trail[mark:]
+        del trail[mark:]
+        for entry in reversed(undone):
+            kind = entry[0]
+            if kind == "d":
+                _, mapping, key, old = entry
+                if old is _MISSING:
+                    mapping.pop(key, None)
+                else:
+                    mapping[key] = old
+            elif kind == "l":
+                _, values, length = entry
+                del values[length:]
+            else:  # "c": the conflict flag
+                self._conflict = entry[1]
 
-    def incomplete_reason(self) -> Optional[str]:
-        for plugin in self._plugins:
-            reason = plugin.incomplete_reason()
-            if reason is not None:
-                return reason
-        return None
+    def _save(self, mapping: dict, key: object) -> None:
+        self._trail.append(("d", mapping, key, mapping.get(key, _MISSING)))
 
-    def pending_lemmas(self) -> tuple[TheoryClause, ...]:
-        lemmas: list[TheoryClause] = []
-        for plugin in self._plugins:
-            lemmas.extend(plugin.pending_lemmas())
-        return tuple(lemmas)
+    def _save_len(self, values: list) -> None:
+        self._trail.append(("l", values, len(values)))
 
-
-_UNROUTED = object()
+    def _set_conflict(self, conflict: TheoryConflict) -> None:
+        self._trail.append(("c", self._conflict))
+        self._conflict = conflict
+        self.stats["conflicts"] += 1
 
 
 class SortValueAllocator:
@@ -353,6 +317,6 @@ __all__ = [
     "TheoryConflict",
     "TheoryClause",
     "TheoryModel",
-    "TheoryComposite",
+    "UndoLogTheory",
     "SortValueAllocator",
 ]

@@ -68,12 +68,12 @@ justify it — empty for unconditionally valid instances), and conflicts
 are rewritten through that map before the engine turns them into
 blocking clauses.
 
-Every assignment-dependent mutation is written through an undo log;
-:meth:`~EufTheory.push` records a watermark and :meth:`~EufTheory.pop`
-replays the log backward, giving the per-literal checkpoints the DPLL(T)
-trail synchronization needs.  Valid artifacts — the emitted case splits
-and the extensionality witnesses — stay outside the log: the plugin
-lives for the whole engine run, so a later check re-ships nothing.
+Every assignment-dependent mutation is written through the undo log of
+:class:`~repro.theory.core.UndoLogTheory`, whose ``push`` and ``pop``
+give the engine one checkpoint per batch of trail literals it syncs.
+Valid artifacts — the emitted case splits and the extensionality
+witnesses — stay outside the log: the plugin lives for the whole engine
+run, so a later check re-ships nothing.
 
 Cooperation with arithmetic over indices is *incomplete* (an index
 equality forced by simplex bounds is invisible here); the engine's model
@@ -92,13 +92,11 @@ from ..smtlib.terms import FALSE, TRUE, Apply, Constant, Symbol, Term
 from ..smtlib.typecheck import is_builtin_operator
 from .core import (
     SortValueAllocator,
-    Theory,
     TheoryClause,
     TheoryConflict,
     TheoryModel,
+    UndoLogTheory,
 )
-
-_MISSING = object()
 
 #: Proof-forest edge labels.
 _Reason = tuple  # ("lit", atom, positive) | ("cong", app1, app2)
@@ -125,7 +123,7 @@ def _distinguished(constant: Constant) -> bool:
     )
 
 
-class EufTheory(Theory):
+class EufTheory(UndoLogTheory):
     """Congruence closure with proof-producing explanations, extended
     with lazily instantiated array axioms (see the module docstring)."""
 
@@ -141,9 +139,6 @@ class EufTheory(Theory):
         self._diseqs: dict[Term, list[tuple[Term, Term, Term]]] = {}
         self._proof: dict[Term, tuple[Term, _Reason]] = {}
         self._stores: list[Apply] = []  # registered stores, in registration order
-        self._conflict: Optional[TheoryConflict] = None
-        self._trail: list[tuple] = []
-        self._marks: list[int] = []
         #: ``(store, index)`` pairs whose case-split lemmas have shipped.
         self._emitted: set[tuple[Term, Term]] = set()
         #: negated array equality → its stable witness symbol.
@@ -219,35 +214,7 @@ class EufTheory(Theory):
                 return False
         return True
 
-    # -- undo log ------------------------------------------------------------
-
-    def push(self) -> None:
-        self._marks.append(len(self._trail))
-
-    def pop(self, levels: int = 1) -> None:
-        for _ in range(levels):
-            mark = self._marks.pop()
-            trail = self._trail
-            while len(trail) > mark:
-                entry = trail.pop()
-                kind = entry[0]
-                if kind == "d":
-                    _, mapping, key, old = entry
-                    if old is _MISSING:
-                        mapping.pop(key, None)
-                    else:
-                        mapping[key] = old
-                elif kind == "l":
-                    _, values, length = entry
-                    del values[length:]
-                else:  # "c": conflict flag
-                    self._conflict = entry[1]
-
-    def _save(self, mapping: dict, key) -> None:
-        self._trail.append(("d", mapping, key, mapping.get(key, _MISSING)))
-
-    def _save_len(self, values: list) -> None:
-        self._trail.append(("l", values, len(values)))
+    # -- conflicts -------------------------------------------------------------
 
     def _set_conflict(self, conflict: TheoryConflict) -> None:
         if self._provenance:
@@ -270,9 +237,7 @@ class EufTheory(Theory):
                 else:
                     literals.append(literal)
             conflict = TheoryConflict(tuple(literals), source=self.name)
-        self._trail.append(("c", self._conflict))
-        self._conflict = conflict
-        self.stats["conflicts"] += 1
+        super()._set_conflict(conflict)
 
     # -- union-find ----------------------------------------------------------
 

@@ -466,7 +466,10 @@ def engine_verdict(script: Script) -> tuple[str, object]:
 
 
 def lazy_verdict(script: Script) -> str:
-    """Solve with the theory hook only at full assignments; certify."""
+    """Solve with the theory hook only at full assignments; certify.
+    One sync batch then spans several decision levels, so a backjump
+    cuts a batch in the middle and the hook re-asserts the literals of
+    the cut batch still on the trail (eager batches follow the levels)."""
     engine = Engine(theory_eager=False, produce_proofs=True)
     (check,) = engine.run(script).check_results
     if check.answer == "unsat":

@@ -11,17 +11,20 @@ Covers the PR-4 acceptance criteria directly:
 * learned-clause retention across consecutive ``check-sat`` calls,
 * zero Tseitin re-encoding of unchanged assertions (via stats),
 * push/pop soundness cross-checked against a fresh solver per query on
-  randomized scripts.
+  randomized propositional, EUF and array scripts,
+* one theory-plugin checkpoint per sync batch on a symbolic-execution
+  session.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro import Engine, solve_script
 from repro.proof.log import INPUT
 from repro.sat import SAT, UNSAT, Solver, TheoryHook
-from repro.smtlib import BOOL, Apply, Assert, CheckSat, Pop, Push, Script, Symbol
+from repro.smtlib import BOOL, Apply, Assert, CheckSat, Pop, Push, Script, Symbol, parse_script
 from test_engine import assert_model_satisfies, brute_force
 from test_cnf import random_bool_term
 from test_sat import pigeonhole
@@ -397,6 +400,68 @@ class TestRootClausification:
 
 
 # ---------------------------------------------------------------------------
+# Engine: one theory checkpoint per sync batch.
+# ---------------------------------------------------------------------------
+
+#: A symbolic-execution session in smtbench's ``session`` shape, written
+#: out: branch conditions over four 8-bit inputs and three Int inputs,
+#: each with whether the planted input takes it.
+SESSION_BRANCHES = (
+    ("(= (bvand b2 (_ bv71 8)) (_ bv71 8))", False),
+    ("(bvult (bvadd b2 (_ bv48 8)) b3)", True),
+    ("(<= (+ n1 (* 3 n0)) (- 16))", False),
+    ("(< n1 7)", True),
+    ("(bvuge (bvmul b2 (_ bv9 8)) (_ bv51 8))", True),
+    ("(bvsle (bvxor b1 b2) (_ bv161 8))", False),
+)
+
+
+def session_script():
+    """Check the untaken side of every branch under push/pop, then
+    descend into the taken side and check it."""
+    lines = [f"(declare-const b{i} (_ BitVec 8))" for i in range(4)]
+    lines += [f"(declare-const n{i} Int)" for i in range(3)]
+    lines += [f"(assert (and (<= (- 10) n{i}) (<= n{i} 10)))" for i in range(3)]
+    for condition, value in SESSION_BRANCHES:
+        taken, untaken = condition, f"(not {condition})"
+        if not value:
+            taken, untaken = untaken, taken
+        lines += ["(push 1)", f"(assert {untaken})", "(check-sat)", "(pop 1)"]
+        lines += ["(push 1)", f"(assert {taken})", "(check-sat)"]
+    lines += ["(pop 1)"] * len(SESSION_BRANCHES)
+    return "\n".join(lines)
+
+
+def test_one_plugin_checkpoint_per_sync_batch():
+    """The theory hook takes one checkpoint on every plugin per callback
+    that syncs new trail literals, not one per trail literal (bit-blasted
+    and Tseitin literals included), so no plugin is pushed more often in
+    a check than the check consulted the hook."""
+    pushes = Counter()
+
+    class CountingEngine(Engine):
+        """Wraps each plugin instance's ``push`` to count it per check."""
+
+        def _reset(self):
+            super()._reset()
+            for plugin in self._plugins:
+                plugin.push = self._counted(plugin, plugin.push)
+
+        def _counted(self, plugin, push):
+            def counted():
+                pushes[self._checks_run, plugin.name] += 1
+                push()
+
+            return counted
+
+    result = CountingEngine().run(parse_script(session_script()))
+    assert result.output == ["sat"] * 2 * len(SESSION_BRANCHES)
+    for index, check in enumerate(result.check_results, 1):
+        theory_checks = check.metrics["sat.theory_checks"]
+        assert 0 < pushes[index, "arith"] == pushes[index, "euf"] <= theory_checks
+
+
+# ---------------------------------------------------------------------------
 # Randomized push/pop soundness: persistent engine vs fresh solver.
 # ---------------------------------------------------------------------------
 
@@ -510,3 +575,64 @@ class TestRandomizedPushPopSoundness:
             assert check.answer in ("sat", "unsat")
             if check.answer == "sat":
                 assert_model_satisfies(check, reference_script)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_array_push_pop_matches_fresh_solver(self, seed):
+        """Reads and writes over one ``(Array U U)``: every check of the
+        persistent engine answers as a fresh engine does on the live
+        assertions, though case splits an earlier check shipped stay in
+        the solver (their atoms must stay routed to the plugins)."""
+        from repro.smtlib import DeclareConst, array_sort, uninterpreted_sort
+
+        rng = random.Random(9_000 + seed)
+        U = uninterpreted_sort("U")
+        A = array_sort(U, U)
+        array = Symbol("a", A)
+        symbols = [Symbol(f"u{i}", U) for i in range(4)]
+
+        def element():
+            if rng.random() < 0.5:
+                return rng.choice(symbols)
+            base = array
+            if rng.random() < 0.5:
+                base = Apply("store", (array, rng.choice(symbols), rng.choice(symbols)), A)
+            return Apply("select", (base, rng.choice(symbols)), U)
+
+        def random_array_atom():
+            atom = Apply("=", (element(), element()), BOOL)
+            return Apply("not", (atom,), BOOL) if rng.random() < 0.4 else atom
+
+        declarations = (DeclareConst("a", A),) + tuple(
+            DeclareConst(symbol.name, U) for symbol in symbols
+        )
+        commands = list(declarations)
+        stack = [[]]
+        flattened = []
+
+        def check():
+            commands.append(CheckSat())
+            active = tuple(Assert(t) for frame in stack for t in frame)
+            flattened.append(Script(declarations + active + (CheckSat(),)))
+
+        for _ in range(rng.randint(6, 14)):
+            roll = rng.random()
+            if roll < 0.5:
+                term = random_array_atom()
+                stack[-1].append(term)
+                commands.append(Assert(term))
+            elif roll < 0.62 and len(stack) > 1:
+                del stack[-1:]
+                commands.append(Pop(1))
+            elif roll < 0.75:
+                stack.append([])
+                commands.append(Push(1))
+            else:
+                check()
+        check()
+        incremental = Engine().run(Script(tuple(commands))).check_results
+        for result, reference_script in zip(incremental, flattened):
+            reference = solve_script(reference_script)[0]
+            assert result.answer == reference.answer
+            assert result.answer in ("sat", "unsat")
+            if result.answer == "sat":
+                assert_model_satisfies(result, reference_script)

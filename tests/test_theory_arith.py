@@ -1,7 +1,7 @@
 """Linear arithmetic: linarith normal forms, integer δ-rational triples,
 the simplex plugin's direct API (with exact compares and a
-Fourier–Motzkin oracle), composite dispatch, and engine-level
-QF_LRA/QF_LIA solving."""
+Fourier–Motzkin oracle), the engine's dispatch over the plugin tuple,
+and engine-level QF_LRA/QF_LIA solving."""
 
 import gc
 import weakref
@@ -11,18 +11,13 @@ from random import Random
 import pytest
 
 from repro import run_script, solve_script
-from repro.obs import MetricsRegistry
+from repro.engine.solve import _TheorySync
 from repro.smtlib.evaluate import evaluate
 from repro.smtlib.linarith import difference_form, linear_form
 from repro.smtlib.parser import parse_term
 from repro.smtlib.sorts import BOOL, INT, REAL
 from repro.smtlib.terms import FALSE, TRUE, Apply, Constant, Symbol, int_const
-from repro.theory import (
-    ArithTheory,
-    EufTheory,
-    SortValueAllocator,
-    TheoryComposite,
-)
+from repro.theory import ArithTheory, EufTheory, SortValueAllocator
 from repro.theory.arith import _ZERO, _add_scaled, _floor, _is_integral, _lt, _value
 from test_engine import assert_model_satisfies
 
@@ -503,57 +498,136 @@ def test_simplex_agrees_with_fourier_motzkin():
 
 
 # ---------------------------------------------------------------------------
-# Composite dispatch.
+# Theory dispatch: the engine's hook drives the plugin tuple.
 # ---------------------------------------------------------------------------
 
 
-class TestComposite:
-    def make(self):
-        arith = ArithTheory()
-        euf = EufTheory()
-        return arith, euf, TheoryComposite((arith, euf))
+class _Trail:
+    """A stand-in SAT core for driving the hook by hand: a trail and its
+    low watermark (the shortest trail length since the previous read)."""
 
+    def __init__(self):
+        self.trail = []
+        self._low = 0
+
+    def trail_watermark(self):
+        mark, self._low = self._low, len(self.trail)
+        return mark
+
+    def rewind(self, length):
+        del self.trail[length:]
+        self._low = min(self._low, length)
+
+
+class TestComposite:
     def test_routing_priority(self):
         from repro.smtlib.sorts import uninterpreted_sort
 
-        arith, euf, composite = self.make()
+        arith, euf = ArithTheory(), EufTheory()
+        sync = _TheorySync((arith, euf), {}, None)
         sort_u = uninterpreted_sort("W")
         a = Symbol("a", sort_u)
         equality = Apply("=", (Apply("f", (a,), sort_u), a), BOOL)
-        assert composite.owner(atom("(< x y)")) is arith
-        assert composite.owner(equality) is euf
-        assert composite.owner(atom("(< (div x 2) y)")) is None
-        assert composite.owns_atom(atom("(< x y)"))
-        assert not composite.owns_atom(atom("(< (mod x 5) y)"))
+        assert sync.owner(atom("(< x y)")) is arith
+        assert sync.owner(equality) is euf
+        assert sync.owner(atom("(< (div x 2) y)")) is None
+        assert not sync.route(atom("(< (mod x 5) y)"), 1)
+        # The same dispatch inside a run: each check's literals reach only
+        # the owning plugin, and an atom nobody owns stays abstract.
+        linear, uninterpreted, nonlinear = solve_script(
+            "(declare-sort W 0)(declare-fun f (W) W)(declare-const a W)"
+            "(declare-const x Int)(declare-const y Int)"
+            "(push 1)(assert (< x y))(check-sat)(pop 1)"
+            "(push 1)(assert (= (f a) a))(check-sat)(pop 1)"
+            "(assert (< (div x 2) y))(check-sat)"
+        )
+        assert linear.answer == uninterpreted.answer == "sat"
+        assert linear.metrics["theory.arith.literals"] == 1
+        assert linear.metrics["theory.euf.literals"] == 0
+        assert uninterpreted.metrics["theory.arith.literals"] == 0
+        assert uninterpreted.metrics["theory.euf.literals"] == 1
+        assert (nonlinear.answer, nonlinear.reason) == ("unknown", "abstracted-atoms")
 
     def test_push_pop_lockstep_and_conflict(self):
-        arith, euf, composite = self.make()
-        composite.push()
-        conflict = composite.assert_literal(atom("(< x x)"), True)
-        assert conflict is not None
-        assert composite.check() is conflict
-        composite.pop()
-        assert composite.check() is None
+        arith, euf = ArithTheory(), EufTheory()
+        clash = atom("(< x x)")
+        sync = _TheorySync((arith, euf), {clash: 2}, None)
+        assert sync.route(clash, 2)
+        solver = _Trail()
+        solver.trail += [1, 2]  # an unrouted literal, then the clash
+        (lemma,) = sync.on_check(solver, False)
+        assert list(lemma) == [-2] and lemma.source == "arith"
+        conflict = arith.check()
+        assert conflict is not None and conflict.literals == ((clash, True),)
+        # The rewind cuts the one batch: its checkpoint pops on every
+        # plugin, with the recorded conflict, and the literal still on
+        # the trail is asserted again under a new checkpoint.
+        solver.rewind(1)
+        assert sync.on_check(solver, False) == ()
+        assert arith.check() is None
+        assert len(arith._marks) == len(euf._marks) == 1
 
     def test_stats_are_prefixed(self):
-        arith, euf, composite = self.make()
-        registry = MetricsRegistry()
-        for plugin in composite.plugins:
-            registry.register_source(
-                f"theory.{plugin.name}", lambda plugin=plugin: plugin.stats
-            )
-        composite.assert_literal(atom("(< x y)"), True)
-        snapshot = registry.snapshot()
-        assert snapshot["theory.arith.literals"] == 1
-        assert snapshot["theory.euf.literals"] == 0
+        (check,) = solve_script(
+            "(declare-const x Int)(declare-const y Int)(assert (< x y))(check-sat)"
+        )
+        assert check.answer == "sat"
+        assert check.metrics["theory.arith.literals"] == 1
+        assert check.metrics["theory.euf.literals"] == 0
+        for plugin in (ArithTheory(), EufTheory()):
+            assert {f"theory.{plugin.name}.{key}" for key in plugin.stats} <= set(check.metrics)
 
     def test_models_merge_with_shared_allocator(self):
-        arith, euf, composite = self.make()
-        composite.assert_literal(atom("(>= x 3)"), True)
-        assert composite.check() is None
-        model = composite.model(SortValueAllocator())
-        assert model is not None
-        assert model.values["x"] == int_const(3)
+        (check,) = solve_script(
+            "(declare-sort U 0)(declare-fun f (U) Int)"
+            "(declare-const p U)(declare-const q U)(declare-const x Int)"
+            "(assert (>= x 3))(assert (<= x 3))(assert (not (= (f p) (f q))))"
+            "(check-sat)"
+        )
+        assert check.answer == "sat"
+        # Arithmetic values x; congruence closure values the classes of
+        # (f p) and (f q) from the same allocator, so no Int repeats.
+        assert check.model["x"] == int_const(3)
+        reads = list(check.fun_interps["f"].entries.values())
+        assert len(reads) == 2
+        assert len({check.model["x"], *reads}) == 3
+        assert check.model["p"] != check.model["q"]
+
+
+def test_pop_levels_replays_the_shared_undo_log():
+    """``pop(n)`` undoes everything logged since the mark ``n``
+    checkpoints ago, in one pass: the bounds, merges and recorded
+    conflicts of every popped level go, and earlier levels stay."""
+    from repro.smtlib.sorts import uninterpreted_sort
+
+    arith = ArithTheory()
+    arith.push()
+    assert arith.assert_literal(atom("(<= x 5)"), True) is None
+    arith.push()
+    assert arith.assert_literal(atom("(>= x 3)"), True) is None
+    arith.push()
+    assert arith.assert_literal(atom("(>= x 7)"), True) is not None
+    arith.pop(2)
+    assert arith.check() is None
+    assert arith.assert_literal(atom("(>= x 6)"), True) is not None  # x <= 5 stayed
+    arith.pop(1)
+    assert arith.assert_literal(atom("(>= x 6)"), True) is None
+
+    sort_u = uninterpreted_sort("W")
+    a, b, c = (Symbol(name, sort_u) for name in "abc")
+    euf = EufTheory()
+    euf.push()
+    assert euf.assert_literal(Apply("=", (a, b), BOOL), True) is None
+    euf.push()
+    assert euf.assert_literal(Apply("=", (b, c), BOOL), False) is None
+    euf.push()
+    assert euf.assert_literal(Apply("=", (a, c), BOOL), True) is not None
+    euf.pop(2)
+    assert euf.check() is None
+    assert euf.assert_literal(Apply("=", (b, c), BOOL), True) is None
+    assert euf.same_class(a, c)
+    euf.pop(1)
+    assert not euf.same_class(a, b)
 
 
 # ---------------------------------------------------------------------------

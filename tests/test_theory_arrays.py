@@ -309,6 +309,43 @@ class TestEngine:
         assert checks[0].metrics["theory.euf.lemmas"] >= 1
         assert checks[1].metrics["theory.euf.lemmas"] == 0
 
+    def test_lemma_atoms_stay_routed_in_later_checks(self):
+        """A case split ships once per run and its clauses are permanent,
+        so later checks must route the split's atoms to the plugins too.
+        Here the second check re-meets the first check's read over a
+        write: the split does not ship again, yet the check answers as it
+        would on its own (``unsat``), not ``unknown``."""
+        result = run_script(
+            "(declare-sort U 0)(declare-const a (Array U U))"
+            "(declare-const i U)(declare-const j U)(declare-const v U)"
+            "(declare-const w U)(declare-const z U)"
+            "(push 1)(assert (= (select (store a i v) j) w))(assert (not (= v w)))"
+            "(check-sat)(pop 1)"
+            "(push 1)(assert (= (select (store a i v) j) w))(assert (not (= v w)))"
+            "(assert (= (select a j) z))(assert (not (= z w)))(check-sat)(pop 1)"
+        )
+        assert result.output == ["sat", "unsat"]
+        assert result.check_results[1].metrics["theory.euf.lemmas"] == 0
+
+    def test_lemma_atoms_over_popped_symbols_stay_unrouted(self):
+        """A lemma atom is routed in a later check only when each of its
+        symbols is live by name *and* sort.  ``i`` and ``j`` redeclared
+        at another sort after the pop are other symbols, so the popped
+        split over them reaches neither the plugins nor the model."""
+        result = run_script(
+            "(declare-sort U 0)(declare-sort V 0)"
+            "(push 1)(declare-const a (Array U U))(declare-const i U)(declare-const j U)"
+            "(declare-const v U)(declare-const w U)"
+            "(assert (= (select (store a i v) j) w))(assert (not (= v w)))"
+            "(check-sat)(pop 1)"
+            "(declare-const i V)(declare-const j V)(declare-fun g (V) V)"
+            "(assert (= (g i) j))(check-sat)(get-model)"
+        )
+        assert result.output[:2] == ["sat", "sat"]
+        model = result.check_results[1].model
+        assert set(model) == {"i", "j"}
+        assert {value.sort.name for value in model.values()} == {"V"}
+
     def test_queued_case_splits_end_with_their_check(self):
         """A final check can queue case splits and find a conflict at
         once.  When that ends the check, the queued lemmas must not ship
