@@ -279,7 +279,9 @@ class _TheorySync(TheoryHook):
 
 
 class Engine:
-    """Executes scripts; one instance per run (:meth:`run` resets state).
+    """Executes scripts.  Each :meth:`run` builds its own run state (SAT
+    core, encoder, blaster, theory plugins and their metric sources), so
+    one engine may run several scripts in turn.
 
     ``conflict_limit`` bounds the CDCL search per ``check-sat`` (exhausted
     → ``unknown`` with reason ``conflict-limit``).  ``theory_eager``
@@ -332,9 +334,9 @@ class Engine:
         self._timeout = timeout
         self._interrupt = interrupt
         self._deadline: Optional[float] = None
-        self._reset()
 
     def _reset(self) -> None:
+        """Build the state of one run; :meth:`run` calls it first."""
         self._frames: list[Frame] = [Frame()]
         self._solver = Solver(config=self._config)
         self._solver.events = self._obs.events
@@ -444,7 +446,8 @@ class Engine:
 
     @property
     def solver(self) -> Solver:
-        """The persistent SAT core (live across ``check-sat`` calls)."""
+        """The SAT core of the current or last :meth:`run` (live across
+        its ``check-sat`` calls)."""
         return self._solver
 
     def dimacs(self, comments: Iterable[str] = ()) -> str:

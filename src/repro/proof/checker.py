@@ -27,11 +27,11 @@ Checking replays the proof in order:
     range or of a deleted clause, a hint that is not unit, or hints that
     end without a conflict reject the step; the checker never falls
     back to search for a step whose hints fail.
-  - **Unhinted** (the concluding steps, hand-built proofs, proofs of
-    :class:`repro.sat.reference.ReferenceSolver`): the checker searches
-    with counting-based unit propagation — per-clause false-literal
-    counters over occurrence lists, with a trail whose temporary suffix
-    is rolled back after the test.
+  - **Unhinted** (the concluding steps, hand-built proofs, and a learned
+    clause whose antecedents predate a log attached mid-life): the
+    checker searches with counting-based unit propagation — per-clause
+    false-literal counters over occurrence lists, with a trail whose
+    temporary suffix is rolled back after the test.
 
 * ``delete`` steps deactivate a clause, so later RUP steps cannot lean
   on clauses the solver had already dropped.  Deleting a clause never

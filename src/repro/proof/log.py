@@ -34,10 +34,10 @@ reasons of the literals minimization removed, the reasons resolved on,
 and last the conflicting clause, which is then falsified.  Literals
 fixed at decision level 0 are not hinted; the checker holds them as
 top-level units.  Hints are a claim, not a trusted fact: the checker
-walks them and rejects the step if any is wrong.  ``hints=None`` (the
-concluding steps, and every step of a hand-built proof or of
-:class:`repro.sat.reference.ReferenceSolver`) leaves the checker to find
-the derivation by search.
+walks them and rejects the step if any is wrong.  ``hints=None`` — the
+concluding steps, the steps of a hand-built proof, and a learned clause
+whose antecedents predate a log attached mid-life — leaves the checker
+to find the derivation by search.
 
 One :class:`ProofLog` lives for the whole life of a solver — the engine
 is incremental, and a later check's learned clauses may depend on

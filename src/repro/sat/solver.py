@@ -2,17 +2,19 @@
 
 The solver is a faithful, compact rendition of the modern SAT loop:
 
-* **Two-watched-literal propagation** — every clause with at least two
-  literals watches exactly two of them, kept in the first two slots of
-  its literal block.  The *watched-literal invariant*: whenever a clause
-  is not satisfied, its two watched literals are non-false, so only
-  clauses watching a literal that just became false need visiting, and
-  backtracking never touches the watch lists.  Each watch entry carries a
-  *blocker* literal (the other watched literal when the entry was made):
-  when the blocker is currently true the clause is satisfied and is
-  skipped without touching its literals at all.  Binary clauses live in
-  dedicated watch lists — their watches never move and the partner
-  literal is all propagation needs, so the binary loop is read-only.
+* **Watched-literal propagation** — a clause of four or more literals
+  watches exactly two of them, kept in the first two slots of its
+  literal block.  The *watched-literal invariant*: whenever such a
+  clause is not satisfied, its two watched literals are non-false, so
+  only clauses watching a literal that just became false need visiting,
+  and backtracking never touches the watch lists.  Each watch entry
+  carries a *blocker* literal (the other watched literal when the entry
+  was made): when the blocker is currently true the clause is satisfied
+  and is skipped without touching its literals at all.  Binary and
+  ternary clauses live in their own watch lists and are watched on
+  *every* literal, each entry carrying the clause's other literals, so
+  their watches never move and propagation never reads their arena
+  blocks: the binary and ternary loops are read-only.
 * **First-UIP learning** — on conflict, resolution over the implication
   graph stops at the first unique implication point of the current decision
   level, yielding an asserting clause; a cheap self-subsumption pass then
@@ -35,19 +37,24 @@ by its *reference* — the arena offset of its two-word header::
     arena:  ... | size | flags | lit0 | lit1 | lit2 ... | size | flags | ...
                   ^ref                                     ^next ref
 
-``lit0``/``lit1`` are the watched positions.  ``flags`` is a bit set
-(bit 0: learned, bit 1: deleted).  Reference ``0`` is reserved (the arena
-starts with a sentinel word) and doubles as "no clause" everywhere a
-clause reference is optional — conflict returns, reason slots.  The
-arena is held as a plain Python list — flat machine-word payload, but
-CPython indexes lists faster than typed arrays because small ints come
-back as cached objects instead of being re-boxed per read.
+In a clause of four or more literals ``lit0``/``lit1`` are the watched
+positions; the literal order of a binary or ternary clause is never
+permuted.  ``flags`` is a bit set (bit 0: learned, bit 1: deleted).
+Reference ``0`` is reserved (the arena starts with a sentinel word) and
+doubles as "no clause" everywhere a clause reference is optional —
+conflict returns, reason slots.  The arena is held as a plain Python
+list — flat machine-word payload, but CPython indexes lists faster than
+typed arrays because small ints come back as cached objects instead of
+being re-boxed per read.
 
-Watch lists are lists of ``(clause ref, blocker literal)`` tuples —
-iterated directly by the propagation loop (CPython's fastest scan) and
-detached by swap-remove (O(1) per removal, no ``list.remove`` scan); the
-scan stays read-only until some watch actually migrates, and only then
-compacts the list in place MiniSat-style from the migration point.
+There are three watch kinds, scanned in this order for each literal
+that becomes false: binary entries ``(ref, other)``, ternary entries
+``(ref, a, b)`` and long-clause entries ``(ref, blocker)``.  Watch lists
+are lists of these tuples — iterated directly by the propagation loop
+(CPython's fastest scan) and detached by swap-remove (O(1) per removal,
+no ``list.remove`` scan).  Only long-clause watches migrate: their scan
+stays read-only until some watch actually moves, and only then compacts
+the list in place MiniSat-style from the migration point.
 Assignment values and watch-list heads are *literal-indexed*
 tables: a table of capacity ``C > 2·num_vars`` holds literal ``+v`` at
 index ``v`` and literal ``-v`` at index ``C - v``, so Python's negative
@@ -87,9 +94,10 @@ extensions of the classic loop:
 Variables are ``1..n``; literals are signed non-zero integers (DIMACS
 convention).  The solver is deterministic: the same clauses added in the
 same order always produce the same answer, model and statistics.  The
-pre-arena object-based implementation is retained as
-:class:`repro.sat.reference.ReferenceSolver` and the test suite
-cross-checks the two cores on seeded instances.
+test suite checks its answers on their own terms: every model against
+every clause, every ``unsat`` proof with :func:`repro.proof.check_proof`,
+every failed-assumption core by solving again under the core alone, and
+small instances against brute force.
 """
 
 from __future__ import annotations
@@ -99,7 +107,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from random import Random
 from time import monotonic
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 
@@ -222,14 +230,17 @@ class Solver:
         # index v, literal -v at index capacity-v, so plain values[lit]
         # resolves either polarity in one lookup via Python's negative
         # indexing.  values holds 0 unassigned / 1 true / -1 false *of
-        # that literal*; _watches/_bwatches hold the per-literal lists of
-        # (ref, blocker) watch tuples (binary clauses separate from
-        # longer ones).
+        # that literal*; _bwatches, _twatches and _watches hold the
+        # per-literal watch tuples of binary clauses (ref, other), ternary
+        # clauses (ref, a, b) and longer clauses (ref, blocker).
         self._values: list[int] = [0] * _MIN_LIT_CAPACITY
         self._watches: list[list[tuple[int, int]]] = [
             [] for _ in range(_MIN_LIT_CAPACITY)
         ]
         self._bwatches: list[list[tuple[int, int]]] = [
+            [] for _ in range(_MIN_LIT_CAPACITY)
+        ]
+        self._twatches: list[list[tuple[int, int, int]]] = [
             [] for _ in range(_MIN_LIT_CAPACITY)
         ]
         # Parallel per-variable vectors; slot 0 is unused padding.
@@ -287,6 +298,10 @@ class Solver:
             "theory_checks": 0,
             "theory_lemmas": 0,
             "theory_conflicts": 0,
+            # Watch entries skipped as satisfied at a glance: a binary
+            # entry whose other literal is true, a ternary entry one of
+            # whose two other literals is true, a long-clause entry whose
+            # blocker is true.
             "blocker_skips": 0,
             "arena_collections": 0,
             "random_decisions": 0,
@@ -379,6 +394,7 @@ class Solver:
         values = [0] * capacity
         watches: list[list[tuple[int, int]]] = [[] for _ in range(capacity)]
         bwatches: list[list[tuple[int, int]]] = [[] for _ in range(capacity)]
+        twatches: list[list[tuple[int, int, int]]] = [[] for _ in range(capacity)]
         for v in range(1, old + 1):
             values[v] = self._values[v]
             values[-v] = self._values[-v]
@@ -386,9 +402,12 @@ class Solver:
             watches[-v] = self._watches[-v]
             bwatches[v] = self._bwatches[v]
             bwatches[-v] = self._bwatches[-v]
+            twatches[v] = self._twatches[v]
+            twatches[-v] = self._twatches[-v]
         self._values = values
         self._watches = watches
         self._bwatches = bwatches
+        self._twatches = twatches
 
     # -- the clause arena ---------------------------------------------------
 
@@ -412,10 +431,11 @@ class Solver:
         return ref
 
     def watcher_refs(self, lit: int) -> list[int]:
-        """Clause refs currently watching ``lit``, binary watchers first
-        (tests/debugging)."""
-        return [entry[0] for entry in self._bwatches[lit]] + [
-            entry[0] for entry in self._watches[lit]
+        """Clause refs currently watching ``lit``: binary watchers, then
+        ternary, then longer (tests/debugging)."""
+        return [
+            entry[0]
+            for entry in chain(self._bwatches[lit], self._twatches[lit], self._watches[lit])
         ]
 
     # -- clause management --------------------------------------------------
@@ -448,7 +468,7 @@ class Solver:
         values = self._values
         arena = self._arena
         problem = self._clauses
-        watches, bwatches = self._watches, self._bwatches
+        bwatches, twatches = self._bwatches, self._twatches
         proof = self._proof
         ids = self._proof_ids
         proof_id = -1
@@ -493,8 +513,9 @@ class Solver:
                     problem.append(ref)
                     if ids is not None:
                         ids[ref] = proof_id
-                    watches[a].append((ref, b))
-                    watches[b].append((ref, a))
+                    twatches[a].append((ref, b, c))
+                    twatches[b].append((ref, a, c))
+                    twatches[c].append((ref, a, b))
                     continue
                 if not a or not b or not c:
                     raise ValueError("0 is not a literal")
@@ -538,10 +559,7 @@ class Solver:
                     problem.append(ref)
                     if ids is not None:
                         ids[ref] = proof_id
-                    first, second = kept[0], kept[1]
-                    lists = bwatches if size == 2 else watches
-                    lists[first].append((ref, second))
-                    lists[second].append((ref, first))
+                    self._attach(ref)
                 elif size == 1:
                     self._assign(kept[0], NO_CLAUSE)
                 else:
@@ -553,25 +571,39 @@ class Solver:
         return True
 
     def _attach(self, ref: int) -> None:
-        """Watch the clause's first two literals, each entry carrying the
-        *other* watched literal as its blocker.  Binary clauses go to the
-        dedicated binary watch lists."""
+        """Watch the clause.  A binary or ternary clause is watched on
+        every literal, each entry carrying the clause's other literals; a
+        longer clause on its first two literals, each entry carrying the
+        *other* watched literal as its blocker."""
         arena = self._arena
         base = ref + _HEADER_WORDS
+        size = arena[ref]
         first, second = arena[base], arena[base + 1]
-        watches = self._bwatches if arena[ref] == 2 else self._watches
+        if size == 3:
+            third = arena[base + 2]
+            twatches = self._twatches
+            twatches[first].append((ref, second, third))
+            twatches[second].append((ref, first, third))
+            twatches[third].append((ref, first, second))
+            return
+        watches = self._bwatches if size == 2 else self._watches
         watches[first].append((ref, second))
         watches[second].append((ref, first))
 
     def _detach(self, ref: int) -> None:
-        """Remove the clause from both watch lists by swap-remove: the
-        matching ``(ref, blocker)`` entry is overwritten with the list's
+        """Remove the clause from each list that watches it by
+        swap-remove: the matching entry is overwritten with the list's
         last entry and the tail popped — no ``list.remove`` shifting."""
         arena = self._arena
         base = ref + _HEADER_WORDS
-        watches = self._bwatches if arena[ref] == 2 else self._watches
-        for position in (base, base + 1):
-            watchers = watches[arena[position]]
+        size = arena[ref]
+        lists: list[list[Any]]
+        if size == 3:
+            lists = [self._twatches[lit] for lit in arena[base : base + 3]]
+        else:
+            watches = self._bwatches if size == 2 else self._watches
+            lists = [watches[arena[base]], watches[arena[base + 1]]]
+        for watchers in lists:
             for i, entry in enumerate(watchers):
                 if entry[0] == ref:
                     watchers[i] = watchers[-1]
@@ -683,17 +715,18 @@ class Solver:
         The hot loop works on hoisted locals and assigns inline (bypassing
         :meth:`_assign`): within one call the decision level is fixed, so
         level bookkeeping hoists out of the loop entirely.  For each trail
-        literal the read-only binary loop runs first — binary watch entries
-        carry the partner literal, so propagation never touches the arena.
-        The long-clause loop then iterates tuple entries directly (the
-        fastest scan CPython offers) and materialises a replacement
-        ``keep`` list lazily, only once some entry actually moves or has
-        its blocker refreshed — a scan where every blocker hits writes
-        nothing at all.
+        literal the read-only binary and ternary loops run first — their
+        watch entries carry the clause's other literals, so propagation
+        never touches the arena for them.  The long-clause loop then
+        iterates tuple entries directly (the fastest scan CPython offers)
+        and compacts the list in place only once some entry actually moves
+        or has its blocker refreshed — a scan where every blocker hits
+        writes nothing at all.
         """
         values = self._values
         watches = self._watches
         bwatches = self._bwatches
+        twatches = self._twatches
         arena = self._arena
         trail = self._trail
         levels = self._levels
@@ -723,6 +756,31 @@ class Solver:
                 levels[var] = level
                 reasons[var] = bref
                 trail.append(other)
+            if conflict != NO_CLAUSE:
+                break
+            for tref, a, b in twatches[false_lit]:
+                value = values[a]
+                if value == 1:
+                    skips += 1
+                    continue
+                value_b = values[b]
+                if value_b == 1:
+                    skips += 1
+                    continue
+                if value == -1:
+                    if value_b == -1:
+                        qhead = len(trail)
+                        conflict = tref
+                        break
+                    a = b  # b is the unit literal
+                elif value_b == 0:
+                    continue  # two free literals: nothing to do yet
+                var = a if a > 0 else -a
+                values[a] = 1
+                values[-a] = -1
+                levels[var] = level
+                reasons[var] = tref
+                trail.append(a)
             if conflict != NO_CLAUSE:
                 break
             watchers = watches[false_lit]
@@ -902,10 +960,12 @@ class Solver:
             self._bump_clause(conflict)
 
         # Self-subsumption minimization: drop a literal whose reason's other
-        # literals are all already in the clause (seen) or at level 0 —
-        # the same local pass as the reference core, so seeded runs learn
-        # the same clauses.  The shrunk clause is derived by one more
-        # resolution step, so it stays RUP for the proof log.
+        # literals are all already in the clause (seen) or at level 0.  The
+        # pass is local (one reason deep); recursive minimization would
+        # shrink more clauses, and its hints would have to name the reason
+        # of every removed literal in dependency order.  The shrunk clause
+        # is derived by one more resolution step, so it stays RUP for the
+        # proof log.
         reasons = self._reasons
         kept = [learnt[0]]
         minimized: list[int] = []
@@ -1066,7 +1126,8 @@ class Solver:
         they survive database reduction).  A falsified lemma backjumps to
         its highest assignment level and is returned as the conflict to
         analyze; a unit lemma backjumps and asserts its literal; anything
-        else attaches watching two non-false literals.
+        else attaches with two non-false literals first, where a lemma of
+        four or more literals watches them.
         """
         seen: set[int] = set()
         out: list[int] = []
@@ -1186,12 +1247,13 @@ class Solver:
     def _reduce_db(self) -> None:
         """Drop roughly the less active half of the learnt clauses, keeping
         binary clauses and clauses that are reasons on the current trail.
+        A deleted clause leaves the lists that watch it (three for a
+        ternary clause, two otherwise) and its arena block becomes garbage.
 
-        Retention is by clause activity, like the reference core —
-        LBD-ordered deletion (Glucose-style) was measured here and lost
-        badly on structured instances (pigeonhole: 3.7x more conflicts),
-        so LBD is computed only for ``learn`` events and does not drive
-        deletion."""
+        Retention is by clause activity — LBD-ordered deletion
+        (Glucose-style) was measured here and lost badly on structured
+        instances (pigeonhole: 3.7x more conflicts), so LBD is computed
+        only for ``learn`` events and does not drive deletion."""
         activities = self._cla_activity
         arena = self._arena
         self._learnts.sort(key=lambda ref: activities.get(ref, 0.0))
@@ -1250,6 +1312,9 @@ class Solver:
             for watchers in watch_lists:
                 for i, entry in enumerate(watchers):
                     watchers[i] = (remap[entry[0]], entry[1])
+        for twatchers in self._twatches:
+            for i, (ref, a, b) in enumerate(twatchers):
+                twatchers[i] = (remap[ref], a, b)
         self.stats["arena_collections"] += 1
 
     # -- the main loop ------------------------------------------------------

@@ -17,7 +17,6 @@ from repro import solve_script
 from repro.proof import Proof, ProofLog, ProofStep, check_proof
 from repro.proof.log import DELETE, INPUT, LEMMA, RUP
 from repro.sat import UNKNOWN, UNSAT, Solver
-from repro.sat.reference import ReferenceSolver
 
 from test_sat import pigeonhole
 
@@ -51,8 +50,8 @@ def lra_diamond(length):
     return "\n".join(lines) + "\n(check-sat)\n"
 
 
-def solver_proof(clauses, solver_class=Solver):
-    solver = solver_class()
+def solver_proof(clauses):
+    solver = Solver()
     solver.proof = ProofLog()
     for clause in clauses:
         solver.add_clause(clause)
@@ -266,13 +265,6 @@ class TestSolverHints:
         assert searched.stats["hinted"] == 0
         assert searched.stats["rup_checked"] == hinted.stats["rup_checked"]
         assert searched.stats["propagations"] > hinted.stats["propagations"]
-
-    def test_reference_solver_proofs_carry_no_hints_and_check(self):
-        _, proof = solver_proof(pigeonhole(5), ReferenceSolver)
-        assert all(step.hints is None for step in proof.steps)
-        verdict = check_proof(proof)
-        assert verdict.ok, verdict.error
-        assert verdict.stats["hinted"] == 0 and verdict.stats["rup_checked"] > 0
 
     def test_ids_survive_reduction_and_arena_compaction(self):
         solver = Solver()
