@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Benchmark suite for the linear-arithmetic theory: simplex shapes
-and branch-and-bound depth, driven through the full engine.
+and integer splits, driven through the full engine.
 
 Four deterministic workload families:
 
@@ -15,7 +15,8 @@ Four deterministic workload families:
 * ``branch_bound`` — bounded integer knapsack equalities
   (``3x + 5y + 7z = K`` over boxes), alternating feasible and
   infeasible ``K``: the rational relaxation is fractional, so every
-  query exercises branch-and-bound (depth grows with the box).
+  query needs integer splits, which the SAT core branches on (more of
+  them as the box grows).
 * ``diamond_lra`` — the classic diamond chain: per-layer disjunctions
   ``x_{i+1} ≤ xᵢ + 1`` or ``x_{i+1} ≤ xᵢ + 2`` with a final window on
   ``x_n``: the SAT core enumerates paths and the theory vetoes them

@@ -32,8 +32,8 @@ the whole run:
   plugins, the hook and the plugins' metrics sources are built once per
   run; each ``check-sat`` routes its live atoms (and the live atoms of
   earlier checks' lemmas) and pops the plugins back to empty, while
-  plugin caches (compiled atoms, the tableau, emitted array lemmas)
-  carry over.
+  plugin caches (compiled atoms, the tableau, emitted array lemmas and
+  integer splits) carry over.
 
 Answer semantics stay *sound*:
 
@@ -115,6 +115,7 @@ from ..theory import (
     SortValueAllocator,
     Theory,
 )
+from ..theory.euf import WITNESS_MARKER
 from .context import Frame, Preparation
 from .result import CheckSatResult, ScriptResult
 
@@ -668,9 +669,9 @@ class Engine:
         otherwise be assigned behind the plugins' backs.  Live means the
         name *and* sort of a declaration in a live frame or of a symbol
         free in a live assertion: a popped symbol must not reach the
-        plugins, nor a later ``(get-model)``.  Lemma atoms over
-        extensionality witnesses are never live, so they stay
-        unrouted."""
+        plugins, nor a later ``(get-model)``.  EUF's extensionality
+        witnesses (``@arr!N``) count as live: no frame declares them, and
+        they never reach a model."""
         if not self._lemma_atoms:
             return
         live = self._live_symbols()
@@ -680,7 +681,10 @@ class Engine:
                 symbols = lemma_atoms[atom] = tuple(
                     node for node in atom.dag_walk() if isinstance(node, Symbol)
                 )
-            if all(live.get(symbol.name) == symbol.sort for symbol in symbols):
+            if all(
+                live.get(symbol.name) == symbol.sort or symbol.name.startswith(WITNESS_MARKER)
+                for symbol in symbols
+            ):
                 self._sync.route(atom, literals[atom])
 
     def _live_symbols(self) -> dict[str, Sort]:

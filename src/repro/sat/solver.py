@@ -28,7 +28,8 @@ The solver is a faithful, compact rendition of the modern SAT loop:
   Zuckerman.
 * **Learned-clause reduction** — when the learned-clause database outgrows
   its budget, the less active half is dropped (binary and reason clauses
-  are kept).
+  are kept).  A reduction that could drop nothing is not retried before
+  the next learned clause.
 
 **Memory layout.**  The solver stores no per-clause Python objects.  All
 clause literals live in one flat integer arena; a clause is identified
@@ -1397,6 +1398,9 @@ class Solver:
         restart_limit = self._restart_interval(0)
         conflicts_since_restart = 0
         max_learnts = max(len(self._clauses) // 3, 100)
+        # The learnt count at which a reduction last deleted nothing (every
+        # learnt binary or a reason): wait for a new learnt before the next.
+        idle = -1
         pending = NO_CLAUSE
         rng = self._rng
         random_decision_freq = self.config.random_decision_freq
@@ -1467,8 +1471,10 @@ class Solver:
                     self.stop_reason = stop
                     return UNKNOWN
                 continue
-            if len(self._learnts) - len(self._trail) >= max_learnts:
+            learnts = len(self._learnts)
+            if learnts - len(self._trail) >= max_learnts and learnts != idle:
                 self._reduce_db()
+                idle = learnts if len(self._learnts) == learnts else -1
             if len(self._trail_lim) < len(assumed):
                 # Decide pending assumptions first, one pseudo-level each.
                 lit = assumed[len(self._trail_lim)]

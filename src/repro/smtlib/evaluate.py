@@ -88,12 +88,13 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def _is_literal(constant: Constant) -> bool:
-    # Unqualified literals and finite-field constants denote pairwise
-    # distinct values, as do the ``@``-qualified abstract constants the
-    # theory layer mints for uninterpreted-sort model values; other
-    # qualified constants (seq.empty, set.universe ...) are symbolic, so
-    # disequality between them must not be decided.
+def is_distinguished(constant: Constant) -> bool:
+    """True for constants that denote pairwise-distinct values, so that
+    ``=`` and ``distinct`` over them decide: unqualified literals,
+    finite-field constants, and the ``@``-qualified abstract constants
+    the theory layer mints for uninterpreted-sort model values.  Other
+    qualified constants (``seq.empty``, ``set.universe`` ...) are
+    symbolic, so disequality between them must not be decided."""
     return (
         not constant.qualifier
         or is_finite_field(constant.sort)
@@ -134,13 +135,13 @@ def _fold_core(op: str, indices, args: tuple[Constant, ...], sort: Sort) -> Opti
     if op == "=":
         if all(a is args[0] for a in args[1:]):
             return TRUE
-        if all(_is_literal(a) for a in args):
+        if all(is_distinguished(a) for a in args):
             return FALSE
         return None
     if op == "distinct":
         if len(set(args)) != len(args):
             return FALSE
-        if all(_is_literal(a) for a in args):
+        if all(is_distinguished(a) for a in args):
             return TRUE
         return None
     if op == "ite":
@@ -789,4 +790,5 @@ __all__ = [
     "euclidean_mod",
     "ArrayValue",
     "FunctionInterpretation",
+    "is_distinguished",
 ]

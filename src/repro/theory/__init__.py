@@ -17,10 +17,13 @@
   the signature table.
 * :mod:`repro.theory.arith` — linear rational/integer arithmetic
   (QF_LRA/QF_LIA) by Dutertre–de Moura dual simplex over δ-rationals,
-  with Bland's-rule pivoting, minimal bound-clash and row explanations,
-  and budgeted branch-and-bound for integer solutions.  The kernel runs
-  on Python integers: integer tableau rows over one denominator and
-  integer δ-rational triples compared by cross-multiplication.
+  with Bland's-rule pivoting and minimal bound-clash and row
+  explanations.  Integer solutions come from splitting on demand: a
+  fractional ``Int`` symbol ``x`` becomes the case split ``(<= x k) ∨
+  (>= x k+1)``, a :class:`~repro.theory.core.TheoryClause` the SAT core
+  branches on, budgeted per run.  The kernel runs on Python integers:
+  integer tableau rows over one denominator and integer δ-rational
+  triples compared by cross-multiplication.
 * :mod:`repro.theory.bv` — not a lazy plugin but the *eager* path:
   :class:`~repro.theory.bv.BvBlaster` lowers QF_BV atoms to gates over
   the encoder's literals while encoding, so bit-vector reasoning rides

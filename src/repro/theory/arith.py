@@ -2,7 +2,7 @@
 
 The second concrete :class:`~repro.theory.core.Theory` implements the
 general simplex of Dutertre–de Moura ("A Fast Linear-Arithmetic Solver
-for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
+for DPLL(T)", CAV'06), and hands integer branching to the SAT core:
 
 * **Atoms** are binary comparisons ``lhs ▷ rhs`` (``<``, ``<=``, ``>``,
   ``>=``) whose difference is *linear* over Int/Real symbols (the
@@ -38,18 +38,20 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
   variables avoid δ entirely — their strict bounds tighten to the
   nearest integer (``x < 5/2`` becomes ``x <= 2``), which also
   strengthens propagation.
-* **Integers** get branch-and-bound on top of the rational relaxation:
-  a fractional integer variable ``x`` with value ``v`` splits into
-  ``x <= ⌊v⌋`` and ``x >= ⌊v⌋ + 1`` on an internal trail, bounded by a
-  branch budget.  Both branches refuting proves integer infeasibility;
-  the explanation is the union of the *external* literals appearing in
-  the leaf conflicts (the internal branch bounds resolve away because
-  the two cuts are exhaustive over the integers).  An exhausted budget
-  degrades to ``unknown`` — the theory stays sound, never complete by
-  accident.
+* **Integers** are split on demand (Barrett, Nieuwenhuis, Oliveras &
+  Tinelli, LPAR 2006): a final check whose assignment gives an ``Int``
+  symbol ``x`` the fractional value ``v`` queues the valid clause
+  ``(<= x ⌊v⌋) ∨ (>= x ⌊v⌋+1)`` through :meth:`ArithTheory.pending_lemmas`,
+  and the SAT core branches on it, as it does on the array case splits.
+  Only symbols the asserted bounds constrain are split (they are the
+  model's symbols, and integral symbols make every bounded ``Int``
+  slack integral), each ``(symbol, cut)`` once per run, at most
+  :data:`SPLIT_BUDGET` times; past the budget the check reports
+  ``branch-budget-exhausted`` and the answer degrades to ``unknown``.
+  Every conflict is a bound clash or a tableau row at its bounds, over
+  asserted literals.
 * **Backtracking** restores bounds (and the conflict flag) through the
-  undo log EUF uses too (:class:`~repro.theory.core.UndoLogTheory`);
-  branch-and-bound marks the same log for its internal cuts.  The
+  undo log EUF uses too (:class:`~repro.theory.core.UndoLogTheory`).  The
   tableau, the variable assignment and all slack definitions persist
   across ``pop`` — rows are definitional identities, and relaxing bounds
   can never invalidate the non-basic-within-bounds invariant — so
@@ -71,15 +73,24 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from ..obs.spans import trace_span
 from ..smtlib.linarith import difference_form, linear_form
-from ..smtlib.sorts import INT, REAL
+from ..smtlib.sorts import BOOL, INT, REAL
 from ..smtlib.terms import Apply, Constant, Symbol, Term, int_const
-from .core import SortValueAllocator, TheoryConflict, TheoryModel, UndoLogTheory
+from .core import (
+    SortValueAllocator,
+    TheoryClause,
+    TheoryConflict,
+    TheoryModel,
+    UndoLogTheory,
+)
 
-#: A bound's provenance: an asserted ``(atom, positive)`` literal, or
-#: ``None`` for the internal cuts branch-and-bound asserts.
-_Lit = Optional[tuple[Term, bool]]
+#: Cap on integer splits per plugin (one engine run); a final check that
+#: needs one more reports ``branch-budget-exhausted`` instead of
+#: splitting forever (``x = 2y ∧ x = 2z + 1`` has no bounded refutation).
+SPLIT_BUDGET = 1_000
+
+#: A bound's provenance: the asserted ``(atom, positive)`` literal.
+_Lit = tuple[Term, bool]
 
 #: An integer δ-rational ``(p, q, d)``: the value ``(p + q·δ)/d`` for a
 #: symbolic positive infinitesimal δ, with ``d > 0`` and
@@ -157,19 +168,13 @@ def _normalize_row(row: dict[int, int], den: int) -> int:
 
 
 class ArithTheory(UndoLogTheory):
-    """Dual simplex over δ-rationals with branch-and-bound for ``Int``.
-
-    ``branch_limit`` caps the number of branch-and-bound nodes explored
-    per ``check``; exhausting it makes the theory incomplete for that
-    check (``model`` returns ``None``, the engine answers ``unknown``)
-    but never unsound.
-    """
+    """Dual simplex over δ-rationals, splitting ``Int`` symbols on demand
+    (see the module docstring)."""
 
     name = "arith"
 
-    def __init__(self, branch_limit: int = 2000) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._branch_limit = branch_limit
         # Variable space: externals (script symbols) and slacks share it.
         self._is_int: list[bool] = []
         self._var_of: dict[Symbol, int] = {}
@@ -184,6 +189,8 @@ class ArithTheory(UndoLogTheory):
         self._lower: dict[int, tuple[_Value, _Lit]] = {}
         self._upper: dict[int, tuple[_Value, _Lit]] = {}
         self._compiled: dict[Term, tuple] = {}
+        #: ``(symbol, cut)`` pairs whose splits have been queued this run.
+        self._splits: set[tuple[Symbol, int]] = set()
         self._incomplete = False
         self.stats = {
             "literals": 0,
@@ -496,63 +503,6 @@ class ArithTheory(UndoLogTheory):
         for _, _, members in targets:
             members.add(entering)
 
-    # -- branch and bound ----------------------------------------------------
-
-    def _fractional_int_var(self) -> Optional[int]:
-        assign = self._assign
-        for var, is_int in enumerate(self._is_int):
-            if is_int and not _is_integral(assign[var]):
-                return var
-        return None
-
-    #: Branch-and-bound recursion cap: each node is one Python stack
-    #: frame, so the depth must stay well below the *default*
-    #: interpreter recursion limit (1000) — library callers do not get
-    #: the CLI's raised limit.  Deeper searches degrade to ``unknown``.
-    _DEPTH_LIMIT = 200
-
-    def _branch(
-        self, budget: list[int], depth: int = 0
-    ) -> tuple[str, dict[tuple[Term, bool], None]]:
-        """Exhaust the integer search below the current bounds; returns
-        ``("sat", _)``, ``("unknown", _)`` or ``("unsat", literals)``
-        where ``literals`` are the *external* bounds used by the refuted
-        leaves (internal cuts resolve away)."""
-        budget[0] -= 1
-        if budget[0] <= 0 or depth >= self._DEPTH_LIMIT:
-            return "unknown", {}
-        conflict = self._simplex()
-        if conflict is not None:
-            return "unsat", dict.fromkeys(l for l in conflict if l is not None)
-        var = self._fractional_int_var()
-        if var is None:
-            return "sat", {}
-        cut = _floor(self._assign[var])
-        self.stats["branches"] += 1
-        accumulated: dict[tuple[Term, bool], None] = {}
-        exhausted = False
-        for is_upper, bound in ((True, cut), (False, cut + 1)):
-            mark = len(self._trail)
-            clash = self._assert_bound(var, is_upper, (bound, 0, 1), None)
-            if clash is None:
-                verdict, literals = self._branch(budget, depth + 1)
-            else:
-                verdict = "unsat"
-                literals = dict.fromkeys(l for l in clash if l is not None)
-            # Undoing the cut keeps the assignment: the internal cuts only
-            # tightened bounds, so relaxing them leaves an integral
-            # assignment feasible.
-            self._undo_to(mark)
-            if verdict == "sat":
-                return "sat", {}
-            if verdict == "unknown":
-                exhausted = True
-            else:
-                accumulated.update(literals)
-        if exhausted:
-            return "unknown", {}
-        return "unsat", accumulated
-
     # -- the Theory interface ------------------------------------------------
 
     def assert_literal(self, atom: Term, positive: bool) -> Optional[TheoryConflict]:
@@ -569,8 +519,7 @@ class ArithTheory(UndoLogTheory):
         is_upper, value = positive_bound if positive else negative_bound
         clash = self._assert_bound(var, is_upper, value, (atom, positive))
         if clash is not None:
-            literals = tuple(l for l in clash if l is not None)
-            self._set_conflict(TheoryConflict(literals, source=self.name))
+            self._set_conflict(TheoryConflict(tuple(clash), source=self.name))
         return self._conflict
 
     def check(self) -> Optional[TheoryConflict]:
@@ -580,45 +529,57 @@ class ArithTheory(UndoLogTheory):
         self._incomplete = False
         conflict = self._simplex()
         if conflict is not None:
-            literals = tuple(dict.fromkeys(l for l in conflict if l is not None))
-            if not literals:  # defensive: never ship an empty explanation
-                self._incomplete = True
-                return None
-            self._set_conflict(TheoryConflict(literals, source=self.name))
+            self._set_conflict(TheoryConflict(tuple(conflict), source=self.name))
             return self._conflict
-        if self._fractional_int_var() is None:
-            return None
-        with trace_span("branch-and-bound", merge=True):
-            verdict, accumulated = self._branch([self._branch_limit])
-        if verdict == "unsat" and accumulated:
-            self._set_conflict(TheoryConflict(tuple(accumulated), source=self.name))
-            return self._conflict
-        if verdict != "sat":
-            self._incomplete = True
-            self.stats["bb_exhausted"] += 1
+        assign = self._assign
+        for symbol, var in self._constrained():
+            value = assign[var]
+            if self._is_int[var] and not _is_integral(value):
+                self._split(symbol, _floor(value))
+                break
         return None
 
-    def model(self, allocator: SortValueAllocator) -> Optional[TheoryModel]:
-        """Concrete rational/integer values: the simplex assignment with
-        δ instantiated small enough to honor every strict bound."""
-        if self._conflict is not None or self._incomplete:
-            return None
-        if self._simplex() is not None or self._fractional_int_var() is not None:
-            return None  # pragma: no cover - defensive; check() runs first
-        delta = self._delta_value()
-        # The model covers the variables the asserted literals constrain:
-        # every bounded variable (an asserted atom always leaves a bound on
-        # its variable; a weaker one finds a bound already there) and the
-        # symbols of every bounded slack.  Variables of an earlier check's
-        # atoms stay out of it.
+    def _split(self, symbol: Symbol, cut: int) -> None:
+        """Queue ``(<= x cut) ∨ (>= x cut+1)`` for the SAT core, which
+        picks the branch (under its default phase a fresh atom is decided
+        false, the lowest variable first, so the upper branch comes
+        first).  A pair that already shipped cannot recur while its atoms
+        reach this plugin, so meeting one again stops the search like the
+        budget."""
+        key = (symbol, cut)
+        if key in self._splits or len(self._splits) >= SPLIT_BUDGET:
+            self._incomplete = True
+            self.stats["bb_exhausted"] += 1
+            return
+        self._splits.add(key)
+        self.stats["branches"] += 1
+        below = Apply("<=", (symbol, int_const(cut)), BOOL)
+        above = Apply(">=", (symbol, int_const(cut + 1)), BOOL)
+        self._lemmas.append(TheoryClause(((below, True), (above, True)), source=self.name))
+
+    def _constrained(self) -> list[tuple[Symbol, int]]:
+        """The symbols the asserted literals constrain, with their
+        variables: every bounded symbol (an asserted atom always leaves a
+        bound on its variable; a weaker one finds a bound already there)
+        and the symbols of every bounded slack.  Symbols only an earlier
+        check's atoms mention stay out."""
         live = self._lower.keys() | self._upper.keys()
         for key, slack in self._slack_of.items():
             if slack in live:
                 live.update(self._var_of[symbol] for symbol, _ in key)
+        return [(symbol, var) for symbol, var in self._var_of.items() if var in live]
+
+    def model(self, allocator: SortValueAllocator) -> Optional[TheoryModel]:
+        """Concrete rational/integer values for the constrained symbols:
+        the simplex assignment with δ instantiated small enough to honor
+        every strict bound."""
+        if self._conflict is not None or self._incomplete:
+            return None
+        if self._simplex() is not None:
+            return None  # pragma: no cover - defensive; check() runs first
+        delta = self._delta_value()
         model = TheoryModel()
-        for symbol, var in self._var_of.items():
-            if var not in live:
-                continue
+        for symbol, var in self._constrained():
             p, q, d = self._assign[var]
             exact = (p + q * delta) / d  # a Fraction: δ is one
             if self._is_int[var]:

@@ -84,7 +84,8 @@ class TheoryClause:
 
     Lazy instantiation (the array axioms, say) sometimes needs a
     *case split* the current assignment does not determine — ``i = j``
-    versus ``i ≠ j`` for a symbolic read over a write.  A
+    versus ``i ≠ j`` for a symbolic read over a write, or ``x ≤ 2``
+    versus ``x ≥ 3`` for an integer the simplex put at 2.5.  A
     :class:`TheoryConflict` cannot express that (its literals must all be
     asserted); a :class:`TheoryClause` can: its literals are ``(atom,
     positive)`` pairs whose disjunction is **valid in the theory**, so the
@@ -128,6 +129,8 @@ class Theory(ABC):
 
     def __init__(self) -> None:
         self.stats: dict[str, int] = {}
+        #: Valid clauses queued for :meth:`pending_lemmas` to hand over.
+        self._lemmas: list[TheoryClause] = []
 
     @abstractmethod
     def owns_atom(self, atom: Term) -> bool:
@@ -163,13 +166,15 @@ class Theory(ABC):
         return None
 
     def pending_lemmas(self) -> tuple[TheoryClause, ...]:
-        """Valid clauses queued since the last call (lazy instantiation).
+        """Valid clauses queued on ``self._lemmas`` since the last call
+        (lazy instantiation, case splits).
 
         Drained by the engine after a conflict-free :meth:`check`; each
         clause is added to the SAT core permanently and the search
-        resumes, so instantiation converges over repeated final checks.
-        Default: no lemmas (most theories propagate eagerly)."""
-        return ()
+        resumes, so instantiation converges over repeated final checks."""
+        lemmas = tuple(self._lemmas)
+        self._lemmas.clear()
+        return lemmas
 
 
 _MISSING = object()
@@ -183,9 +188,7 @@ class UndoLogTheory(Theory):
     value (or absence) of a dict key, :meth:`_save_len` the length of a
     list, and :meth:`_set_conflict` the conflict flag it replaces.
     :meth:`push` marks the log's length and :meth:`pop` replays the log
-    backward, in one pass, to the mark ``levels`` checkpoints ago.  An
-    internal search can mark the log itself (``len(self._trail)``) and
-    :meth:`_undo_to` that mark, between the engine's checkpoints.
+    backward, in one pass, to the mark ``levels`` checkpoints ago.
     """
 
     def __init__(self) -> None:
@@ -198,14 +201,11 @@ class UndoLogTheory(Theory):
         self._marks.append(len(self._trail))
 
     def pop(self, levels: int = 1) -> None:
-        if levels:
-            marks = self._marks
-            mark = marks[-levels]
-            del marks[-levels:]
-            self._undo_to(mark)
-
-    def _undo_to(self, mark: int) -> None:
-        trail = self._trail
+        if not levels:
+            return
+        marks, trail = self._marks, self._trail
+        mark = marks[-levels]
+        del marks[-levels:]
         undone = trail[mark:]
         del trail[mark:]
         for entry in reversed(undone):

@@ -86,8 +86,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs.spans import trace_span
-from ..smtlib.evaluate import FunctionInterpretation
-from ..smtlib.sorts import BOOL, Sort, is_array, is_finite_field
+from ..smtlib.evaluate import FunctionInterpretation, is_distinguished
+from ..smtlib.sorts import BOOL, Sort, is_array
 from ..smtlib.terms import FALSE, TRUE, Apply, Constant, Symbol, Term
 from ..smtlib.typecheck import is_builtin_operator
 from .core import (
@@ -111,16 +111,6 @@ WITNESS_MARKER = "@arr!"
 #: stops instantiation and reports ``array-lemma-budget`` instead of
 #: looping.
 LEMMA_BUDGET = 10_000
-
-
-def _distinguished(constant: Constant) -> bool:
-    """Literal constants denoting pairwise-distinct individuals (mirrors
-    the evaluator's notion of a decidable literal)."""
-    return (
-        not constant.qualifier
-        or is_finite_field(constant.sort)
-        or constant.qualifier.startswith("@")
-    )
 
 
 class EufTheory(UndoLogTheory):
@@ -148,7 +138,6 @@ class EufTheory(UndoLogTheory):
         self._provenance: dict[tuple[Term, bool], _Provenance] = {}
         #: axioms queued during registration, drained after each mutation.
         self._queue: list[tuple[Term, bool, _Provenance]] = []
-        self._lemmas: list[TheoryClause] = []
         self._budget_exhausted = False
         #: :meth:`is_euf_term` answers, so a shared subterm is classified once.
         self._euf_terms: dict[Term, bool] = {}
@@ -177,7 +166,7 @@ class EufTheory(UndoLogTheory):
         if known is not None:
             return known
         if isinstance(term, Constant):
-            known = _distinguished(term)
+            known = is_distinguished(term)
         elif isinstance(term, Symbol):
             known = term.sort != BOOL
         elif isinstance(term, Apply) and not term.indices:
@@ -271,7 +260,7 @@ class EufTheory(UndoLogTheory):
                 self._register(arg)
         self._save(self._rank, term)
         self._rank[term] = 0
-        if isinstance(term, Constant) and _distinguished(term):
+        if isinstance(term, Constant) and is_distinguished(term):
             self._save(self._const, term)
             self._const[term] = term
         if isinstance(term, Apply):
@@ -521,11 +510,6 @@ class EufTheory(UndoLogTheory):
                     changed = self._instantiate_read_over_write()
                     self._drain_queue()
         return self._conflict
-
-    def pending_lemmas(self) -> tuple[TheoryClause, ...]:
-        lemmas = tuple(self._lemmas)
-        self._lemmas.clear()
-        return lemmas
 
     def incomplete_reason(self) -> Optional[str]:
         if self._budget_exhausted:

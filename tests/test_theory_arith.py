@@ -4,6 +4,7 @@ Fourier–Motzkin oracle), the engine's dispatch over the plugin tuple,
 and engine-level QF_LRA/QF_LIA solving."""
 
 import gc
+import time
 import weakref
 from fractions import Fraction
 from random import Random
@@ -11,15 +12,19 @@ from random import Random
 import pytest
 
 from repro import run_script, solve_script
-from repro.engine.solve import _TheorySync
+from repro.engine.solve import Engine, _TheorySync
 from repro.smtlib.evaluate import evaluate
 from repro.smtlib.linarith import difference_form, linear_form
 from repro.smtlib.parser import parse_term
+from repro.smtlib.script import Assert, CheckSat, DeclareConst, GetModel, Pop, Push, Script
 from repro.smtlib.sorts import BOOL, INT, REAL
 from repro.smtlib.terms import FALSE, TRUE, Apply, Constant, Symbol, int_const
-from repro.theory import ArithTheory, EufTheory, SortValueAllocator
+from repro.theory import ArithTheory, EufTheory, SortValueAllocator, arith
 from repro.theory.arith import _ZERO, _add_scaled, _floor, _is_integral, _lt, _value
+from repro.proof import check_proof
+from repro.sat import Solver
 from test_engine import assert_model_satisfies
+from test_fuzz_differential import BOX, _numeric_atom, generate_numeric
 
 X = Symbol("x", INT)
 Y = Symbol("y", INT)
@@ -184,6 +189,27 @@ def lits(conflict):
     return set(conflict.literals)
 
 
+#: 1999x + 2001y = 3999997 over 0 <= x, y <= 2000: sat (x = 1, y = 1998),
+#: but the rational optimum moves by tiny steps, so splits pile up.
+WIDE_BOX = (
+    "(>= x 0)",
+    "(<= x 2000)",
+    "(>= y 0)",
+    "(<= y 2000)",
+    "(<= (+ (* 1999 x) (* 2001 y)) 3999997)",
+    "(>= (+ (* 1999 x) (* 2001 y)) 3999997)",
+)
+
+
+def atoms_script(texts):
+    """One check of the conjunction of ``texts`` over Int ``x`` and ``y``."""
+    return (
+        "(declare-const x Int)(declare-const y Int)"
+        + "".join(f"(assert {text})" for text in texts)
+        + "(check-sat)"
+    )
+
+
 class TestArithTheoryDirect:
     def test_owns_linear_comparisons_only(self):
         theory = ArithTheory()
@@ -294,15 +320,12 @@ class TestArithTheoryDirect:
     def test_branch_and_bound_refutes_interacting_constraints(self):
         # 3x + 5y = 4 with x, y >= 0 is rationally feasible (x = 4/3)
         # but integer-infeasible; no single expression tightens shut, so
-        # the refutation needs actual branching.
-        theory = ArithTheory()
-        for text in self.BB_ATOMS:
-            assert theory.assert_literal(atom(text), True) is None
-        conflict = theory.check()
-        assert conflict is not None
-        assert theory.stats["branches"] > 0
-        asserted = {(atom(text), True) for text in self.BB_ATOMS}
-        assert lits(conflict) <= asserted
+        # the refutation needs the SAT core to branch on integer splits.
+        # Every conflict is over asserted literals, so the proof checks.
+        (check,) = solve_script(atoms_script(self.BB_ATOMS), produce_proofs=True)
+        assert check.answer == "unsat"
+        assert check.metrics["theory.arith.branches"] > 0
+        assert check_proof(check.proof).ok
 
     def test_model_realizes_strict_bounds(self):
         theory = ArithTheory()
@@ -317,17 +340,14 @@ class TestArithTheoryDirect:
         assert Fraction(0) < u_value < v_value < Fraction(1)
 
     def test_model_values_are_integral_for_int_vars(self):
-        theory = ArithTheory()
-        theory.assert_literal(atom("(>= (+ (* 2 x) (* 3 y)) 7)"), True)
-        theory.assert_literal(atom("(<= (+ (* 2 x) (* 3 y)) 7)"), True)
-        theory.assert_literal(atom("(>= x 1)"), True)
-        assert theory.check() is None
-        model = theory.model(SortValueAllocator())
-        assert model is not None
-        x_value = model.values["x"].value
-        y_value = model.values["y"].value
+        check = check_one(
+            atoms_script(("(>= (+ (* 2 x) (* 3 y)) 7)", "(<= (+ (* 2 x) (* 3 y)) 7)", "(>= x 1)"))
+        )
+        assert check.answer == "sat"
+        x_value = check.model["x"].value
+        y_value = check.model["y"].value
         assert isinstance(x_value, int) and isinstance(y_value, int)
-        assert 2 * x_value + 3 * y_value == 7
+        assert 2 * x_value + 3 * y_value == 7 and x_value >= 1
 
     def test_trivially_false_ground_atom_conflicts(self):
         theory = ArithTheory()
@@ -337,42 +357,30 @@ class TestArithTheoryDirect:
         assert conflict is not None
         assert conflict.literals == ((ground, True),)
 
-    def test_exhausted_branch_budget_degrades_to_unknown(self):
-        theory = ArithTheory(branch_limit=1)
-        for text in self.BB_ATOMS:
-            assert theory.assert_literal(atom(text), True) is None
-        assert theory.check() is None  # budget too small to refute
-        assert theory.model(SortValueAllocator()) is None
-        assert theory.incomplete_reason() == "branch-budget-exhausted"
-        assert theory.stats["bb_exhausted"] == 1
+    def test_exhausted_branch_budget_degrades_to_unknown(self, monkeypatch):
+        # One split cannot refute 3x + 5y = 4: the check that needs the
+        # second reports the budget, and the answer degrades to unknown.
+        monkeypatch.setattr(arith, "SPLIT_BUDGET", 1)
+        check = check_one(atoms_script(self.BB_ATOMS))
+        assert (check.answer, check.reason) == ("unknown", "branch-budget-exhausted")
+        assert check.metrics["theory.arith.branches"] == 1
+        assert check.metrics["theory.arith.bb_exhausted"] >= 1
 
     def test_deep_branching_never_blows_the_stack(self):
-        # Wide integer boxes with near-parallel coefficients force long
-        # branch-and-bound chains; at the default interpreter recursion
-        # limit this must degrade gracefully, never raise RecursionError.
-        import sys
-
-        theory = ArithTheory()
-        atoms = (
-            "(>= x 0)",
-            "(<= x 2000)",
-            "(>= y 0)",
-            "(<= y 2000)",
-            "(<= (+ (* 1999 x) (* 2001 y)) 3999997)",
-            "(>= (+ (* 1999 x) (* 2001 y)) 3999997)",
+        # Wide integer boxes with near-parallel coefficients need long
+        # chains of splits.  They are SAT decisions, so no chain recurses,
+        # and the split budget ends the search within a second.
+        source = atoms_script(WIDE_BOX)
+        start = time.perf_counter()
+        check = check_one(source)
+        assert time.perf_counter() - start < 1.0
+        # The box is sat (x = 1, y = 1998), but the budget may end first.
+        assert (check.answer, check.reason) in (
+            ("sat", None),
+            ("unknown", "branch-budget-exhausted"),
         )
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            conflict = None
-            for text in atoms:
-                conflict = theory.assert_literal(atom(text), True)
-                if conflict is not None:
-                    break
-            if conflict is None:
-                theory.check()  # must not raise, whatever the verdict
-        finally:
-            sys.setrecursionlimit(limit)
+        if check.answer == "sat":
+            assert_model_satisfies(check, source)
 
 
 # ---------------------------------------------------------------------------
@@ -913,11 +921,7 @@ class TestEngineArith:
         assert_model_satisfies(result, source)
 
     def test_branch_budget_reason_reaches_the_engine(self, monkeypatch):
-        import repro.engine.solve as solve_module
-
-        monkeypatch.setattr(
-            solve_module, "ArithTheory", lambda: ArithTheory(branch_limit=1)
-        )
+        monkeypatch.setattr(arith, "SPLIT_BUDGET", 1)
         result = check_one(
             """
             (declare-const x Int)
@@ -932,6 +936,23 @@ class TestEngineArith:
         assert result.answer == "unknown"
         assert result.reason == "branch-budget-exhausted"
 
+    def test_undeletable_learnts_do_not_retrigger_reduction(self, monkeypatch):
+        # The box's splits leave about a thousand learned clauses that
+        # database reduction never deletes (binary ones and reasons).  A
+        # reduction that deletes nothing waits for the next learned
+        # clause; it does not re-sort the database at every decision.
+        calls = []
+        reduce_db = Solver._reduce_db
+
+        def counting(self):
+            calls.append(None)
+            reduce_db(self)
+
+        monkeypatch.setattr(Solver, "_reduce_db", counting)
+        check = check_one(atoms_script(WIDE_BOX))
+        assert check.metrics["sat.learned"] >= 500
+        assert len(calls) <= check.metrics["sat.learned"] // 10
+
     def test_rationals_print_exactly(self):
         from repro import run_script
 
@@ -945,3 +966,102 @@ class TestEngineArith:
         )
         assert result.answers == ["sat"]
         assert result.output[1] == "((u (/ 1.0 3.0)))"
+
+
+# ---------------------------------------------------------------------------
+# Integer splits on demand: the clauses ArithTheory queues for the SAT core.
+# ---------------------------------------------------------------------------
+
+
+def record_splits(monkeypatch):
+    """Spy on every split the arithmetic plugin queues: a list that fills
+    with ``(check index, clause, constrained symbols)`` as scripts run,
+    where the index counts the ``check-sat`` commands an engine has
+    begun."""
+    splits, checks = [], []
+    check, check_sat = ArithTheory.check, Engine._check_sat
+
+    def counting_check_sat(self):
+        checks.append(None)
+        return check_sat(self)
+
+    def spying_check(self):
+        queued = len(self._lemmas)
+        conflict = check(self)
+        constrained = {symbol for symbol, _ in self._constrained()}
+        for lemma in self._lemmas[queued:]:
+            splits.append((len(checks) - 1, lemma, constrained))
+        return conflict
+
+    monkeypatch.setattr(Engine, "_check_sat", counting_check_sat)
+    monkeypatch.setattr(ArithTheory, "check", spying_check)
+    return splits, checks
+
+
+def test_split_lemmas_are_integer_tautologies(monkeypatch):
+    """Every clause the plugin queues is ``(<= x k) ∨ (>= x k+1)`` over a
+    constrained ``Int`` symbol with an integral ``k``, which every
+    integer value of ``x`` satisfies; checked over the gauntlet's boxed
+    QF_LIA scripts."""
+    splits, _ = record_splits(monkeypatch)
+    for seed in range(120):
+        script, _ = generate_numeric(7919 * seed + 1, INT)
+        (check,) = solve_script(script)
+        assert check.answer in ("sat", "unsat"), (seed, check.reason)
+    assert len(splits) >= 20, len(splits)
+    for _, lemma, constrained in splits:
+        ((below, below_positive), (above, above_positive)) = lemma.literals
+        assert below_positive and above_positive and lemma.source == "arith"
+        assert (below.op, above.op) == ("<=", ">=")
+        (x, k), (x_again, k_next) = below.args, above.args
+        assert x is x_again and isinstance(x, Symbol) and x.sort == INT
+        assert x in constrained
+        assert k.sort == INT and isinstance(k.value, int)
+        assert k_next.value == k.value + 1
+        for value in range(-BOX - 2, BOX + 3):
+            bindings = {x.name: int_const(value)}
+            assert TRUE in (evaluate(below, bindings), evaluate(above, bindings))
+
+
+def pushpop_script(seed):
+    """A check over ``x`` (declared in a pushed frame), ``y`` and ``z``,
+    then a pop and a second check over ``y`` and ``z`` alone, from the
+    gauntlet's random linear atoms.  The tableau keeps ``x``'s rows, so
+    ``x`` may sit at a fractional value in the second check without any
+    bound on it."""
+    rng = Random(seed)
+    x, y, z = (Symbol(name, INT) for name in "xyz")
+    commands = [DeclareConst("y", INT), DeclareConst("z", INT)]
+    commands += [Assert(_numeric_atom(rng, [y, z], INT)) for _ in range(rng.randint(0, 2))]
+    commands += [Push(1), DeclareConst("x", INT)]
+    commands += [Assert(_numeric_atom(rng, [x, y, z], INT)) for _ in range(rng.randint(2, 4))]
+    commands += [CheckSat(), Pop(1)]
+    commands += [Assert(_numeric_atom(rng, [y, z], INT)) for _ in range(rng.randint(1, 3))]
+    commands += [CheckSat(), GetModel()]
+    return Script(tuple(commands))
+
+
+def test_popped_int_symbols_get_no_split_and_stay_out_of_models(monkeypatch):
+    """Only symbols the current bounds constrain are split.  A popped
+    ``x`` left fractional in the tableau gets no split in the second
+    check, so its split atoms never bound it and it never reaches the
+    second ``(get-model)``.  A small split budget keeps the scripts
+    whose splits run away (unbounded symbols) short."""
+    monkeypatch.setattr(arith, "SPLIT_BUDGET", 50)
+    splits, checks = record_splits(monkeypatch)
+    second_models = 0
+    for seed in range(50):
+        start = len(checks)
+        result = run_script(pushpop_script(seed))
+        second = result.check_results[1]
+        popped = [
+            lemma
+            for index, lemma, _ in splits
+            if index == start + 1 and lemma.literals[0][0].args[0].name == "x"
+        ]
+        assert not popped, (seed, popped)
+        if second.model is not None:
+            second_models += 1
+            assert set(second.model) == {"y", "z"}, seed
+            assert "(define-fun x " not in result.output[2], seed
+    assert second_models >= 20, second_models

@@ -327,6 +327,21 @@ class TestEngine:
         assert result.output == ["sat", "unsat"]
         assert result.check_results[1].metrics["theory.euf.lemmas"] == 0
 
+    def test_witness_lemma_atoms_stay_routed_in_later_checks(self):
+        """No frame declares an extensionality witness (``@arr!N``), yet
+        the split on ``(= i @arr!0)`` that shipped in the first check
+        stays.  The second check routes its atoms and answers as it would
+        on its own (``unsat``), and the witness never reaches a model."""
+        result = run_script(
+            "(declare-sort U 0)(declare-const a (Array U U))(declare-const b (Array U U))"
+            "(declare-const i U)(declare-const v U)"
+            "(push 1)(assert (= b (store a i v)))(assert (not (= a b)))(check-sat)(pop 1)"
+            "(push 1)(assert (= b (store a i v)))(assert (not (= a b)))"
+            "(assert (= (select a i) v))(check-sat)(pop 1)"
+        )
+        assert result.output == ["sat", "unsat"]
+        assert set(result.check_results[0].model) == {"a", "b", "i", "v"}
+
     def test_lemma_atoms_over_popped_symbols_stay_unrouted(self):
         """A lemma atom is routed in a later check only when each of its
         symbols is live by name *and* sort.  ``i`` and ``j`` redeclared
