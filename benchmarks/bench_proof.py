@@ -9,10 +9,12 @@ pipeline end to end:
   logging overhead on a learning-heavy unsat search.
 * ``pigeonhole_check`` — replaying the logged proof through the
   independent RUP/DRAT checker (shared with nothing in the solver):
-  checker throughput on a real proof.  The run fails unless
-  ``checker.hinted``, the learned clauses the checker verified by their
-  hints, equals ``sat.learned``, so a solver that stops emitting hints
-  fails the suite instead of only slowing the row.
+  checker throughput on a real proof.  The run fails unless every RUP
+  step is verified by its hints (``checker.hinted`` equals
+  ``checker.rup_checked`` and the proof's RUP step count) with
+  ``checker.propagations`` at 0, so a solver that stops emitting hints,
+  or leaves a level-0 literal unnamed, fails the suite instead of only
+  slowing the row.
 * ``random_3sat_logged`` — fixed-seed phase-transition 3-SAT with
   logging on; every unsat instance's proof is checked, so the row
   carries both solve and check time on mixed verdicts.
@@ -96,8 +98,9 @@ def run_pigeonhole_check(holes: int, tracer) -> Outcome:
     with tracer.span("check"):
         verdict = check_proof(proof)
     assert verdict.ok, verdict.error
-    hinted, learned = verdict.stats["hinted"], solver.stats["learned"]
-    assert hinted == learned, f"{hinted} of {learned} learned clauses verified by hints"
+    hinted, rups = verdict.stats["hinted"], proof.counts()["rup"]
+    assert hinted == verdict.stats["rup_checked"] == rups, f"{hinted} of {rups} RUP steps hinted"
+    assert verdict.stats["propagations"] == 0, verdict.stats
     return Outcome(
         "certified", {**prefixed("checker", verdict.stats), **prefixed("sat", solver.stats)}
     )

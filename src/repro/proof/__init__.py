@@ -8,15 +8,18 @@ every live assertion; this package closes the asymmetry for ``unsat``:
   provenance), learned clauses as RUP additions, deletions, and a
   concluding clause per ``unsat`` answer (the empty clause, or the
   negation of the failed-assumption core when the check ran under
-  assumptions).  Clauses are numbered by position, and each learned
-  clause carries *hints*: the ids of the clauses its conflict analysis
-  used, in the order they become unit (LRAT-style, after Cruz-Filipe,
-  Heule, Hunt, Kaufmann and Schneider-Kamp, CADE 2017).
+  assumptions).  Clauses are numbered by position, and every RUP step
+  carries *hints*: the ids of the clauses its derivation used, in the
+  order they become unit (LRAT-style, after Cruz-Filipe, Heule, Hunt,
+  Kaufmann and Schneider-Kamp, CADE 2017).  Level-0 literals are named
+  by unit clauses, derived on demand, and the concluding steps are
+  hinted too.
 * :mod:`repro.proof.checker` — an **independent** forward RUP/DRAT
   checker that shares no code with the solver's propagation loop: it
-  verifies a hinted step by walking its hints, with no search, and
-  rejects the step if a hint is wrong; a step without hints is checked
-  by its own counting-based unit propagation.  It accepts only when
+  verifies a hinted step by walking its hints alone, with no search and
+  no top-level units, and rejects the step if a hint is wrong; a step
+  without hints is checked by its own counting-based unit propagation,
+  built the first time such a step needs it.  It accepts only when
   every RUP addition is derivable and the conclusion follows.
 
 The trusted base mirrors the SAT-competition convention: input clauses

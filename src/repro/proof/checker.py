@@ -3,7 +3,7 @@
 The checker re-derives nothing from the solver: it shares no code with
 the CDCL propagation loop (:mod:`repro.sat.solver` uses two-watched
 literals over a flat clause arena; this module keeps immutable clause
-tuples and a set of true literals).  Its job is to *audit* the solver,
+tuples and sets of true literals).  Its job is to *audit* the solver,
 so the implementations must be able to disagree.
 
 Checking replays the proof in order:
@@ -14,42 +14,49 @@ Checking replays the proof in order:
 * ``rup`` steps must pass **reverse unit propagation**: asserting the
   negation of every literal of the clause over the active formula must
   lead to a conflict by unit propagation.  This covers every learned
-  clause and the concluding clause of the answer.  A step is checked in
-  one of two ways:
+  clause, every unit the solver derives for its hints, and the
+  concluding clause of the answer.  A step is checked in one of two
+  ways:
 
-  - **Hinted** (every learned clause the solver logs): the step names,
-    by proof id, the clauses its derivation used (see
-    :mod:`repro.proof.log`).  The checker assumes the negated clause on
-    top of the top-level units and walks the hints in order: each must
-    be an active earlier clause with exactly one literal not false — its
+  - **Hinted** (every step the solver logs): the step names, by proof
+    id, the clauses its derivation used (see :mod:`repro.proof.log`).
+    The checker assumes the negated clause and walks the hints in order,
+    with nothing else assumed — no top-level units: each hint must be an
+    active earlier clause with exactly one literal not false — its
     literal is then assumed — until one has every literal false, the
-    conflict.  There is no search.  Hints are untrusted: an id out of
-    range or of a deleted clause, a hint that is not unit, or hints that
-    end without a conflict reject the step; the checker never falls
-    back to search for a step whose hints fail.
-  - **Unhinted** (the concluding steps, hand-built proofs, and a learned
-    clause whose antecedents predate a log attached mid-life): the
+    conflict.  There is no search, and a level-0 literal counts only
+    once a hinted unit clause has named it.  Hints are untrusted: an id
+    out of range or of a deleted clause, a hint that is not unit, or
+    hints that end without a conflict reject the step; the checker never
+    falls back to search for a step whose hints fail.
+  - **Unhinted** (hand-built proofs, proofs stripped of their hints, and
+    a step whose derivation is older than a log attached mid-life): the
     checker searches with counting-based unit propagation — per-clause
     false-literal counters over occurrence lists, with a trail whose
     temporary suffix is rolled back after the test.
 
 * ``delete`` steps deactivate a clause, so later RUP steps cannot lean
-  on clauses the solver had already dropped.  Deleting a clause never
-  retracts permanent (top-level) units it helped derive — the standard
-  forward-checking relaxation, also used by ``drat-trim``.
+  on clauses the solver had already dropped.
 
-The same counting propagation keeps the top-level units: every added
-clause that is unit under them extends them to fixpoint.  These units
-are why the solver hints no level-0 literal.
+While every step is hinted, adding a clause only stores it.  The
+occurrence lists, the counters and the top-level units are built when
+the first unhinted step (or a conclusion that no step established)
+needs a search: the additions and deletions so far are replayed in
+order, so a search sees the same formula as if it had been kept from
+the start.  From then on the same counting propagation keeps the
+top-level units: every added clause that is unit under them extends
+them to fixpoint.  Deleting a clause never retracts permanent units it
+helped derive — the standard forward-checking relaxation, also used by
+``drat-trim``.  Whenever a clause is added while the formula already
+propagates to a contradiction, every later unhinted check passes
+trivially — sound, because the contradiction itself was reached by
+verified steps.
 
 After the replay the claimed :attr:`~repro.proof.log.Proof.conclusion`
-must itself follow: the empty conclusion requires the formula to have
-propagated to a contradiction, a non-empty conclusion must be RUP (it is
-normally also the final ``rup`` step, so this is a cheap re-check).
-
-Whenever a clause is added while the formula already propagates to a
-contradiction, every later check passes trivially — sound, because the
-contradiction itself was reached by verified steps.
+must itself follow: it does at once when it contains the last clause
+added, which is the solver's concluding step; otherwise it must be RUP
+by search (the empty conclusion then requires the formula to propagate
+to a contradiction).
 """
 
 from __future__ import annotations
@@ -84,19 +91,23 @@ class ProofCheckResult:
 
 
 class _Checker:
-    """An add/delete clause set with top-level units, checking RUP claims
-    by a hinted walk or by counting-based unit propagation."""
+    """A store of clauses, checking RUP claims by a hinted walk or, built
+    on demand, by counting-based unit propagation."""
 
     def __init__(self) -> None:
-        #: Clause id → deduped literal tuple; ``None`` once deleted.  The
-        #: id is the clause's proof id.
+        #: Clause id → literal tuple; ``None`` once deleted.  The id is
+        #: the clause's proof id.  Stored as given while every step is
+        #: hinted, deduplicated once the counting propagation is built.
         self._clauses: list[Optional[tuple[int, ...]]] = []
-        #: Literal → ids of active-or-deleted clauses containing it.
-        self._occ: defaultdict[int, list[int]] = defaultdict(list)
+        #: Deletions before the counting propagation exists, as
+        #: ``(clauses added before it, id, literals)``, for its replay.
+        self._deleted: list[tuple[int, int, tuple[int, ...]]] = []
+        #: Literal → ids of active-or-deleted clauses containing it;
+        #: ``None`` until a search needs it.
+        self._occ: Optional[defaultdict[int, list[int]]] = None
         #: Clause id → number of false literals under the trail.
         self._false: list[int] = []
-        #: The true literals: the trail's, plus a hinted walk's assumptions
-        #: while it runs.
+        #: The true literals of the trail.
         self._true: set[int] = set()
         #: Assigned literals in assignment order (permanent prefix + the
         #: temporary suffix of the unhinted RUP check in flight).
@@ -105,7 +116,8 @@ class _Checker:
         #: clauses below ``_keyed``, indexed when a deletion needs them.
         self._by_key: dict[tuple[int, ...], list[int]] = {}
         self._keyed = 0
-        #: The formula propagates to a conflict at the top level.
+        #: The formula propagates to a conflict at the top level (known
+        #: only once the counting propagation is built).
         self.contradiction = False
         self.stats = {
             "clauses": 0,
@@ -118,6 +130,53 @@ class _Checker:
 
     # -- counting propagation -----------------------------------------------
 
+    def _start_search(self) -> None:
+        """Build the occurrence lists, counters and top-level units by
+        replaying every addition and deletion so far in order."""
+        clauses = self._clauses
+        deleted = self._deleted
+        for _, cid, lits in deleted:
+            clauses[cid] = lits
+        self._occ = defaultdict(list)
+        pending = 0
+        for cid in range(len(clauses)):
+            while pending < len(deleted) and deleted[pending][0] <= cid:
+                clauses[deleted[pending][1]] = None
+                pending += 1
+            self._index(cid)
+        for _, cid, _ in deleted[pending:]:
+            clauses[cid] = None
+        deleted.clear()
+
+    def _index(self, cid: int) -> None:
+        """Deduplicate clause ``cid``, enter it in the occurrence lists
+        and counters, and propagate any permanent consequence."""
+        lits = self._clauses[cid]
+        assert lits is not None
+        clause, tautology = _dedupe(lits)
+        self._clauses[cid] = clause
+        occurrences = self._occ
+        assert occurrences is not None
+        true = self._true
+        false_count = 0
+        free = 0
+        unassigned = 0
+        satisfied = False
+        for lit in clause:
+            occurrences[lit].append(cid)
+            if lit in true:
+                satisfied = True
+            elif -lit in true:
+                false_count += 1
+            else:
+                free += 1
+                unassigned = lit
+        self._false.append(false_count)
+        if self.contradiction or tautology or satisfied or free > 1:
+            return
+        if not free or self._propagate([unassigned]):
+            self.contradiction = True
+
     def _propagate(self, pending: list[int]) -> bool:
         """Assign the pending literals and unit-propagate to fixpoint.
         Returns ``True`` on conflict.  Assignments stay on the trail for
@@ -125,6 +184,8 @@ class _Checker:
         true = self._true
         clauses = self._clauses
         false = self._false
+        occurrences = self._occ
+        assert occurrences is not None
         index = 0
         while index < len(pending):
             lit = pending[index]
@@ -136,7 +197,7 @@ class _Checker:
             true.add(lit)
             self._trail.append(lit)
             self.stats["propagations"] += 1
-            occ = self._occ.get(-lit, ())
+            occ = occurrences.get(-lit, ())
             for pos, cid in enumerate(occ):
                 clause = clauses[cid]
                 if clause is None:
@@ -166,104 +227,91 @@ class _Checker:
         return False
 
     def _undo_to(self, mark: int) -> None:
+        occurrences = self._occ
+        assert occurrences is not None
         while len(self._trail) > mark:
             lit = self._trail.pop()
             self._true.discard(lit)
-            for cid in self._occ.get(-lit, ()):
+            for cid in occurrences.get(-lit, ()):
                 if self._clauses[cid] is not None:
                     self._false[cid] -= 1
 
     # -- the RUP test -------------------------------------------------------
 
     def rup(
-        self,
-        clause: tuple[int, ...],
-        tautology: bool,
-        hints: Optional[Sequence[int]] = None,
+        self, clause: tuple[int, ...], hints: Optional[Sequence[int]] = None
     ) -> Optional[str]:
-        """``None`` when the active formula gives the deduped ``clause``
-        by reverse unit propagation (or is already contradictory), else
-        why not.  With ``hints`` the derivation is the hinted walk and
-        nothing else."""
-        if self.contradiction or tautology:
-            return None
-        self.stats["rup_checked"] += 1
+        """``None`` when the active formula gives ``clause`` by reverse
+        unit propagation (or the clause is a tautology), else why not.
+        With ``hints`` the derivation is the hinted walk and nothing
+        else; without, a search, which passes every clause once the
+        formula is contradictory."""
+        if 0 in clause:
+            raise ValueError("0 is not a literal")
+        negated = set(map(neg, clause))
+        if not negated.isdisjoint(clause):
+            return None  # a tautology
         if hints is not None:
-            why = self._walk(clause, hints)
+            self.stats["rup_checked"] += 1
+            why = self._walk(negated, hints)
             if why is not None:
                 return f"is not verified by its hints: {why}"
             self.stats["hinted"] += 1
             return None
+        if self._occ is None:
+            self._start_search()
+        if self.contradiction:
+            return None
+        self.stats["rup_checked"] += 1
         mark = len(self._trail)
         conflict = self._propagate([-lit for lit in clause])
         self._undo_to(mark)
         return None if conflict else "is not RUP"
 
-    def _walk(self, clause: tuple[int, ...], hints: Sequence[int]) -> Optional[str]:
-        """Assume the negated ``clause``, then each hint's one literal not
-        false, until a hint is falsified.  ``None`` on that conflict,
-        else what was wrong with the hints.  The assumptions never touch
-        the trail or the counters, and are retracted on return."""
-        true = self._true
-        assumed: list[int] = []
-        try:
-            for lit in clause:
-                if lit in true:
-                    return None  # a top-level unit: its negation conflicts
+    def _walk(self, true: set[int], hints: Sequence[int]) -> Optional[str]:
+        """Starting from the literals ``true`` (the negated clause),
+        assume each hint's one literal not false, until a hint is
+        falsified.  ``None`` on that conflict, else what was wrong with
+        the hints."""
+        clauses = self._clauses
+        known = len(clauses)
+        for cid in hints:
+            if not 0 <= cid < known:
+                return f"hint {cid} names no earlier clause"
+            hint = clauses[cid]
+            if hint is None:
+                return f"hint {cid} names a deleted clause"
+            unit = 0
+            for lit in hint:
                 if -lit not in true:
-                    true.add(-lit)
-                    assumed.append(-lit)
-            clauses = self._clauses
-            known = len(clauses)
-            for cid in hints:
-                if not 0 <= cid < known:
-                    return f"hint {cid} names no earlier clause"
-                hint = clauses[cid]
-                if hint is None:
-                    return f"hint {cid} names a deleted clause"
-                unit = 0
-                for lit in hint:
-                    if -lit not in true:
-                        if unit:
-                            return f"hint {cid} is not unit"
-                        unit = lit
-                if not unit:
-                    return None  # every literal false: the conflict
-                if unit not in true:
-                    true.add(unit)
-                    assumed.append(unit)
-            return "the hints end without a conflict"
-        finally:
-            true.difference_update(assumed)
+                    if unit and unit != lit:
+                        return f"hint {cid} is not unit"
+                    unit = lit
+            if not unit:
+                return None  # every literal false: the conflict
+            true.add(unit)
+        return "the hints end without a conflict"
+
+    def follows(self, clause: tuple[int, ...]) -> Optional[str]:
+        """``None`` when ``clause`` follows from the formula: at once when
+        it contains the last clause added, else by :meth:`rup`."""
+        last = self._clauses[-1] if self._clauses else None
+        if last is not None and set(last).issubset(clause):
+            return None
+        return self.rup(clause)
 
     # -- formula maintenance ------------------------------------------------
 
-    def add(self, clause: tuple[int, ...], tautology: bool, lemma: bool = False) -> None:
-        """Attach a deduped clause and propagate any permanent
+    def add(self, clause: tuple[int, ...], lemma: bool = False) -> None:
+        """Store a clause; once a search has built the counting
+        propagation, also index it and propagate any permanent
         consequence."""
-        cid = len(self._clauses)
+        if 0 in clause:
+            raise ValueError("0 is not a literal")
         self._clauses.append(clause)
         self.stats["lemmas" if lemma else "clauses"] += 1
-        true = self._true
-        occurrences = self._occ
-        false_count = 0
-        free = 0
-        unassigned = 0
-        satisfied = False
-        for lit in clause:
-            occurrences[lit].append(cid)
-            if lit in true:
-                satisfied = True
-            elif -lit in true:
-                false_count += 1
-            else:
-                free += 1
-                unassigned = lit
-        self._false.append(false_count)
-        if self.contradiction or tautology or satisfied or free > 1:
-            return
-        if not free or self._propagate([unassigned]):
-            self.contradiction = True
+        if self._occ is not None:
+            self._index(len(self._clauses) - 1)
 
     def delete(self, lits: Sequence[int]) -> bool:
         """Deactivate one clause matching ``lits`` (as a literal set).
@@ -278,12 +326,16 @@ class _Checker:
         by_key = self._by_key
         for cid in range(self._keyed, len(clauses)):
             # Unkeyed clauses are all active: deleting one keys it first.
-            by_key.setdefault(tuple(sorted(clauses[cid])), []).append(cid)
+            by_key.setdefault(tuple(sorted(set(clauses[cid] or ()))), []).append(cid)
         self._keyed = len(clauses)
         ids = by_key.get(tuple(sorted(deduped)))
         if not ids:
             return False
-        clauses[ids.pop()] = None
+        cid = ids.pop()
+        gone = clauses[cid]
+        if self._occ is None and gone is not None:
+            self._deleted.append((len(clauses), cid, gone))
+        clauses[cid] = None
         self.stats["deletions"] += 1
         return True
 
@@ -312,10 +364,9 @@ def check_proof(proof: Proof) -> ProofCheckResult:
     for index, step in enumerate(proof.steps):
         kind = step.kind
         if kind == INPUT:
-            add(*_dedupe(step.lits))
+            add(step.lits)
         elif kind == RUP:
-            clause, tautology = _dedupe(step.lits)
-            why = rup(clause, tautology, step.hints)
+            why = rup(step.lits, step.hints)
             if why is not None:
                 return ProofCheckResult(
                     False,
@@ -323,9 +374,9 @@ def check_proof(proof: Proof) -> ProofCheckResult:
                     step_index=index,
                     stats=checker.stats,
                 )
-            add(clause, tautology)
+            add(step.lits)
         elif kind == LEMMA:
-            add(*_dedupe(step.lits), lemma=True)
+            add(step.lits, lemma=True)
         elif kind == DELETE:
             if not checker.delete(step.lits):
                 return ProofCheckResult(
@@ -341,7 +392,7 @@ def check_proof(proof: Proof) -> ProofCheckResult:
                 step_index=index,
                 stats=checker.stats,
             )
-    if rup(*_dedupe(proof.conclusion)) is not None:
+    if checker.follows(proof.conclusion) is not None:
         claim = "the empty clause" if not proof.conclusion else f"clause {list(proof.conclusion)}"
         return ProofCheckResult(
             False,

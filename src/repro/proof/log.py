@@ -28,16 +28,21 @@ clause index, so neither side has to store it: the ``log_*`` methods of
 them.
 
 **Hints.**  A ``rup`` step may carry ``hints``, the ids of the clauses
-the solver's conflict analysis used to derive it, in the order they
-become unit once every literal of the clause is assumed false: the
-reasons of the literals minimization removed, the reasons resolved on,
-and last the conflicting clause, which is then falsified.  Literals
-fixed at decision level 0 are not hinted; the checker holds them as
-top-level units.  Hints are a claim, not a trusted fact: the checker
-walks them and rejects the step if any is wrong.  ``hints=None`` — the
-concluding steps, the steps of a hand-built proof, and a learned clause
-whose antecedents predate a log attached mid-life — leaves the checker
-to find the derivation by search.
+its derivation uses, in the order they become unit once every literal
+of the clause is assumed false, the last one then falsified.  For a
+learned clause they are the unit clauses of the level-0 literals the
+analysis read, the reasons of the literals minimization removed, the
+reasons resolved on, and last the conflicting clause.  A literal fixed
+at decision level 0 is always named by the id of a unit clause: an
+input or learned unit, or a ``rup`` step of one literal that the solver
+derives the first time a hint needs it.  Concluding steps are hinted
+too: the empty clause names its level-0 chain in trail order, and a
+negated failed-assumption core names the reasons that imply the failed
+assumption's negation.  Hints are a claim, not a trusted fact: the
+checker walks them alone and rejects the step if any is wrong.
+``hints=None`` — the steps of a hand-built proof, and a step whose
+derivation reaches a clause or literal older than a log attached
+mid-life — leaves the checker to find the derivation by search.
 
 One :class:`ProofLog` lives for the whole life of a solver — the engine
 is incremental, and a later check's learned clauses may depend on
@@ -77,6 +82,29 @@ class ProofStep:
         object.__setattr__(self, "lits", tuple(map(int, self.lits)))
         if self.hints is not None:
             object.__setattr__(self, "hints", tuple(self.hints))
+
+
+#: The slots' own setters: :func:`_step` fills a step through them,
+#: skipping the frozen ``__setattr__`` and ``__post_init__``.
+_SET_KIND, _SET_LITS, _SET_SOURCE, _SET_HINTS = (
+    ProofStep.__dict__[name].__set__ for name in ("kind", "lits", "source", "hints")
+)
+
+
+def _step(
+    kind: str,
+    lits: tuple[int, ...],
+    source: Optional[str] = None,
+    hints: Optional[tuple[int, ...]] = None,
+) -> ProofStep:
+    """A :class:`ProofStep` over a tuple of Python ints, built without
+    the constructor's per-literal ``int`` conversion."""
+    step = object.__new__(ProofStep)
+    _SET_KIND(step, kind)
+    _SET_LITS(step, lits)
+    _SET_SOURCE(step, source)
+    _SET_HINTS(step, hints)
+    return step
 
 
 @dataclass(frozen=True)
@@ -141,7 +169,9 @@ class ProofLog:
 
     ``stats`` mirrors the step counts as plain counters so the engine can
     absorb them into its metrics registry (``proof.inputs`` ...).  The
-    methods that add a clause return its proof id.
+    methods that add a clause return its proof id.  Literals must be
+    Python ints, as the solver passes them: the ``log_*`` methods build
+    their steps without :class:`ProofStep`'s conversion.
     """
 
     steps: list[ProofStep] = field(default_factory=list)
@@ -162,24 +192,26 @@ class ProofLog:
         return len(self.steps)
 
     def log_input(self, lits: Iterable[int], source: Optional[str] = None) -> int:
-        self.steps.append(ProofStep(INPUT, tuple(lits), source))
+        self.steps.append(_step(INPUT, tuple(lits), source))
         self.stats["inputs"] += 1
         return self._take_id()
 
     def log_lemma(self, lits: Iterable[int], source: Optional[str] = None) -> int:
-        self.steps.append(ProofStep(LEMMA, tuple(lits), source))
+        self.steps.append(_step(LEMMA, tuple(lits), source))
         self.stats["lemmas"] += 1
         return self._take_id()
 
     def log_rup(
         self, lits: Iterable[int], hints: Optional[tuple[int, ...]] = None
     ) -> int:
-        self.steps.append(ProofStep(RUP, tuple(lits), None, hints))
+        self.steps.append(
+            _step(RUP, tuple(lits), None, None if hints is None else tuple(hints))
+        )
         self.stats["rup_steps"] += 1
         return self._take_id()
 
     def log_delete(self, lits: Iterable[int]) -> None:
-        self.steps.append(ProofStep(DELETE, tuple(lits)))
+        self.steps.append(_step(DELETE, tuple(lits)))
         self.stats["deletions"] += 1
 
     def _take_id(self) -> int:

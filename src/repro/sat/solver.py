@@ -108,7 +108,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from random import Random
 from time import monotonic
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 
@@ -322,10 +322,14 @@ class Solver:
         used), deletion, and — at each ``unsat`` return — a concluding RUP
         step (the empty clause, or the negated failed-assumption core), so
         ``proof.snapshot(...)`` is independently checkable by
-        :func:`repro.proof.check_proof`.  While a log is attached the
-        solver maps each clause reference to its proof id; attaching or
-        detaching a log resets the map, and a learned clause whose
-        antecedents predate the log is logged without hints."""
+        :func:`repro.proof.check_proof`.  Every step is hinted, and the
+        hints name every level-0 literal a derivation reads by the id of
+        a unit clause: an input or learned unit, or a ``rup`` step of one
+        literal logged the first time a hint needs it (see
+        :meth:`_unit_ids`).  While a log is attached the solver maps each
+        clause reference to its proof id; attaching or detaching a log
+        resets the map, and a step whose derivation reaches a clause or a
+        level-0 literal older than the log is logged without hints."""
         return self._proof
 
     @proof.setter
@@ -335,6 +339,17 @@ class Solver:
         #: where clauses are allocated, dropped on deletion, remapped by
         #: :meth:`_collect_garbage`.
         self._proof_ids: Optional[dict[int, int]] = {} if log is not None else None
+        #: Variable → proof id of a unit clause of its level-0 literal.
+        self._units: dict[int, int] = {}
+        #: Proof id → the variables of the literals, false at level 0, that
+        #: the clause lost when it attached: hints name their units first.
+        self._dropped: dict[int, tuple[int, ...]] = {}
+        #: Variable → proof id of the clause that asserted its level-0
+        #: literal once it had dropped such literals: no unit itself, it
+        #: stands in for the variable's reason until a hint needs a unit.
+        self._asserted: dict[int, int] = {}
+        #: The hints of the empty clause, once the formula is unsatisfiable.
+        self._refutation: Optional[tuple[int, ...]] = None
 
     # -- variables ----------------------------------------------------------
 
@@ -552,6 +567,8 @@ class Solver:
                     kept.append(lit)
             else:
                 size = len(kept)
+                if ids is not None and size < len(out):
+                    self._dropped[proof_id] = tuple(abs(lit) for lit in out if values[lit])
                 if size >= 2:
                     ref = len(arena)
                     arena.append(size)
@@ -563,11 +580,14 @@ class Solver:
                     self._attach(ref)
                 elif size == 1:
                     self._assign(kept[0], NO_CLAUSE)
+                    if ids is not None:
+                        self._note_unit(abs(kept[0]), proof_id)
                 else:
-                    self._unsat = True
+                    self._refute(source=proof_id)
                     return False
-        if self._propagate() != NO_CLAUSE:
-            self._unsat = True
+        conflict = self._propagate()
+        if conflict != NO_CLAUSE:
+            self._refute(conflict)
             return False
         return True
 
@@ -897,14 +917,16 @@ class Solver:
         clause's hints (else ``None``).
 
         The hints are the proof ids of the clauses that become unit, in
-        order, once every literal of the learnt clause is false: the
-        reasons of the literals minimization removed (each after those it
-        rests on), the reasons resolved on (in trail order), and last the
-        conflicting clause.  Level-0 literals take part in none of them:
-        the checker already holds them as top-level units."""
+        order, once every literal of the learnt clause is false: the unit
+        clauses of the level-0 literals those clauses contain or dropped
+        when they attached (see :meth:`_hints`), the reasons of the
+        literals minimization removed (each after those it rests on), the
+        reasons resolved on (in trail order), and last the conflicting
+        clause."""
         learnt: list[int] = [0]
         ids = self._proof_ids
         resolved: list[int] = []  # reasons resolved on, latest first
+        zero: list[int] = []  # level-0 variables read, while logging
         seen = self._seen
         levels = self._levels
         trail = self._trail
@@ -922,22 +944,27 @@ class Solver:
                 if q == p:
                     continue
                 var = q if q > 0 else -q
-                if not seen[var] and levels[var] > 0:
-                    seen[var] = 1
-                    # Every bumped variable is assigned (it sits on the
-                    # trail or in the conflict), so no heap entry is due
-                    # yet: `_cancel_until` pushes it with its then-current
-                    # activity the moment it becomes decidable again.
-                    bumped = activity[var] + var_inc
-                    if bumped > _RESCALE_LIMIT:  # rare: rescale via the slow path
-                        self._bump_var(var)
-                        var_inc = self._var_inc
-                    else:
-                        activity[var] = bumped
-                    if levels[var] >= current_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
+                if seen[var]:
+                    continue
+                if not levels[var]:
+                    if ids is not None:
+                        zero.append(var)
+                    continue
+                seen[var] = 1
+                # Every bumped variable is assigned (it sits on the trail
+                # or in the conflict), so no heap entry is due yet:
+                # `_cancel_until` pushes it with its then-current activity
+                # the moment it becomes decidable again.
+                bumped = activity[var] + var_inc
+                if bumped > _RESCALE_LIMIT:  # rare: rescale via the slow path
+                    self._bump_var(var)
+                    var_inc = self._var_inc
+                else:
+                    activity[var] = bumped
+                if levels[var] >= current_level:
+                    counter += 1
+                else:
+                    learnt.append(q)
             while True:
                 index -= 1
                 p = trail[index]
@@ -993,13 +1020,10 @@ class Solver:
 
         hints: Optional[tuple[int, ...]] = None
         if ids is not None:
-            refs = self._minimized_reasons(minimized) if minimized else []
+            refs = self._minimized_reasons(minimized, zero) if minimized else []
             refs.extend(reversed(resolved))
             refs.append(conflict)
-            try:
-                hints = tuple(map(ids.__getitem__, refs))
-            except KeyError:
-                pass  # an antecedent predates the log: the checker searches
+            hints = self._hints(refs, zero)
         if len(learnt) == 1:
             return learnt, 0, hints
         max_i = 1
@@ -1009,13 +1033,15 @@ class Solver:
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, levels[abs(learnt[1])], hints
 
-    def _minimized_reasons(self, minimized: list[int]) -> list[int]:
+    def _minimized_reasons(self, minimized: list[int], zero: list[int]) -> list[int]:
         """The reasons of the minimized variables, each after the reasons
         of the minimized variables its own reason mentions, so that every
         one is unit when the checker reaches it.  Reasons only mention
         earlier assignments, so the order exists; a depth-first walk finds
-        it without trail positions."""
+        it without trail positions.  The level-0 variables of the reasons
+        are appended to ``zero``."""
         reasons = self._reasons
+        levels = self._levels
         arena = self._arena
         pending = set(minimized)
         order: list[int] = []
@@ -1028,18 +1054,143 @@ class Solver:
                     continue
                 reason = reasons[var]
                 base = reason + _HEADER_WORDS
-                before = [
-                    rvar
-                    for rvar in map(abs, arena[base : base + arena[reason]])
-                    if rvar != var and rvar in pending
+                rvars = [
+                    rvar for rvar in map(abs, arena[base : base + arena[reason]]) if rvar != var
                 ]
+                before = [rvar for rvar in rvars if rvar in pending]
                 if before:
                     stack.extend(before)
                 else:
                     pending.discard(var)
                     order.append(reason)
+                    zero.extend(rvar for rvar in rvars if not levels[rvar])
                     stack.pop()
         return order
+
+    # -- level-0 units for proof hints ----------------------------------------
+
+    def _hints(self, refs: list[int], zero: list[int]) -> Optional[tuple[int, ...]]:
+        """The proof ids of the clauses ``refs``, after the unit ids of the
+        level-0 variables ``zero`` and of the literals each clause dropped
+        when it attached (see :meth:`_unit_ids`); ``None`` when a clause
+        or a level-0 literal predates the log."""
+        assert self._proof_ids is not None
+        try:
+            sources = list(map(self._proof_ids.__getitem__, refs))
+            for dropped in filter(None, map(self._dropped.get, sources)):
+                zero.extend(dropped)
+            if not zero:
+                return tuple(sources)
+            return (*self._unit_ids(dict.fromkeys(zero)), *sources)
+        except KeyError:
+            return None
+
+    def _unit_ids(self, variables: Collection[int]) -> list[int]:
+        """The proof id of a unit clause of each level-0 variable's
+        literal, deriving those that have none (:meth:`_derive_unit`).
+        Raises :class:`KeyError` when a derivation reaches a literal fixed
+        before the log was attached."""
+        units = self._units
+        try:
+            return list(map(units.__getitem__, variables))
+        except KeyError:
+            for var in variables:
+                if var not in units:
+                    self._derive_unit(var)
+            return list(map(units.__getitem__, variables))
+
+    def _derive_unit(self, root: int) -> None:
+        """Log a ``rup`` step of the level-0 literal of ``root``, kept for
+        later hints, whose hints are the units of its reason's other
+        literals (those the reason dropped included), then the reason.  A
+        depth-first walk derives the missing units first; reasons only
+        mention earlier assignments, so it ends."""
+        units = self._units
+        stack = [root]
+        while stack:
+            var = stack[-1]
+            if var in units:
+                stack.pop()
+                continue
+            source, others = self._level0_reason(var)
+            missing = [other for other in others if other not in units]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            assert self._proof is not None
+            units[var] = self._proof.log_rup(
+                (var if self._values[var] == 1 else -var,),
+                (*map(units.__getitem__, others), source),
+            )
+
+    def _level0_reason(self, var: int) -> tuple[int, list[int]]:
+        """The proof id of the reason of a level-0 variable without a unit
+        (the clause that asserted it, for a variable fixed without one),
+        and the variables of the reason's other literals, those it dropped
+        when it attached included.  :class:`KeyError` when the variable
+        was fixed, or its reason attached, before the log was."""
+        reason = self._reasons[var]
+        if reason == NO_CLAUSE:
+            source = self._asserted[var]
+            return source, list(self._dropped[source])
+        assert self._proof_ids is not None
+        source = self._proof_ids[reason]
+        arena = self._arena
+        base = reason + _HEADER_WORDS
+        others = [rvar for rvar in map(abs, arena[base : base + arena[reason]]) if rvar != var]
+        others.extend(self._dropped.get(source, ()))
+        return source, others
+
+    def _note_unit(self, var: int, source: int) -> None:
+        """Record the clause ``source`` that fixed a level-0 variable
+        without a reason: its unit, unless it dropped literals."""
+        if source in self._dropped:
+            self._asserted[var] = source
+        else:
+            self._units[var] = source
+
+    def _refute(self, conflict: int = NO_CLAUSE, source: int = -1) -> None:
+        """Mark the formula unsatisfiable.  While logging, keep the hints
+        of the empty clause: the level-0 chain (see :meth:`_chain`) of
+        every literal of the conflicting clause — ``conflict``, or the
+        clause ``source`` whose every literal was dropped — then that
+        clause."""
+        self._unsat = True
+        ids = self._proof_ids
+        if ids is None:
+            return
+        try:
+            if conflict != NO_CLAUSE:
+                source = ids[conflict]
+                variables = list(map(abs, self.clause_lits(conflict)))
+            else:
+                variables = []
+            variables.extend(self._dropped.get(source, ()))
+            self._refutation = (*self._chain(variables), source)
+        except KeyError:
+            self._refutation = None
+
+    def _chain(self, variables: list[int]) -> list[int]:
+        """The ids that make the level-0 literals of ``variables`` true in
+        a hinted walk, inline and in trail order: a variable's unit when
+        it has one, else its reason, after the chain of the reason's other
+        literals.  :class:`KeyError` as for :meth:`_level0_reason`."""
+        units = self._units
+        ident: dict[int, int] = {}
+        stack = variables
+        while stack:
+            var = stack.pop()
+            if var in ident:
+                continue
+            unit = units.get(var)
+            if unit is not None:
+                ident[var] = unit
+                continue
+            ident[var], others = self._level0_reason(var)
+            stack.extend(others)
+        bound = self._trail_lim[0] if self._trail_lim else len(self._trail)
+        return [ident[var] for var in map(abs, self._trail[:bound]) if var in ident]
 
     def _record(self, lits: list[int], hints: Optional[tuple[int, ...]]) -> None:
         """Attach a learnt clause and assert its first literal."""
@@ -1049,6 +1200,8 @@ class Solver:
             proof_id = self._proof.log_rup(lits, hints)
         if len(lits) == 1:
             self._assign(lits[0], NO_CLAUSE)
+            if self._proof is not None:
+                self._note_unit(abs(lits[0]), proof_id)
             return
         ref = self._alloc(lits, learned=True, proof_id=proof_id)
         self._cla_activity[ref] = self._cla_inc
@@ -1056,17 +1209,24 @@ class Solver:
         self._attach(ref)
         self._assign(lits[0], ref)
 
-    def _analyze_final(self, p: int) -> tuple[int, ...]:
+    def _analyze_final(self, p: int) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
         """Assumption ``p`` is false under the current (assumption-only)
         trail: walk the reason graph backward and collect the assumptions
-        that imply ``not p``.  Returns the failed core including ``p``."""
+        that imply ``not p``.  Returns the failed core including ``p`` and,
+        while logging, the hints of the negated core: the units of the
+        level-0 literals read, then the reasons walked in trail order, the
+        last implying ``not p`` (or ``not p``'s own unit when it is a
+        level-0 fact)."""
         out = [p]
-        if not self._trail_lim:
-            return tuple(out)
+        ids = self._proof_ids
+        chain: list[int] = []  # reasons walked, latest first, while logging
+        zero: list[int] = []
+        levels = self._levels
         seen = self._seen
         arena = self._arena
         seen[abs(p)] = 1
-        for index in range(len(self._trail) - 1, self._trail_lim[0] - 1, -1):
+        bound = self._trail_lim[0] if self._trail_lim else len(self._trail)
+        for index in range(len(self._trail) - 1, bound - 1, -1):
             lit = self._trail[index]
             var = lit if lit > 0 else -lit
             if not seen[var]:
@@ -1077,21 +1237,34 @@ class Solver:
                 # always an assumption literal itself.
                 out.append(lit)
             else:
+                if ids is not None:
+                    chain.append(reason)
                 base = reason + _HEADER_WORDS
                 for q in arena[base : base + arena[reason]]:
                     qvar = q if q > 0 else -q
-                    if qvar != var and self._levels[qvar] > 0:
+                    if qvar == var:
+                        continue
+                    if levels[qvar] > 0:
                         seen[qvar] = 1
+                    elif ids is not None:
+                        zero.append(qvar)
             seen[var] = 0
         seen[abs(p)] = 0
-        return tuple(out)
+        if ids is None:
+            return tuple(out), None
+        if not levels[abs(p)]:
+            zero.append(abs(p))
+        chain.reverse()
+        return tuple(out), self._hints(chain, zero)
 
-    def _proof_conclude(self, core: Sequence[int]) -> None:
+    def _proof_conclude(
+        self, core: Sequence[int] = (), hints: Optional[tuple[int, ...]] = None
+    ) -> None:
         """Log the concluding RUP step of an ``unsat`` answer: the empty
-        clause, or the negation of the failed-assumption core (RUP because
-        the core's reason-graph derivation is a unit-propagation chain)."""
+        clause, hinted by the refutation's level-0 chain, or the negation
+        of the failed-assumption core with its ``hints``."""
         if self._proof is not None:
-            self._proof.log_rup(tuple(-lit for lit in core))
+            self._proof.log_rup(tuple(-lit for lit in core), hints if core else self._refutation)
 
     # -- theory lemmas ------------------------------------------------------
 
@@ -1132,6 +1305,7 @@ class Solver:
         """
         seen: set[int] = set()
         out: list[int] = []
+        dropped: list[int] = []
         for lit in lits:
             if lit == 0:
                 raise ValueError("0 is not a literal")
@@ -1141,20 +1315,24 @@ class Solver:
             if lit in seen:
                 continue
             if self._values[lit] == -1 and self._levels[abs(lit)] == 0:
-                continue  # false fact: drop the literal
+                dropped.append(lit)  # false fact: drop the literal
+                continue
             seen.add(lit)
             out.append(lit)
+        if dropped and self._proof_ids is not None:
+            self._dropped[proof_id] = tuple(dict.fromkeys(map(abs, dropped)))
         if not out:
-            self._unsat = True
+            self._refute(source=proof_id)
             return NO_CLAUSE
         if len(out) == 1:
+            # No literal of ``out`` is false at level 0, so the unit is
+            # free or already true there.
             self._cancel_until(0)
             unit = out[0]
-            value = self._values[unit]
-            if value == -1:
-                self._unsat = True
-            elif value == 0:
+            if self._values[unit] == 0:
                 self._assign(unit, NO_CLAUSE)
+                if self._proof_ids is not None:
+                    self._note_unit(abs(unit), proof_id)
             return NO_CLAUSE
         false_lits = sorted(
             (lit for lit in out if self._values[lit] == -1),
@@ -1177,12 +1355,9 @@ class Solver:
             if self._values[unit] == 0:
                 self._assign(unit, ref)
             return NO_CLAUSE
-        # Every literal is false: this lemma vetoes the current assignment.
-        backjump = self._levels[abs(false_lits[0])]
-        if backjump == 0:
-            self._unsat = True
-            return NO_CLAUSE
-        self._cancel_until(backjump)
+        # Every literal is false above level 0: this lemma vetoes the
+        # current assignment.
+        self._cancel_until(self._levels[abs(false_lits[0])])
         ref = self._alloc(false_lits, learned=False, proof_id=proof_id)
         self._clauses.append(ref)
         self._attach(ref)
@@ -1372,13 +1547,14 @@ class Solver:
         self._failed_assumptions = None
         if self._unsat:
             self._failed_assumptions = ()
-            self._proof_conclude(())
+            self._proof_conclude()
             return UNSAT
         self._model = None
-        if self._propagate() != NO_CLAUSE:
-            self._unsat = True
+        conflict = self._propagate()
+        if conflict != NO_CLAUSE:
+            self._refute(conflict)
             self._failed_assumptions = ()
-            self._proof_conclude(())
+            self._proof_conclude()
             return UNSAT
         try:
             return self._search(conflict_limit, assumed)
@@ -1414,7 +1590,7 @@ class Solver:
                 if self._unsat:
                     self._failed_assumptions = ()
                     self._cancel_until(0)
-                    self._proof_conclude(())
+                    self._proof_conclude()
                     return UNSAT
                 if conflict == NO_CLAUSE and self._qhead < len(self._trail):
                     continue  # a theory lemma propagated: reach a fixpoint first
@@ -1429,9 +1605,9 @@ class Solver:
                         size=self._arena[conflict],
                     )
                 if not self._trail_lim:
-                    self._unsat = True
+                    self._refute(conflict)
                     self._failed_assumptions = ()
-                    self._proof_conclude(())
+                    self._proof_conclude()
                     return UNSAT
                 learnt, backtrack_level, hints = self._analyze(conflict)
                 if self.events is not None:
@@ -1480,9 +1656,10 @@ class Solver:
                 lit = assumed[len(self._trail_lim)]
                 value = self._values[lit]
                 if value == -1:
-                    self._failed_assumptions = self._analyze_final(lit)
+                    core, hints = self._analyze_final(lit)
+                    self._failed_assumptions = core
                     self._cancel_until(0)
-                    self._proof_conclude(self._failed_assumptions)
+                    self._proof_conclude(core, hints)
                     return UNSAT
                 self._trail_lim.append(len(self._trail))
                 if value == 0:
@@ -1508,7 +1685,7 @@ class Solver:
                     if self._unsat:
                         self._failed_assumptions = ()
                         self._cancel_until(0)
-                        self._proof_conclude(())
+                        self._proof_conclude()
                         return UNSAT
                     if conflict != NO_CLAUSE:
                         pending = conflict

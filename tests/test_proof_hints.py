@@ -1,24 +1,30 @@
-"""Hinted proofs: each learned clause names its antecedents, and the
-checker verifies it by walking them.
+"""Hinted proofs: every RUP step names its antecedents, and the checker
+verifies it by walking them alone.
 
 The solver's proofs under test come from real searches: PHP(5) through
 :class:`~repro.sat.Solver` with a :class:`~repro.proof.ProofLog` (its
 analysis minimizes, and reduction deletes), and an EUF and an LRA
-refutation through the engine, whose hints name ``lemma`` steps.  Every
-mutation of a hint must reject the mutated step, never fall back to
-search; a step without hints must still be checked by search.
+refutation through the engine, whose hints name ``lemma`` steps.  The
+hints are complete: each level-0 literal a derivation reads is named by
+a unit clause (an input or learned unit, or a unit step the solver
+derives the first time a hint needs it), and the concluding steps are
+hinted too, so a solver's proof checks with no counting propagation.
+Every mutation of a hint must reject the mutated step, never fall back
+to search; a step without hints must still be checked by search.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
-from repro import solve_script
+from repro import run_script, solve_script
 from repro.proof import Proof, ProofLog, ProofStep, check_proof
 from repro.proof.log import DELETE, INPUT, LEMMA, RUP
-from repro.sat import UNKNOWN, UNSAT, Solver
+from repro.sat import UNKNOWN, UNSAT, Solver, TheoryHook, TheoryLemma
 
 from test_sat import pigeonhole
+from test_solver_equivalence import random_assumptions, random_cnf
 
 
 def euf_diamond(length):
@@ -135,6 +141,36 @@ def deleted_ids(proof):
     return out
 
 
+def assert_complete(proof, verdict=None):
+    """Every RUP step carries hints and is verified by them alone: no
+    counting propagation runs."""
+    verdict = verdict or check_proof(proof)
+    assert verdict.ok, verdict.error
+    assert all(step.hints is not None for step in proof.steps if step.kind == RUP)
+    assert verdict.stats["hinted"] == verdict.stats["rup_checked"] == proof.counts()[RUP]
+    assert verdict.stats["propagations"] == 0
+
+
+def clause_lits(proof):
+    """Literals by proof id."""
+    return [step.lits for step in proof.steps if step.kind != DELETE]
+
+
+def derived_unit_indices(proof):
+    """The unit steps a raw solver derives for level-0 literals: a
+    ``rup`` step of one literal hinted by unit clauses and, last, a clause
+    holding its literal (its reason).  A learned unit resolves at least
+    one reason of two or more literals, so it never matches."""
+    lits = clause_lits(proof)
+    out = []
+    for index, step in enumerate(proof.steps):
+        if step.kind == RUP and len(step.lits) == 1 and step.hints:
+            *units, reason = step.hints
+            if step.lits[0] in lits[reason] and all(len(lits[unit]) == 1 for unit in units):
+                out.append(index)
+    return out
+
+
 def assert_rejected_at(proof, index, reason):
     verdict = check_proof(proof)
     assert not verdict.ok
@@ -158,10 +194,11 @@ class TestHintedWalk:
     def test_unit_then_conflict_verifies(self):
         verdict = self.check((0, 1))
         assert verdict.ok
-        # Adding (2) propagates to a contradiction, so the conclusion is
-        # not re-checked: the one RUP test was the hinted one.
+        # The conclusion is the clause the step added, so it is not
+        # re-checked: the one RUP test was the hinted one, and a hinted
+        # proof needs no counting propagation.
         assert verdict.stats["rup_checked"] == verdict.stats["hinted"] == 1
-        assert verdict.stats["propagations"] == 2
+        assert verdict.stats["propagations"] == 0
 
     def test_any_valid_order_verifies(self):
         # Under ¬2, (-1 2) is unit too: it gives ¬1, and (1 2) is falsified.
@@ -220,13 +257,50 @@ class TestHintedWalk:
         assert check_proof(Proof((*self.BASE, ProofStep(RUP, (2,))), (2,))).ok
         assert not self.check((1,)).ok
 
+    def test_a_hinted_step_never_reads_the_searchs_top_level_units(self):
+        # The unhinted step builds the counting propagation, whose
+        # top-level units hold 1 and 2; the hinted step must still name
+        # the unit (1) itself.
+        steps = (
+            ProofStep(INPUT, (1,)),
+            ProofStep(INPUT, (-1, 2)),
+            ProofStep(RUP, (2,)),
+            ProofStep(RUP, (2, 5), hints=(1,)),
+        )
+        verdict = check_proof(Proof(steps, (1, -1)))
+        assert not verdict.ok and verdict.step_index == 3
+        assert "without a conflict" in verdict.error
+        proof = with_hints(Proof(steps, (1, -1)), 3, (0, 1))
+        assert check_proof(proof).ok
+
+    def test_the_search_replays_deletions_in_order(self):
+        # (-1 2) fixed 2 at the top level while it was active; deleting it
+        # before the first search must not retract that unit, exactly as
+        # when the counting propagation ran from the first step.
+        proof = Proof(
+            (
+                *(ProofStep(INPUT, clause) for clause in ((1,), (-1, 2), (-2, 3))),
+                ProofStep(RUP, (1, 4), hints=(0,)),
+                ProofStep(DELETE, (2, -1)),
+                ProofStep(RUP, (3,)),
+            ),
+            (3,),
+        )
+        verdict = check_proof(proof)
+        assert verdict.ok, verdict.error
+        assert verdict.stats["rup_checked"] == 2 and verdict.stats["hinted"] == 1
+
     def test_a_top_level_literal_of_the_clause_verifies_at_once(self):
         proof = Proof(
-            (ProofStep(INPUT, (3,)), ProofStep(RUP, (3, 4), hints=())),
+            (ProofStep(INPUT, (3,)), ProofStep(RUP, (3, 4), hints=(0,))),
             (3, 4),
         )
         verdict = check_proof(proof)
         assert verdict.ok and verdict.stats["hinted"] == 1
+        # The walk holds no top-level units: the unit must be named.
+        verdict = check_proof(with_hints(proof, 1, ()))
+        assert not verdict.ok and verdict.step_index == 1
+        assert "without a conflict" in verdict.error
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +313,12 @@ class TestSolverHints:
         solver, proof = solver_proof(pigeonhole(5))
         verdict = check_proof(proof)
         assert verdict.ok, verdict.error
-        assert verdict.stats["hinted"] == solver.stats["learned"] > 0
-        # Only the concluding step is left to search.
-        assert len(hinted_indices(proof)) == proof.counts()[RUP] - 1
+        assert_complete(proof, verdict)
+        # Learned clauses, derived unit steps and the conclusion are all
+        # among the hinted steps.
+        derived = len(derived_unit_indices(proof))
+        assert derived > 0
+        assert verdict.stats["hinted"] == solver.stats["learned"] + derived + 1
 
     @pytest.mark.parametrize("name", ["euf", "lra"])
     def test_engine_hints_name_theory_lemmas(self, name, request):
@@ -263,8 +340,12 @@ class TestSolverHints:
         searched = check_proof(strip_hints(proof))
         assert hinted.ok and searched.ok, searched.error
         assert searched.stats["hinted"] == 0
-        assert searched.stats["rup_checked"] == hinted.stats["rup_checked"]
-        assert searched.stats["propagations"] > hinted.stats["propagations"]
+        # The search reaches the top-level contradiction as it adds the
+        # last learned unit, so its short-circuit passes the concluding
+        # empty clause without a test; the hinted path walks that step.
+        assert proof.steps[-1].kind == RUP and proof.steps[-1].lits == ()
+        assert searched.stats["rup_checked"] == hinted.stats["rup_checked"] - 1
+        assert searched.stats["propagations"] > hinted.stats["propagations"] == 0
 
     def test_ids_survive_reduction_and_arena_compaction(self):
         solver = Solver()
@@ -282,7 +363,9 @@ class TestSolverHints:
         assert proof.counts()[DELETE] > 0
         verdict = check_proof(proof)
         assert verdict.ok, verdict.error
-        assert verdict.stats["hinted"] == solver.stats["learned"]
+        assert_complete(proof, verdict)
+        derived = len(derived_unit_indices(proof))
+        assert verdict.stats["hinted"] == solver.stats["learned"] + derived + 1
 
     def test_antecedents_older_than_the_log_leave_the_clause_unhinted(self):
         solver = Solver()
@@ -382,3 +465,212 @@ class TestHintMutations:
         verdict = check_proof(proof)
         assert verdict.ok, verdict.error
         assert verdict.stats["hinted"] == len(hinted_indices(proof))
+
+
+# ---------------------------------------------------------------------------
+# Complete hints: level-0 literals named by units, conclusions hinted.
+# ---------------------------------------------------------------------------
+
+
+def bv_mul_miter(width):
+    sort = f"(_ BitVec {width})"
+    return (
+        f"(set-logic QF_BV)(declare-const a {sort})(declare-const b {sort})"
+        f"(declare-const c {sort})"
+        "(assert (not (= (bvmul a (bvadd b c)) (bvadd (bvmul c a) (bvmul b a)))))"
+        "(check-sat)"
+    )
+
+
+def bv_ult_cycle(length, width):
+    names = [f"c{i}" for i in range(length)]
+    lines = ["(set-logic QF_BV)"]
+    lines += [f"(declare-const {name} (_ BitVec {width}))" for name in names]
+    lines += [
+        f"(assert (bvult {names[i]} {names[(i + 1) % length]}))" for i in range(length)
+    ]
+    return "\n".join(lines) + "\n(check-sat)\n"
+
+
+#: Several ``unsat`` answers over one log: pigeonhole frames that learn,
+#: an arithmetic frame, popped frames, and a base frame refuted at last.
+SESSION = (
+    "(set-option :produce-proofs true)\n"
+    + "".join(f"(declare-const p{i}{j} Bool)" for i in range(4) for j in range(3))
+    + "(declare-const x Int)(declare-const y Int)\n"
+    + "(push 1)"
+    + "".join(f"(assert (or p{i}0 p{i}1 p{i}2))" for i in range(4))
+    + "".join(
+        f"(assert (or (not p{i}{j}) (not p{k}{j})))"
+        for j in range(3)
+        for i in range(4)
+        for k in range(i + 1, 4)
+    )
+    + "(check-sat)(pop 1)\n"
+    + "(assert (or p00 p01))(push 1)(assert (not p00))(assert (not p01))(check-sat)(pop 1)\n"
+    + "(assert (<= x y))(push 1)(assert (> x (+ y 2)))(check-sat)(pop 1)\n"
+    + "(check-sat)(assert (not p00))(assert (not p01))(check-sat)(check-sat)\n"
+)
+
+
+class HoleTheory(TheoryHook):
+    """At most one of ``pigeons`` per hole, as lemmas that also carry
+    the negation of ``fact``, a variable the clauses fix true: every
+    lemma drops that literal as it attaches."""
+
+    def __init__(self, pigeons, holes, fact):
+        self.pigeons, self.holes, self.fact = pigeons, holes, fact
+
+    def on_check(self, solver, final):
+        for hole in range(self.holes):
+            true = [
+                var
+                for var in (2 + pigeon * self.holes + hole for pigeon in range(self.pigeons))
+                if solver.value(var) == 1
+            ]
+            if len(true) >= 2:
+                return [TheoryLemma([-true[0], -true[1], -self.fact], source="holes")]
+        return []
+
+
+class TestCompleteHints:
+    @pytest.mark.parametrize("name", PROOFS)
+    def test_fixtures_are_complete(self, name, request):
+        assert_complete(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize(
+        "source", [bv_mul_miter(2), bv_ult_cycle(5, 3)], ids=["bvmul-miter", "bvult-cycle"]
+    )
+    def test_bit_vector_refutations_are_complete(self, source):
+        check = engine_proof(source)
+        assert check.metrics["sat.learned"] > 0
+        assert_complete(check.proof)
+
+    def test_a_push_pop_session_is_complete(self):
+        result = run_script(SESSION)
+        assert result.answers == ["unsat"] * 3 + ["sat", "unsat", "unsat"]
+        proofs = [check.proof for check in result.check_results if check.answer == "unsat"]
+        for proof in proofs:
+            assert_complete(proof)
+        # The base refutation's empty clause concludes twice, hinted both
+        # times.
+        assert proofs[-1].steps[-1].lits == proofs[-2].steps[-1].lits == ()
+
+    def test_failed_assumption_cores_are_complete(self):
+        cores = 0
+        for seed in range(25):
+            num_vars, clauses = random_cnf(seed + 1000, width=(3, 3))
+            solver = Solver(num_vars)
+            solver.proof = ProofLog()
+            solver.add_clauses(clauses)
+            if solver.solve(assumptions=random_assumptions(seed + 2000, num_vars)) != UNSAT:
+                continue
+            core = solver.failed_assumptions
+            cores += bool(core)
+            assert_complete(solver.proof.snapshot(tuple(-lit for lit in core)))
+        assert cores >= 5
+
+    def test_no_variable_gets_two_unit_steps(self, request):
+        result = run_script(SESSION)
+        ends = {len(check.proof) - 1 for check in result.check_results if check.proof}
+        proofs = [(proof, {len(proof) - 1}) for proof in map(request.getfixturevalue, PROOFS)]
+        proofs.append((result.check_results[-1].proof, ends))
+        for proof, conclusions in proofs:
+            units = [
+                abs(step.lits[0])
+                for index, step in enumerate(proof.steps)
+                if step.kind == RUP and len(step.lits) == 1 and index not in conclusions
+            ]
+            assert units and len(units) == len(set(units))
+
+    def test_an_input_that_drops_a_false_literal_is_hinted(self):
+        # Every clause carries -1, false once the first clause fixes 1:
+        # each attaches without it, and serves as a reason and conflict.
+        solver = Solver()
+        solver.proof = ProofLog()
+        solver.add_clause([1])
+        for clause in pigeonhole(3):
+            solver.add_clause([lit + 1 if lit > 0 else lit - 1 for lit in clause] + [-1])
+        assert solver.solve() == UNSAT
+        proof = solver.proof.snapshot(())
+        assert_complete(proof)
+        hinted = [step for step in proof.steps if step.kind == RUP]
+        assert all(0 in step.hints for step in hinted)
+
+    def test_a_theory_lemma_that_drops_a_false_literal_is_hinted(self):
+        solver = Solver()
+        solver.proof = ProofLog()
+        solver.add_clause([1])
+        for pigeon in range(4):
+            solver.add_clause([2 + pigeon * 3 + hole for hole in range(3)])
+        solver.theory = HoleTheory(4, 3, 1)
+        assert solver.solve() == UNSAT
+        proof = solver.proof.snapshot(())
+        assert proof.counts()[LEMMA] > 0 and solver.stats["learned"] > 0
+        assert_complete(proof)
+        kinds = clause_kinds(proof)
+        lemma_users = [
+            step
+            for step in proof.steps
+            if step.kind == RUP and any(kinds[ident] == LEMMA for ident in step.hints)
+        ]
+        assert lemma_users and all(0 in step.hints for step in lemma_users)
+
+
+class TestUnitHintMutations:
+    def test_dropping_a_unit_hint_rejects_its_step(self, php5):
+        lits = clause_lits(php5)
+        derived = derived_unit_indices(php5)
+
+        def unit_position(index):
+            hints = php5.steps[index].hints
+            return next((i for i, ident in enumerate(hints) if len(lits[ident]) == 1), None)
+
+        learned = next(
+            index
+            for index, step in enumerate(php5.steps)
+            if step.kind == RUP and len(step.lits) > 1 and unit_position(index) is not None
+        )
+        unit = next(index for index in derived if len(php5.steps[index].hints) > 1)
+        conclusion = len(php5.steps) - 1
+        assert php5.steps[conclusion].lits == ()
+        for index in (learned, unit, conclusion):
+            hints = php5.steps[index].hints
+            position = unit_position(index)
+            assert position is not None
+            mutated = with_hints(php5, index, hints[:position] + hints[position + 1 :])
+            assert_rejected_at(mutated, index, "")
+
+    def test_a_hint_naming_a_later_derived_unit_rejects(self, php5):
+        unit = derived_unit_indices(php5)[-1]
+        ident = len(clause_kinds(Proof(php5.steps[:unit], ())))
+        index = hinted_indices(php5)[0]
+        hints = php5.steps[index].hints
+        assert_rejected_at(
+            with_hints(php5, index, (ident,) + hints[1:]),
+            index,
+            f"hint {ident} names no earlier clause",
+        )
+
+
+def test_log_steps_equal_constructed_steps():
+    log = ProofLog()
+    log.log_input([1, 2], source="assert")
+    log.log_lemma((-1,), source="euf")
+    log.log_rup([2], hints=[0, 1])
+    log.log_delete((1, 2))
+    expected = [
+        ProofStep(INPUT, (1, 2), "assert"),
+        ProofStep(LEMMA, (-1,), "euf"),
+        ProofStep(RUP, (2,), None, (0, 1)),
+        ProofStep(DELETE, (1, 2)),
+    ]
+    assert log.steps == expected
+    for step, built in zip(log.steps, expected):
+        assert hash(step) == hash(built)
+        assert pickle.loads(pickle.dumps(step)) == step
+        replaced = dataclasses.replace(step, hints=[7])
+        assert replaced.hints == (7,) and replaced.lits == step.lits
+    # The constructor still normalizes what it is given.
+    step = ProofStep(INPUT, [True, -2], hints=[1])
+    assert step.lits == (1, -2) and type(step.lits[0]) is int and step.hints == (1,)

@@ -4,8 +4,11 @@ The core's answers are checked on their own terms, never against a second
 solver:
 
 * every model satisfies every clause (and the assumptions);
-* every ``unsat`` proof passes :func:`~repro.proof.check_proof`, with one
-  hint-verified step per learned clause (``hinted == learned``);
+* every ``unsat`` proof passes :func:`~repro.proof.check_proof` with
+  every RUP step verified by its hints and no counting propagation
+  (``hinted == rup_checked``, ``propagations == 0``); those steps are the
+  learned clauses, the unit steps the solver derives for level-0
+  literals, and the conclusion;
 * every failed-assumption core is a subset of the assumptions and is
   unsat when solved again under those assumptions alone;
 * instances of at most 14 variables match brute force.
@@ -26,6 +29,7 @@ from random import Random
 import pytest
 
 from repro.proof import ProofLog, check_proof
+from repro.proof.log import RUP
 from repro.sat import SAT, UNKNOWN, UNSAT, Solver, TheoryHook, TheoryLemma
 from repro.sat.solver import _DELETED_BIT
 
@@ -56,8 +60,8 @@ def model_satisfies(model, clauses) -> bool:
 
 def certify(solver, answer, clauses, assumptions=()):
     """A model satisfies every clause and assumption; an ``unsat`` proof
-    checks, every learned clause verified by its own hints; a failed core
-    is a subset of the assumptions."""
+    checks, every RUP step verified by its own hints; a failed core is a
+    subset of the assumptions."""
     if answer == SAT:
         assert model_satisfies(solver.model, clauses)
         assert model_satisfies(solver.model, [[lit] for lit in assumptions])
@@ -66,9 +70,17 @@ def certify(solver, answer, clauses, assumptions=()):
     core = solver.failed_assumptions
     assert set(core) <= set(assumptions)
     if solver.proof is not None:
-        verdict = check_proof(solver.proof.snapshot(tuple(-lit for lit in core)))
+        proof = solver.proof.snapshot(tuple(-lit for lit in core))
+        verdict = check_proof(proof)
         assert verdict.ok, verdict.error
-        assert verdict.stats["hinted"] == solver.stats["learned"]
+        rups = [step for step in proof.steps if step.kind == RUP]
+        assert verdict.stats["hinted"] == verdict.stats["rup_checked"] == proof.counts()[RUP]
+        assert verdict.stats["propagations"] == 0
+        # The RUP steps are the learned clauses, the derived unit steps
+        # and, last, the conclusion.
+        assert rups[-1].lits == proof.conclusion
+        derived = len(rups) - 1 - solver.stats["learned"]
+        assert 0 <= derived <= sum(len(step.lits) == 1 for step in rups[:-1])
 
 
 def certified_solve(num_vars, clauses, assumptions=()):
