@@ -73,7 +73,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .engine import Engine
-from .errors import ReproError
+from .errors import ReproError, error_response
 from .portfolio import solve_portfolio
 from .obs import (
     EventLog,
@@ -190,7 +190,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     with trace_span("parse"):
                         script = parse_script(Path(path).read_text(encoding="utf-8"))
                 except (OSError, ReproError) as exc:
-                    print(f'(error "{path}: {exc}")', file=sys.stderr)
+                    print(error_response(f"{path}: {exc}"), file=sys.stderr)
                     status = 1
                     continue
                 obs = (
@@ -243,8 +243,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 for check_index, check in unsat_checks:
                     if check.proof is None:
                         print(
-                            f'(error "{path}: check-sat #{check_index} is unsat'
-                            ' but carries no proof")',
+                            error_response(
+                                f"{path}: check-sat #{check_index} is unsat"
+                                " but carries no proof"
+                            ),
                             file=sys.stderr,
                         )
                         status = 1
@@ -253,8 +255,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                         verdict = check_proof(check.proof)
                         if not verdict.ok:
                             print(
-                                f'(error "{path}: check-sat #{check_index} proof'
-                                f' rejected: {verdict.error}")',
+                                error_response(
+                                    f"{path}: check-sat #{check_index} proof"
+                                    f" rejected: {verdict.error}"
+                                ),
                                 file=sys.stderr,
                             )
                             status = 1

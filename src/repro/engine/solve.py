@@ -62,7 +62,7 @@ from __future__ import annotations
 from time import monotonic
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from ..errors import EvaluationError, SolverError
+from ..errors import EvaluationError, SolverError, error_response
 from ..limits import ensure_recursion_limit
 from ..obs import Observability
 from ..obs.events import EventLog
@@ -1070,7 +1070,7 @@ class Engine:
             try:
                 value = evaluator(term)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                return f'(error "cannot evaluate {term_to_smtlib(term)}: {exc}")'
+                return error_response(f"cannot evaluate {term_to_smtlib(term)}: {exc}")
             pairs.append(f"({term_to_smtlib(term)} {constant_to_smtlib(value)})")
         return "({})".format(" ".join(pairs))
 

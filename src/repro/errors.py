@@ -65,3 +65,10 @@ class UnknownSymbolError(SmtLibError):
 
 class SolverError(ReproError):
     """Base class for errors originating in the solver substrate."""
+
+
+def error_response(message: str) -> str:
+    """The SMT-LIB ``(error "...")`` response reporting ``message``.  Every
+    ``"`` in it is doubled, so the response stays one string literal
+    whatever input text the message quotes."""
+    return '(error "' + message.replace('"', '""') + '")'

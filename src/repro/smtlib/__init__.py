@@ -1,11 +1,12 @@
 """The SMT-LIB front end and term-compute layer.
 
-Pipeline: :mod:`lexer` (text → tokens) → :mod:`parser` (tokens → sorted
-commands and terms, using :mod:`sorts`, :mod:`terms` and :mod:`script`) →
-:mod:`typecheck` (well-sortedness verification) → :mod:`simplify` /
-:mod:`evaluate` (theory-aware rewriting and ground evaluation over the
-hash-consed term DAG) → :mod:`printer` (back to concrete syntax, satisfying
-``parse(print(s)) == s`` for every parsed script ``s``).
+Pipeline: :mod:`lexer` (text → token spellings) → :mod:`parser`
+(spellings → sorted commands and terms, using :mod:`sorts`, :mod:`terms`
+and :mod:`script`) → :mod:`typecheck` (well-sortedness verification) →
+:mod:`simplify` / :mod:`evaluate` (theory-aware rewriting and ground
+evaluation over the hash-consed term DAG) → :mod:`printer` (back to
+concrete syntax, satisfying ``parse(print(s)) == s`` for every parsed
+script ``s``).
 
 Terms are hash-consed: structurally equal terms are one interned object,
 giving O(1) equality/hashing and memoizable passes (see
@@ -17,7 +18,7 @@ program against.
 
 from .cnf import CnfFormula, TseitinEncoder, is_connective, tseitin
 from .evaluate import FunctionInterpretation, evaluate, evaluate_value, fold_apply
-from .lexer import RESERVED_WORDS, Token, TokenKind, is_simple_symbol, position, tokenize
+from .lexer import RESERVED_WORDS, is_simple_symbol, position, tokenize
 from .linarith import LinearForm, difference_form, linear_form
 from .parser import parse_script, parse_sort, parse_term
 from .simplify import simplify, simplify_script
@@ -95,8 +96,6 @@ from .typecheck import apply_sort, check, check_script, is_builtin_operator, wel
 
 __all__ = [
     # lexer
-    "Token",
-    "TokenKind",
     "RESERVED_WORDS",
     "tokenize",
     "position",

@@ -1,41 +1,30 @@
 """Tokeniser for the SMT-LIB concrete syntax.
 
-One compiled master regex recognises every token class the front end
-needs: parentheses, symbols (simple and ``|quoted|``), keywords
-(``:named``), numerals, decimals, hexadecimal and binary literals, and
-string literals with SMT-LIB's doubled-quote escaping.  Whitespace and
-comments (``;`` to end of line) are skipped.  A token carries the offset of
-its first character; :func:`position` turns an offset into a line and
-column, which only an error report needs.
+A token is its spelling, a ``str``: parentheses, symbols (simple and
+``|quoted|``), keywords (``:named``), numerals, decimals, hexadecimal and
+binary literals, and string literals with SMT-LIB's doubled-quote
+escaping, each exactly as written, except that a quoted simple symbol
+lexes as its bare spelling.  Whitespace and comments (``;`` to end of
+line) are skipped.
+
+One master pattern covers every token class, and :func:`tokenize` runs
+it twice, both times inside the regex engine: one possessive match checks
+that the whole text is tokens, whitespace and comments, and one
+``findall`` collects the token spellings.  Tokens carry no offsets; an
+error report finds its line and column by reading the text again
+(:func:`position`, :func:`token_offsets`).
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum, auto
-from typing import NamedTuple, NoReturn
+from typing import Iterator, NoReturn
 
 from ..errors import LexerError, PrinterError
 
-
-class TokenKind(Enum):
-    """Lexical category of a token."""
-
-    LPAREN = auto()
-    RPAREN = auto()
-    SYMBOL = auto()
-    QUOTED_SYMBOL = auto()
-    KEYWORD = auto()
-    NUMERAL = auto()
-    DECIMAL = auto()
-    HEXADECIMAL = auto()
-    BINARY = auto()
-    STRING = auto()
-
-
 #: SMT-LIB reserved words.  These may only occur unquoted in their syntactic
 #: role (``let``, ``forall``...); a ``|let|`` spelling denotes an ordinary
-#: symbol that merely shares the letters, and lexes as QUOTED_SYMBOL.
+#: symbol that merely shares the letters, and keeps its bars when lexed.
 RESERVED_WORDS = frozenset(
     {
         "_",
@@ -55,18 +44,6 @@ RESERVED_WORDS = frozenset(
 )
 
 
-class Token(NamedTuple):
-    """A single lexical token and the offset of its first character.
-
-    ``text`` is the token's meaning rather than its spelling: a string
-    literal without its quotes and with ``""`` undoubled, a quoted symbol
-    without its bars."""
-
-    kind: TokenKind
-    text: str
-    offset: int
-
-
 #: The simple-symbol characters, ASCII only per the SMT-LIB grammar.  The
 #: lexer and :func:`is_simple_symbol` (and through it the printer's quoting)
 #: share this one definition, so they can never drift apart.
@@ -77,29 +54,26 @@ _SIMPLE_SYMBOL = re.compile(rf"(?![0-9]){_SYMBOL_CHAR}+")
 _END = rf"(?!{_SYMBOL_CHAR})"
 _DIGITS = r"(?:0|[1-9][0-9]*)"
 
-# Whitespace and comments match without a group; every token kind is the
-# group named after it.  The string body is possessive, so `"a""` fails at
-# its opening quote instead of lexing as `"a"` plus a stray `"`.
-_TOKEN = re.compile(
-    rf"""[ \t\r\n]+|;[^\n]*
-    |(?P<LPAREN>\()
-    |(?P<RPAREN>\))
-    |(?P<SYMBOL>(?![0-9]){_SYMBOL_CHAR}+)
-    |(?P<NUMERAL>{_DIGITS}{_END})
-    |(?P<DECIMAL>{_DIGITS}\.[0-9]+{_END})
-    |(?P<HEXADECIMAL>\#x[0-9a-fA-F]+{_END})
-    |(?P<BINARY>\#b[01]+{_END})
-    |(?P<STRING>"(?:[^"]|"")*+")
-    |(?P<QUOTED_SYMBOL>\|[^|\\]*\|)
-    |(?P<KEYWORD>:{_SYMBOL_CHAR}+)
-    """,
-    re.VERBOSE,
-)
-_KINDS = {kind.name: kind for kind in TokenKind}
-# Bound once: on CPython 3.11 an enum attribute lookup costs several times a
-# global one, and the loop below runs once per token.
-_SYMBOL, _QUOTED_SYMBOL, _STRING = TokenKind.SYMBOL, TokenKind.QUOTED_SYMBOL, TokenKind.STRING
-_new_tuple = tuple.__new__
+_SKIP = r"[ \t\r\n]+|;[^\n]*"
+# The token classes, in order: parentheses, simple symbol, numeral,
+# decimal, hexadecimal, binary, string, quoted symbol, keyword.  The string
+# body is possessive, so `"a""` fails at its opening quote instead of
+# lexing as `"a"` plus a stray `"`.
+_TOKEN = rf"""\(|\)
+    |(?![0-9]){_SYMBOL_CHAR}+
+    |{_DIGITS}{_END}
+    |{_DIGITS}\.[0-9]+{_END}
+    |\#x[0-9a-fA-F]+{_END}
+    |\#b[01]+{_END}
+    |"(?:[^"]|"")*+"
+    |\|[^|\\]*\|
+    |:{_SYMBOL_CHAR}+
+    """
+# Where the cover match ends is where the first thing that is not a token,
+# whitespace or a comment starts.
+_COVER = re.compile(rf"(?:{_SKIP}|{_TOKEN})*+", re.VERBOSE)
+# Whitespace and comments match with the group empty.
+_SPELLINGS = re.compile(rf"{_SKIP}|({_TOKEN})", re.VERBOSE)
 
 
 def is_simple_symbol(text: str) -> bool:
@@ -130,42 +104,40 @@ def position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokenise ``text`` into a list of :class:`Token`.
+def tokenize(text: str) -> list[str]:
+    """Tokenise ``text`` into the list of its token spellings.
 
     Raises :class:`~repro.errors.LexerError` on malformed input (unterminated
     strings or quoted symbols, malformed literals, stray characters), with
     the line and column where the offending token starts.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    kinds = _KINDS
-    pos = 0
-    for match in _TOKEN.finditer(text):
-        start, end = match.span()
-        if start != pos:
-            _raise_lexer_error(text, pos)
-        pos = end
-        group = match.lastgroup
-        if group is None:
-            continue
-        kind = kinds[group]
-        word = match.group()
-        if kind is _STRING:
-            word = word[1:-1].replace('""', '"')
-        elif kind is _QUOTED_SYMBOL:
-            word = word[1:-1]
-            # A quoted simple symbol denotes the same symbol as its unquoted
-            # spelling, so canonicalise to SYMBOL; reserved words and
-            # non-simple contents stay QUOTED_SYMBOL so the parser never
-            # mistakes |let| for the keyword.
-            if is_simple_symbol(word) and word not in RESERVED_WORDS:
-                kind = _SYMBOL
-        # Token(kind, word, start) without the Python-level __new__ frame.
-        append(_new_tuple(Token, (kind, word, start)))
-    if pos != len(text):
-        _raise_lexer_error(text, pos)
+    # The cover pattern matches the empty string, so it always matches.
+    end = _COVER.match(text).end()  # type: ignore[union-attr]
+    if end != len(text):
+        _raise_lexer_error(text, end)
+    tokens = list(filter(None, _SPELLINGS.findall(text)))
+    if "|" in text:
+        # A quoted simple symbol denotes the same symbol as its unquoted
+        # spelling, so it lexes bare; reserved words and non-simple contents
+        # keep their bars, so the parser never mistakes |let| for the keyword.
+        tokens = [_unquote(token) if token[0] == "|" else token for token in tokens]
     return tokens
+
+
+def _unquote(token: str) -> str:
+    name = token[1:-1]
+    if is_simple_symbol(name) and name not in RESERVED_WORDS:
+        return name
+    return token
+
+
+def token_offsets(text: str) -> Iterator[tuple[int, str]]:
+    """The ``(offset, spelling)`` of every token of ``text`` (which must
+    lex), as written: a quoted simple symbol keeps its bars here.  Only
+    error reports read this."""
+    for match in _SPELLINGS.finditer(text):
+        if match.group(1) is not None:
+            yield match.start(), match.group(1)
 
 
 def _raise_lexer_error(text: str, offset: int) -> NoReturn:
@@ -204,10 +176,9 @@ def _raise_lexer_error(text: str, offset: int) -> NoReturn:
 
 
 __all__ = [
-    "Token",
-    "TokenKind",
     "RESERVED_WORDS",
     "tokenize",
+    "token_offsets",
     "position",
     "is_simple_symbol",
     "quote_identifier",

@@ -603,6 +603,22 @@ class TestModelQueries:
         assert result.output[0] == "sat"
         assert result.output[1].startswith('(error')
 
+    def test_get_value_error_quoting_a_string_stays_one_string_literal(self):
+        result = run_script(
+            """
+            (declare-const s String)
+            (declare-const p Bool)
+            (assert p)
+            (check-sat)
+            (get-value ((forall ((x Int)) (= s "q"))))
+            """
+        )
+        assert result.output == [
+            "sat",
+            '(error "cannot evaluate (forall ((x Int)) (= s ""q"")):'
+            ' cannot evaluate quantified term (forall)")',
+        ]
+
     def test_get_model_is_deterministic_and_sorted(self):
         text = """
             (declare-const zz Bool)
@@ -684,6 +700,13 @@ class TestCli:
         status, out, err = self.run_cli(capsys, str(path))
         assert status == 1
         assert "(error" in err
+
+    def test_error_line_doubles_the_quotes_it_embeds(self, capsys, tmp_path):
+        path = tmp_path / "quoted.smt2"
+        path.write_text('(declare-const "abc" Int)\n')
+        status, out, err = self.run_cli(capsys, str(path))
+        assert status == 1
+        assert err == f'(error "{path}: expected a symbol, got ""abc""")\n'
 
     def test_missing_file_sets_status(self, capsys, tmp_path):
         status, _, err = self.run_cli(capsys, str(tmp_path / "absent.smt2"))

@@ -1,35 +1,31 @@
 """Unit tests for the tokeniser."""
 
+import random
+import re
+from enum import Enum, auto
+from typing import NamedTuple
+
 import pytest
 
 from repro.errors import LexerError
-from repro.smtlib.lexer import TokenKind, position, tokenize
-
-
-def kinds(text):
-    return [token.kind for token in tokenize(text)]
-
-
-def texts(text):
-    return [token.text for token in tokenize(text)]
+from repro.smtlib.lexer import (
+    RESERVED_WORDS,
+    _raise_lexer_error,
+    is_simple_symbol,
+    position,
+    token_offsets,
+    tokenize,
+)
 
 
 def test_parentheses_and_symbols():
-    tokens = tokenize("(assert x)")
-    assert [t.kind for t in tokens] == [
-        TokenKind.LPAREN,
-        TokenKind.SYMBOL,
-        TokenKind.SYMBOL,
-        TokenKind.RPAREN,
-    ]
-    assert tokens[1].text == "assert"
+    assert tokenize("(assert x)") == ["(", "assert", "x", ")"]
 
 
 def test_numerals_and_decimals():
-    assert kinds("42") == [TokenKind.NUMERAL]
-    assert kinds("4.25") == [TokenKind.DECIMAL]
-    assert texts("4.25") == ["4.25"]
-    assert kinds("0 0.5") == [TokenKind.NUMERAL, TokenKind.DECIMAL]
+    assert tokenize("42") == ["42"]
+    assert tokenize("4.25") == ["4.25"]
+    assert tokenize("0 0.5") == ["0", "0.5"]
 
 
 def test_leading_zero_numerals_rejected():
@@ -77,12 +73,11 @@ def test_non_ascii_rejected_outside_quotes():
     with pytest.raises(LexerError):
         tokenize("café")
     # ...but quoted symbols may carry any printable characters.
-    tokens = tokenize("|café|")
-    assert tokens[0].text == "café"
+    assert tokenize("|café|") == ["|café|"]
 
 
 def test_hex_and_binary_literals():
-    assert kinds("#x1A #b101") == [TokenKind.HEXADECIMAL, TokenKind.BINARY]
+    assert tokenize("#x1A #b101") == ["#x1A", "#b101"]
     with pytest.raises(LexerError):
         tokenize("#x")
     with pytest.raises(LexerError):
@@ -97,22 +92,19 @@ def test_hex_and_binary_literals():
 
 
 def test_string_escaping():
-    tokens = tokenize('"he said ""hi"""')
-    assert tokens[0].kind == TokenKind.STRING
-    assert tokens[0].text == 'he said "hi"'
+    # A string lexes as its spelling; the parser undoubles the quotes.
+    assert tokenize('"he said ""hi"""') == ['"he said ""hi"""']
     with pytest.raises(LexerError):
         tokenize('"unterminated')
 
 
 def test_quoted_symbols():
-    tokens = tokenize("|hello world|")
-    assert tokens[0].kind == TokenKind.QUOTED_SYMBOL
-    assert tokens[0].text == "hello world"
+    assert tokenize("|hello world|") == ["|hello world|"]
     # A quoted simple symbol denotes the same symbol as its unquoted
-    # spelling, so it canonicalises to a plain SYMBOL token...
-    assert tokenize("|abc|")[0].kind == TokenKind.SYMBOL
+    # spelling, so it lexes bare...
+    assert tokenize("|abc|") == ["abc"]
     # ...but quoted reserved words stay distinct from the keyword.
-    assert tokenize("|let|")[0].kind == TokenKind.QUOTED_SYMBOL
+    assert tokenize("|let|") == ["|let|"]
     with pytest.raises(LexerError):
         tokenize("|unterminated")
     # SMT-LIB forbids backslash inside quoted symbols; accepting it would
@@ -122,22 +114,20 @@ def test_quoted_symbols():
 
 
 def test_keywords():
-    tokens = tokenize(":produce-models")
-    assert tokens[0].kind == TokenKind.KEYWORD
-    assert tokens[0].text == ":produce-models"
+    assert tokenize(":produce-models") == [":produce-models"]
     with pytest.raises(LexerError):
         tokenize(": lonely-colon")
 
 
 def test_comments_skipped():
-    assert texts("x ; a comment\ny") == ["x", "y"]
+    assert tokenize("x ; a comment\ny") == ["x", "y"]
 
 
 def test_positions_track_lines_and_columns():
     text = "(a\n  b)"
-    tokens = tokenize(text)
-    assert [t.offset for t in tokens] == [0, 1, 5, 6]
-    assert [position(text, t.offset) for t in tokens] == [(1, 1), (1, 2), (2, 3), (2, 4)]
+    offsets = [offset for offset, _ in token_offsets(text)]
+    assert offsets == [0, 1, 5, 6]
+    assert [position(text, offset) for offset in offsets] == [(1, 1), (1, 2), (2, 3), (2, 4)]
 
 
 # Every malformed token rejected above, with the message it is rejected
@@ -180,3 +170,131 @@ def test_malformed_token_reported_at_its_first_bad_character(token, message, bad
 def test_stray_character_rejected():
     with pytest.raises(LexerError):
         tokenize("x \x01 y")
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a per-match reference lexer.
+# ---------------------------------------------------------------------------
+
+
+class _Kind(Enum):
+    LPAREN = auto()
+    RPAREN = auto()
+    SYMBOL = auto()
+    QUOTED_SYMBOL = auto()
+    KEYWORD = auto()
+    NUMERAL = auto()
+    DECIMAL = auto()
+    HEXADECIMAL = auto()
+    BINARY = auto()
+    STRING = auto()
+
+
+class _Token(NamedTuple):
+    kind: _Kind
+    text: str
+    offset: int
+
+
+_SYMBOL_CHAR = r"[a-zA-Z0-9~!@$%^&*_\-+=<>.?/]"
+_END = rf"(?!{_SYMBOL_CHAR})"
+_DIGITS = r"(?:0|[1-9][0-9]*)"
+_REFERENCE_PATTERN = re.compile(
+    rf"""[ \t\r\n]+|;[^\n]*
+    |(?P<LPAREN>\()
+    |(?P<RPAREN>\))
+    |(?P<SYMBOL>(?![0-9]){_SYMBOL_CHAR}+)
+    |(?P<NUMERAL>{_DIGITS}{_END})
+    |(?P<DECIMAL>{_DIGITS}\.[0-9]+{_END})
+    |(?P<HEXADECIMAL>\#x[0-9a-fA-F]+{_END})
+    |(?P<BINARY>\#b[01]+{_END})
+    |(?P<STRING>"(?:[^"]|"")*+")
+    |(?P<QUOTED_SYMBOL>\|[^|\\]*\|)
+    |(?P<KEYWORD>:{_SYMBOL_CHAR}+)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text):
+    """The lexer as it stood with typed tokens: one loop step per match,
+    each token its kind, its meaning and its offset."""
+    tokens = []
+    pos = 0
+    for match in _REFERENCE_PATTERN.finditer(text):
+        start, end = match.span()
+        if start != pos:
+            _raise_lexer_error(text, pos)
+        pos = end
+        group = match.lastgroup
+        if group is None:
+            continue
+        kind = _Kind[group]
+        word = match.group()
+        if kind is _Kind.STRING:
+            word = word[1:-1].replace('""', '"')
+        elif kind is _Kind.QUOTED_SYMBOL:
+            word = word[1:-1]
+            if is_simple_symbol(word) and word not in RESERVED_WORDS:
+                kind = _Kind.SYMBOL
+        tokens.append(_Token(kind, word, start))
+    if pos != len(text):
+        _raise_lexer_error(text, pos)
+    return tokens
+
+
+def respell(token):
+    """A reference token as the parser rendered it: a string re-quoted with
+    its quotes doubled, a quoted symbol between bars, else its text."""
+    if token.kind is _Kind.STRING:
+        return '"' + token.text.replace('"', '""') + '"'
+    if token.kind is _Kind.QUOTED_SYMBOL:
+        return f"|{token.text}|"
+    return token.text
+
+
+_VALID_PIECES = [
+    "(", ")", "x", "abc", "str.++", "<=", "?b0", "let", "_", "!",
+    "0", "7", "42", "0.5", "3.25", "#x1F", "#xab", "#b0", "#b101",
+    '""', '"s"', '"a""b"', '"semi;colon"', '"multi\nline"',
+    "|a b|", "|abc|", "|let|", "|café|", "|x;y|", "||",
+    ":named", ":k", "; comment", ";", "\r\n", "\n", " ", "\t",
+]
+_ERROR_PIECES = [
+    "#q", "1x", "01", "3.", ": ", '"unclosed', "|unclosed", "|a\\b|",
+    "é", "\x01",
+]
+_SEPARATORS = ["", "", " ", "\n", "\r\n", "\t"]
+
+
+def _random_text(rng):
+    pieces = []
+    for _ in range(rng.randint(1, 14)):
+        if rng.random() < 0.06:
+            pieces.append(rng.choice(_ERROR_PIECES))
+        else:
+            pieces.append(rng.choice(_VALID_PIECES))
+        pieces.append(rng.choice(_SEPARATORS))
+    return "".join(pieces)
+
+
+def _outcome(lex, text):
+    try:
+        return "ok", lex(text)
+    except LexerError as error:
+        return "error", (str(error), error.line, error.column)
+
+
+def test_tokenize_agrees_with_the_per_match_reference():
+    rng = random.Random(20261020)
+    outcomes = {"ok": 0, "error": 0}
+    for _ in range(2000):
+        text = _random_text(rng)
+        kind, got = _outcome(tokenize, text)
+        ref_kind, expected = _outcome(reference_tokenize, text)
+        if ref_kind == "ok":
+            expected = [respell(token) for token in expected]
+        assert (kind, got) == (ref_kind, expected), repr(text)
+        outcomes[kind] += 1
+    # Both sides of the comparison are exercised.
+    assert min(outcomes.values()) > 400, outcomes

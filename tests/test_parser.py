@@ -84,6 +84,7 @@ def test_literals():
     assert parse_term("42") == Constant(42, INT)
     assert parse_term("1.5").sort == REAL
     assert parse_term('"hi"') == Constant("hi", STRING)
+    assert parse_term('"he said ""hi"""') == Constant('he said "hi"', STRING)
     assert parse_term("#b1010") == Constant(10, bitvec_sort(4))
     assert parse_term("#xff") == Constant(255, bitvec_sort(8))
     assert parse_term("(_ bv5 8)") == Constant(5, bitvec_sort(8))
@@ -305,6 +306,13 @@ def test_set_info_string_value_keeps_its_spelling():
     assert parse_script(script_to_smtlib(script)) == script
 
 
+def test_set_info_group_value_keeps_its_spelling():
+    from repro.smtlib import SetInfo
+
+    script = parse_script('(set-info :notes (a (b "c""d") () |x y| :k 1.5 |abc|))')
+    assert script.commands == (SetInfo(":notes", '(a (b "c""d") () |x y| :k 1.5 abc)'),)
+
+
 def test_set_info_quoted_symbol_value_keeps_its_bars():
     from repro.smtlib import SetInfo, script_to_smtlib
 
@@ -396,6 +404,15 @@ def test_deeply_unclosed_script_is_a_parse_error():
         parse_script("(" * 200_000)
 
 
+def test_deeply_nested_rejected_command_renders_in_full():
+    # The "expected a command" message renders the whole group, and the
+    # renderer walks it with an explicit stack.
+    text = "(" * 200_000 + ")" * 200_000
+    with pytest.raises(ParseError) as info:
+        parse_script(text)
+    assert str(info.value) == "expected a command, got " + text
+
+
 def test_parse_sort_and_term_take_exactly_one_expression():
     with pytest.raises(ParseError, match="expected exactly one sort, got 2"):
         parse_sort("Int Bool")
@@ -482,3 +499,82 @@ def test_get_unsat_core_parses():
     assert isinstance(script.commands[0], GetUnsatCore)
     with pytest.raises(ParseError):
         parse_script("(get-unsat-core extra)")
+
+
+# -- memo scope ---------------------------------------------------------------
+#
+# Atom spellings are resolved once per command and binder scope, and
+# built-in signatures once per parse; these scripts change what a spelling
+# or a signature means between or within commands.
+
+
+def test_push_pop_redeclaration_changes_the_sort_of_an_atom():
+    script = parse_script(
+        "(push 1)(declare-const x Int)(assert (> x 0))(pop 1)"
+        "(push 1)(declare-const x Bool)(assert (and x x))(pop 1)"
+    )
+    first, second = script.commands[2].term, script.commands[6].term
+    assert first.args[0] == Symbol("x", INT)
+    assert second.args == (Symbol("x", BOOL), Symbol("x", BOOL))
+
+
+def test_push_pop_redeclaration_changes_a_declared_function_signature():
+    # Only built-in operators share a signature memo; a declared function
+    # is looked up in the context of its own command.
+    script = parse_script(
+        "(push 1)(declare-fun f (Int) Int)(assert (= (f 0) 0))(pop 1)"
+        "(push 1)(declare-fun f (Int) Bool)(assert (f 0))(pop 1)"
+    )
+    assert script.commands[2].term.args[0].sort == INT
+    assert script.commands[6].term.sort == BOOL
+
+
+def test_let_binding_shadows_an_atom_only_in_its_body():
+    term = parse_term("(and (> x 0) (let ((x true)) x) (> x 1))", ctx(x=INT))
+    outer_x = Symbol("x", INT)
+    assert term.args[0].args[0] is outer_x
+    assert isinstance(term.args[1], Let)
+    assert term.args[1].body is Symbol("x", BOOL)
+    assert term.args[2].args[0] is outer_x
+
+
+def test_define_fun_parameter_shadows_a_constant_of_another_sort():
+    script = parse_script(
+        "(declare-const x Bool)"
+        "(define-fun f ((x Int)) Int (+ x 1))"
+        "(assert (and x (> (f 2) 0)))"
+    )
+    definition, assertion = script.commands[1], script.commands[2]
+    assert definition.body.args[0] is Symbol("x", INT)
+    assert assertion.term.args[0] is Symbol("x", BOOL)
+
+
+def test_parse_term_reads_each_context_afresh():
+    assert parse_term("(= x x)", ctx(x=INT)).args[0] is Symbol("x", INT)
+    assert parse_term("(= x x)", ctx(x=BOOL)).args[0] is Symbol("x", BOOL)
+
+
+def test_builtin_signatures_are_kept_apart_by_argument_sorts():
+    script = parse_script(
+        "(declare-const a (_ BitVec 4))(declare-const b (_ BitVec 8))"
+        "(assert (= (bvadd a a) a))(assert (= (bvadd b b) b))"
+        "(assert (= (bvadd a a) a))"
+    )
+    narrow, wide, again = (command.term.args[0] for command in script.commands[2:])
+    assert narrow.sort == bitvec_sort(4)
+    assert wide.sort == bitvec_sort(8)
+    assert again is narrow
+    with pytest.raises(TypeCheckError):
+        parse_script(
+            "(declare-const a (_ BitVec 4))(declare-const b (_ BitVec 8))"
+            "(assert (= (bvadd a a) a))(assert (= (bvadd b b) b))"
+            "(assert (= (bvadd a b) a))"
+        )
+
+
+def test_unknown_symbol_parses_once_declared():
+    context = DeclarationContext()
+    with pytest.raises(UnknownSymbolError):
+        parse_script("(assert (> y 0))", context)
+    script = parse_script("(declare-const y Int)(assert (> y 0))", context)
+    assert script.commands[1].term.args[0] is Symbol("y", INT)
